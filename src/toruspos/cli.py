@@ -7,8 +7,9 @@ report plus optional CSV field dumps into the output directory.
 
 Exit codes: 0 for a completed run regardless of mathematical verdict,
 2 for configuration problems, 3 for internal invariant violations (a
-failed equivalence suite, a non-zero-mean elliptic right-hand side, or a
-broken internal assertion; all of these mean a bug, not a bad instance).
+failed equivalence suite, a non-zero-mean elliptic right-hand side, or
+another InternalInvariantError; all of these mean a bug, not a bad
+instance).
 
 Config schema (all keys optional unless noted)::
 
@@ -564,7 +565,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.task](config, args)
-    except (MeanNotZeroError, InternalInvariantError, AssertionError) as exc:
+    except (MeanNotZeroError, InternalInvariantError) as exc:
         print(f"toruspos: internal invariant violation: {exc}", file=sys.stderr)
         return 3
     except (

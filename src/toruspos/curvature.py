@@ -24,7 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConstantMetricError, UnsupportedDimensionError
+from .errors import (
+    InternalInvariantError,
+    NonConstantMetricError,
+    UnsupportedDimensionError,
+)
 from .expressions import scalar_field_from_expression
 from .lattice import (
     HermitianMatrixField,
@@ -252,9 +256,11 @@ def gauduchon_defect(omega: MetricField) -> float:
         - complex_hessian_entry_of_complex(geom, vals[..., 0, 1], 1, 0)
     )
     # Hermitian symmetry of omega makes the coefficient real up to round-off.
-    assert float(np.max(np.abs(coeff.imag))) <= 1e-10 * (
-        1.0 + float(np.max(np.abs(coeff.real)))
-    )
+    imag = float(np.max(np.abs(coeff.imag)))
+    if imag > 1e-10 * (1.0 + float(np.max(np.abs(coeff.real)))):
+        raise InternalInvariantError(
+            f"defect coefficient has imaginary part {imag:.3e}"
+        )
     return float(np.max(np.abs(coeff.real)))
 
 

@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InternalInvariantError
 from .lattice import ScalarField, TorusGeometry
 
 _TOKEN_RE = re.compile(
@@ -164,7 +164,7 @@ def expression_coordinates(tree) -> set[tuple[str, int]]:
         for _, node in tree[1]:
             out |= expression_coordinates(node)
         return out
-    raise AssertionError(f"unknown node {kind!r}")
+    raise InternalInvariantError(f"unknown expression node {kind!r}")
 
 
 def _eval(tree, coords: dict[tuple[str, int], np.ndarray], shape) -> np.ndarray:
@@ -185,7 +185,7 @@ def _eval(tree, coords: dict[tuple[str, int], np.ndarray], shape) -> np.ndarray:
         for sign, node in tree[1]:
             out = out + sign * _eval(node, coords, shape)
         return out
-    raise AssertionError(f"unknown node {kind!r}")
+    raise InternalInvariantError(f"unknown expression node {kind!r}")
 
 
 def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
@@ -202,7 +202,7 @@ def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
     for j in range(n):
         coords[("x", j + 1)] = arrays[2 * j]
         coords[("y", j + 1)] = arrays[2 * j + 1]
-    return _eval(parse_expression(text), coords, geometry.grid_shape)
+    return _eval(tree, coords, geometry.grid_shape)
 
 
 def scalar_field_from_expression(geometry: TorusGeometry, text: str) -> ScalarField:

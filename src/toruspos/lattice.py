@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     GeometryMismatchError,
+    InternalInvariantError,
     MeanNotZeroError,
     NonConstantMetricError,
 )
@@ -232,13 +233,79 @@ class HermitianMatrixField:
         return float(np.max(np.abs(self.values)))
 
 
+def _hermitian_2x2_parts(values: np.ndarray):
+    """Descending eigenvalues of stacked 2 x 2 Hermitian matrices, with the
+    half diagonal difference ``h``, the lower entry ``c`` and half the gap ``r``.
+
+    Like LAPACK, only the real diagonal and the lower triangle are read.
+    The eigenvalues ``m +- r`` with ``m = (a + d)/2`` and
+    ``r = hypot(h, |c|)`` are evaluated as ``max(a, d) + t`` and
+    ``min(a, d) - t`` with ``t = |c| * (|c| / (r + |h|))``, which is exact
+    for diagonal input and free of the cancellation in ``r - |h|``.
+    """
+    a = values[..., 0, 0].real
+    d = values[..., 1, 1].real
+    c = values[..., 1, 0]
+    h = 0.5 * (a - d)
+    abs_c = np.abs(c)
+    r = np.hypot(h, abs_c)
+    s = r + np.abs(h)
+    t = abs_c * np.divide(abs_c, s, out=np.zeros_like(s), where=s > 0.0)
+    return np.maximum(a, d) + t, np.minimum(a, d) - t, h, c, r
+
+
+def _small_eigvalsh(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues of stacked n x n Hermitian matrices, n <= 2, descending.
+
+    Closed form; agrees with ``np.linalg.eigvalsh`` (reversed) to round-off
+    relative to the largest |eigenvalue|.
+    """
+    if values.shape[-1] == 1:
+        return values[..., 0, :1].real.copy()
+    hi, lo, _, _, _ = _hermitian_2x2_parts(values)
+    return np.stack((hi, lo), axis=-1)
+
+
+def _small_matrix_function(values: np.ndarray, *fns) -> list[np.ndarray]:
+    """``f(M)`` for stacked n x n Hermitian ``M``, n <= 2, one array per f.
+
+    Each ``f`` maps a real array elementwise. For n = 2 with eigenvalues
+    ``m +- r`` the spectral calculus reads
+    ``f(M) = (f1 + f2)/2 * I + (f1 - f2)/(2 r) * (M - m I)``; where ``r = 0``
+    the matrix is ``m I`` and the result is exactly ``(f1 + f2)/2 * I``.
+    The output is exactly Hermitian.
+    """
+    shape = values.shape
+    if shape[-1] == 1:
+        a = values[..., 0, 0].real
+        return [fn(a)[..., None, None].astype(np.complex128) for fn in fns]
+    hi, lo, h, c, r = _hermitian_2x2_parts(values)
+    two_r = 2.0 * r
+    out = []
+    for fn in fns:
+        f_hi, f_lo = fn(hi), fn(lo)
+        mean = 0.5 * (f_hi + f_lo)
+        slope = np.divide(f_hi - f_lo, two_r, out=np.zeros_like(two_r), where=r > 0.0)
+        gh = slope * h
+        result = np.empty(shape, dtype=np.complex128)
+        result[..., 0, 0] = mean + gh
+        result[..., 1, 1] = mean - gh
+        result[..., 1, 0] = slope * c
+        result[..., 0, 1] = np.conj(result[..., 1, 0])
+        out.append(result)
+    return out
+
+
 @dataclass
 class MetricField(HermitianMatrixField):
     """Hermitian matrix field that is positive definite at every point."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        smallest = float(np.min(np.linalg.eigvalsh(self.values)))
+        if self.values.shape[-1] <= 2:
+            smallest = float(np.min(_small_eigvalsh(self.values)[..., -1]))
+        else:
+            smallest = float(np.min(np.linalg.eigvalsh(self.values)))
         if not smallest > 0.0:
             raise ValueError(
                 f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
@@ -356,7 +423,7 @@ def _trace_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray
     ``-a(m)^H W a(m)`` with ``a`` the stacked d/dz symbols, hence it is
     real, strictly negative on every mode carrying a nonzero derivative
     multiplier, and exactly zero otherwise. A singular symbol on an active
-    mode therefore cannot occur; this is asserted below.
+    mode therefore cannot occur; poisson_solve checks this.
     """
     symbols = _dz_symbols(geom)
     sym = -np.einsum(
@@ -394,7 +461,8 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     dead = np.sum(np.abs(symbols) ** 2, axis=0) == 0.0
     # Positive definiteness of the metric makes the symbol strictly negative
     # on every active mode; a singular active symbol is impossible.
-    assert np.all(sym[~dead] < 0.0), "singular symbol on an active mode"
+    if not np.all(sym[~dead] < 0.0):
+        raise InternalInvariantError("singular trace symbol on an active mode")
 
     ghat = np.fft.fftn(g.values)
     fhat = np.zeros_like(ghat)

@@ -41,7 +41,12 @@ from .lattice import (
     constant_representative,
     poisson_solve,
 )
-from .qpositivity import DEFAULT_EPS_REL
+from .qpositivity import (
+    DEFAULT_EPS_REL,
+    _descending_eigenvalues,
+    _sandwich,
+    _sqrt_factors,
+)
 
 #: Default relative weight put on non-positive eigendirections of r_const
 #: when assembling an aligned witness metric.
@@ -56,11 +61,8 @@ def target_constant(L: LineBundleMetric, omega: MetricField) -> float:
 
 def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
     """Largest |pencil eigenvalue| of (r_const, Omega): the scale of c."""
-    const = constant_representative(omega)
-    d, Q = np.linalg.eigh(const)
-    inv_root = (Q / np.sqrt(d)) @ Q.conj().T
-    pencil = inv_root @ L.r_const @ inv_root
-    mu = np.linalg.eigvalsh(pencil)
+    _, inv_root = _sqrt_factors(constant_representative(omega))
+    mu = _descending_eigenvalues(_sandwich(inv_root, L.r_const))
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 
 

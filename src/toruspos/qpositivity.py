@@ -20,9 +20,12 @@ the transformed metric
 (V, lambda the pencil eigensystem) has pencil eigenvalues exactly
 kappa_i = (exp(t * lambda_i) - 1) / t, and the sum of the q+1 smallest
 kappa is bounded below by (exp(t * lambda_{n-q}) - (q+1)) / t > 0. The
-transform is evaluated by eigendecomposition, which keeps the output
-positive definite for any eigenvalue spread; the equivalent truncated
-power series is retained only as a cross-check oracle.
+transform is evaluated through the pencil eigensystem, which keeps the
+output positive definite for any eigenvalue spread; the equivalent
+truncated power series is retained only as a cross-check oracle. For
+n <= 2 eigenvalues, matrix functions and the Omega^{-1/2} sandwiches are
+closed-form elementwise formulas over the grid (see CONVENTIONS.md);
+larger n uses batched LAPACK.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import LineBundleMetric, PositivityCertificate, chern_curvature
-from .errors import NotQPositiveError
+from .errors import NonConstantMetricError, NotQPositiveError
 from .lattice import (
     HermitianMatrixField,
     MetricField,
     TorusGeometry,
+    _small_eigvalsh,
+    _small_matrix_function,
     constant_representative,
     is_constant_field,
 )
@@ -86,28 +91,59 @@ class EigenvalueField:
         return float(np.max(np.abs(self.values)))
 
 
-def _inverse_sqrt_factors(omega: MetricField):
-    """Pointwise (or constant) Omega^{1/2} and Omega^{-1/2}."""
-    if is_constant_field(omega):
-        const = constant_representative(omega)
-        d, Q = np.linalg.eigh(const)
-        root = (Q * np.sqrt(d)) @ Q.conj().T
-        inv_root = (Q / np.sqrt(d)) @ Q.conj().T
-        return root, inv_root, True
-    d, Q = np.linalg.eigh(omega.values)
+def _base_matrix(omega: MetricField) -> np.ndarray:
+    """The constant n x n matrix of a constant metric, else the whole field."""
+    try:
+        return constant_representative(omega)
+    except NonConstantMetricError:
+        return omega.values
+
+
+def _sqrt_factors(base: np.ndarray):
+    """Base^{1/2} and Base^{-1/2} of a constant matrix or a field of them.
+
+    n <= 2 uses the closed-form spectral calculus; larger n one batched
+    Hermitian eigendecomposition.
+    """
+    if base.shape[-1] <= 2:
+        return _small_matrix_function(base, np.sqrt, lambda x: 1.0 / np.sqrt(x))
+    d, Q = np.linalg.eigh(base)
+    if base.ndim == 2:
+        return (Q * np.sqrt(d)) @ Q.conj().T, (Q / np.sqrt(d)) @ Q.conj().T
     root = np.einsum("...ij,...j,...kj->...ik", Q, np.sqrt(d), Q.conj())
     inv_root = np.einsum("...ij,...j,...kj->...ik", Q, 1.0 / np.sqrt(d), Q.conj())
-    return root, inv_root, False
+    return root, inv_root
 
 
-def _pencil_matrix(R: HermitianMatrixField, omega: MetricField):
-    """Omega^{-1/2} R Omega^{-1/2} per point, plus the sqrt factors."""
-    root, inv_root, const = _inverse_sqrt_factors(omega)
-    if const:
-        B = np.einsum("ij,...jk,kl->...il", inv_root, R.values, inv_root)
-    else:
-        B = inv_root @ R.values @ inv_root
-    return B, root, inv_root, const
+def _sandwich(P: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``P M P`` for Hermitian P and M, each a constant matrix or a field.
+
+    For n <= 2 the product is expanded entry by entry over the grid (only
+    the real diagonal and lower triangle are read) and is exactly Hermitian.
+    """
+    if M.shape[-1] == 1:
+        return P[..., :1, :1].real ** 2 * M[..., :1, :1].real
+    if M.shape[-1] == 2:
+        p, s, t = P[..., 0, 0].real, P[..., 1, 1].real, P[..., 1, 0]
+        a, d, w = M[..., 0, 0].real, M[..., 1, 1].real, M[..., 1, 0]
+        cross = t.real * w.real + t.imag * w.imag  # Re(conj(t) w)
+        tt = t.real * t.real + t.imag * t.imag
+        out = np.empty(np.broadcast_shapes(P.shape, M.shape), dtype=np.complex128)
+        out[..., 0, 0] = p * p * a + 2.0 * p * cross + tt * d
+        out[..., 1, 1] = tt * a + 2.0 * s * cross + s * s * d
+        out[..., 1, 0] = t * (p * a + s * d) + p * s * w + t * t * np.conj(w)
+        out[..., 0, 1] = np.conj(out[..., 1, 0])
+        return out
+    if P.ndim == 2 and M.ndim > 2:
+        return np.einsum("ij,...jk,kl->...il", P, M, P)
+    return P @ M @ P
+
+
+def _descending_eigenvalues(B: np.ndarray) -> np.ndarray:
+    """Eigenvalues of Hermitian B (one matrix or a field), descending."""
+    if B.shape[-1] <= 2:
+        return _small_eigvalsh(B)
+    return np.ascontiguousarray(np.linalg.eigvalsh(B)[..., ::-1])
 
 
 def generalized_eigenvalues(
@@ -121,9 +157,9 @@ def generalized_eigenvalues(
     """
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    B, _, _, _ = _pencil_matrix(R, omega)
-    lam = np.linalg.eigvalsh(B)
-    return EigenvalueField(R.geometry, np.ascontiguousarray(lam[..., ::-1]))
+    _, inv_root = _sqrt_factors(_base_matrix(omega))
+    B = _sandwich(inv_root, R.values)
+    return EigenvalueField(R.geometry, _descending_eigenvalues(B))
 
 
 def _resolve_eps(ev_scale: float, eps: float | None) -> float:
@@ -256,17 +292,22 @@ def uniformize_metric(
     R = chern_curvature(L)
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    B, root, _, const = _pencil_matrix(R, omega)
+    root, inv_root = _sqrt_factors(_base_matrix(omega))
+    B = _sandwich(inv_root, R.values)
+    if n <= 2:
+        ev = EigenvalueField(L.geometry, _small_eigvalsh(B))
+        rate = growth_rate(ev, q, eps)
+        (middle,) = _small_matrix_function(
+            B, lambda x: 1.0 / expm1_over_x(rate * x)
+        )
+        return MetricField(L.geometry, _sandwich(root, middle))
     lam, V = np.linalg.eigh(B)  # ascending
     ev = EigenvalueField(L.geometry, np.ascontiguousarray(lam[..., ::-1]))
     rate = growth_rate(ev, q, eps)
 
     shrink = 1.0 / expm1_over_x(rate * lam)
     middle = np.einsum("...ij,...j,...kj->...ik", V, shrink, V.conj())
-    if const:
-        new = np.einsum("ij,...jk,kl->...il", root, middle, root)
-    else:
-        new = root @ middle @ root
+    new = _sandwich(root, middle)
     new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
     return MetricField(L.geometry, new)
 

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 from conftest import random_pd_metric
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruspos import (
     GeometryMismatchError,
     HermitianMatrixField,
+    InternalInvariantError,
     MeanNotZeroError,
     MetricField,
     NonConstantMetricError,
@@ -23,7 +26,12 @@ from toruspos import (
     poisson_solve,
     scalar_field_from_expression,
 )
-from toruspos.lattice import scalar_field_from_csv, scalar_field_to_csv
+from toruspos.lattice import (
+    _small_eigvalsh,
+    _small_matrix_function,
+    scalar_field_from_csv,
+    scalar_field_to_csv,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,6 +97,116 @@ def test_metric_field_requires_positive_definite():
         constant_metric(g, mat)
     m = identity_metric(g)
     assert m.min_eigenvalue == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[1.0, 1.0], [1.0, 1.0]],  # singular, off-diagonal coupling
+        [[1.0, 0.0], [0.0, 0.0]],  # singular, diagonal
+        [[1.0, 2.0j], [-2.0j, 1.0]],  # eigenvalues 3 and -1
+        [[0.0, 0.0], [0.0, 0.0]],
+    ],
+)
+def test_metric_field_rejects_2x2_without_positive_minimum(mat):
+    g = TorusGeometry.regular(2, 4)
+    vals = np.broadcast_to(np.eye(2, dtype=complex), (*g.grid_shape, 2, 2)).copy()
+    vals[1, 2, 3, 0] = np.asarray(mat)
+    with pytest.raises(ValueError, match="positive definite"):
+        MetricField(g, vals)
+
+
+def test_metric_field_rejects_1x1_zero():
+    g = TorusGeometry.regular(1, 4)
+    vals = np.ones((*g.grid_shape, 1, 1), dtype=complex)
+    vals[2, 1] = 0.0
+    with pytest.raises(ValueError, match="positive definite"):
+        MetricField(g, vals)
+
+
+# ------------------------------------------------ closed-form n <= 2 kernels
+
+
+def _unitary_2x2(theta: float, phase: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    e = complex(math.cos(phase), math.sin(phase))
+    return np.array([[c, -e * s], [np.conj(e) * s, c]])
+
+
+@st.composite
+def hermitian_2x2(draw, positive=False):
+    """2 x 2 Hermitian matrices with degenerate, clustered and spread spectra."""
+    kinds = ["generic", "degenerate", "near", "spread"]
+    kind = draw(st.sampled_from(kinds if positive else kinds + ["floor"]))
+    scale = draw(st.floats(min_value=1e-6, max_value=1e6))
+    sign = 1.0 if positive else draw(st.sampled_from([-1.0, 1.0]))
+    x = draw(st.floats(min_value=0.5, max_value=2.0))
+    y = draw(st.floats(min_value=0.5, max_value=2.0))
+    if kind == "degenerate":  # a = d, b = 0 exactly
+        return np.diag([sign * scale * x, sign * scale * x]).astype(complex)
+    if kind == "generic":
+        other = y if positive else draw(st.floats(min_value=-2.0, max_value=2.0))
+        eigs = [sign * x, other]
+    elif kind == "near":
+        eigs = [sign * x, sign * x * (1.0 + 1e-13)]
+    elif kind == "spread":
+        eigs = [sign * x, y * 1e-12]
+    else:  # an eigenvalue at the floor, either side of zero
+        eigs = [sign * x, draw(st.sampled_from([-1e-15, 1e-15]))]
+    theta = draw(st.floats(min_value=0.0, max_value=math.pi))
+    phase = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    U = _unitary_2x2(theta, phase)
+    mat = (U * (scale * np.asarray(eigs))) @ U.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(hermitian_2x2(), min_size=1, max_size=5))
+def test_small_eigvalsh_matches_lapack_2x2(mats):
+    stack = np.stack(mats)
+    got = _small_eigvalsh(stack)
+    ref = np.linalg.eigvalsh(stack)[..., ::-1]
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    assert np.all(got[..., 0] >= got[..., 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=5))
+def test_small_eigvalsh_matches_lapack_1x1(diag):
+    stack = np.asarray(diag, dtype=complex)[:, None, None]
+    assert np.array_equal(_small_eigvalsh(stack), np.linalg.eigvalsh(stack))
+
+
+def _eigh_function(stack: np.ndarray, fn) -> np.ndarray:
+    d, Q = np.linalg.eigh(stack)
+    return np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(hermitian_2x2(positive=True), min_size=1, max_size=5))
+def test_small_matrix_function_square_roots_match_eigh(mats):
+    stack = np.stack(mats)
+    ratio = np.linalg.cond(stack)
+    stack = stack[ratio < 1e3]  # well conditioned only
+    if stack.shape[0] == 0:
+        return
+    fns = (np.sqrt, lambda x: 1.0 / np.sqrt(x))
+    got = _small_matrix_function(stack, *fns)
+    for fn, value in zip(fns, got):
+        ref = _eigh_function(stack, fn)
+        scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(value - ref) <= 1e-12 * scale)
+        assert np.array_equal(value, np.conj(np.swapaxes(value, -1, -2)))
+
+
+def test_small_matrix_function_of_scalar_matrix_is_exact():
+    stack = np.array([np.eye(2) * 4.0, np.eye(2) * 0.25], dtype=complex)
+    (root,) = _small_matrix_function(stack, np.sqrt)
+    assert np.array_equal(root, np.array([np.eye(2) * 2.0, np.eye(2) * 0.5]))
+    one = np.array([[[9.0]], [[0.25]]], dtype=complex)
+    (inv_root,) = _small_matrix_function(one, lambda x: 1.0 / np.sqrt(x))
+    assert np.array_equal(inv_root, np.array([[[1.0 / 3.0]], [[2.0]]]))
 
 
 def test_constant_representative_detects_variation():
@@ -260,6 +378,19 @@ def test_poisson_requires_constant_metric():
     rhs = scalar_field_from_expression(g, "cos(x1)")
     with pytest.raises(NonConstantMetricError):
         poisson_solve(rhs, omega)
+
+
+def test_poisson_singular_symbol_is_an_internal_invariant_error():
+    """A non-PD metric that skipped validation trips a typed error, not assert."""
+    g = TorusGeometry.regular(2, 4)
+    bad = object.__new__(MetricField)
+    bad.geometry = g
+    bad.values = np.broadcast_to(
+        np.diag([1.0, -1.0]).astype(complex), (*g.grid_shape, 2, 2)
+    ).copy()
+    rhs = scalar_field_from_expression(g, "cos(x1) + sin(y2)")
+    with pytest.raises(InternalInvariantError):
+        poisson_solve(rhs, bad)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -32,7 +32,8 @@ from toruspos import (
     uniformize_metric,
     uniformized_metric_series,
 )
-from toruspos.qpositivity import EigenvalueField
+from toruspos.lattice import _small_matrix_function
+from toruspos.qpositivity import EigenvalueField, _sandwich
 
 
 # ------------------------------------------------------- pencil eigenvalues
@@ -96,6 +97,26 @@ def test_pencil_matches_characteristic_roots():
             assert fn(brackets[i]) * fn(brackets[i + 1]) < 0
             root = _bisect_root(fn, brackets[i], brackets[i + 1])
             assert root == pytest.approx(roots[i], abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sandwich_matches_matrix_products(n):
+    rng = np.random.default_rng(11)
+    points = 6
+    fields = [
+        np.stack([random_hermitian(rng, n, scale=3.0) for _ in range(points)])
+        for _ in range(2)
+    ]
+    P_const = random_pd_matrix(rng, n)
+    for P, M in (
+        (P_const, fields[0]),
+        (fields[1], fields[0]),
+        (P_const, random_hermitian(rng, n)),
+    ):
+        ref = P @ M @ P
+        got = _sandwich(P, M)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_pencil_invariant_under_congruence():
@@ -240,6 +261,23 @@ def test_growth_rate_rejects_touching_zero():
 # ---------------------------------------------------------------- psi helper
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.floats(min_value=0.1, max_value=2.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_inverse_psi_matrix_function_matches_eigh(n, rate, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_hermitian(rng, n, scale=3.0) for _ in range(4)])
+    stack[0] = 1.5 * np.eye(n)  # degenerate spectrum
+    fn = lambda x: 1.0 / expm1_over_x(rate * x)
+    (got,) = _small_matrix_function(stack, fn)
+    d, Q = np.linalg.eigh(stack)
+    ref = np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj())
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(fn(d)))
+
+
 def test_psi_value_at_zero_and_signs():
     x = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
     psi = expm1_over_x(x)
@@ -347,6 +385,26 @@ def test_uniform_positivity_implies_pointwise():
             pointwise = check_q_positive(L, omega, q)
             if uniform.verdict:
                 assert pointwise.verdict
+
+
+def test_series_route_agrees_on_varying_base():
+    """Feed the uniformizer its own (varying) output as the base metric."""
+    g = TorusGeometry.regular(2, 8)
+    for seed, q in ((0, 0), (1, 1), (2, 0)):
+        inner = np.random.default_rng(seed)
+        omega = random_pd_metric(inner, g)
+        eigs = sorted(inner.uniform(1.0, 1.2, size=2), reverse=True)
+        if q == 1:
+            eigs[1] = -0.5
+        L = bundle_with_pencil_eigs(
+            inner, g, omega, eigs, phi_text="0.02*cos(x1)*sin(y2)"
+        )
+        varying = uniformize_metric(L, omega, q)
+        assert np.ptp(varying.values[..., 0, 0].real) > 1e-3
+        direct = uniformize_metric(L, varying, q)
+        series = uniformized_metric_series(L, varying, q, terms=30)
+        scale = float(np.max(np.abs(direct.values)))
+        assert np.max(np.abs(direct.values - series.values)) <= 1e-10 * scale
 
 
 def test_series_route_agrees_with_eigendecomposition():
