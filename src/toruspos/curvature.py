@@ -39,14 +39,13 @@ from .lattice import (
     complex_hessian,
     complex_hessian_entry_of_complex,
     constant_representative,
-    is_constant_field,
 )
 
 HERMITIAN_MATRIX_RTOL = 1e-12
 
 
 def _check_constant_hermitian(matrix: np.ndarray, n: int) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=np.complex128)
+    mat = np.array(matrix, dtype=np.complex128)
     if mat.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -65,18 +64,28 @@ class LineBundleMetric:
     h0 and doubles as the constant representative of the curvature class.
     ``phi_expression`` optionally records the closed form the weight was
     built from, so configs and reports round-trip exactly.
+
+    ``r_const`` and the weight values are read-only private copies, so the
+    curvature that chern_curvature caches on the bundle cannot go stale.
     """
 
     geometry: TorusGeometry
     r_const: np.ndarray
     phi: ScalarField
     phi_expression: str | None = None
+    _curvature: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = self.geometry.complex_dim
         self.r_const = _check_constant_hermitian(self.r_const, n)
+        self.r_const.setflags(write=False)
         if self.phi.geometry != self.geometry:
             raise ValueError("weight is sampled on a different grid")
+        phi_values = self.phi.values.copy()
+        phi_values.setflags(write=False)
+        self.phi = ScalarField(self.geometry, phi_values)
 
     @classmethod
     def from_constant(
@@ -156,12 +165,22 @@ class PositivityCertificate:
 
 
 def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
-    """Full curvature field ``r_const + complex_hessian(phi)``."""
+    """Full curvature field ``r_const + complex_hessian(phi)``.
+
+    Computed once per bundle and cached on it; the field is read-only.
+    """
+    cached = L._curvature
+    if cached is not None and cached[0] is L.r_const and cached[1] is L.phi.values:
+        return cached[2]
     geom = L.geometry
     if not np.any(L.phi.values):
-        return HermitianMatrixField.constant(geom, L.r_const)
-    hess = complex_hessian(L.phi)
-    return HermitianMatrixField(geom, L.r_const + hess.values)
+        R = HermitianMatrixField.constant(geom, L.r_const)
+    else:
+        hess = complex_hessian(L.phi)
+        R = HermitianMatrixField(geom, L.r_const + hess.values)
+        R.values.setflags(write=False)
+    L._curvature = (L.r_const, L.phi.values, R)
+    return R
 
 
 def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
@@ -174,8 +193,9 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
     if omega.geometry != geom:
         raise ValueError("base metric lives on a different grid")
     R = chern_curvature(L)
-    if is_constant_field(omega):
-        W = np.linalg.inv(constant_representative(omega))
+    const = omega.matrix
+    if const is not None:
+        W = np.linalg.inv(const)
         tr = np.einsum("ij,...ji->...", W, R.values)
     else:
         W = np.linalg.inv(omega.values)
@@ -184,9 +204,17 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
 
 
 def volume_integral(omega: MetricField) -> float:
-    """Total volume ``integral of det(Omega)`` over the torus."""
+    """Total volume ``integral of det(Omega)`` over the torus.
+
+    For a constant metric this is ``det * num_points`` rounded once, which
+    equals the exactly rounded sum of the equal per-point determinants.
+    """
+    geom = omega.geometry
+    const = omega.matrix
+    if const is not None:
+        return geom.cell_volume * (float(np.linalg.det(const).real) * geom.num_points)
     dets = np.linalg.det(omega.values).real
-    return omega.geometry.cell_volume * compensated_sum(dets)
+    return geom.cell_volume * compensated_sum(dets)
 
 
 def degree_integral(L: LineBundleMetric, omega: MetricField) -> float:

@@ -201,7 +201,12 @@ class ScalarField:
 
 @dataclass
 class HermitianMatrixField:
-    """Field of n x n complex Hermitian matrices, one per grid point."""
+    """Field of n x n complex Hermitian matrices, one per grid point.
+
+    A constant field built by ``constant`` stores one n x n matrix: its
+    ``values`` is a read-only view with zero grid strides, validation runs
+    on that one matrix, and ``matrix`` hands it to consumers.
+    """
 
     geometry: TorusGeometry
     values: np.ndarray
@@ -212,6 +217,9 @@ class HermitianMatrixField:
         expected = (*self.geometry.grid_shape, n, n)
         if vals.shape != expected:
             raise ValueError(f"matrix field shape {vals.shape} != {expected}")
+        self.values = vals
+        const = self.matrix
+        vals = vals if const is None else const
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix field contains non-finite values")
         scale = float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -221,13 +229,20 @@ class HermitianMatrixField:
                 f"matrix field is not Hermitian: deviation {dev:.3e} "
                 f"exceeds {HERMITIAN_RTOL:.0e} * {scale:.3e}"
             )
-        self.values = vals
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, matrix: np.ndarray):
-        mat = np.asarray(matrix, dtype=np.complex128)
-        full = np.broadcast_to(mat, (*geometry.grid_shape, *mat.shape)).copy()
-        return cls(geometry, full)
+        mat = np.array(matrix, dtype=np.complex128)
+        mat.setflags(write=False)
+        return cls(geometry, np.broadcast_to(mat, (*geometry.grid_shape, *mat.shape)))
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """The n x n matrix when every grid stride is zero, else None."""
+        grid_axes = self.values.ndim - 2
+        if any(self.values.strides[:grid_axes]):
+            return None
+        return self.values[(0,) * grid_axes]
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -302,10 +317,12 @@ class MetricField(HermitianMatrixField):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.values.shape[-1] <= 2:
-            smallest = float(np.min(_small_eigvalsh(self.values)[..., -1]))
+        const = self.matrix
+        vals = self.values if const is None else const
+        if vals.shape[-1] <= 2:
+            smallest = float(np.min(_small_eigvalsh(vals)[..., -1]))
         else:
-            smallest = float(np.min(np.linalg.eigvalsh(self.values)))
+            smallest = float(np.min(np.linalg.eigvalsh(vals)))
         if not smallest > 0.0:
             raise ValueError(
                 f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
@@ -319,8 +336,7 @@ def identity_metric(geometry: TorusGeometry) -> MetricField:
 
 
 def constant_metric(geometry: TorusGeometry, matrix: np.ndarray) -> MetricField:
-    full = HermitianMatrixField.constant(geometry, matrix)
-    return MetricField(geometry, full.values)
+    return MetricField.constant(geometry, matrix)
 
 
 def constant_representative(
@@ -328,11 +344,17 @@ def constant_representative(
 ) -> np.ndarray:
     """Return the constant n x n matrix a constant field represents.
 
+    Read off ``field.matrix`` when the field stores one; a materialized
+    field is scanned for variation.
+
     Raises
     ------
     NonConstantMetricError
         If the field varies over the grid beyond ``rtol`` relative.
     """
+    const = field.matrix
+    if const is not None:
+        return const.copy()
     flat = field.values.reshape(-1, *field.values.shape[-2:])
     first = flat[0]
     scale = max(float(np.max(np.abs(first))), 1.0)

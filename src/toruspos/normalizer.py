@@ -44,8 +44,8 @@ from .lattice import (
 from .qpositivity import (
     DEFAULT_EPS_REL,
     _descending_eigenvalues,
+    _inverse_root,
     _sandwich,
-    _sqrt_factors,
 )
 
 #: Default relative weight put on non-positive eigendirections of r_const
@@ -61,7 +61,7 @@ def target_constant(L: LineBundleMetric, omega: MetricField) -> float:
 
 def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
     """Largest |pencil eigenvalue| of (r_const, Omega): the scale of c."""
-    _, inv_root = _sqrt_factors(constant_representative(omega))
+    inv_root = _inverse_root(constant_representative(omega))
     mu = _descending_eigenvalues(_sandwich(inv_root, L.r_const))
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 

@@ -36,15 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import LineBundleMetric, PositivityCertificate, chern_curvature
-from .errors import NonConstantMetricError, NotQPositiveError
+from .errors import NotQPositiveError
 from .lattice import (
     HermitianMatrixField,
     MetricField,
     TorusGeometry,
     _small_eigvalsh,
     _small_matrix_function,
-    constant_representative,
-    is_constant_field,
 )
 
 #: Default positivity tolerance, relative to the largest |eigenvalue|.
@@ -92,27 +90,33 @@ class EigenvalueField:
 
 
 def _base_matrix(omega: MetricField) -> np.ndarray:
-    """The constant n x n matrix of a constant metric, else the whole field."""
-    try:
-        return constant_representative(omega)
-    except NonConstantMetricError:
-        return omega.values
+    """The n x n matrix of a constant metric, else the whole field."""
+    const = omega.matrix
+    return omega.values if const is None else const
 
 
-def _sqrt_factors(base: np.ndarray):
-    """Base^{1/2} and Base^{-1/2} of a constant matrix or a field of them.
+def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(x)
+
+
+def _spectral_functions(base: np.ndarray, *fns) -> list[np.ndarray]:
+    """``f(Base)`` for each ``f``, of a constant matrix or a field of them.
 
     n <= 2 uses the closed-form spectral calculus; larger n one batched
-    Hermitian eigendecomposition.
+    Hermitian eigendecomposition shared by every ``f``.
     """
     if base.shape[-1] <= 2:
-        return _small_matrix_function(base, np.sqrt, lambda x: 1.0 / np.sqrt(x))
+        return _small_matrix_function(base, *fns)
     d, Q = np.linalg.eigh(base)
     if base.ndim == 2:
-        return (Q * np.sqrt(d)) @ Q.conj().T, (Q / np.sqrt(d)) @ Q.conj().T
-    root = np.einsum("...ij,...j,...kj->...ik", Q, np.sqrt(d), Q.conj())
-    inv_root = np.einsum("...ij,...j,...kj->...ik", Q, 1.0 / np.sqrt(d), Q.conj())
-    return root, inv_root
+        return [(Q * fn(d)) @ Q.conj().T for fn in fns]
+    return [np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj()) for fn in fns]
+
+
+def _inverse_root(base: np.ndarray) -> np.ndarray:
+    """Base^{-1/2} of a constant matrix or a field of them."""
+    (inv_root,) = _spectral_functions(base, _inverse_sqrt)
+    return inv_root
 
 
 def _sandwich(P: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -157,8 +161,7 @@ def generalized_eigenvalues(
     """
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    _, inv_root = _sqrt_factors(_base_matrix(omega))
-    B = _sandwich(inv_root, R.values)
+    B = _sandwich(_inverse_root(_base_matrix(omega)), R.values)
     return EigenvalueField(R.geometry, _descending_eigenvalues(B))
 
 
@@ -292,7 +295,7 @@ def uniformize_metric(
     R = chern_curvature(L)
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    root, inv_root = _sqrt_factors(_base_matrix(omega))
+    root, inv_root = _spectral_functions(_base_matrix(omega), np.sqrt, _inverse_sqrt)
     B = _sandwich(inv_root, R.values)
     if n <= 2:
         ev = EigenvalueField(L.geometry, _small_eigvalsh(B))
@@ -334,11 +337,9 @@ def uniformized_metric_series(
     ev = generalized_eigenvalues(R, omega)
     rate = growth_rate(ev, q, eps)
 
-    if is_constant_field(omega):
-        W = np.broadcast_to(
-            np.linalg.inv(constant_representative(omega)),
-            R.values.shape,
-        )
+    const = omega.matrix
+    if const is not None:
+        W = np.broadcast_to(np.linalg.inv(const), R.values.shape)
     else:
         W = np.linalg.inv(omega.values)
     M = rate * (R.values @ W)

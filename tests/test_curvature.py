@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_hermitian, random_pd_metric
+from conftest import hermitian_with_eigs, random_hermitian, random_pd_metric
 
 from toruspos import (
     LineBundleMetric,
@@ -16,13 +16,16 @@ from toruspos import (
     UnsupportedDimensionError,
     bundle_from_json_dict,
     bundle_to_json_dict,
+    check_q_positive,
     chern_curvature,
     complex_hessian,
     constant_metric,
     degree_integral,
     gauduchon_defect,
+    generalized_eigenvalues,
     identity_metric,
     integrate,
+    normalize_scalar_curvature,
     scalar_curvature,
     scalar_field_from_expression,
     volume_integral,
@@ -324,3 +327,95 @@ def test_certificate_json_shape():
     assert out["q"] == 0
     assert out["witness_metric"] == [[[1.0, 0.0]]]
     assert out["residuals"]["poisson_rel"] == 1e-12
+
+
+# ------------------------------------- constant metrics and the curvature cache
+
+
+def _close(a, b, rtol=1e-13) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(a - b))) <= rtol * scale
+
+
+@pytest.mark.parametrize("n,samples", [(1, 10), (2, 6), (3, 4)])
+def test_constant_metric_matches_materialized_copy(n, samples):
+    """The stored n x n matrix and a grid copy of it give the same numbers."""
+    g = TorusGeometry.regular(n, samples)
+    rng = np.random.default_rng(10 + n)
+    omega = random_pd_metric(rng, g)
+    copy = MetricField(g, omega.values.copy())
+    assert omega.matrix is not None and copy.matrix is None
+    assert volume_integral(omega) == volume_integral(copy)
+
+    r_const = hermitian_with_eigs(rng, rng.uniform(0.5, 2.0, n))
+    L = LineBundleMetric.from_expression(g, r_const, "0.05*cos(x1) + 0.03*sin(y1)")
+    assert _close(degree_integral(L, omega), degree_integral(L, copy))
+    assert _close(scalar_curvature(L, omega).values, scalar_curvature(L, copy).values)
+    R = chern_curvature(L)
+    ev, ev_copy = generalized_eigenvalues(R, omega), generalized_eigenvalues(R, copy)
+    assert _close(ev.values, ev_copy.values)
+    _, cert = normalize_scalar_curvature(L, omega)
+    _, cert_copy = normalize_scalar_curvature(L, copy)
+    assert _close(cert.details["constant"], cert_copy.details["constant"])
+    q = n - 1
+    pos, pos_copy = check_q_positive(L, omega, q), check_q_positive(L, copy, q)
+    assert pos.verdict and pos.verdict == pos_copy.verdict
+    assert _close(pos.margin, pos_copy.margin)
+
+
+def test_chern_curvature_is_computed_once_per_bundle(monkeypatch):
+    """A counter on complex_hessian, no timing: two calls, one Hessian."""
+    import toruspos.curvature as curvature_module
+
+    calls = []
+    original = curvature_module.complex_hessian
+
+    def counting(phi):
+        calls.append(phi)
+        return original(phi)
+
+    monkeypatch.setattr(curvature_module, "complex_hessian", counting)
+    g = TorusGeometry.regular(2, 8)
+    L = LineBundleMetric.from_expression(g, np.eye(2), "0.2*cos(x1)*sin(y2)")
+    first = chern_curvature(L)
+    assert chern_curvature(L) is first
+    assert len(calls) == 1
+
+
+def test_derived_bundles_get_their_own_curvature():
+    g = TorusGeometry.regular(2, 8)
+    r_const = np.diag([1.0, -2.0])
+    L = LineBundleMetric.from_expression(g, r_const, "0.2*cos(x1)")
+    R = chern_curvature(L)
+    twin = LineBundleMetric.from_expression(g, r_const, "0.2*cos(x1)")
+    assert chern_curvature(twin) is not R
+    assert np.array_equal(chern_curvature(twin).values, R.values)
+    assert np.array_equal(chern_curvature(L.dual()).values, -R.values)
+    f = scalar_field_from_expression(g, "0.1*sin(y1)")
+    moved = L.with_weight(f)
+    expected = r_const + complex_hessian(f).values
+    assert np.max(np.abs(chern_curvature(moved).values - expected)) == 0.0
+    assert chern_curvature(L) is R
+
+
+def test_bundle_data_and_curvature_are_read_only():
+    g = TorusGeometry.regular(1, 8)
+    r_const = np.array([[2.0]])
+    phi = scalar_field_from_expression(g, "0.5*sin(x1)")
+    L = LineBundleMetric(g, r_const, phi)
+    R = chern_curvature(L)
+    with pytest.raises(ValueError):
+        L.phi.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        L.r_const[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        R.values[0, 0, 0, 0] = 1.0
+    # The caller's arrays are copied, not frozen.
+    phi.values[0, 0] = 1.0
+    r_const[0, 0] = 1.0
+    assert chern_curvature(L) is R and L.r_const[0, 0] == 2.0
+    with pytest.raises(ValueError):
+        constant_metric(g, np.eye(1)).values[0, 0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        chern_curvature(LineBundleMetric.from_constant(g, r_const)).values[0, 0] = 0.0

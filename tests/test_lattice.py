@@ -28,6 +28,7 @@ from toruspos import (
 )
 from toruspos.lattice import (
     _small_eigvalsh,
+    is_constant_field,
     _small_matrix_function,
     scalar_field_from_csv,
     scalar_field_to_csv,
@@ -218,6 +219,81 @@ def test_constant_representative_detects_variation():
     varying = MetricField(g, vals)
     with pytest.raises(NonConstantMetricError):
         constant_representative(varying)
+
+
+def test_constant_field_stores_one_read_only_matrix():
+    g = TorusGeometry.regular(2, 6)
+    mat = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+    omega = constant_metric(g, mat)
+    assert omega.values.shape == (*g.grid_shape, 2, 2)
+    assert omega.values.strides[:4] == (0, 0, 0, 0)
+    assert np.array_equal(omega.matrix, mat)
+    assert np.array_equal(constant_representative(omega), mat)
+    with pytest.raises(ValueError):
+        omega.values[0, 0, 0, 0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        omega.matrix[0, 0] = 5.0
+    mat[0, 0] = 5.0  # the field keeps its own copy
+    assert omega.matrix[0, 0] == 2.0
+    materialized = MetricField(g, omega.values.copy())
+    assert materialized.matrix is None
+    assert np.array_equal(constant_representative(materialized), omega.matrix)
+    assert is_constant_field(omega) and is_constant_field(materialized)
+    bare = object.__new__(MetricField)
+    bare.geometry = g
+    bare.values = omega.values
+    assert np.array_equal(bare.matrix, omega.matrix)
+
+
+@pytest.mark.parametrize("n,samples", [(1, 10), (2, 6), (3, 4)])
+def test_constant_metric_min_eigenvalue_matches_materialized(n, samples):
+    g = TorusGeometry.regular(n, samples)
+    omega = random_pd_metric(np.random.default_rng(n), g)
+    materialized = MetricField(g, omega.values.copy())
+    assert omega.min_eigenvalue == pytest.approx(materialized.min_eigenvalue, rel=1e-13)
+
+
+def _rejection_message(factory) -> str:
+    with pytest.raises(ValueError) as info:
+        factory()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "mat,match",
+    [
+        ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+        ([[1.0, 0.5j], [0.5j, 1.0]], "not Hermitian"),
+        ([[1.0, 2.0j], [-2.0j, 1.0]], "positive definite"),
+        ([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]], "positive definite"),
+    ],
+)
+def test_constant_metric_rejections_match_materialized(mat, match):
+    mat = np.asarray(mat, dtype=complex)
+    g = TorusGeometry.regular(mat.shape[0], 4)
+    full = np.broadcast_to(mat, (*g.grid_shape, *mat.shape)).copy()
+    message = _rejection_message(lambda: constant_metric(g, mat))
+    assert match in message
+    assert message == _rejection_message(lambda: MetricField(g, full))
+
+
+def test_constant_metric_validates_one_matrix(monkeypatch):
+    """Counters on the kernels, no timing: one 3x3 eigvalsh, no grid det."""
+    seen = {"eigvalsh": [], "det": []}
+    for name in seen:
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            seen[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    g = TorusGeometry.regular(3, 8)
+    A = np.diag([1.0, 2.0, 3.0]) + 0.1 * np.ones((3, 3))
+    omega = constant_metric(g, A)
+    assert seen["eigvalsh"] == [(3, 3)]
+    assert seen["det"] == []
+    assert omega.min_eigenvalue == pytest.approx(min(np.linalg.eigvalsh(A)))
 
 
 # ------------------------------------------------------------ differentiation
