@@ -229,6 +229,13 @@ def _resolve_out_dir(config: dict, args) -> Path:
     return out_dir
 
 
+def _resolve_eps(config: dict, args) -> float | None:
+    """Positivity tolerance: ``--tolerance`` wins over ``tolerances.eps_pos``."""
+    if args.tolerance is not None:
+        return args.tolerance
+    return config.get("tolerances", {}).get("eps_pos")
+
+
 def _resolved_config_dict(
     config: dict,
     args,
@@ -238,11 +245,7 @@ def _resolved_config_dict(
     tol = config.get("tolerances", {})
     resolved = {
         "tolerances": {
-            "eps_pos": (
-                args.tolerance
-                if args.tolerance is not None
-                else tol.get("eps_pos")
-            ),
+            "eps_pos": _resolve_eps(config, args),
             "delta": tol.get("delta", DEFAULT_DELTA),
         },
         "output": {
@@ -301,9 +304,7 @@ def _cmd_check_qpos(config, args) -> int:
     omega = _resolve_base_metric(config, geometry)
     q = _resolve_q(config, geometry)
     out_dir = _resolve_out_dir(config, args)
-    eps = args.tolerance if args.tolerance is not None else (
-        config.get("tolerances", {}).get("eps_pos")
-    )
+    eps = _resolve_eps(config, args)
     pointwise = check_q_positive(bundle, omega, q, eps=eps)
     uniform = check_uniform_q_positive(bundle, omega, q, eps=eps)
     result = {
@@ -329,9 +330,7 @@ def _cmd_uniformize(config, args) -> int:
     omega = _resolve_base_metric(config, geometry)
     q = _resolve_q(config, geometry)
     out_dir = _resolve_out_dir(config, args)
-    eps = args.tolerance if args.tolerance is not None else (
-        config.get("tolerances", {}).get("eps_pos")
-    )
+    eps = _resolve_eps(config, args)
     resolved = _resolved_config_dict(config, args, geometry, out_dir)
     R = chern_curvature(bundle)
     ev = generalized_eigenvalues(R, omega)
@@ -374,9 +373,7 @@ def _cmd_normalize_scalar(config, args) -> int:
     bundle = _resolve_instance(config, geometry)
     omega = _resolve_base_metric(config, geometry)
     out_dir = _resolve_out_dir(config, args)
-    eps = args.tolerance if args.tolerance is not None else (
-        config.get("tolerances", {}).get("eps_pos")
-    )
+    eps = _resolve_eps(config, args)
     f, cert = normalize_scalar_curvature(bundle, omega, eps=eps)
     result = {"certificate": cert.to_json_dict()}
     csv_path = scalar_field_to_csv(f, out_dir / "conformal_exponent.csv", "f")
@@ -398,9 +395,7 @@ def _cmd_certify(config, args) -> int:
     geometry = _resolve_geometry(config, args)
     bundle = _resolve_instance(config, geometry)
     out_dir = _resolve_out_dir(config, args)
-    eps = args.tolerance if args.tolerance is not None else (
-        config.get("tolerances", {}).get("eps_pos")
-    )
+    eps = _resolve_eps(config, args)
     delta = config.get("tolerances", {}).get("delta", DEFAULT_DELTA)
     cert = certify_n_minus_1_positive(bundle, delta=delta, eps=eps)
     result = {"certificate": cert.to_json_dict()}
@@ -423,9 +418,7 @@ def _cmd_psef_test(config, args) -> int:
     geometry = _resolve_geometry(config, args)
     bundle = _resolve_instance(config, geometry)
     out_dir = _resolve_out_dir(config, args)
-    eps = args.tolerance if args.tolerance is not None else (
-        config.get("tolerances", {}).get("eps_pos")
-    )
+    eps = _resolve_eps(config, args)
     psef = is_pseudo_effective(bundle)
     dual_psef = is_pseudo_effective(bundle.dual())
     search = dual_not_pseudo_effective(bundle, eps=eps)
@@ -455,9 +448,7 @@ def _cmd_psef_test(config, args) -> int:
 
 def _cmd_equivalence_suite(config, args) -> int:
     out_dir = _resolve_out_dir(config, args)
-    eps = args.tolerance if args.tolerance is not None else (
-        config.get("tolerances", {}).get("eps_pos")
-    )
+    eps = _resolve_eps(config, args)
     delta = config.get("tolerances", {}).get("delta", DEFAULT_DELTA)
 
     if args.corpus is not None:

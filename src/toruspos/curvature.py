@@ -35,6 +35,7 @@ from .lattice import (
     MetricField,
     ScalarField,
     TorusGeometry,
+    _trace_symbol,
     compensated_sum,
     complex_hessian,
     complex_hessian_entry_of_complex,
@@ -188,18 +189,25 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
 
     Equals the sum of the generalized eigenvalues of (R, Omega) at each
     grid point, and scales by exp(-u) when omega is scaled by exp(u).
+
+    Against a constant metric, ``W = Omega^{-1}``, the trace is
+    ``trace(W r_const)`` plus the weight filtered by the trace symbol of
+    W, so no curvature field is built; a varying metric takes the trace
+    of ``chern_curvature`` point by point.
     """
     geom = L.geometry
     if omega.geometry != geom:
         raise ValueError("base metric lives on a different grid")
-    R = chern_curvature(L)
     const = omega.matrix
     if const is not None:
         W = np.linalg.inv(const)
-        tr = np.einsum("ij,...ji->...", W, R.values)
-    else:
-        W = np.linalg.inv(omega.values)
-        tr = np.einsum("...ij,...ji->...", W, R.values)
+        tr = np.full(geom.grid_shape, np.einsum("ij,ji->", W, L.r_const).real)
+        if np.any(L.phi.values):
+            phat = np.fft.fftn(L.phi.values)
+            tr += np.fft.ifftn(_trace_symbol(geom, W) * phat).real
+        return ScalarField(geom, tr)
+    W = np.linalg.inv(omega.values)
+    tr = np.einsum("...ij,...ji->...", W, chern_curvature(L).values)
     return ScalarField(geom, tr.real)
 
 
@@ -225,12 +233,15 @@ def degree_integral(L: LineBundleMetric, omega: MetricField) -> float:
     accepted: on a flat torus those are automatically Kaehler, hence the
     pairing is an invariant of the curvature class (independent of phi).
     """
-    geom = L.geometry
     const = constant_representative(omega)  # NonConstantMetricError if it varies
-    n = geom.complex_dim
-    tr = scalar_curvature(L, omega)
+    return _degree_of_trace(scalar_curvature(L, omega), const)
+
+
+def _degree_of_trace(tr: ScalarField, const: np.ndarray) -> float:
+    """``(1/n) * integral of tr * det(const)`` for a constant base matrix."""
+    geom = tr.geometry
     det = float(np.linalg.det(const).real)
-    return det / n * geom.cell_volume * compensated_sum(tr.values)
+    return det / geom.complex_dim * geom.cell_volume * compensated_sum(tr.values)
 
 
 def wedge_degree_check(L: LineBundleMetric, omega: MetricField) -> float:

@@ -400,17 +400,29 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     """
     geom = phi.geometry
     n = geom.complex_dim
-    symbols = _dz_symbols(geom)
-    phat = np.fft.fftn(phi.values)
     out = np.empty((*geom.grid_shape, n, n), dtype=np.complex128)
-    for j in range(n):
-        out[..., j, j] = np.fft.ifftn(-np.abs(symbols[j]) ** 2 * phat).real
-        for k in range(j + 1, n):
-            multiplier = -symbols[j] * np.conj(symbols[k])
-            entry = np.fft.ifftn(multiplier * phat)
-            out[..., j, k] = entry
+    for j, k, entry in _complex_hessian_entries(phi):
+        out[..., j, k] = entry
+        if k != j:
             out[..., k, j] = np.conj(entry)
     return HermitianMatrixField(geom, out)
+
+
+def _complex_hessian_entries(phi: ScalarField):
+    """Yield ``(j, k, entry)`` for the upper triangle ``j <= k`` of the
+    complex Hessian, one inverse transform per entry.
+
+    Diagonal entries are real arrays (the real part of their inverse
+    transform); the lower triangle is the conjugate of the upper one.
+    """
+    geom = phi.geometry
+    symbols = _dz_symbols(geom)
+    phat = np.fft.fftn(phi.values)
+    for j in range(geom.complex_dim):
+        yield j, j, np.fft.ifftn(-np.abs(symbols[j]) ** 2 * phat).real
+        for k in range(j + 1, geom.complex_dim):
+            multiplier = -symbols[j] * np.conj(symbols[k])
+            yield j, k, np.fft.ifftn(multiplier * phat)
 
 
 def complex_hessian_entry_of_complex(
@@ -445,7 +457,8 @@ def _trace_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray
     ``-a(m)^H W a(m)`` with ``a`` the stacked d/dz symbols, hence it is
     real, strictly negative on every mode carrying a nonzero derivative
     multiplier, and exactly zero otherwise. A singular symbol on an active
-    mode therefore cannot occur; poisson_solve checks this.
+    mode therefore cannot occur; poisson_solve checks this. scalar_curvature
+    filters the weight with the same symbol against a constant metric.
     """
     symbols = _dz_symbols(geom)
     sym = -np.einsum(

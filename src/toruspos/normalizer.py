@@ -27,7 +27,7 @@ import numpy as np
 from .curvature import (
     LineBundleMetric,
     PositivityCertificate,
-    chern_curvature,
+    _degree_of_trace,
     degree_integral,
     scalar_curvature,
     volume_integral,
@@ -35,8 +35,8 @@ from .curvature import (
 from .lattice import (
     MetricField,
     ScalarField,
+    _complex_hessian_entries,
     compensated_sum,
-    complex_hessian,
     constant_metric,
     constant_representative,
     poisson_solve,
@@ -66,6 +66,25 @@ def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 
 
+def _hessian_trace(f: ScalarField, W: np.ndarray) -> np.ndarray:
+    """``trace(W . complex_hessian(f))`` accumulated entry by entry.
+
+    Summing ``W_jj H_jj + 2 Re(W_kj H_jk)`` over the upper triangle of the
+    Hessian never assembles the n x n field. It deliberately avoids the
+    trace symbol that poisson_solve divides by, so the solver residual
+    can expose a wrong symbol.
+    """
+    out = np.zeros(f.geometry.grid_shape)
+    if not np.any(f.values):
+        return out
+    for j, k, entry in _complex_hessian_entries(f):
+        if j == k:
+            out += W[j, j].real * entry
+        else:
+            out += 2.0 * (W[k, j] * entry).real
+    return out
+
+
 def normalize_scalar_curvature(
     L: LineBundleMetric,
     omega: MetricField,
@@ -83,8 +102,10 @@ def normalize_scalar_curvature(
     property of the input.
     """
     geom = L.geometry
+    const = constant_representative(omega)  # NonConstantMetricError if it varies
     s = scalar_curvature(L, omega)
-    c = target_constant(L, omega)
+    # The expression target_constant evaluates, on the s already at hand.
+    c = geom.complex_dim * _degree_of_trace(s, const) / volume_integral(omega)
     rhs_values = s.values - c
     # c is the exact mean of s in exact arithmetic, so anything left in the
     # mean is quadrature round-off; remove it so the solvability check
@@ -99,10 +120,7 @@ def normalize_scalar_curvature(
     rhs = ScalarField(geom, rhs_values)
     f = poisson_solve(rhs, omega)
 
-    inverse = np.linalg.inv(constant_representative(omega))
-    achieved = np.einsum(
-        "ij,...ji->...", inverse, complex_hessian(f).values
-    ).real
+    achieved = _hessian_trace(f, np.linalg.inv(const))
     rhs_inf = rhs.max_abs()
     if rhs_inf > 0.0:
         poisson_residual = float(np.max(np.abs(achieved - rhs.values))) / rhs_inf

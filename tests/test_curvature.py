@@ -419,3 +419,37 @@ def test_bundle_data_and_curvature_are_read_only():
         constant_metric(g, np.eye(1)).values[0, 0, 0, 0] = 2.0
     with pytest.raises(ValueError):
         chern_curvature(LineBundleMetric.from_constant(g, r_const)).values[0, 0] = 0.0
+
+
+# ---------------------------------------------- trace of the curvature
+
+
+@pytest.mark.parametrize("n,samples", [(1, 64), (2, 8), (3, 4)])
+def test_spectral_scalar_curvature_matches_matrix_route(n, samples):
+    """The trace symbol route equals the trace of the curvature field."""
+    g = TorusGeometry.regular(n, samples)
+    rng = np.random.default_rng(40 + n)
+    omega = random_pd_metric(rng, g)
+    W = np.linalg.inv(omega.matrix)
+    r_const = hermitian_with_eigs(rng, [1.5] + [-0.7] * (n - 1))
+    L = LineBundleMetric.from_expression(
+        g, r_const, f"0.3*sin(x1)*cos(y{n}) - 0.2*cos(x{n})"
+    )
+    noise = ScalarField(g, rng.standard_normal(g.grid_shape))
+    bundles = [
+        L,
+        L.with_weight(noise),
+        LineBundleMetric.from_constant(g, r_const),
+        L.dual(),
+    ]
+    for bundle in bundles:
+        s = scalar_curvature(bundle, omega).values
+        R = chern_curvature(bundle).values
+        matrix_route = np.einsum("ij,...ji->...", W, R).real
+        assert np.max(np.abs(s - matrix_route)) <= 1e-13 * np.max(np.abs(s))
+
+    f, cert = normalize_scalar_curvature(L, omega)
+    moved = L.with_weight(ScalarField(g, L.phi.values - f.values))
+    flattened = np.einsum("ij,...ji->...", W, chern_curvature(moved).values).real
+    c = cert.margin
+    assert np.max(np.abs(flattened - c)) <= 1e-10 * (1.0 + abs(c))

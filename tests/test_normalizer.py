@@ -211,3 +211,78 @@ def test_certify_delta_controls_leakage():
     tight = certify_n_minus_1_positive(L, delta=1e-6)
     assert tight.margin > loose.margin
     assert tight.margin >= (1.0 - 1e-6) * 1.0
+
+
+# ------------------------------------------- trace routes and the residual
+
+
+@pytest.mark.parametrize(
+    "n,phi_text", [(1, "0.3*sin(x1)"), (2, "0"), (3, "0.2*cos(y3)")]
+)
+def test_normalize_constant_is_target_constant_exactly(n, phi_text):
+    """normalize reuses its scalar curvature for c; the value is unchanged."""
+    rng = np.random.default_rng(50 + n)
+    g = TorusGeometry.regular(n, 4)
+    omega = random_pd_metric(rng, g)
+    L = LineBundleMetric.from_expression(g, random_hermitian(rng, n, 2.0), phi_text)
+    _, cert = normalize_scalar_curvature(L, omega)
+    assert cert.margin == target_constant(L, omega)
+
+
+def test_poisson_residual_does_not_trust_the_trace_symbol(monkeypatch):
+    """A wrong but definite symbol (W transposed) must show in poisson_rel.
+
+    poisson_solve divides by the trace symbol, so a residual computed with
+    that symbol would be round-off whatever the symbol; the residual reads
+    the Hessian entries instead.
+    """
+    import toruspos.lattice as lattice_module
+
+    original = lattice_module._trace_symbol
+    monkeypatch.setattr(
+        lattice_module, "_trace_symbol", lambda geom, W: original(geom, W.T)
+    )
+    g = TorusGeometry.regular(2, 8)
+    omega = constant_metric(g, np.array([[1.0, 0.4 + 0.3j], [0.4 - 0.3j, 1.5]]))
+    L = LineBundleMetric.from_expression(
+        g, np.diag([1.0, -0.5]), "0.3*sin(x1)*cos(y2) + 0.2*cos(x2)"
+    )
+    _, cert = normalize_scalar_curvature(L, omega)
+    assert cert.residuals["poisson_rel"] > 1e-8
+
+
+def test_trace_routes_build_no_curvature_field(monkeypatch):
+    """A counter, no timing: a constant base never needs the n x n field."""
+    import toruspos.curvature as curvature_module
+    import toruspos.lattice as lattice_module
+    import toruspos.normalizer as normalizer_module
+
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (curvature_module, lattice_module, normalizer_module):
+        for name in ("chern_curvature", "complex_hessian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, counting(name, getattr(module, name))
+                )
+    g = TorusGeometry.regular(3, 4)
+    rng = np.random.default_rng(31)
+    omega = random_pd_metric(rng, g)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5, 0.8]), "0.2*sin(x1)*cos(y3)"
+    )
+    _, cert = normalize_scalar_curvature(L, omega)
+    certified = certify_n_minus_1_positive(L)
+    degree_integral(L, omega)
+    assert cert.verdict and certified.verdict
+    assert calls == []
+    # The counters are live: the field route does call them.
+    curvature_module.chern_curvature(L)
+    assert calls == ["chern_curvature", "complex_hessian"]
