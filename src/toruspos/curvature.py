@@ -35,6 +35,7 @@ from .lattice import (
     MetricField,
     ScalarField,
     TorusGeometry,
+    _irfftn,
     _trace_symbol,
     compensated_sum,
     complex_hessian,
@@ -173,12 +174,14 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
     cached = L._curvature
     if cached is not None and cached[0] is L.r_const and cached[1] is L.phi.values:
         return cached[2]
-    geom = L.geometry
     if not np.any(L.phi.values):
-        R = HermitianMatrixField.constant(geom, L.r_const)
+        R = HermitianMatrixField.constant(L.geometry, L.r_const)
     else:
-        hess = complex_hessian(L.phi)
-        R = HermitianMatrixField(geom, L.r_const + hess.values)
+        # The constant part goes into the Hessian's own array, so the grid
+        # is gated once: the Hessian is exactly Hermitian and finite, and
+        # r_const passed the same checks when the bundle was built.
+        R = complex_hessian(L.phi)
+        R.values += L.r_const
         R.values.setflags(write=False)
     L._curvature = (L.r_const, L.phi.values, R)
     return R
@@ -203,8 +206,8 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
         W = np.linalg.inv(const)
         tr = np.full(geom.grid_shape, np.einsum("ij,ji->", W, L.r_const).real)
         if np.any(L.phi.values):
-            phat = np.fft.fftn(L.phi.values)
-            tr += np.fft.ifftn(_trace_symbol(geom, W) * phat).real
+            phat = np.fft.rfftn(L.phi.values)
+            tr += _irfftn(_trace_symbol(geom, W) * phat, geom)
         return ScalarField(geom, tr)
     W = np.linalg.inv(omega.values)
     tr = np.einsum("...ij,...ji->...", W, chern_curvature(L).values)

@@ -11,9 +11,10 @@ Grammar (whitespace insensitive)::
 Examples: ``"0"``, ``"0.5*sin(x1)"``, ``"cos(2*y2) - 0.25*sin(x1)*cos(x2)"``.
 
 Integer frequencies keep every expression periodic on the default 2*pi
-torus. On non-2*pi periods the same text still parses; periodicity is then
-the caller's responsibility (the sampled grid never sees the seam, but
-spectral derivatives of a non-periodic weight are garbage).
+torus. On other periods, and on coarse grids, evaluation rejects a product
+term with ConfigError unless it is periodic and resolved below the
+Nyquist mode on every axis (see ``_check_resolved``): spectral
+derivatives of a non-periodic or aliased weight are silently wrong.
 
 Expressions are stored as text in configs and reports and re-parsed on
 load, so a report is reproducible from its own serialized form.
@@ -26,7 +27,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError, InternalInvariantError
-from .lattice import ScalarField, TorusGeometry
+from .lattice import TWO_PI, ScalarField, TorusGeometry
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -188,8 +189,51 @@ def _eval(tree, coords: dict[tuple[str, int], np.ndarray], shape) -> np.ndarray:
     raise InternalInvariantError(f"unknown expression node {kind!r}")
 
 
+def _is_integer(value: float) -> bool:
+    return abs(value - round(value)) <= 1e-9 * max(1.0, abs(value))
+
+
+def _check_resolved(tree, geometry: TorusGeometry) -> None:
+    """Reject product terms the grid cannot represent, with ConfigError.
+
+    On an axis of period P a factor of frequency k carries the mode
+    ``m = k * P / (2 pi)``, and a product of factors carries every signed
+    sum of their modes, up to their plain sum. All of those are integers,
+    i.e. the term is periodic, exactly when the plain sum and every
+    ``2 m`` are integers. The plain sum must also stay below the Nyquist
+    mode ``N / 2``, whose derivative multiplier is zeroed; higher modes
+    alias onto lower ones.
+    """
+    for _, term in tree[1]:
+        modes: dict[int, list[float]] = {}
+        for factor in term[1]:
+            if factor[0] == "trig":
+                _, _, freq, letter, index = factor
+                axis = 2 * (index - 1) + (letter == "y")
+                modes.setdefault(axis, []).append(
+                    freq * geometry.periods[axis] / TWO_PI
+                )
+        for axis, axis_modes in modes.items():
+            total = sum(axis_modes)
+            coord = f"{'xy'[axis % 2]}{axis // 2 + 1}"
+            if not (_is_integer(total) and all(_is_integer(2 * m) for m in axis_modes)):
+                raise ConfigError(
+                    f"weight is not periodic in {coord}: period "
+                    f"{geometry.periods[axis]!r} carries mode {total:.6g}"
+                )
+            if round(total) >= geometry.grid_shape[axis] // 2:
+                raise ConfigError(
+                    f"weight mode {round(total)} in {coord} is not below the "
+                    f"Nyquist mode {geometry.grid_shape[axis] // 2} of the grid"
+                )
+
+
 def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
-    """Evaluate expression text on the grid of ``geometry``."""
+    """Evaluate expression text on the grid of ``geometry``.
+
+    Raises ConfigError for coordinates beyond the complex dimension and for
+    product terms that are not periodic or not resolved by the grid.
+    """
     tree = parse_expression(text)
     n = geometry.complex_dim
     for letter, index in expression_coordinates(tree):
@@ -197,6 +241,7 @@ def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
             raise ConfigError(
                 f"coordinate {letter}{index} out of range for complex dimension {n}"
             )
+    _check_resolved(tree, geometry)
     arrays = geometry.coordinate_arrays()
     coords = {}
     for j in range(n):
@@ -215,13 +260,15 @@ def random_expression(
     amplitude: float = 0.25,
     max_terms: int = 3,
     zero_probability: float = 0.2,
+    max_frequency: int = 2,
 ) -> str:
     """Draw a random weight expression (text) for corpus generation.
 
     About ``zero_probability`` of draws are the literal ``"0"``, exercising
     the translation-invariant case. Otherwise 1..max_terms terms, each a
-    coefficient times sin or cos of frequency 1 or 2 in one coordinate.
-    Coefficients are rounded to 4 decimals so the text round-trips exactly.
+    coefficient times sin or cos of frequency 1..max_frequency in one
+    coordinate. Coefficients are rounded to 4 decimals so the text
+    round-trips exactly.
     """
     if rng.random() < zero_probability:
         return "0"
@@ -230,7 +277,7 @@ def random_expression(
     for _ in range(n_terms):
         coeff = round(float(rng.uniform(0.2, 1.0)) * amplitude, 4)
         fn = rng.choice(["sin", "cos"])
-        freq = int(rng.integers(1, 3))
+        freq = int(rng.integers(1, max_frequency + 1))
         j = int(rng.integers(1, complex_dim + 1))
         letter = rng.choice(["x", "y"])
         coord = f"{letter}{j}"

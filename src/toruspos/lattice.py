@@ -148,26 +148,71 @@ def _angular_frequencies(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=32)
-def _dz_symbols(geom: TorusGeometry) -> np.ndarray:
-    """Fourier symbols of d/dz_j, stacked as shape ``(n, *grid_shape)``.
+def _dz_symbols(geom: TorusGeometry, half: bool = False) -> tuple[np.ndarray, ...]:
+    """Fourier symbols of d/dz_j, one read-only array per j.
 
     With the convention d/dz = (d/dx - i d/dy) / 2, a plane wave
     ``exp(i(k_x x + k_y y))`` picks up the factor ``(i/2)(k_x - i k_y)``.
+    Symbol j varies only along axes 2j and 2j + 1, so it is stored with
+    length 1 on every other axis and broadcasts against a spectrum.
+    ``half`` selects the spectrum of ``rfftn``: the last axis keeps its
+    first ``s // 2 + 1`` bins.
     """
-    n = geom.complex_dim
-    freqs = _angular_frequencies(geom)
-    axes = 2 * n
-    full = np.empty((n, *geom.grid_shape), dtype=np.complex128)
-    for j in range(n):
-        shape_x = [1] * axes
-        shape_x[2 * j] = geom.grid_shape[2 * j]
-        shape_y = [1] * axes
-        shape_y[2 * j + 1] = geom.grid_shape[2 * j + 1]
-        kx = freqs[2 * j].reshape(shape_x)
-        ky = freqs[2 * j + 1].reshape(shape_y)
-        full[j] = 0.5j * (kx - 1j * ky)
-    full.setflags(write=False)
-    return full
+    freqs = list(_angular_frequencies(geom))
+    if half:
+        freqs[-1] = freqs[-1][: geom.grid_shape[-1] // 2 + 1]
+
+    def along(axis: int) -> np.ndarray:
+        shape = [1] * len(freqs)
+        shape[axis] = -1
+        return freqs[axis].reshape(shape)
+
+    out = []
+    for j in range(geom.complex_dim):
+        symbol = 0.5j * (along(2 * j) - 1j * along(2 * j + 1))
+        symbol.setflags(write=False)
+        out.append(symbol)
+    return tuple(out)
+
+
+def _spectrum_shape(symbols: tuple[np.ndarray, ...]) -> tuple[int, ...]:
+    return np.broadcast_shapes(*(a.shape for a in symbols))
+
+
+@lru_cache(maxsize=32)
+def _dead_modes(geom: TorusGeometry) -> np.ndarray:
+    """Half-spectrum modes where every d/dz symbol vanishes (read-only).
+
+    These are the constant mode and the pure-Nyquist combinations, which
+    carry no derivative information on an even grid.
+    """
+    symbols = _dz_symbols(geom, half=True)
+    dead = np.ones(_spectrum_shape(symbols), dtype=bool)
+    for a in symbols:
+        dead &= a == 0.0
+    dead.setflags(write=False)
+    return dead
+
+
+def _irfftn(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
+    """Real field on the grid of ``geom`` from its ``rfftn`` half spectrum."""
+    grid = geom.grid_shape
+    return np.fft.irfftn(spectrum, s=grid, axes=tuple(range(len(grid))))
+
+
+def _hessian_multiplier(
+    symbols: tuple[np.ndarray, ...], j: int, k: int
+) -> np.ndarray:
+    """Fourier multiplier ``-a_j conj(a_k)`` of complex Hessian entry (j, k).
+
+    ``symbols`` are the d/dz symbols ``a`` on either spectrum; the result
+    broadcasts against that spectrum. The diagonal multiplier ``-|a_j|^2``
+    is returned real. Every multiplier is even in the mode, the product of
+    two odd symbols.
+    """
+    if j == k:
+        return -np.abs(symbols[j]) ** 2
+    return -symbols[j] * np.conj(symbols[k])
 
 
 @dataclass
@@ -375,12 +420,38 @@ def is_constant_field(field: HermitianMatrixField) -> bool:
 
 
 def compensated_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum of all entries (math.fsum over C order).
+    """Exactly rounded sum of all entries, bit-identical to ``math.fsum``.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31, 2008): with
+    ``max|x| < 2^e``, ``2^k >= N + 2`` and ``sigma = 2^(e + k)``, the high
+    parts ``q = (sigma + x) - sigma`` and the rest ``x - q`` are exact,
+    and ``sum(q)`` is exact in any order. Repeating on the rest until it
+    vanishes leaves a few exact partial sums; ``math.fsum`` of those is
+    the exactly rounded total. Non-finite input, or input so large that
+    ``sigma`` overflows, goes to ``math.fsum`` itself, which keeps its NaN
+    result and its ValueError and OverflowError.
 
     The result is independent of traversal order, so parallel callers that
     shard the grid still agree bit-for-bit with the serial reduction.
     """
-    return math.fsum(np.asarray(values, dtype=np.float64).ravel(order="C"))
+    x = np.asarray(values, dtype=np.float64).ravel(order="C")
+    k = (x.size + 1).bit_length()
+    top = max(float(x.max()), -float(x.min()), 0.0) if x.size else 0.0
+    if not top < math.ldexp(1.0, 1023 - k):
+        return math.fsum(x)
+    if top == 0.0:
+        # Only zeros: fsum's sign of zero depends on their signs alone.
+        return math.fsum([-0.0] if x.size and np.all(np.signbit(x)) else [])
+    partials = []
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
+        q = x + sigma
+        q -= sigma
+        x = x - q
+        partials.append(float(np.sum(q)))
+        top = max(float(x.max()), -float(x.min()))
+    return math.fsum(partials)
 
 
 def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
@@ -393,36 +464,27 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
                   + i (d_xj d_yk - d_yj d_xk) phi ]
 
     The output is Hermitian at every grid point exactly, not just to
-    round-off: the diagonal multipliers ``-|A_j|^2`` are real (so the
-    diagonal is returned as the real part of its inverse transform) and
-    the lower triangle mirrors the conjugate of the upper triangle, which
-    is an identity of the continuum operator on real input.
+    round-off: the diagonal multipliers ``-|A_j|^2`` are real and even, so
+    the diagonal is the real inverse transform (``irfftn``) of the half
+    spectrum, and the lower triangle mirrors the conjugate of the upper
+    triangle, which is an identity of the continuum operator on real
+    input. The off-diagonal entries are complex and take the full
+    inverse transform of the full spectrum.
     """
     geom = phi.geometry
     n = geom.complex_dim
-    out = np.empty((*geom.grid_shape, n, n), dtype=np.complex128)
-    for j, k, entry in _complex_hessian_entries(phi):
-        out[..., j, k] = entry
-        if k != j:
+    grid = geom.grid_shape
+    phat = np.fft.fftn(phi.values)
+    half_phat = phat[..., : grid[-1] // 2 + 1]
+    half = _dz_symbols(geom, half=True)
+    out = np.empty((*grid, n, n), dtype=np.complex128)
+    for j in range(n):
+        out[..., j, j] = _irfftn(_hessian_multiplier(half, j, j) * half_phat, geom)
+        for k in range(j + 1, n):
+            entry = np.fft.ifftn(_hessian_multiplier(_dz_symbols(geom), j, k) * phat)
+            out[..., j, k] = entry
             out[..., k, j] = np.conj(entry)
     return HermitianMatrixField(geom, out)
-
-
-def _complex_hessian_entries(phi: ScalarField):
-    """Yield ``(j, k, entry)`` for the upper triangle ``j <= k`` of the
-    complex Hessian, one inverse transform per entry.
-
-    Diagonal entries are real arrays (the real part of their inverse
-    transform); the lower triangle is the conjugate of the upper one.
-    """
-    geom = phi.geometry
-    symbols = _dz_symbols(geom)
-    phat = np.fft.fftn(phi.values)
-    for j in range(geom.complex_dim):
-        yield j, j, np.fft.ifftn(-np.abs(symbols[j]) ** 2 * phat).real
-        for k in range(j + 1, geom.complex_dim):
-            multiplier = -symbols[j] * np.conj(symbols[k])
-            yield j, k, np.fft.ifftn(multiplier * phat)
 
 
 def complex_hessian_entry_of_complex(
@@ -451,19 +513,22 @@ def integrate(g: ScalarField, vol: ScalarField) -> float:
 
 
 def _trace_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray:
-    """Fourier symbol of ``phi -> trace(W . complex_hessian(phi))``.
+    """Fourier symbol of ``phi -> trace(W . complex_hessian(phi))`` on the
+    half spectrum of ``rfftn``.
 
     For Hermitian positive definite ``W`` the symbol equals
     ``-a(m)^H W a(m)`` with ``a`` the stacked d/dz symbols, hence it is
-    real, strictly negative on every mode carrying a nonzero derivative
-    multiplier, and exactly zero otherwise. A singular symbol on an active
-    mode therefore cannot occur; poisson_solve checks this. scalar_curvature
-    filters the weight with the same symbol against a constant metric.
+    real, even in ``m``, strictly negative on every mode carrying a
+    nonzero derivative multiplier, and exactly zero otherwise. A singular
+    symbol on an active mode therefore cannot occur; poisson_solve checks
+    this. scalar_curvature filters the weight with the same symbol against
+    a constant metric.
     """
-    symbols = _dz_symbols(geom)
-    sym = -np.einsum(
-        "k...,kj,j...->...", np.conj(symbols), inverse_metric, symbols
-    ).real
+    symbols = _dz_symbols(geom, half=True)
+    sym = np.zeros(_spectrum_shape(symbols))
+    for k, a_k in enumerate(symbols):
+        for j, a_j in enumerate(symbols):
+            sym -= (np.conj(a_k) * inverse_metric[k, j] * a_j).real
     return sym
 
 
@@ -476,7 +541,8 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     the trace symbol; modes with a vanishing symbol (the constant mode and
     pure-Nyquist combinations, which carry no derivative information on an
     even grid) are projected out, so ``g`` should be band-limited below the
-    Nyquist frequency.
+    Nyquist frequency. A right-hand side that is exactly zero skips the
+    transforms.
 
     Returns f with zero grid mean and residual
     ``|trace(Omega^{-1} H(f)) - g|_inf <= 1e-8 * |g|_inf`` for band-limited g.
@@ -485,24 +551,25 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     inverse_metric = np.linalg.inv(constant_representative(omega))
 
     g_inf = g.max_abs()
-    if abs(g.mean()) > MEAN_ZERO_RTOL * g_inf:
+    g_mean = g.mean()
+    if abs(g_mean) > MEAN_ZERO_RTOL * g_inf:
         raise MeanNotZeroError(
-            f"right-hand side mean {g.mean():.3e} exceeds "
+            f"right-hand side mean {g_mean:.3e} exceeds "
             f"{MEAN_ZERO_RTOL:.0e} * |g|_inf = {MEAN_ZERO_RTOL * g_inf:.3e}"
         )
 
-    symbols = _dz_symbols(geom)
     sym = _trace_symbol(geom, inverse_metric)
-    dead = np.sum(np.abs(symbols) ** 2, axis=0) == 0.0
+    live = ~_dead_modes(geom)
     # Positive definiteness of the metric makes the symbol strictly negative
     # on every active mode; a singular active symbol is impossible.
-    if not np.all(sym[~dead] < 0.0):
+    if not np.all(sym[live] < 0.0):
         raise InternalInvariantError("singular trace symbol on an active mode")
+    if not np.any(g.values):
+        return ScalarField(geom, np.zeros(geom.grid_shape))
 
-    ghat = np.fft.fftn(g.values)
-    fhat = np.zeros_like(ghat)
-    fhat[~dead] = ghat[~dead] / sym[~dead]
-    f = np.fft.ifftn(fhat).real
+    ghat = np.fft.rfftn(g.values)
+    fhat = np.divide(ghat, sym, out=np.zeros_like(ghat), where=live)
+    f = _irfftn(fhat, geom)
     f -= compensated_sum(f) / geom.num_points
     return ScalarField(geom, f)
 

@@ -35,7 +35,9 @@ from .curvature import (
 from .lattice import (
     MetricField,
     ScalarField,
-    _complex_hessian_entries,
+    _dz_symbols,
+    _hessian_multiplier,
+    _irfftn,
     compensated_sum,
     constant_metric,
     constant_representative,
@@ -69,19 +71,24 @@ def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
 def _hessian_trace(f: ScalarField, W: np.ndarray) -> np.ndarray:
     """``trace(W . complex_hessian(f))`` accumulated entry by entry.
 
-    Summing ``W_jj H_jj + 2 Re(W_kj H_jk)`` over the upper triangle of the
-    Hessian never assembles the n x n field. It deliberately avoids the
-    trace symbol that poisson_solve divides by, so the solver residual
-    can expose a wrong symbol.
+    Entry ``(j, k)`` of the upper triangle contributes the inverse
+    transform of ``f``'s half spectrum times its real multiplier
+    ``Re(c W_kj m_jk)``, with ``m_jk`` the Hessian multiplier and
+    ``c = 1`` on the diagonal, 2 off it; the n x n field is never
+    assembled. It deliberately avoids the trace symbol that poisson_solve
+    divides by, so the solver residual can expose a wrong symbol.
     """
-    out = np.zeros(f.geometry.grid_shape)
+    geom = f.geometry
+    out = np.zeros(geom.grid_shape)
     if not np.any(f.values):
         return out
-    for j, k, entry in _complex_hessian_entries(f):
-        if j == k:
-            out += W[j, j].real * entry
-        else:
-            out += 2.0 * (W[k, j] * entry).real
+    symbols = _dz_symbols(geom, half=True)
+    fhat = np.fft.rfftn(f.values)
+    for j in range(geom.complex_dim):
+        for k in range(j, geom.complex_dim):
+            weight = W[j, j].real if j == k else 2.0 * W[k, j]
+            multiplier = (weight * _hessian_multiplier(symbols, j, k)).real
+            out += _irfftn(multiplier * fhat, geom)
     return out
 
 

@@ -231,12 +231,16 @@ def random_bundle(
     so the Hessian perturbation never overturns the sign structure of
     r_const; the equivalence verdicts are then stable at corpus grid
     resolutions. (Three terms of frequency <= 2 bound the Hessian norm by
-    three times the amplitude.)
+    three times the amplitude.) Frequencies stay below the Nyquist mode
+    of the coarsest axis, so a 4-point axis draws frequency 1 only.
     """
     n = geometry.complex_dim
     matrix, mu = random_hermitian_class(rng, n)
     amplitude = 0.1 * float(np.min(np.abs(mu)))
-    phi_text = random_expression(rng, n, amplitude=amplitude)
+    max_frequency = min(2, min(geometry.grid_shape) // 2 - 1)
+    phi_text = random_expression(
+        rng, n, amplitude=amplitude, max_frequency=max_frequency
+    )
     return LineBundleMetric.from_expression(geometry, matrix, phi_text)
 
 

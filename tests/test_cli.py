@@ -222,10 +222,15 @@ def test_out_dir_env_var_sets_default(tmp_path, monkeypatch):
          "instance": {"r_const": [[0.0, 1.0], [0.0, 0.0]]}},
         {"geometry": {"complex_dim": 2, "grid": 8},
          "instance": {"r_const": [[1.0, 0.0], [0.0, 1.0]]}, "q": 5},
+        {"geometry": {"complex_dim": 1, "grid": 8},
+         "instance": {"r_const": [[1.0]], "phi": "sin(5*x1)"}},
+        {"geometry": {"complex_dim": 1, "grid": 8, "periods": 3.0},
+         "instance": {"r_const": [[1.0]], "phi": "sin(x1)"}},
     ],
     ids=[
         "empty", "no-dim", "odd-grid", "no-instance", "bad-expression",
         "coord-out-of-range", "non-hermitian", "q-out-of-range",
+        "aliased-weight", "non-periodic-weight",
     ],
 )
 def test_bad_configs_exit_two(tmp_path, capsys, payload):

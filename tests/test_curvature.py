@@ -383,6 +383,28 @@ def test_chern_curvature_is_computed_once_per_bundle(monkeypatch):
     assert len(calls) == 1
 
 
+def test_weighted_chern_curvature_gates_the_grid_once(monkeypatch):
+    """A counter, no timing: one Hermitian gate per weighted curvature."""
+    from toruspos.lattice import HermitianMatrixField
+
+    gates = []
+    original = HermitianMatrixField.__post_init__
+
+    def counting(self):
+        gates.append(type(self).__name__)
+        original(self)
+
+    monkeypatch.setattr(HermitianMatrixField, "__post_init__", counting)
+    g = TorusGeometry.regular(2, 8)
+    r_const = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+    L = LineBundleMetric.from_expression(g, r_const, "0.2*cos(x1)*sin(y2)")
+    R = chern_curvature(L)
+    assert gates == ["HermitianMatrixField"]
+    expected = r_const + complex_hessian(L.phi).values
+    assert np.max(np.abs(R.values - expected)) == 0.0
+    assert not R.values.flags.writeable
+
+
 def test_derived_bundles_get_their_own_curvature():
     g = TorusGeometry.regular(2, 8)
     r_const = np.diag([1.0, -2.0])

@@ -77,6 +77,34 @@ def test_coordinate_out_of_range_for_dimension():
         evaluate_expression("sin(x2)", g)
 
 
+@pytest.mark.parametrize(
+    "text,samples,period,match",
+    [
+        ("sin(5*x1)", 8, 2 * np.pi, "Nyquist"),     # aliases onto mode 3
+        ("sin(4*y1)", 8, 2 * np.pi, "Nyquist"),     # the zeroed Nyquist mode
+        ("sin(x1)*cos(x1)", 4, 2 * np.pi, "Nyquist"),  # carries mode 2
+        ("sin(x1)", 8, 3.0, "not periodic"),
+        ("sin(x1)*cos(2*x1)", 8, 2 * np.pi / 3, "not periodic"),  # modes 1, 1/3
+    ],
+)
+def test_unresolved_or_non_periodic_weights_are_rejected(text, samples, period, match):
+    g = TorusGeometry.regular(1, samples, period)
+    with pytest.raises(ConfigError, match=match):
+        evaluate_expression(text, g)
+
+
+def test_resolved_weights_on_other_periods_are_accepted():
+    """sin(x) cos(x) = sin(2x)/2 is periodic on pi although each factor is not."""
+    g = TorusGeometry.regular(1, 8, np.pi)
+    x = g.coordinate_arrays()[0]
+    got = evaluate_expression("sin(x1)*cos(x1) + cos(6*y1)", g)
+    want = 0.5 * np.sin(2 * x) + np.cos(6 * g.coordinate_arrays()[1])
+    assert np.max(np.abs(got - want)) < 1e-14
+    # A single factor carries mode 3 * pi / (2 pi) = 1.5.
+    with pytest.raises(ConfigError, match="not periodic"):
+        evaluate_expression("sin(3*x1)", g)
+
+
 def test_scalar_field_from_expression_wraps_geometry():
     g = TorusGeometry.regular(1, 8)
     field = scalar_field_from_expression(g, "0.5*cos(x1)")

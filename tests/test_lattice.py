@@ -421,6 +421,71 @@ def test_compensated_sum_matches_fsum():
     assert compensated_sum(vals) == math.fsum(vals.ravel())
 
 
+def _fsum_outcome(fn, vals):
+    """``repr`` of the result (sign of zero and NaN included) or the error type."""
+    try:
+        return repr(fn(vals))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, 2.0**1000, -(2.0**1000),
+     1.7e308, -1.7e308, 2.0**-1000]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+            _SPECIAL_FLOATS,
+        ),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_compensated_sum_is_fsum_bit_for_bit(floats, cancel):
+    vals = np.array(floats + [-v for v in floats[::-1]] if cancel else floats)
+    assert _fsum_outcome(compensated_sum, vals) == _fsum_outcome(
+        math.fsum, vals.ravel().tolist()
+    )
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [],
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [5e-324],
+        [3.5],
+        [1.0, -1.0],
+        [1e308, 1e308],                    # intermediate overflow
+        [1e308, 1e308, -1e308],            # overflow although the sum fits
+        [1.7e308, -1.7e308, 1.0],
+        [np.inf, -np.inf],                 # inf - inf
+        [np.inf, 1.0],
+        [np.nan, 1.0],
+        [2.0**1023, 2.0**-1074, -(2.0**1023)],
+    ],
+)
+def test_compensated_sum_edge_cases_match_fsum(vals):
+    arr = np.array(vals, dtype=np.float64)
+    assert _fsum_outcome(compensated_sum, arr) == _fsum_outcome(math.fsum, vals)
+
+
+def test_compensated_sum_on_a_grid_field_matches_fsum():
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal((8,) * 6) * 10.0 ** rng.uniform(-20, 20, (8,) * 6)
+    vals[0, 0] = 1e200
+    vals[1, 1] = -1e200
+    assert compensated_sum(vals) == math.fsum(vals.ravel())
+
+
 # ------------------------------------------------------------- elliptic solve
 
 

@@ -181,6 +181,23 @@ def test_random_bundle_is_seed_deterministic():
     assert a.phi_expression == b.phi_expression
 
 
+def test_random_bundle_draws_only_resolved_frequencies():
+    """A 4-point axis resolves frequency 1 only; 8-point draws are pinned."""
+    coarse = TorusGeometry.regular(2, 4)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        random_bundle(rng, coarse)  # ConfigError on an aliased frequency
+    g = TorusGeometry.regular(2, 8)
+    rng = np.random.default_rng(11)
+    texts = [random_bundle(rng, g).phi_expression for _ in range(4)]
+    assert texts == [
+        "0.0014*cos(2*x1) + 0.0024*cos(y2)",
+        "0.0663*sin(y2)",
+        "0.0008*sin(x1) + 0.0022*cos(2*y2) + 0.0009*sin(x2)",
+        "0.0038*sin(2*x2)",
+    ]
+
+
 def test_corpus_run_all_pass():
     g = TorusGeometry.regular(2, 8)
     reports, summary = run_equivalence_corpus(g, 60, seed=123)
