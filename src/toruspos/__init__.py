@@ -17,10 +17,8 @@ from .curvature import (
     bundle_to_json_dict,
     chern_curvature,
     degree_integral,
-    gauduchon_defect,
     scalar_curvature,
     volume_integral,
-    wedge_degree_check,
 )
 from .errors import (
     ConfigError,
@@ -65,7 +63,6 @@ from .qpositivity import (
     growth_rate,
     uniform_margin_bound,
     uniformize_metric,
-    uniformized_metric_series,
 )
 from .suite import (
     SuiteReport,
@@ -110,7 +107,6 @@ __all__ = [
     "equivalence_suite",
     "evaluate_expression",
     "expm1_over_x",
-    "gauduchon_defect",
     "generalized_eigenvalues",
     "growth_rate",
     "identity_metric",
@@ -127,7 +123,5 @@ __all__ = [
     "target_constant",
     "uniform_margin_bound",
     "uniformize_metric",
-    "uniformized_metric_series",
     "volume_integral",
-    "wedge_degree_check",
 ]

@@ -24,38 +24,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InternalInvariantError,
-    NonConstantMetricError,
-    UnsupportedDimensionError,
-)
+from .errors import NonConstantMetricError
 from .expressions import scalar_field_from_expression
 from .lattice import (
     HermitianMatrixField,
     MetricField,
     ScalarField,
     TorusGeometry,
+    _check_hermitian,
     _irfftn,
+    _split,
     _trace_symbol,
     compensated_sum,
     complex_hessian,
-    complex_hessian_entry_of_complex,
     constant_representative,
 )
-
-HERMITIAN_MATRIX_RTOL = 1e-12
-
-
-def _check_constant_hermitian(matrix: np.ndarray, n: int) -> np.ndarray:
-    mat = np.array(matrix, dtype=np.complex128)
-    if mat.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = max(float(np.max(np.abs(mat))), 1.0)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_MATRIX_RTOL * scale:
-        raise ValueError("matrix is not Hermitian")
-    return mat
 
 
 @dataclass
@@ -81,8 +64,12 @@ class LineBundleMetric:
 
     def __post_init__(self) -> None:
         n = self.geometry.complex_dim
-        self.r_const = _check_constant_hermitian(self.r_const, n)
-        self.r_const.setflags(write=False)
+        r_const = np.array(self.r_const, dtype=np.complex128)
+        if r_const.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} matrix, got shape {r_const.shape}")
+        _check_hermitian(r_const)
+        r_const.setflags(write=False)
+        self.r_const = r_const
         if self.phi.geometry != self.geometry:
             raise ValueError("weight is sampled on a different grid")
         phi_values = self.phi.values.copy()
@@ -177,12 +164,17 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
     if not np.any(L.phi.values):
         R = HermitianMatrixField.constant(L.geometry, L.r_const)
     else:
-        # The constant part goes into the Hessian's own array, so the grid
+        # The constant part goes into the Hessian's own arrays, so the grid
         # is gated once: the Hessian is exactly Hermitian and finite, and
         # r_const passed the same checks when the bundle was built.
         R = complex_hessian(L.phi)
-        R.values += L.r_const
-        R.values.setflags(write=False)
+        if R._planes is None:
+            R.values += L.r_const
+            R.values.setflags(write=False)
+        else:
+            for plane, entry in zip(R._planes, _split(L.r_const)):
+                plane += entry
+                plane.setflags(write=False)
     L._curvature = (L.r_const, L.phi.values, R)
     return R
 
@@ -245,65 +237,6 @@ def _degree_of_trace(tr: ScalarField, const: np.ndarray) -> float:
     geom = tr.geometry
     det = float(np.linalg.det(const).real)
     return det / geom.complex_dim * geom.cell_volume * compensated_sum(tr.values)
-
-
-def wedge_degree_check(L: LineBundleMetric, omega: MetricField) -> float:
-    """Same pairing as degree_integral via explicit exterior algebra.
-
-    Independent code path used as a cross-check: for n = 1 the pairing is
-    the plain integral of R_11; for n = 2 it is half the integral of the
-    (2,2)-coefficient of R wedge omega, expanded entry by entry. Dimension
-    three and up is not supported.
-    """
-    geom = L.geometry
-    n = geom.complex_dim
-    if n > 2:
-        raise UnsupportedDimensionError(
-            f"wedge expansion implemented for n <= 2, got n = {n}"
-        )
-    const = constant_representative(omega)
-    R = chern_curvature(L).values
-    if n == 1:
-        return geom.cell_volume * compensated_sum(R[..., 0, 0].real)
-    coeff = (
-        R[..., 0, 0] * const[1, 1]
-        + R[..., 1, 1] * const[0, 0]
-        - R[..., 0, 1] * const[1, 0]
-        - R[..., 1, 0] * const[0, 1]
-    )
-    return 0.5 * geom.cell_volume * compensated_sum(coeff.real)
-
-
-def gauduchon_defect(omega: MetricField) -> float:
-    """Sup-norm of the obstruction to omega being Gauduchon.
-
-    The obstruction is the mixed-second-derivative coefficient of the
-    (n-1)-st wedge power of omega; it vanishes identically for constant
-    metrics. For n = 1 that power is the constant function 1, so the
-    defect is 0 by convention. Not implemented for n >= 3.
-    """
-    geom = omega.geometry
-    n = geom.complex_dim
-    if n == 1:
-        return 0.0
-    if n > 2:
-        raise UnsupportedDimensionError(
-            f"defect coefficient implemented for n <= 2, got n = {n}"
-        )
-    vals = omega.values
-    coeff = (
-        complex_hessian_entry_of_complex(geom, vals[..., 1, 1], 0, 0)
-        + complex_hessian_entry_of_complex(geom, vals[..., 0, 0], 1, 1)
-        - complex_hessian_entry_of_complex(geom, vals[..., 1, 0], 0, 1)
-        - complex_hessian_entry_of_complex(geom, vals[..., 0, 1], 1, 0)
-    )
-    # Hermitian symmetry of omega makes the coefficient real up to round-off.
-    imag = float(np.max(np.abs(coeff.imag)))
-    if imag > 1e-10 * (1.0 + float(np.max(np.abs(coeff.real)))):
-        raise InternalInvariantError(
-            f"defect coefficient has imaginary part {imag:.3e}"
-        )
-    return float(np.max(np.abs(coeff.real)))
 
 
 def complex_matrix_to_json(matrix: np.ndarray) -> list:

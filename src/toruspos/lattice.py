@@ -244,6 +244,46 @@ class ScalarField:
         return float(np.max(np.abs(self.values)))
 
 
+def _split(values: np.ndarray) -> tuple:
+    """Component planes of stacked n x n matrices (or of one matrix), n <= 2.
+
+    ``(a,)`` for n = 1 and ``(a, d, c)`` for n = 2: the real diagonal
+    entries ``a = M[0, 0]`` and ``d = M[1, 1]`` and the complex lower entry
+    ``c = M[1, 0]``. Like LAPACK, only the real diagonal and the lower
+    triangle are read. The planes are views into ``values``.
+    """
+    if values.shape[-1] == 1:
+        return (values[..., 0, 0].real,)
+    return (values[..., 0, 0].real, values[..., 1, 1].real, values[..., 1, 0])
+
+
+def _join(planes: tuple) -> np.ndarray:
+    """The exactly Hermitian ``(..., n, n)`` array that ``planes`` describe."""
+    if len(planes) == 1:
+        return np.asarray(planes[0], dtype=np.complex128)[..., None, None]
+    a, d, c = planes
+    grid = np.broadcast_shapes(np.shape(a), np.shape(d), np.shape(c))
+    out = np.empty((*grid, 2, 2), dtype=np.complex128)
+    out[..., 0, 0] = a
+    out[..., 1, 1] = d
+    out[..., 1, 0] = c
+    out[..., 0, 1] = np.conj(c)
+    return out
+
+
+def _check_hermitian(vals: np.ndarray) -> None:
+    """Finiteness and the ``HERMITIAN_RTOL`` symmetry gate of a matrix stack."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("matrix field contains non-finite values")
+    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    dev = float(np.max(np.abs(vals - np.conj(np.swapaxes(vals, -1, -2)))))
+    if dev > HERMITIAN_RTOL * scale:
+        raise ValueError(
+            f"matrix field is not Hermitian: deviation {dev:.3e} "
+            f"exceeds {HERMITIAN_RTOL:.0e} * {scale:.3e}"
+        )
+
+
 @dataclass
 class HermitianMatrixField:
     """Field of n x n complex Hermitian matrices, one per grid point.
@@ -251,13 +291,26 @@ class HermitianMatrixField:
     A constant field built by ``constant`` stores one n x n matrix: its
     ``values`` is a read-only view with zero grid strides, validation runs
     on that one matrix, and ``matrix`` hands it to consumers.
+
+    For n <= 2 the kernels read component planes (see ``_split``). A field
+    computed by the package is built from its planes by ``_from_planes``:
+    it is Hermitian by construction, so its gate is the finiteness check,
+    and ``values`` is assembled on first read and cached read-only.
     """
 
     geometry: TorusGeometry
     values: np.ndarray
 
+    #: Component planes for n <= 2 (``_split``), None for n >= 3.
+    _planes = None
+
     def __post_init__(self) -> None:
         n = self.geometry.complex_dim
+        if "values" not in vars(self):  # built by _from_planes
+            for plane in self._planes:
+                if not np.all(np.isfinite(plane)):
+                    raise ValueError("matrix field contains non-finite values")
+            return
         vals = np.asarray(self.values, dtype=np.complex128)
         expected = (*self.geometry.grid_shape, n, n)
         if vals.shape != expected:
@@ -265,15 +318,9 @@ class HermitianMatrixField:
         self.values = vals
         const = self.matrix
         vals = vals if const is None else const
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("matrix field contains non-finite values")
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-        dev = float(np.max(np.abs(vals - np.conj(np.swapaxes(vals, -1, -2)))))
-        if dev > HERMITIAN_RTOL * scale:
-            raise ValueError(
-                f"matrix field is not Hermitian: deviation {dev:.3e} "
-                f"exceeds {HERMITIAN_RTOL:.0e} * {scale:.3e}"
-            )
+        _check_hermitian(vals)
+        if n <= 2:
+            self._planes = _split(vals)
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, matrix: np.ndarray):
@@ -281,78 +328,128 @@ class HermitianMatrixField:
         mat.setflags(write=False)
         return cls(geometry, np.broadcast_to(mat, (*geometry.grid_shape, *mat.shape)))
 
+    @classmethod
+    def _from_planes(cls, geometry: TorusGeometry, planes: tuple):
+        """A grid field, n <= 2, from planes that broadcast to the grid.
+
+        Planes of grid shape and of the right dtype are kept, not copied:
+        the caller hands them over. Smaller planes are broadcast into
+        grid copies.
+        """
+        grid = geometry.grid_shape
+        dtypes = (np.float64, np.float64, np.complex128)
+        field = cls.__new__(cls)
+        field.geometry = geometry
+        field._planes = tuple(
+            np.asarray(p, dtype=dtype) if np.shape(p) == grid
+            else np.broadcast_to(p, grid).astype(dtype)
+            for p, dtype in zip(planes, dtypes)
+        )
+        field.__post_init__()
+        return field
+
+    def __getattr__(self, name: str):
+        # Reached only when ``values`` was never set: a field built from
+        # planes assembles it on first read.
+        if name != "values" or self._planes is None:
+            raise AttributeError(name)
+        values = _join(self._planes)
+        values.setflags(write=False)
+        self.values = values
+        return values
+
     @property
     def matrix(self) -> np.ndarray | None:
         """The n x n matrix when every grid stride is zero, else None."""
-        grid_axes = self.values.ndim - 2
-        if any(self.values.strides[:grid_axes]):
+        values = vars(self).get("values")
+        if values is None:  # built from grid planes
             return None
-        return self.values[(0,) * grid_axes]
+        grid_axes = values.ndim - 2
+        if any(values.strides[:grid_axes]):
+            return None
+        return values[(0,) * grid_axes]
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
-def _hermitian_2x2_parts(values: np.ndarray):
-    """Descending eigenvalues of stacked 2 x 2 Hermitian matrices, with the
-    half diagonal difference ``h``, the lower entry ``c`` and half the gap ``r``.
+def _hermitian_2x2_parts(a, d, c):
+    """Half diagonal difference ``h``, shift ``t`` and half gap ``r`` of the
+    2 x 2 Hermitian matrices with planes ``(a, d, c)``.
 
-    Like LAPACK, only the real diagonal and the lower triangle are read.
     The eigenvalues ``m +- r`` with ``m = (a + d)/2`` and
-    ``r = hypot(h, |c|)`` are evaluated as ``max(a, d) + t`` and
-    ``min(a, d) - t`` with ``t = |c| * (|c| / (r + |h|))``, which is exact
-    for diagonal input and free of the cancellation in ``r - |h|``.
+    ``r = hypot(h, |c|)`` are ``max(a, d) + t`` and ``min(a, d) - t`` with
+    ``t = |c| * (|c| / (r + |h|))``, which is exact for diagonal input and
+    free of the cancellation in ``t = r - |h|``.
     """
-    a = values[..., 0, 0].real
-    d = values[..., 1, 1].real
-    c = values[..., 1, 0]
-    h = 0.5 * (a - d)
+    h = a - d
+    h *= 0.5
     abs_c = np.abs(c)
-    r = np.hypot(h, abs_c)
-    s = r + np.abs(h)
-    t = abs_c * np.divide(abs_c, s, out=np.zeros_like(s), where=s > 0.0)
-    return np.maximum(a, d) + t, np.minimum(a, d) - t, h, c, r
+    # r = hypot(h, |c|) as the modulus of h + i|c|: numpy's complex
+    # absolute value is as careful about overflow and several times faster.
+    z = np.empty(np.shape(h), dtype=np.complex128)
+    z.real, z.imag = h, abs_c
+    r = np.abs(z)
+    del z
+    s = np.abs(h)
+    s += r
+    t = np.divide(abs_c, s, out=np.zeros_like(s), where=s > 0.0)
+    t *= abs_c
+    return h, t, r
 
 
-def _small_eigvalsh(values: np.ndarray) -> np.ndarray:
-    """Eigenvalues of stacked n x n Hermitian matrices, n <= 2, descending.
+def _small_eigvalsh(planes: tuple) -> tuple:
+    """Eigenvalue planes of n x n Hermitian planes, n <= 2, descending.
 
     Closed form; agrees with ``np.linalg.eigvalsh`` (reversed) to round-off
     relative to the largest |eigenvalue|.
     """
-    if values.shape[-1] == 1:
-        return values[..., 0, :1].real.copy()
-    hi, lo, _, _, _ = _hermitian_2x2_parts(values)
-    return np.stack((hi, lo), axis=-1)
+    if len(planes) == 1:
+        return planes
+    a, d, c = planes
+    _, t, _ = _hermitian_2x2_parts(a, d, c)
+    return np.maximum(a, d) + t, np.minimum(a, d) - t
 
 
-def _small_matrix_function(values: np.ndarray, *fns) -> list[np.ndarray]:
-    """``f(M)`` for stacked n x n Hermitian ``M``, n <= 2, one array per f.
+def _small_matrix_function(planes: tuple, *fns) -> list[tuple]:
+    """Planes of ``f(M)`` for n x n Hermitian planes ``M``, n <= 2, one per f.
 
-    Each ``f`` maps a real array elementwise. For n = 2 with eigenvalues
-    ``m +- r`` the spectral calculus reads
-    ``f(M) = (f1 + f2)/2 * I + (f1 - f2)/(2 r) * (M - m I)``; where ``r = 0``
-    the matrix is ``m I`` and the result is exactly ``(f1 + f2)/2 * I``.
-    The output is exactly Hermitian.
+    Each ``f`` maps a real array elementwise. For n = 2 the projector form
+    ``f(M) = f1 P1 + f2 P2`` is evaluated per entry: with ``tau = t/(2r)``
+    (0 where ``r = 0``; ``tau <= 1/2``), the diagonal entry at ``max(a, d)``
+    is ``f_hi - (f_hi - f_lo) tau``, the one at ``min(a, d)`` is
+    ``f_lo + (f_hi - f_lo) tau``, and the lower entry is
+    ``(f_hi - f_lo)/(2r) c``. For positive ``f`` no diagonal term cancels,
+    so each diagonal entry is accurate relative to itself; diagonal input
+    gives exactly ``diag(f(a), f(d))``.
     """
-    shape = values.shape
-    if shape[-1] == 1:
-        a = values[..., 0, 0].real
-        return [fn(a)[..., None, None].astype(np.complex128) for fn in fns]
-    hi, lo, h, c, r = _hermitian_2x2_parts(values)
-    two_r = 2.0 * r
+    if len(planes) == 1:
+        (a,) = planes
+        return [(fn(a),) for fn in fns]
+    a, d, c = planes
+    h, t, r = _hermitian_2x2_parts(a, d, c)
+    # The eigenvalues at a's place and at d's (hi goes where a >= d); each
+    # diagonal entry is its eigenvalue's f moved a share tau towards the
+    # other one's.
+    at_a = np.copysign(t, h)
+    at_d = d - at_a
+    at_a += a
+    two_r = r + r
+    nonzero = two_r > 0.0
+    tau = np.divide(t, two_r, out=np.zeros_like(two_r), where=nonzero)
+    # (f_hi - f_lo) c / (2r) = (f_a - f_d) unit with |unit| <= 1/2. Real
+    # divisions: 1/(2r), which complex division forms, overflows for
+    # subnormal r.
+    two_r = np.copysign(two_r, h)
+    unit = np.zeros_like(c)
+    np.divide(c.real, two_r, out=unit.real, where=nonzero)
+    np.divide(c.imag, two_r, out=unit.imag, where=nonzero)
     out = []
     for fn in fns:
-        f_hi, f_lo = fn(hi), fn(lo)
-        mean = 0.5 * (f_hi + f_lo)
-        slope = np.divide(f_hi - f_lo, two_r, out=np.zeros_like(two_r), where=r > 0.0)
-        gh = slope * h
-        result = np.empty(shape, dtype=np.complex128)
-        result[..., 0, 0] = mean + gh
-        result[..., 1, 1] = mean - gh
-        result[..., 1, 0] = slope * c
-        result[..., 0, 1] = np.conj(result[..., 1, 0])
-        out.append(result)
+        f_a, f_d = fn(at_a), fn(at_d)
+        diff = f_a - f_d
+        share = diff * tau
+        out.append((f_a - share, f_d + share, diff * unit))
     return out
 
 
@@ -362,11 +459,11 @@ class MetricField(HermitianMatrixField):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        const = self.matrix
-        vals = self.values if const is None else const
-        if vals.shape[-1] <= 2:
-            smallest = float(np.min(_small_eigvalsh(vals)[..., -1]))
+        if self._planes is not None:
+            smallest = float(np.min(_small_eigvalsh(self._planes)[-1]))
         else:
+            const = self.matrix
+            vals = self.values if const is None else const
             smallest = float(np.min(np.linalg.eigvalsh(vals)))
         if not smallest > 0.0:
             raise ValueError(
@@ -469,7 +566,8 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     spectrum, and the lower triangle mirrors the conjugate of the upper
     triangle, which is an identity of the continuum operator on real
     input. The off-diagonal entries are complex and take the full
-    inverse transform of the full spectrum.
+    inverse transform of the full spectrum. For n <= 2 the transforms are
+    the field's component planes.
     """
     geom = phi.geometry
     n = geom.complex_dim
@@ -477,27 +575,25 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     phat = np.fft.fftn(phi.values)
     half_phat = phat[..., : grid[-1] // 2 + 1]
     half = _dz_symbols(geom, half=True)
+
+    def diagonal(j: int) -> np.ndarray:
+        return _irfftn(_hessian_multiplier(half, j, j) * half_phat, geom)
+
+    if n == 1:
+        return HermitianMatrixField._from_planes(geom, (diagonal(0),))
+    full = _dz_symbols(geom)
+    if n == 2:
+        upper = np.fft.ifftn(_hessian_multiplier(full, 0, 1) * phat)
+        lower = np.conj(upper, out=upper)
+        return HermitianMatrixField._from_planes(geom, (diagonal(0), diagonal(1), lower))
     out = np.empty((*grid, n, n), dtype=np.complex128)
     for j in range(n):
-        out[..., j, j] = _irfftn(_hessian_multiplier(half, j, j) * half_phat, geom)
+        out[..., j, j] = diagonal(j)
         for k in range(j + 1, n):
-            entry = np.fft.ifftn(_hessian_multiplier(_dz_symbols(geom), j, k) * phat)
+            entry = np.fft.ifftn(_hessian_multiplier(full, j, k) * phat)
             out[..., j, k] = entry
             out[..., k, j] = np.conj(entry)
     return HermitianMatrixField(geom, out)
-
-
-def complex_hessian_entry_of_complex(
-    geom: TorusGeometry, values: np.ndarray, j: int, k: int
-) -> np.ndarray:
-    """Mixed Wirtinger derivative d^2 / (dz_j dzbar_k) of a complex grid array.
-
-    Internal helper for form calculus on matrix-valued fields (no Hermitian
-    symmetry is implied for complex input).
-    """
-    symbols = _dz_symbols(geom)
-    vhat = np.fft.fftn(np.asarray(values, dtype=np.complex128))
-    return np.fft.ifftn(-symbols[j] * np.conj(symbols[k]) * vhat)
 
 
 def integrate(g: ScalarField, vol: ScalarField) -> float:

@@ -47,6 +47,7 @@ from .qpositivity import (
     DEFAULT_EPS_REL,
     _descending_eigenvalues,
     _inverse_root,
+    _operand,
     _sandwich,
 )
 
@@ -63,8 +64,8 @@ def target_constant(L: LineBundleMetric, omega: MetricField) -> float:
 
 def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
     """Largest |pencil eigenvalue| of (r_const, Omega): the scale of c."""
-    inv_root = _inverse_root(constant_representative(omega))
-    mu = _descending_eigenvalues(_sandwich(inv_root, L.r_const))
+    inv_root = _inverse_root(_operand(constant_representative(omega)))
+    mu = _descending_eigenvalues(_sandwich(inv_root, _operand(L.r_const)))
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 
 

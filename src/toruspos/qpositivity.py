@@ -21,11 +21,11 @@ the transformed metric
 kappa_i = (exp(t * lambda_i) - 1) / t, and the sum of the q+1 smallest
 kappa is bounded below by (exp(t * lambda_{n-q}) - (q+1)) / t > 0. The
 transform is evaluated through the pencil eigensystem, which keeps the
-output positive definite for any eigenvalue spread; the equivalent
-truncated power series is retained only as a cross-check oracle. For
-n <= 2 eigenvalues, matrix functions and the Omega^{-1/2} sandwiches are
-closed-form elementwise formulas over the grid (see CONVENTIONS.md);
-larger n uses batched LAPACK.
+output positive definite for any eigenvalue spread; the tests keep the
+equivalent truncated power series as a cross-check oracle. For n <= 2
+eigenvalues, matrix functions and the Omega^{-1/2} sandwiches are
+closed-form elementwise formulas on the fields' component planes (see
+CONVENTIONS.md); larger n uses batched LAPACK.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ from .lattice import (
     TorusGeometry,
     _small_eigvalsh,
     _small_matrix_function,
+    _split,
 )
 
 #: Default positivity tolerance, relative to the largest |eigenvalue|.
 DEFAULT_EPS_REL = 1e-9
-
-#: Truncation order of the power-series oracle.
-SERIES_TERMS = 30
 
 
 @dataclass
@@ -89,23 +87,36 @@ class EigenvalueField:
         return float(np.max(np.abs(self.values)))
 
 
-def _base_matrix(omega: MetricField) -> np.ndarray:
-    """The n x n matrix of a constant metric, else the whole field."""
+def _operand(matrix: np.ndarray):
+    """Component planes of an n x n matrix (or stack) for n <= 2, else itself."""
+    return _split(matrix) if matrix.shape[-1] <= 2 else matrix
+
+
+def _base_operand(omega: MetricField):
+    """Planes of an n <= 2 metric; else its n x n matrix, or the whole field."""
+    if omega._planes is not None:
+        return omega._planes
     const = omega.matrix
     return omega.values if const is None else const
+
+
+def _field_operand(R: HermitianMatrixField):
+    """Planes of an n <= 2 field, else its values."""
+    return R.values if R._planes is None else R._planes
 
 
 def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(x)
 
 
-def _spectral_functions(base: np.ndarray, *fns) -> list[np.ndarray]:
+def _spectral_functions(base, *fns) -> list:
     """``f(Base)`` for each ``f``, of a constant matrix or a field of them.
 
-    n <= 2 uses the closed-form spectral calculus; larger n one batched
-    Hermitian eigendecomposition shared by every ``f``.
+    Planes (n <= 2) take the closed-form spectral calculus and give
+    planes; larger n one batched Hermitian eigendecomposition shared by
+    every ``f``.
     """
-    if base.shape[-1] <= 2:
+    if isinstance(base, tuple):
         return _small_matrix_function(base, *fns)
     d, Q = np.linalg.eigh(base)
     if base.ndim == 2:
@@ -113,41 +124,48 @@ def _spectral_functions(base: np.ndarray, *fns) -> list[np.ndarray]:
     return [np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj()) for fn in fns]
 
 
-def _inverse_root(base: np.ndarray) -> np.ndarray:
+def _inverse_root(base):
     """Base^{-1/2} of a constant matrix or a field of them."""
     (inv_root,) = _spectral_functions(base, _inverse_sqrt)
     return inv_root
 
 
-def _sandwich(P: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _sandwich(P, M):
     """``P M P`` for Hermitian P and M, each a constant matrix or a field.
 
-    For n <= 2 the product is expanded entry by entry over the grid (only
-    the real diagonal and lower triangle are read) and is exactly Hermitian.
+    On planes (n <= 2) the product is expanded entry by entry over the
+    grid and is exactly Hermitian.
     """
-    if M.shape[-1] == 1:
-        return P[..., :1, :1].real ** 2 * M[..., :1, :1].real
-    if M.shape[-1] == 2:
-        p, s, t = P[..., 0, 0].real, P[..., 1, 1].real, P[..., 1, 0]
-        a, d, w = M[..., 0, 0].real, M[..., 1, 1].real, M[..., 1, 0]
+    if isinstance(M, tuple):
+        if len(M) == 1:
+            return (P[0] ** 2 * M[0],)
+        p, s, t = P
+        a, d, w = M
         cross = t.real * w.real + t.imag * w.imag  # Re(conj(t) w)
         tt = t.real * t.real + t.imag * t.imag
-        out = np.empty(np.broadcast_shapes(P.shape, M.shape), dtype=np.complex128)
-        out[..., 0, 0] = p * p * a + 2.0 * p * cross + tt * d
-        out[..., 1, 1] = tt * a + 2.0 * s * cross + s * s * d
-        out[..., 1, 0] = t * (p * a + s * d) + p * s * w + t * t * np.conj(w)
-        out[..., 0, 1] = np.conj(out[..., 1, 0])
-        return out
+        return (
+            p * p * a + 2.0 * p * cross + tt * d,
+            tt * a + 2.0 * s * cross + s * s * d,
+            t * (p * a + s * d) + p * s * w + t * t * np.conj(w),
+        )
     if P.ndim == 2 and M.ndim > 2:
         return np.einsum("ij,...jk,kl->...il", P, M, P)
     return P @ M @ P
 
 
-def _descending_eigenvalues(B: np.ndarray) -> np.ndarray:
+def _descending_eigenvalues(B) -> np.ndarray:
     """Eigenvalues of Hermitian B (one matrix or a field), descending."""
-    if B.shape[-1] <= 2:
-        return _small_eigvalsh(B)
+    if isinstance(B, tuple):
+        return np.stack(_small_eigvalsh(B), axis=-1)
     return np.ascontiguousarray(np.linalg.eigvalsh(B)[..., ::-1])
+
+
+def _eigenvalue_field(geom: TorusGeometry, B) -> EigenvalueField:
+    """Descending eigenvalues of B over the grid; a constant B is broadcast."""
+    lam = _descending_eigenvalues(B)
+    if lam.ndim == 1:
+        lam = np.broadcast_to(lam, (*geom.grid_shape, lam.size))
+    return EigenvalueField(geom, lam)
 
 
 def generalized_eigenvalues(
@@ -161,8 +179,8 @@ def generalized_eigenvalues(
     """
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    B = _sandwich(_inverse_root(_base_matrix(omega)), R.values)
-    return EigenvalueField(R.geometry, _descending_eigenvalues(B))
+    B = _sandwich(_inverse_root(_base_operand(omega)), _field_operand(R))
+    return _eigenvalue_field(R.geometry, B)
 
 
 def _resolve_eps(ev_scale: float, eps: float | None) -> float:
@@ -258,10 +276,7 @@ def growth_rate(ev: EigenvalueField, q: int, eps: float | None = None) -> float:
 def expm1_over_x(x: np.ndarray) -> np.ndarray:
     """psi(x) = (exp(x) - 1)/x extended by psi(0) = 1; positive for all x."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.ones_like(x)
-    nz = x != 0.0
-    out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def uniform_margin_bound(rate: float, lam_floor: float, q: int) -> float:
@@ -295,15 +310,14 @@ def uniformize_metric(
     R = chern_curvature(L)
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    root, inv_root = _spectral_functions(_base_matrix(omega), np.sqrt, _inverse_sqrt)
-    B = _sandwich(inv_root, R.values)
+    root, inv_root = _spectral_functions(_base_operand(omega), np.sqrt, _inverse_sqrt)
+    B = _sandwich(inv_root, _field_operand(R))
     if n <= 2:
-        ev = EigenvalueField(L.geometry, _small_eigvalsh(B))
-        rate = growth_rate(ev, q, eps)
+        rate = growth_rate(_eigenvalue_field(L.geometry, B), q, eps)
         (middle,) = _small_matrix_function(
             B, lambda x: 1.0 / expm1_over_x(rate * x)
         )
-        return MetricField(L.geometry, _sandwich(root, middle))
+        return MetricField._from_planes(L.geometry, _sandwich(root, middle))
     lam, V = np.linalg.eigh(B)  # ascending
     ev = EigenvalueField(L.geometry, np.ascontiguousarray(lam[..., ::-1]))
     rate = growth_rate(ev, q, eps)
@@ -311,45 +325,5 @@ def uniformize_metric(
     shrink = 1.0 / expm1_over_x(rate * lam)
     middle = np.einsum("...ij,...j,...kj->...ik", V, shrink, V.conj())
     new = _sandwich(root, middle)
-    new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
-    return MetricField(L.geometry, new)
-
-
-def uniformized_metric_series(
-    L: LineBundleMetric,
-    omega: MetricField,
-    q: int,
-    terms: int = SERIES_TERMS,
-    eps: float | None = None,
-) -> MetricField:
-    """Truncated power-series route to the same transform (test oracle).
-
-    Builds new_Omega^{-1} = Omega^{-1} (Id + sum_{k=1}^{terms}
-    t^k (R Omega^{-1})^k / (k+1)!) and inverts pointwise. Truncation error
-    decays like the tail of exp, so agreement with the eigendecomposition
-    route to 1e-10 needs |t * lambda| moderate (roughly below 7 for the
-    default 30 terms); the eigensystem route has no such restriction and
-    is the one production code paths use.
-    """
-    n = L.geometry.complex_dim
-    _validate_q(n, q)
-    R = chern_curvature(L)
-    ev = generalized_eigenvalues(R, omega)
-    rate = growth_rate(ev, q, eps)
-
-    const = omega.matrix
-    if const is not None:
-        W = np.broadcast_to(np.linalg.inv(const), R.values.shape)
-    else:
-        W = np.linalg.inv(omega.values)
-    M = rate * (R.values @ W)
-    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), R.values.shape)
-    acc = eye.copy()
-    power = eye.copy()
-    for k in range(1, terms + 1):
-        power = power @ M
-        acc = acc + power / math.factorial(k + 1)
-    new_inverse = W @ acc
-    new = np.linalg.inv(new_inverse)
     new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
     return MetricField(L.geometry, new)

@@ -20,6 +20,7 @@ from conftest import (
     random_hermitian,
     random_pd_metric,
 )
+from oracles import uniformized_metric_series, wedge_degree_check
 from toruspos import (
     LineBundleMetric,
     MetricField,
@@ -40,8 +41,6 @@ from toruspos import (
     scalar_curvature,
     target_constant,
     uniformize_metric,
-    uniformized_metric_series,
-    wedge_degree_check,
 )
 from toruspos.expressions import random_expression, scalar_field_from_expression
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the config-driven command line."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +68,33 @@ def test_uniformize_reports_rate_and_margin(tmp_path):
     assert result["uniform"]["verdict"] is True
     assert result["uniform"]["margin"] >= result["guaranteed_margin"] - 1e-12
     assert (tmp_path / "out" / result["eigenvalue_csv"]).is_file()
+
+
+@pytest.mark.parametrize("top,uniform", [(2.0, True), (30.0, False), (100.0, False)])
+def test_uniformize_spread_diagonal_class(tmp_path, capsys, top, uniform):
+    """diag(top, 1), q = 0, zero weight: the shrink 1/psi(t x) spans
+    exp(-t top) to 1, so its small entry must not cancel away (diag(100, 1)
+    needs about 2e-46). The guaranteed margin is (exp(log 3) - 1)/log 3.
+    diag(30, 1) and diag(100, 1) stay uniform=False because the default eps
+    scales with the largest transformed eigenvalue."""
+    payload = {
+        "geometry": {"complex_dim": 2, "grid": 8},
+        "instance": {"r_const": [[top, 0.0], [0.0, 1.0]], "phi": "0"},
+        "q": 0,
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path / "config.json", payload)
+    assert cli.main(["uniformize", "--config", cfg]) == 0
+    result = read_report(tmp_path)["result"]
+    bound = 2.0 / math.log(3.0)
+    assert result["guaranteed_margin"] == pytest.approx(bound, rel=1e-12)
+    assert result["uniform"]["margin"] == pytest.approx(1.82048, rel=1e-6)
+    assert result["uniform"]["margin"] == pytest.approx(bound, rel=1e-9)
+    assert result["uniform"]["verdict"] is uniform
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "uniformize: q=0 rate=1.09861 uniform_margin=1.82048 (guaranteed 1.82048) -> "
+    )
 
 
 def test_uniformize_negative_instance_reports_not_positive(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import hermitian_with_eigs, random_hermitian, random_pd_metric
+from oracles import gauduchon_defect, wedge_degree_check
 
 from toruspos import (
     LineBundleMetric,
@@ -21,7 +22,6 @@ from toruspos import (
     complex_hessian,
     constant_metric,
     degree_integral,
-    gauduchon_defect,
     generalized_eigenvalues,
     identity_metric,
     integrate,
@@ -29,7 +29,6 @@ from toruspos import (
     scalar_curvature,
     scalar_field_from_expression,
     volume_integral,
-    wedge_degree_check,
 )
 from toruspos.curvature import complex_matrix_from_json, complex_matrix_to_json
 from toruspos.lattice import scalar_field_to_csv

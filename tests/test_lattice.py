@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_pd_metric
+from oracles import _small_eigvalsh, _small_matrix_function
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +28,7 @@ from toruspos import (
     scalar_field_from_expression,
 )
 from toruspos.lattice import (
-    _small_eigvalsh,
     is_constant_field,
-    _small_matrix_function,
     scalar_field_from_csv,
     scalar_field_to_csv,
 )

@@ -14,6 +14,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _sandwich, _small_matrix_function, uniformized_metric_series
 
 from toruspos import (
     HermitianMatrixField,
@@ -30,10 +31,8 @@ from toruspos import (
     identity_metric,
     uniform_margin_bound,
     uniformize_metric,
-    uniformized_metric_series,
 )
-from toruspos.lattice import _small_matrix_function
-from toruspos.qpositivity import EigenvalueField, _sandwich
+from toruspos.qpositivity import EigenvalueField
 
 
 # ------------------------------------------------------- pencil eigenvalues
