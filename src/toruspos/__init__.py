@@ -46,7 +46,6 @@ from .lattice import (
     constant_metric,
     constant_representative,
     identity_metric,
-    integrate,
     poisson_solve,
 )
 from .normalizer import (
@@ -110,7 +109,6 @@ __all__ = [
     "generalized_eigenvalues",
     "growth_rate",
     "identity_metric",
-    "integrate",
     "is_pseudo_effective",
     "normalize_scalar_curvature",
     "parse_expression",

@@ -169,9 +169,10 @@ def expression_coordinates(tree) -> set[tuple[str, int]]:
 
 
 def _eval(tree, coords: dict[tuple[str, int], np.ndarray], shape) -> np.ndarray:
+    """Value of ``tree``; factors and products broadcast, sums fill ``shape``."""
     kind = tree[0]
     if kind == "num":
-        return np.full(shape, tree[1])
+        return np.float64(tree[1])
     if kind == "trig":
         _, fn, freq, letter, index = tree
         arg = freq * coords[(letter, index)]
@@ -184,7 +185,7 @@ def _eval(tree, coords: dict[tuple[str, int], np.ndarray], shape) -> np.ndarray:
     if kind == "sum":
         out = np.zeros(shape)
         for sign, node in tree[1]:
-            out = out + sign * _eval(node, coords, shape)
+            out += sign * _eval(node, coords, shape)
         return out
     raise InternalInvariantError(f"unknown expression node {kind!r}")
 
@@ -242,11 +243,15 @@ def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
                 f"coordinate {letter}{index} out of range for complex dimension {n}"
             )
     _check_resolved(tree, geometry)
-    arrays = geometry.coordinate_arrays()
+    # Each coordinate is its 1-D axis samples, shaped to broadcast along
+    # its own axis: no grid-sized coordinate array is built.
+    axes = 2 * n
     coords = {}
-    for j in range(n):
-        coords[("x", j + 1)] = arrays[2 * j]
-        coords[("y", j + 1)] = arrays[2 * j + 1]
+    for axis in range(axes):
+        shape = [1] * axes
+        shape[axis] = -1
+        key = ("xy"[axis % 2], axis // 2 + 1)
+        coords[key] = geometry.axis_coordinates(axis).reshape(shape)
     return _eval(tree, coords, geometry.grid_shape)
 
 

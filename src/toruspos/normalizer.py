@@ -38,6 +38,7 @@ from .lattice import (
     _dz_symbols,
     _hessian_multiplier,
     _irfftn,
+    _spectrum_shape,
     compensated_sum,
     constant_metric,
     constant_representative,
@@ -70,27 +71,26 @@ def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
 
 
 def _hessian_trace(f: ScalarField, W: np.ndarray) -> np.ndarray:
-    """``trace(W . complex_hessian(f))`` accumulated entry by entry.
+    """``trace(W . complex_hessian(f))`` from the Hessian's own entries.
 
-    Entry ``(j, k)`` of the upper triangle contributes the inverse
-    transform of ``f``'s half spectrum times its real multiplier
+    Entry ``(j, k)`` of the upper triangle has the real multiplier
     ``Re(c W_kj m_jk)``, with ``m_jk`` the Hessian multiplier and
-    ``c = 1`` on the diagonal, 2 off it; the n x n field is never
-    assembled. It deliberately avoids the trace symbol that poisson_solve
-    divides by, so the solver residual can expose a wrong symbol.
+    ``c = 1`` on the diagonal, 2 off it. The multipliers are summed on
+    the half spectrum and applied to ``f``'s spectrum, so one inverse
+    transform gives the trace; the n x n field is never assembled. It
+    deliberately avoids the trace symbol that poisson_solve divides by,
+    so the solver residual can expose a wrong symbol.
     """
     geom = f.geometry
-    out = np.zeros(geom.grid_shape)
     if not np.any(f.values):
-        return out
+        return np.zeros(geom.grid_shape)
     symbols = _dz_symbols(geom, half=True)
-    fhat = np.fft.rfftn(f.values)
+    multiplier = np.zeros(_spectrum_shape(symbols))
     for j in range(geom.complex_dim):
         for k in range(j, geom.complex_dim):
             weight = W[j, j].real if j == k else 2.0 * W[k, j]
-            multiplier = (weight * _hessian_multiplier(symbols, j, k)).real
-            out += _irfftn(multiplier * fhat, geom)
-    return out
+            multiplier += (weight * _hessian_multiplier(symbols, j, k)).real
+    return _irfftn(multiplier * np.fft.rfftn(f.values), geom)
 
 
 def normalize_scalar_curvature(

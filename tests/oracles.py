@@ -5,7 +5,9 @@ uniformizing transform, the explicit wedge expansion of the degree and the
 Gauduchon defect read the materialized ``(..., n, n)`` ``values`` of their
 fields, so they stay independent of the component-plane kernels.
 
-The array-form views at the end run the n <= 2 plane kernels on stacked
+``integrate`` (trapezoid quadrature of a product) and
+``is_constant_field`` are small helpers only the tests use. The
+array-form views at the end run the n <= 2 plane kernels on stacked
 ``(..., n, n)`` matrices: split into planes, apply the kernel, join.
 """
 
@@ -14,8 +16,11 @@ import math
 import numpy as np
 
 from toruspos import (
+    HermitianMatrixField,
     LineBundleMetric,
     MetricField,
+    NonConstantMetricError,
+    ScalarField,
     UnsupportedDimensionError,
     chern_curvature,
     compensated_sum,
@@ -25,7 +30,13 @@ from toruspos import (
 )
 from toruspos import lattice, qpositivity
 from toruspos.errors import InternalInvariantError
-from toruspos.lattice import TorusGeometry, _dz_symbols, _join, _split
+from toruspos.lattice import (
+    TorusGeometry,
+    _dz_symbols,
+    _join,
+    _require_same_geometry,
+    _split,
+)
 from toruspos.qpositivity import _validate_q
 
 #: Truncation order of the power-series oracle.
@@ -140,6 +151,26 @@ def gauduchon_defect(omega: MetricField) -> float:
             f"defect coefficient has imaginary part {imag:.3e}"
         )
     return float(np.max(np.abs(coeff.real)))
+
+
+def integrate(g: ScalarField, vol: ScalarField) -> float:
+    """Quadrature ``sum g * vol * cell_volume`` over the grid.
+
+    The periodic trapezoid rule; exact for integrands band-limited below
+    the Nyquist frequency.
+    """
+    geom = _require_same_geometry(g, vol)
+    if not np.all(vol.values > 0):
+        raise ValueError("volume weight must be positive at every grid point")
+    return geom.cell_volume * compensated_sum(g.values * vol.values)
+
+
+def is_constant_field(field: HermitianMatrixField) -> bool:
+    try:
+        constant_representative(field)
+    except NonConstantMetricError:
+        return False
+    return True
 
 
 # -- array-form views of the n <= 2 plane kernels ---------------------------

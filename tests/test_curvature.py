@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import hermitian_with_eigs, random_hermitian, random_pd_metric
-from oracles import gauduchon_defect, wedge_degree_check
+from oracles import gauduchon_defect, integrate, wedge_degree_check
 
 from toruspos import (
     LineBundleMetric,
@@ -24,7 +24,6 @@ from toruspos import (
     degree_integral,
     generalized_eigenvalues,
     identity_metric,
-    integrate,
     normalize_scalar_curvature,
     scalar_curvature,
     scalar_field_from_expression,

@@ -139,3 +139,77 @@ def test_random_expression_respects_amplitude():
         text = random_expression(rng, 1, amplitude=0.01, max_terms=3)
         vals = evaluate_expression(text, g)
         assert np.max(np.abs(vals)) <= 3 * 0.01 + 1e-12
+
+
+def _meshgrid_reference(text, geometry):
+    """The evaluation on full ``meshgrid`` coordinate arrays, node by node."""
+    arrays = np.meshgrid(
+        *(geometry.axis_coordinates(a) for a in range(2 * geometry.complex_dim)),
+        indexing="ij",
+    )
+    shape = geometry.grid_shape
+
+    def ev(tree):
+        kind = tree[0]
+        if kind == "num":
+            return np.full(shape, tree[1])
+        if kind == "trig":
+            _, fn, freq, letter, index = tree
+            arg = freq * arrays[2 * (index - 1) + (letter == "y")]
+            return np.sin(arg) if fn == "sin" else np.cos(arg)
+        if kind == "mul":
+            out = ev(tree[1][0])
+            for node in tree[1][1:]:
+                out = out * ev(node)
+            return out
+        out = np.zeros(shape)
+        for sign, node in tree[1]:
+            out = out + sign * ev(node)
+        return out
+
+    return ev(parse_expression(text))
+
+
+_ONE_DIM_TEXTS = ["0", "-1.75", "sin(x1)*cos(x1)"]
+_FIXED_TEXTS = _ONE_DIM_TEXTS + ["0.3*sin(x1)*sin(x1) - 2*cos(y2)"]
+
+# (geometry, fixed texts, max_frequency of the random draws). A 4-point
+# axis resolves modes below 2 only, so 4^6 takes products across axes.
+# The last two have non-default periods. In the first of them, period pi
+# on x1 gives single factors half modes that only products resolve, so it
+# takes no random draws.
+_BIT_IDENTITY_CASES = [
+    (TorusGeometry.regular(1, 64), _ONE_DIM_TEXTS, 2),
+    (TorusGeometry.regular(2, 8), _FIXED_TEXTS, 2),
+    (TorusGeometry.regular(3, 4), ["0", "-1.75", "0.3*sin(x1)*sin(y3) - 2*cos(y2)"], 1),
+    (
+        TorusGeometry(2, (8, 16, 8, 8), (np.pi, 4 * np.pi, 2 * np.pi, 2 * np.pi)),
+        _FIXED_TEXTS,
+        None,
+    ),
+    (
+        TorusGeometry(2, (16, 8, 16, 16), (4 * np.pi, 2 * np.pi, 2 * np.pi, 6 * np.pi)),
+        _FIXED_TEXTS,
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize("geometry,fixed_texts,max_frequency", _BIT_IDENTITY_CASES)
+def test_per_axis_evaluation_is_bit_identical_to_meshgrid(
+    geometry, fixed_texts, max_frequency
+):
+    n = geometry.complex_dim
+    texts = list(fixed_texts)
+    if max_frequency is not None:
+        rng = np.random.default_rng(17 + n)
+        texts += [
+            random_expression(rng, n, amplitude=0.5, max_frequency=max_frequency)
+            for _ in range(30)
+        ]
+    for text in texts:
+        got = evaluate_expression(text, geometry)
+        want = _meshgrid_reference(text, geometry)
+        assert got.shape == geometry.grid_shape and got.dtype == np.float64
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), text

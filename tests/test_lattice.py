@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 from conftest import random_pd_metric
-from oracles import _small_eigvalsh, _small_matrix_function
+from oracles import (
+    _small_eigvalsh,
+    _small_matrix_function,
+    integrate,
+    is_constant_field,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +28,11 @@ from toruspos import (
     constant_metric,
     constant_representative,
     identity_metric,
-    integrate,
     poisson_solve,
     scalar_field_from_expression,
 )
 from toruspos.lattice import (
-    is_constant_field,
+    _SUM_BLOCK,
     scalar_field_from_csv,
     scalar_field_to_csv,
 )
@@ -483,6 +487,65 @@ def test_compensated_sum_on_a_grid_field_matches_fsum():
     vals[0, 0] = 1e200
     vals[1, 1] = -1e200
     assert compensated_sum(vals) == math.fsum(vals.ravel())
+
+
+def _multi_block_case(size: int, case: str) -> np.ndarray:
+    rng = np.random.default_rng(size)
+    vals = rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 20, size)
+    if case == "huge_pair":  # +-1e200 at the two ends: different blocks
+        vals[0], vals[-1] = 1e200, -1e200
+    elif case == "zero_block":  # the second block all zero, the others not
+        vals[_SUM_BLOCK : 2 * _SUM_BLOCK] = 0.0
+    elif case == "subnormal_block":  # subnormals in the first block only
+        head = min(size, _SUM_BLOCK)
+        vals[:head] = rng.integers(-(2**40), 2**40, head) * 5e-324
+    elif case == "negative_zeros":
+        vals[:] = -0.0
+    elif case == "nan_last":
+        vals[-1] = np.nan
+    elif case == "inf_last":
+        vals[-1] = np.inf
+    elif case == "inf_minus_inf":  # fsum raises ValueError
+        vals[0], vals[-1] = -np.inf, np.inf
+    return vals
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["plain", "huge_pair", "zero_block", "subnormal_block", "negative_zeros",
+     "nan_last", "inf_last", "inf_minus_inf"],
+)
+@pytest.mark.parametrize(
+    "size", [_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 7, 8**6]
+)
+def test_compensated_sum_across_blocks_is_fsum_bit_for_bit(size, case):
+    vals = _multi_block_case(size, case)
+    assert _fsum_outcome(compensated_sum, vals) == _fsum_outcome(
+        math.fsum, vals.tolist()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(min_value=-1e-300, max_value=1e-300),
+            _SPECIAL_FLOATS,
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(min_value=0, max_value=_SUM_BLOCK),
+)
+def test_compensated_sum_tiled_past_two_blocks_is_fsum(floats, shift):
+    """A drawn list repeated past two blocks, started at a drawn offset."""
+    reps = (2 * _SUM_BLOCK + shift) // len(floats) + 1
+    vals = np.tile(np.array(floats), reps)[shift:]
+    assert vals.size > 2 * _SUM_BLOCK
+    assert _fsum_outcome(compensated_sum, vals) == _fsum_outcome(
+        math.fsum, vals.tolist()
+    )
 
 
 # ------------------------------------------------------------- elliptic solve

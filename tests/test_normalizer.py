@@ -286,3 +286,29 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
     # The counters are live: the field route does call them.
     curvature_module.chern_curvature(L)
     assert calls == ["chern_curvature", "complex_hessian"]
+
+
+@pytest.mark.parametrize("phi_text,expected", [("0.2*sin(x1)*cos(y3)", 3), ("0", 0)])
+def test_normalize_transform_count(monkeypatch, phi_text, expected):
+    """A counter, no timing: one forward and one inverse transform each for
+    the scalar curvature, the solve and the residual; none for a zero weight."""
+    calls = {"rfftn": 0, "irfftn": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    g = TorusGeometry.regular(3, 4)
+    rng = np.random.default_rng(32)
+    omega = random_pd_metric(rng, g)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5, 0.8]), phi_text
+    )
+    _, cert = normalize_scalar_curvature(L, omega)
+    assert cert.residuals["poisson_rel"] < 1e-8
+    assert calls == {"rfftn": expected, "irfftn": expected}
