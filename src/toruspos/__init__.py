@@ -28,6 +28,7 @@ from .errors import (
     NonConstantMetricError,
     NotQPositiveError,
     TorusposError,
+    UniformizationRangeError,
     UnsupportedDimensionError,
 )
 from .expressions import (
@@ -85,6 +86,7 @@ __all__ = [
     "MetricField",
     "NonConstantMetricError",
     "NotQPositiveError",
+    "UniformizationRangeError",
     "PositivityCertificate",
     "ScalarField",
     "SuiteReport",

@@ -6,10 +6,13 @@ and output options. Subcommands dispatch to the library and write a JSON
 report plus optional CSV field dumps into the output directory.
 
 Exit codes: 0 for a completed run regardless of mathematical verdict,
-2 for configuration problems, 3 for internal invariant violations (a
-failed equivalence suite, a non-zero-mean elliptic right-hand side, or
-another InternalInvariantError; all of these mean a bug, not a bad
-instance).
+2 for configuration problems (raised while the config and flags are read
+and resolved), 3 for internal invariant violations (a failed equivalence
+suite, a non-zero-mean elliptic right-hand side, another
+InternalInvariantError, or a ValueError from the library after the
+config was resolved; all of these mean a bug, not a bad instance), 4
+when the uniformizing transform of a valid instance leaves the float64
+range (UniformizationRangeError).
 
 Config schema (all keys optional unless noted)::
 
@@ -38,6 +41,7 @@ timestamp field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,12 +62,10 @@ from .curvature import (
 )
 from .errors import (
     ConfigError,
-    GeometryMismatchError,
     InternalInvariantError,
     MeanNotZeroError,
-    NonConstantMetricError,
     NotQPositiveError,
-    UnsupportedDimensionError,
+    UniformizationRangeError,
 )
 from .lattice import (
     MetricField,
@@ -141,6 +143,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later ``main`` calls."""
+    return build_parser()
+
+
+def _resolver(what: str):
+    """Decorate a step that reads the config: the KeyError, TypeError or
+    ValueError a malformed value raises there becomes a ConfigError."""
+
+    def decorate(resolve):
+        @functools.wraps(resolve)
+        def checked(*args):
+            try:
+                return resolve(*args)
+            except ConfigError:
+                raise
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid {what}: {exc}") from exc
+
+        return checked
+
+    return decorate
+
+
+@_resolver("config")
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -168,14 +196,14 @@ def _parse_grid_flag(text: str, axes: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
+@_resolver("geometry")
 def _resolve_geometry(config: dict, args) -> TorusGeometry:
     geo = config.get("geometry")
     if geo is None:
         raise ConfigError("config must provide a geometry section")
-    try:
-        n = int(geo["complex_dim"])
-    except KeyError as exc:
-        raise ConfigError("geometry.complex_dim is required") from exc
+    if "complex_dim" not in geo:
+        raise ConfigError("geometry.complex_dim is required")
+    n = int(geo["complex_dim"])
     axes = 2 * n
     grid = geo.get("grid", 16)
     if isinstance(grid, int):
@@ -189,31 +217,38 @@ def _resolve_geometry(config: dict, args) -> TorusGeometry:
         periods = (float(periods),) * axes
     else:
         periods = tuple(float(v) for v in periods)
-    try:
-        return TorusGeometry(n, shape, periods)
-    except ValueError as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from exc
+    return TorusGeometry(n, shape, periods)
 
 
+@_resolver("geometry")
+def _resolve_corpus_geometry(config: dict, args) -> TorusGeometry:
+    """The config's geometry, else the default corpus torus (``--grid`` applies)."""
+    if "geometry" in config:
+        return _resolve_geometry(config, args)
+    axes = 2 * DEFAULT_CORPUS_DIM
+    shape = (DEFAULT_CORPUS_GRID,) * axes
+    if args.grid:
+        shape = _parse_grid_flag(args.grid, axes)
+    return TorusGeometry(DEFAULT_CORPUS_DIM, shape, (2.0 * math.pi,) * axes)
+
+
+@_resolver("instance")
 def _resolve_instance(config: dict, geometry: TorusGeometry) -> LineBundleMetric:
     inst = config.get("instance")
     if inst is None or "r_const" not in inst:
         raise ConfigError("config must provide instance.r_const")
     try:
         return bundle_from_json_dict(geometry, inst)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
+    except OSError as exc:
         raise ConfigError(f"invalid instance: {exc}") from exc
 
 
+@_resolver("base_metric")
 def _resolve_base_metric(config: dict, geometry: TorusGeometry) -> MetricField:
     raw = config.get("base_metric")
     if raw is None:
         return identity_metric(geometry)
-    try:
-        matrix = complex_matrix_from_json(raw)
-        return constant_metric(geometry, matrix)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid base_metric: {exc}") from exc
+    return constant_metric(geometry, complex_matrix_from_json(raw))
 
 
 def _resolve_out_dir(config: dict, args) -> Path:
@@ -229,11 +264,23 @@ def _resolve_out_dir(config: dict, args) -> Path:
     return out_dir
 
 
+@_resolver("tolerances.eps_pos")
 def _resolve_eps(config: dict, args) -> float | None:
     """Positivity tolerance: ``--tolerance`` wins over ``tolerances.eps_pos``."""
-    if args.tolerance is not None:
-        return args.tolerance
-    return config.get("tolerances", {}).get("eps_pos")
+    eps = args.tolerance
+    if eps is None:
+        eps = config.get("tolerances", {}).get("eps_pos")
+    if eps is not None and not eps >= 0:
+        raise ConfigError(f"tolerance must be nonnegative, got {eps}")
+    return eps
+
+
+@_resolver("tolerances.delta")
+def _resolve_delta(config: dict) -> float:
+    delta = config.get("tolerances", {}).get("delta", DEFAULT_DELTA)
+    if not delta > 0:
+        raise ConfigError(f"tolerances.delta must be positive, got {delta}")
+    return delta
 
 
 def _resolved_config_dict(
@@ -285,12 +332,9 @@ def _write_report(out_dir: Path, task: str, config: dict, result: dict) -> Path:
     return path
 
 
+@_resolver("q")
 def _resolve_q(config: dict, geometry: TorusGeometry) -> int:
-    q = config.get("q", geometry.complex_dim - 1)
-    try:
-        q = int(q)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"q must be an integer, got {q!r}") from exc
+    q = int(config.get("q", geometry.complex_dim - 1))
     if not 0 <= q <= geometry.complex_dim - 1:
         raise ConfigError(
             f"q must be in 0..{geometry.complex_dim - 1}, got {q}"
@@ -354,7 +398,7 @@ def _cmd_uniformize(config, args) -> int:
         "uniform": after.to_json_dict(),
         "guaranteed_margin": bound,
     }
-    if config.get("output", {}).get("fields"):
+    if resolved["output"]["fields"]:
         new_ev = generalized_eigenvalues(R, new_omega)
         csv_path = _columns_to_csv(
             geometry, {"kappa": new_ev.values}, out_dir / "uniformized_eigenvalues.csv"
@@ -396,7 +440,7 @@ def _cmd_certify(config, args) -> int:
     bundle = _resolve_instance(config, geometry)
     out_dir = _resolve_out_dir(config, args)
     eps = _resolve_eps(config, args)
-    delta = config.get("tolerances", {}).get("delta", DEFAULT_DELTA)
+    delta = _resolve_delta(config)
     cert = certify_n_minus_1_positive(bundle, delta=delta, eps=eps)
     result = {"certificate": cert.to_json_dict()}
     if cert.witness_weight is not None:
@@ -449,21 +493,12 @@ def _cmd_psef_test(config, args) -> int:
 def _cmd_equivalence_suite(config, args) -> int:
     out_dir = _resolve_out_dir(config, args)
     eps = _resolve_eps(config, args)
-    delta = config.get("tolerances", {}).get("delta", DEFAULT_DELTA)
+    delta = _resolve_delta(config)
 
     if args.corpus is not None:
         if args.corpus < 1:
             raise ConfigError(f"--corpus must be positive, got {args.corpus}")
-        if "geometry" in config:
-            geometry = _resolve_geometry(config, args)
-        else:
-            axes = 2 * DEFAULT_CORPUS_DIM
-            shape = (DEFAULT_CORPUS_GRID,) * axes
-            if args.grid:
-                shape = _parse_grid_flag(args.grid, axes)
-            geometry = TorusGeometry(
-                DEFAULT_CORPUS_DIM, shape, (2.0 * math.pi,) * axes
-            )
+        geometry = _resolve_corpus_geometry(config, args)
         seed = args.seed if args.seed is not None else 0
         reports, summary = run_equivalence_corpus(
             geometry, args.corpus, seed, delta=delta
@@ -550,27 +585,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = None
+    args = _parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.task](config, args)
-    except (MeanNotZeroError, InternalInvariantError) as exc:
-        print(f"toruspos: internal invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ConfigError,
-        GeometryMismatchError,
-        NonConstantMetricError,
-        UnsupportedDimensionError,
-        NotQPositiveError,
-        KeyError,
-        TypeError,
-        ValueError,
-    ) as exc:
+    except ConfigError as exc:
         print(f"toruspos: configuration error: {exc}", file=sys.stderr)
         return 2
+    except UniformizationRangeError as exc:
+        print(f"toruspos: uniformization out of range: {exc}", file=sys.stderr)
+        return 4
+    except (MeanNotZeroError, InternalInvariantError, ValueError) as exc:
+        print(f"toruspos: internal invariant violation: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

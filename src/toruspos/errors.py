@@ -24,6 +24,12 @@ class NotQPositiveError(TorusposError, ValueError):
     rescaling transform is undefined."""
 
 
+class UniformizationRangeError(TorusposError):
+    """The uniformizing transform of a valid q-positive instance leaves the
+    float64 range: ``exp(rate * lambda_max)`` overflows, so the transformed
+    metric cannot be represented. Not a configuration problem."""
+
+
 class UnsupportedDimensionError(TorusposError, ValueError):
     """Operation only implemented for complex dimension n <= 2."""
 

@@ -25,29 +25,36 @@ output positive definite for any eigenvalue spread; the tests keep the
 equivalent truncated power series as a cross-check oracle. For n <= 2
 eigenvalues, matrix functions and the Omega^{-1/2} sandwiches are
 closed-form elementwise formulas on the fields' component planes (see
-CONVENTIONS.md); larger n uses batched LAPACK.
+CONVENTIONS.md), evaluated one L2-sized tile of the grid at a time;
+larger n uses batched LAPACK.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import LineBundleMetric, PositivityCertificate, chern_curvature
-from .errors import NotQPositiveError
+from .errors import NotQPositiveError, UniformizationRangeError
 from .lattice import (
     HermitianMatrixField,
     MetricField,
     TorusGeometry,
+    _max_abs,
     _small_eigvalsh,
     _small_matrix_function,
     _split,
+    _tiled,
 )
 
 #: Default positivity tolerance, relative to the largest |eigenvalue|.
 DEFAULT_EPS_REL = 1e-9
+
+#: Largest argument of ``exp`` with a finite float64 result.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -84,7 +91,7 @@ class EigenvalueField:
         return np.sum(self.values[..., n - count :], axis=-1)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return _max_abs(self.values)
 
 
 def _operand(matrix: np.ndarray):
@@ -160,9 +167,34 @@ def _descending_eigenvalues(B) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.eigvalsh(B)[..., ::-1])
 
 
-def _eigenvalue_field(geom: TorusGeometry, B) -> EigenvalueField:
-    """Descending eigenvalues of B over the grid; a constant B is broadcast."""
-    lam = _descending_eigenvalues(B)
+def _base_factors(base: tuple, *fns):
+    """Tile kernel giving ``[f(Base) for f in fns]`` on a tile of n <= 2
+    base planes: a constant base (0-d planes) is factored once, here, and
+    a varying one tile by tile."""
+    if any(p.ndim for p in base):
+        return lambda tile: _small_matrix_function(tile, *fns)
+    factors = _small_matrix_function(base, *fns)
+    return lambda tile: factors
+
+
+def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
+    """Descending eigenvalues of the pencil of two operands (see
+    ``_base_operand`` and ``_field_operand``); a constant pencil is
+    solved once and broadcast over the grid.
+
+    Planes (n <= 2) are whitened and solved one tile at a time, so no
+    grid-sized Base^{-1/2} or Base^{-1/2} R Base^{-1/2} is formed.
+    """
+    if isinstance(field, tuple):
+        inverse_root = _base_factors(base, _inverse_sqrt)
+
+        def eigenvalues(f, w):
+            (inv_root,) = inverse_root(w)
+            return (_descending_eigenvalues(_sandwich(inv_root, f)),)
+
+        (lam,) = _tiled(eigenvalues, geom.grid_shape, field, base)
+    else:
+        lam = _descending_eigenvalues(_sandwich(_inverse_root(base), field))
     if lam.ndim == 1:
         lam = np.broadcast_to(lam, (*geom.grid_shape, lam.size))
     return EigenvalueField(geom, lam)
@@ -179,8 +211,7 @@ def generalized_eigenvalues(
     """
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    B = _sandwich(_inverse_root(_base_operand(omega)), _field_operand(R))
-    return _eigenvalue_field(R.geometry, B)
+    return _pencil_eigenvalues(R.geometry, _field_operand(R), _base_operand(omega))
 
 
 def _resolve_eps(ev_scale: float, eps: float | None) -> float:
@@ -288,6 +319,22 @@ def uniform_margin_bound(rate: float, lam_floor: float, q: int) -> float:
     return (math.exp(rate * lam_floor) - (q + 1)) / rate
 
 
+def _uniformizing_rate(ev: EigenvalueField, q: int, eps: float | None) -> float:
+    """``growth_rate``, refused when ``exp(rate * lambda_max)`` overflows.
+
+    The shrink ``1/psi(rate * lambda)`` then underflows to 0 and float64
+    cannot hold the transformed metric.
+    """
+    rate = growth_rate(ev, q, eps)
+    top = rate * float(ev.values.max())
+    if top > _LOG_FLOAT_MAX:
+        raise UniformizationRangeError(
+            f"rate * largest eigenvalue = {top:.6e} exceeds log(float max) = "
+            f"{_LOG_FLOAT_MAX:.6e}; the uniformized metric is not representable"
+        )
+    return rate
+
+
 def uniformize_metric(
     L: LineBundleMetric,
     omega: MetricField,
@@ -303,24 +350,34 @@ def uniformize_metric(
     eigenvalues of R against the output equal (exp(t*lambda_i) - 1)/t.
 
     Raises NotQPositiveError (via growth_rate) when the input curvature is
-    not q-positive against ``omega``.
+    not q-positive against ``omega``, and UniformizationRangeError when
+    ``exp(rate * lambda_max)`` leaves the float64 range.
     """
     n = L.geometry.complex_dim
     _validate_q(n, q)
     R = chern_curvature(L)
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    root, inv_root = _spectral_functions(_base_operand(omega), np.sqrt, _inverse_sqrt)
-    B = _sandwich(inv_root, _field_operand(R))
+    field, base = _field_operand(R), _base_operand(omega)
     if n <= 2:
-        rate = growth_rate(_eigenvalue_field(L.geometry, B), q, eps)
-        (middle,) = _small_matrix_function(
-            B, lambda x: 1.0 / expm1_over_x(rate * x)
-        )
-        return MetricField._from_planes(L.geometry, _sandwich(root, middle))
-    lam, V = np.linalg.eigh(B)  # ascending
+        # Pass 1 finds the rate; pass 2 whitens R again, tile by tile, and
+        # maps it through the shrink and the root sandwich.
+        rate = _uniformizing_rate(_pencil_eigenvalues(L.geometry, field, base), q, eps)
+        roots = _base_factors(base, np.sqrt, _inverse_sqrt)
+
+        def transform(f, w):
+            root, inv_root = roots(w)
+            (middle,) = _small_matrix_function(
+                _sandwich(inv_root, f), lambda x: 1.0 / expm1_over_x(rate * x)
+            )
+            return _sandwich(root, middle)
+
+        planes = _tiled(transform, L.geometry.grid_shape, field, base)
+        return MetricField._from_planes(L.geometry, planes)
+    root, inv_root = _spectral_functions(base, np.sqrt, _inverse_sqrt)
+    lam, V = np.linalg.eigh(_sandwich(inv_root, field))  # ascending
     ev = EigenvalueField(L.geometry, np.ascontiguousarray(lam[..., ::-1]))
-    rate = growth_rate(ev, q, eps)
+    rate = _uniformizing_rate(ev, q, eps)
 
     shrink = 1.0 / expm1_over_x(rate * lam)
     middle = np.einsum("...ij,...j,...kj->...ik", V, shrink, V.conj())

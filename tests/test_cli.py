@@ -97,6 +97,29 @@ def test_uniformize_spread_diagonal_class(tmp_path, capsys, top, uniform):
     )
 
 
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("top", [2.0, 30.0, 100.0, 300.0, 1000.0])
+def test_uniformize_spread_sweep_exit_codes(tmp_path, capsys, top, q):
+    """diag(top, 1), zero weight, 8^4: valid configs never exit 2. Only
+    top = 1000 with q = 0 has t * lambda_max = 1000 log 3 past log(float
+    max), where the transformed metric cannot be held: exit 4."""
+    payload = {
+        "geometry": {"complex_dim": 2, "grid": 8},
+        "instance": {"r_const": [[top, 0.0], [0.0, 1.0]], "phi": "0"},
+        "q": q,
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path / "config.json", payload)
+    out_of_range = top == 1000.0 and q == 0
+    assert cli.main(["uniformize", "--config", cfg]) == (4 if out_of_range else 0)
+    err = capsys.readouterr().err
+    if out_of_range:
+        assert "uniformization out of range" in err
+    else:
+        assert err == ""
+        assert read_report(tmp_path)["result"]["q_positive"] is True
+
+
 def test_uniformize_negative_instance_reports_not_positive(tmp_path, capsys):
     cfg = base_config(tmp_path, r_const=[[-1.0]])
     assert cli.main(["uniformize", "--config", cfg]) == 0
@@ -304,6 +327,69 @@ def test_internal_invariant_violations_exit_three(tmp_path, monkeypatch, capsys)
     cfg = base_config(tmp_path, r_const=[[1.0]])
     assert cli.main(["check-qpos", "--config", cfg]) == 3
     assert "internal invariant violation" in capsys.readouterr().err
+
+
+def test_library_value_error_after_resolution_exits_three(
+    tmp_path, monkeypatch, capsys
+):
+    def boom(config, args):
+        raise ValueError("eigenvalue field contains non-finite values")
+
+    monkeypatch.setitem(cli._COMMANDS, "check-qpos", boom)
+    cfg = base_config(tmp_path, r_const=[[1.0]])
+    assert cli.main(["check-qpos", "--config", cfg]) == 3
+    assert "configuration error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task,tolerances",
+    [
+        ("check-qpos", {"eps_pos": -1.0}),
+        ("check-qpos", {"eps_pos": "tiny"}),
+        ("certify", {"delta": "small"}),
+        ("certify", {"delta": -0.1}),
+        ("equivalence-suite", {"delta": 0.0}),
+    ],
+)
+def test_bad_tolerances_exit_two(tmp_path, capsys, task, tolerances):
+    """Tolerances are checked while the config is resolved, so a bad one
+    is a configuration error, not a library failure (exit 3)."""
+    payload = {
+        "geometry": {"complex_dim": 1, "grid": 8},
+        "instance": {"r_const": [[1.0]], "phi": "0"},
+        "tolerances": tolerances,
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path / "config.json", payload)
+    assert cli.main([task, "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_bad_corpus_grid_flag_exits_two(tmp_path, capsys):
+    argv = ["equivalence-suite", "--corpus", "2", "--grid", "7",
+            "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        cfg = base_config(tmp_path, r_const=[[1.0]], grid=8)
+        for _ in range(3):
+            assert cli.main(["check-qpos", "--config", cfg]) == 0
+        assert cli.main(["uniformize", "--config", cfg]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def test_missing_subcommand_is_usage_error():

@@ -21,6 +21,7 @@ from toruspos import (
     LineBundleMetric,
     NotQPositiveError,
     TorusGeometry,
+    UniformizationRangeError,
     check_q_positive,
     check_uniform_q_positive,
     chern_curvature,
@@ -310,6 +311,20 @@ def test_uniformize_flat_bundle_rejected():
     L = LineBundleMetric.from_constant(g, np.zeros((2, 2)))
     with pytest.raises(NotQPositiveError):
         uniformize_metric(L, identity_metric(g), q=1)
+
+
+def test_uniformize_out_of_float_range_is_a_typed_error():
+    """diag(1000, 1), q = 0: t * lambda_max = 1000 log 3 > log(float max),
+    so 1/psi underflows to 0; the refusal is not a ValueError (the input
+    is valid). diag(300, 1) stays inside the range."""
+    g = TorusGeometry.regular(2, 4)
+    L = LineBundleMetric.from_constant(g, np.diag([1000.0, 1.0]))
+    with pytest.raises(UniformizationRangeError, match="log\\(float max\\)"):
+        uniformize_metric(L, identity_metric(g), q=0)
+    assert not issubclass(UniformizationRangeError, ValueError)
+    assert uniformize_metric(L, identity_metric(g), q=1).min_eigenvalue > 0.0
+    L = LineBundleMetric.from_constant(g, np.diag([300.0, 1.0]))
+    assert uniformize_metric(L, identity_metric(g), q=0).min_eigenvalue > 0.0
 
 
 def test_uniformize_closed_form_example():
