@@ -321,6 +321,9 @@ class HermitianMatrixField:
 
     #: Component planes for n <= 2 (``_split``), None for n >= 3.
     _planes = None
+    #: ``(omega, EigenvalueField)`` of the last pencil solved with both
+    #: fields read-only (``qpositivity._solve_pencil``), or None.
+    _pencil = None
 
     def __post_init__(self) -> None:
         n = self.geometry.complex_dim

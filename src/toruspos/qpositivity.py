@@ -26,7 +26,9 @@ equivalent truncated power series as a cross-check oracle. For n <= 2
 eigenvalues, matrix functions and the Omega^{-1/2} sandwiches are
 closed-form elementwise formulas on the fields' component planes (see
 CONVENTIONS.md), evaluated one L2-sized tile of the grid at a time;
-larger n uses batched LAPACK.
+larger n uses batched LAPACK. A pencil whose two fields are read-only is
+solved once: its eigenvalues are remembered on the curvature field, so
+the checks and the transform share one solve per (R, Omega) pair.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ DEFAULT_EPS_REL = 1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenvalueField:
-    """Real pencil eigenvalues per grid point, sorted descending."""
+    """Real pencil eigenvalues per grid point, sorted descending.
+
+    Frozen, because a solved pencil hands one field to every caller.
+    """
 
     geometry: TorusGeometry
     values: np.ndarray
@@ -74,7 +79,7 @@ class EigenvalueField:
             raise ValueError("eigenvalue field contains non-finite values")
         if n > 1 and not np.all(vals[..., :-1] >= vals[..., 1:]):
             raise ValueError("eigenvalues must be sorted descending at every point")
-        self.values = vals
+        object.__setattr__(self, "values", vals)
 
     def at_rank(self, rank: int) -> np.ndarray:
         """Eigenvalue array at 1-based rank from the largest."""
@@ -200,6 +205,38 @@ def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
     return EigenvalueField(geom, lam)
 
 
+def _frozen(field: HermitianMatrixField) -> bool:
+    """Can no array behind ``field`` change? Each of its arrays, and each
+    array down the ``.base`` chain to the one owning the memory, must be
+    read-only; memory owned by another object (a buffer) does not qualify."""
+    for array in (*(field._planes or ()), vars(field).get("values")):
+        while isinstance(array, np.ndarray):
+            if array.flags.writeable:
+                return False
+            array = array.base
+        if array is not None:
+            return False
+    return True
+
+
+def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueField:
+    """Read-only pencil eigenvalues of (R, omega), solved once per frozen pair.
+
+    When neither field can change (``_frozen``), ``R`` keeps one entry:
+    the last ``omega`` it was solved against and the result. The same
+    ``omega`` object (``is``) gets the same field back; any other metric
+    is solved and replaces the entry.
+    """
+    cached = R._pencil
+    if cached is not None and cached[0] is omega:
+        return cached[1]
+    ev = _pencil_eigenvalues(R.geometry, _field_operand(R), _base_operand(omega))
+    ev.values.setflags(write=False)
+    if _frozen(R) and _frozen(omega):
+        R._pencil = (omega, ev)
+    return ev
+
+
 def generalized_eigenvalues(
     R: HermitianMatrixField, omega: MetricField
 ) -> EigenvalueField:
@@ -207,11 +244,14 @@ def generalized_eigenvalues(
 
     These are the eigenvalues of the Hermitian matrix
     Omega^{-1/2} R Omega^{-1/2}; real, base-point orthonormal-frame
-    independent, and returned sorted descending.
+    independent, and returned sorted descending in a read-only array.
+    When both fields are read-only the result is remembered on ``R``:
+    asking again with the same ``omega`` object returns the same field
+    without solving the pencil again.
     """
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    return _pencil_eigenvalues(R.geometry, _field_operand(R), _base_operand(omega))
+    return _solve_pencil(R, omega)
 
 
 def _resolve_eps(ev_scale: float, eps: float | None) -> float:
@@ -248,6 +288,8 @@ def check_q_positive(
     The margin is the grid minimum of the (n-q)-th largest pencil
     eigenvalue; the verdict requires it to clear ``eps`` (default
     1e-9 times the largest |eigenvalue|, so the check is scale invariant).
+    The pencil is solved by ``generalized_eigenvalues``, so a repeated
+    (curvature, ``omega``) pair is solved once.
     """
     n = L.geometry.complex_dim
     _validate_q(n, q)
@@ -271,7 +313,9 @@ def check_uniform_q_positive(
     """Is every sum of q+1 distinct pencil eigenvalues positive everywhere?
 
     Eigenvalues are sorted, so the minimal sum is that of the q+1 smallest;
-    the margin is its grid minimum.
+    the margin is its grid minimum. The pencil is solved by
+    ``generalized_eigenvalues``, so a repeated (curvature, ``omega``) pair
+    is solved once.
     """
     n = L.geometry.complex_dim
     _validate_q(n, q)
@@ -349,6 +393,9 @@ def uniformize_metric(
     psi > 0 everywhere keeps the result positive definite, and the pencil
     eigenvalues of R against the output equal (exp(t*lambda_i) - 1)/t.
 
+    For n <= 2 the output's planes are read-only, so the checks run
+    against it share one pencil solve, as they do against ``omega``.
+
     Raises NotQPositiveError (via growth_rate) when the input curvature is
     not q-positive against ``omega``, and UniformizationRangeError when
     ``exp(rate * lambda_max)`` leaves the float64 range.
@@ -360,9 +407,11 @@ def uniformize_metric(
         raise ValueError("curvature and base metric live on different grids")
     field, base = _field_operand(R), _base_operand(omega)
     if n <= 2:
-        # Pass 1 finds the rate; pass 2 whitens R again, tile by tile, and
-        # maps it through the shrink and the root sandwich.
-        rate = _uniformizing_rate(_pencil_eigenvalues(L.geometry, field, base), q, eps)
+        # Pass 1 finds the rate from the pencil eigenvalues, solved once per
+        # (R, omega) pair and shared with the checks (read-only); pass 2
+        # whitens R again, tile by tile, and maps it through the shrink and
+        # the root sandwich.
+        rate = _uniformizing_rate(_solve_pencil(R, omega), q, eps)
         roots = _base_factors(base, np.sqrt, _inverse_sqrt)
 
         def transform(f, w):
@@ -373,7 +422,13 @@ def uniformize_metric(
             return _sandwich(root, middle)
 
         planes = _tiled(transform, L.geometry.grid_shape, field, base)
-        return MetricField._from_planes(L.geometry, planes)
+        new = MetricField._from_planes(L.geometry, planes)
+        # Read-only down to the flat tile buffers (see ``_frozen``).
+        for array in new._planes:
+            while isinstance(array, np.ndarray):
+                array.setflags(write=False)
+                array = array.base
+        return new
     root, inv_root = _spectral_functions(base, np.sqrt, _inverse_sqrt)
     lam, V = np.linalg.eigh(_sandwich(inv_root, field))  # ascending
     ev = EigenvalueField(L.geometry, np.ascontiguousarray(lam[..., ::-1]))

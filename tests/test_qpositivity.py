@@ -1,6 +1,8 @@
 """Pencil eigenvalues, q-positivity checks, and the uniformizing transform."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -11,14 +13,17 @@ from conftest import (
     random_hermitian,
     random_pd_matrix,
     random_pd_metric,
+    random_unitary,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import _sandwich, _small_matrix_function, uniformized_metric_series
 
+import toruspos.qpositivity as qpositivity_module
 from toruspos import (
     HermitianMatrixField,
     LineBundleMetric,
+    MetricField,
     NotQPositiveError,
     TorusGeometry,
     UniformizationRangeError,
@@ -33,6 +38,7 @@ from toruspos import (
     uniform_margin_bound,
     uniformize_metric,
 )
+from toruspos import cli
 from toruspos.qpositivity import EigenvalueField
 
 
@@ -434,3 +440,255 @@ def test_series_route_agrees_with_eigendecomposition():
         series = uniformized_metric_series(L, omega, q=1, terms=30)
         scale = float(np.max(np.abs(direct.values)))
         assert np.max(np.abs(direct.values - series.values)) <= 1e-10 * scale
+
+
+# ------------------------------------------------------------ pencil cache
+
+
+@pytest.fixture
+def pencil_solves(monkeypatch):
+    """List that grows by one per pencil solve (``_pencil_eigenvalues``)."""
+    solves = []
+    original = qpositivity_module._pencil_eigenvalues
+
+    def counting(*args):
+        solves.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(qpositivity_module, "_pencil_eigenvalues", counting)
+    return solves
+
+
+def _weighted_bundle(g, q=1):
+    r_const = (
+        np.array([[1.5, 0.2j], [-0.2j, -0.4]])
+        if q == 1
+        else np.array([[1.5, 0.2j], [-0.2j, 0.9]])
+    )
+    return LineBundleMetric.from_expression(g, r_const, "0.01*cos(x1)*sin(y2)")
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize("base", ["identity", "constant"])
+def test_uniformize_and_check_solves_two_pencils(pencil_solves, q, base):
+    """The acceptance-1 sequence at n = 2: (R, omega) and (R, new omega)
+    are each solved once, where five solves used to be made."""
+    g = TorusGeometry.regular(2, 8)
+    L = _weighted_bundle(g, q)
+    omega = (
+        identity_metric(g)
+        if base == "identity"
+        else constant_metric(g, np.array([[1.2, 0.1], [0.1, 0.9]]))
+    )
+    assert check_q_positive(L, omega, q).verdict
+    R = chern_curvature(L)
+    ev = generalized_eigenvalues(R, omega)
+    growth_rate(ev, q)
+    new = uniformize_metric(L, omega, q)
+    assert check_uniform_q_positive(L, new, q).verdict
+    generalized_eigenvalues(R, new)
+    assert len(pencil_solves) == 2
+
+
+def test_cli_check_qpos_solves_one_pencil(pencil_solves, tmp_path):
+    payload = {
+        "geometry": {"complex_dim": 2, "grid": 8},
+        "instance": {"r_const": [[2.0, 0.0], [0.0, -0.5]], "phi": "0.01*cos(x1)"},
+        "q": 1,
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
+    assert cli.main(["check-qpos", "--config", str(cfg)]) == 0
+    assert len(pencil_solves) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pencil_hit_equals_cold_solve(pencil_solves, n):
+    g = TorusGeometry.regular(n, 4)
+    rng = np.random.default_rng(n)
+    r_const = hermitian_with_eigs(rng, rng.uniform(0.5, 2.0, n))
+    omega = constant_metric(g, random_pd_matrix(rng, n))
+    R, fresh = (
+        chern_curvature(LineBundleMetric.from_expression(g, r_const, "0.02*sin(x1)"))
+        for _ in range(2)
+    )
+    first = generalized_eigenvalues(R, omega)
+    assert generalized_eigenvalues(R, omega) is first
+    assert len(pencil_solves) == 1
+    assert np.array_equal(generalized_eigenvalues(fresh, omega).values, first.values)
+    assert len(pencil_solves) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pencil_values_are_read_only(n):
+    g = TorusGeometry.regular(n, 4)
+    L = LineBundleMetric.from_expression(g, np.eye(n), "0.02*cos(x1)")
+    varying = HermitianMatrixField(g, chern_curvature(L).values.copy())
+    for R in (chern_curvature(L), varying):
+        ev = generalized_eigenvalues(R, identity_metric(g))
+        assert not ev.values.flags.writeable
+        with pytest.raises(ValueError):
+            ev.values[(0,) * ev.values.ndim] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.values = np.zeros_like(ev.values)
+
+
+def test_uniformized_metric_planes_are_read_only():
+    for samples in (16, 6):  # many tiles; one tile
+        g = TorusGeometry.regular(2, samples)
+        new = uniformize_metric(_weighted_bundle(g), identity_metric(g), 1)
+        for plane in new._planes:
+            with pytest.raises(ValueError):
+                plane[(0,) * plane.ndim] = 0.0
+            assert plane.base is None or not plane.base.flags.writeable
+
+
+def test_writeable_user_metric_is_solved_fresh(pencil_solves):
+    """No cache is kept while a writeable array stands behind the metric,
+    so an in-place change is seen by the next call."""
+    g = TorusGeometry.regular(2, 4)
+    R = chern_curvature(_weighted_bundle(g))
+    matrix = np.array([[1.2, 0.1], [0.1, 0.9]], dtype=complex)
+    grid_values = np.broadcast_to(matrix, (*g.grid_shape, 2, 2)).copy()
+    # A grid copy the user owns, and a read-only broadcast view of a
+    # writeable user matrix: each changes under the metric.
+    view = np.broadcast_to(matrix, grid_values.shape)
+    for values, owner in ((grid_values, grid_values), (view, matrix)):
+        omega = MetricField(g, values)
+        before = generalized_eigenvalues(R, omega)
+        assert R._pencil is None
+        owner *= 2.0
+        after = generalized_eigenvalues(R, omega)
+        assert after is not before
+        assert np.allclose(after.values, before.values / 2.0, rtol=1e-13, atol=0.0)
+    assert len(pencil_solves) == 4
+    # A writeable curvature field is never cached either.
+    R_values = chern_curvature(_weighted_bundle(g)).values.copy()
+    user_R = HermitianMatrixField(g, R_values)
+    omega = identity_metric(g)
+    before = generalized_eigenvalues(user_R, omega)
+    R_values *= 3.0
+    assert np.allclose(
+        generalized_eigenvalues(user_R, omega).values, 3.0 * before.values, rtol=1e-13
+    )
+    assert user_R._pencil is None
+
+
+def test_equal_metric_object_misses(pencil_solves):
+    g = TorusGeometry.regular(2, 8)
+    R = chern_curvature(_weighted_bundle(g))
+    matrix = np.array([[1.2, 0.1], [0.1, 0.9]])
+    first, second = constant_metric(g, matrix), constant_metric(g, matrix)
+    ev = generalized_eigenvalues(R, first)
+    other = generalized_eigenvalues(R, second)
+    assert other is not ev
+    assert np.array_equal(other.values, ev.values)
+    assert R._pencil[0] is second  # the new metric replaced the entry
+    assert len(pencil_solves) == 2
+
+
+def test_n3_uniformize_neither_reads_nor_seeds_the_cache(pencil_solves):
+    g = TorusGeometry.regular(3, 4)
+    L = LineBundleMetric.from_expression(g, np.diag([2.0, 1.5, 1.0]), "0.01*cos(x1)")
+    R = chern_curvature(L)
+    omega = identity_metric(g)
+    uniformize_metric(L, omega, 0)
+    assert R._pencil is None and pencil_solves == []
+    ev = generalized_eigenvalues(R, omega)
+    uniformize_metric(L, omega, 0)
+    assert R._pencil == (omega, ev) and len(pencil_solves) == 1
+
+
+# ------------------------------------------------------ pencil properties
+# Each pair below is two distinct field objects, so a cache hit returning
+# another pencil's eigenvalues would break the property.
+
+_PENCIL_KINDS = [(1, False), (2, False), (1, True), (2, True), (3, False)]
+
+
+def _field(g, values, cls=HermitianMatrixField):
+    """A constant field of one n x n matrix, or a read-only grid field."""
+    values = np.array(values, dtype=np.complex128)
+    values = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
+    if values.ndim == 2:
+        return cls.constant(g, values)
+    values.setflags(write=False)
+    return cls(g, values)
+
+
+def _pencil(seed, n, varying):
+    """(R, omega) of one constant pencil (n x n matrices) or of per-point
+    random ones (grid stacks); omega has eigenvalues in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    g = TorusGeometry.regular(n, 4)
+    if not varying:
+        return g, random_hermitian(rng, n, scale=3.0), random_pd_matrix(rng, n)
+    shape = (*g.grid_shape, n, n)
+    R = np.stack([random_hermitian(rng, n, scale=3.0) for _ in range(g.num_points)])
+    O = np.stack([random_pd_matrix(rng, n) for _ in range(g.num_points)])
+    return g, R.reshape(shape), O.reshape(shape)
+
+
+def _ev(R, O):
+    return generalized_eigenvalues(R, O).values
+
+
+def _close(a, b, scale):
+    return np.max(np.abs(a - b)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n,varying", _PENCIL_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), c=st.floats(1e-3, 1e3))
+def test_pencil_scale_invariance(n, varying, seed, c):
+    g, R, O = _pencil(seed, n, varying)
+    R_field, O_field = _field(g, R), _field(g, O, MetricField)
+    ev = _ev(R_field, O_field)
+    scale = float(np.max(np.abs(ev)))
+    assert _close(_ev(_field(g, c * R), O_field), c * ev, c * scale)
+    assert _close(_ev(R_field, _field(g, c * O, MetricField)), ev / c, scale / c)
+
+
+@pytest.mark.parametrize("n,varying", _PENCIL_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_pencil_unitary_invariance(n, varying, seed):
+    g, R, O = _pencil(seed, n, varying)
+    U = random_unitary(np.random.default_rng(seed + 1), n)
+    Uh = U.conj().T
+    ev = _ev(_field(g, R), _field(g, O, MetricField))
+    rotated = _ev(_field(g, Uh @ R @ U), _field(g, Uh @ O @ U, MetricField))
+    assert _close(rotated, ev, float(np.max(np.abs(ev))))
+
+
+@pytest.mark.parametrize("n,varying", _PENCIL_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_pencil_dual_involution(n, varying, seed):
+    g, R, O = _pencil(seed, n, varying)
+    O_field = _field(g, O, MetricField)
+    ev = _ev(_field(g, R), O_field)
+    assert _close(_ev(_field(g, -R), O_field), -ev[..., ::-1], float(np.max(np.abs(ev))))
+
+
+@pytest.mark.parametrize("n,varying", _PENCIL_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), q=st.integers(0, 2))
+def test_margin_equal_to_eps_is_not_positive(n, varying, seed, q):
+    """Eps set to the margin itself, on a second equal metric object:
+    the margin is the same bit for bit and the verdict is False."""
+    q %= n
+    rng = np.random.default_rng(seed)
+    g = TorusGeometry.regular(n, 4)
+    r_const = hermitian_with_eigs(rng, rng.uniform(0.5, 2.0, n))
+    weight = "0.01*cos(x1)" if varying else "0"
+    L = LineBundleMetric.from_expression(g, r_const, weight)
+    _, _, O = _pencil(seed, n, varying)
+    omegas = [_field(g, O, MetricField) for _ in range(2)]
+    for check in (check_q_positive, check_uniform_q_positive):
+        cert = check(L, omegas[0], q)
+        assert cert.margin > 0.0
+        at_eps = check(L, omegas[1], q, eps=cert.margin)
+        assert at_eps.margin == at_eps.tolerance == cert.margin
+        assert at_eps.verdict is False
