@@ -29,7 +29,6 @@ from .errors import (
     NotQPositiveError,
     TorusposError,
     UniformizationRangeError,
-    UnsupportedDimensionError,
 )
 from .expressions import (
     evaluate_expression,
@@ -92,7 +91,6 @@ __all__ = [
     "SuiteReport",
     "TorusGeometry",
     "TorusposError",
-    "UnsupportedDimensionError",
     "bundle_from_json_dict",
     "bundle_to_json_dict",
     "certify_n_minus_1_positive",

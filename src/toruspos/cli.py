@@ -473,10 +473,7 @@ def _cmd_psef_test(config, args) -> int:
         "pairing_constant": search.constant,
     }
     if search.witness is not None:
-        first = search.witness.values.reshape(
-            -1, geometry.complex_dim, geometry.complex_dim
-        )[0]
-        result["witness_metric"] = complex_matrix_to_json(first)
+        result["witness_metric"] = complex_matrix_to_json(search.witness.matrix)
     path = _write_report(
         out_dir,
         "psef-test",

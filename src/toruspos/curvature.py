@@ -32,6 +32,7 @@ from .lattice import (
     ScalarField,
     TorusGeometry,
     _check_hermitian,
+    _freeze,
     _irfftn,
     _split,
     _trace_symbol,
@@ -170,11 +171,10 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
         R = complex_hessian(L.phi)
         if R._planes is None:
             R.values += L.r_const
-            R.values.setflags(write=False)
         else:
             for plane, entry in zip(R._planes, _split(L.r_const)):
                 plane += entry
-                plane.setflags(write=False)
+        _freeze(R)
     L._curvature = (L.r_const, L.phi.values, R)
     return R
 

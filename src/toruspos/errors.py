@@ -30,10 +30,6 @@ class UniformizationRangeError(TorusposError):
     metric cannot be represented. Not a configuration problem."""
 
 
-class UnsupportedDimensionError(TorusposError, ValueError):
-    """Operation only implemented for complex dimension n <= 2."""
-
-
 class ConfigError(TorusposError, ValueError):
     """Command-line configuration is missing, unparseable, or inconsistent."""
 

@@ -390,8 +390,29 @@ class HermitianMatrixField:
             return None
         return values[(0,) * grid_axes]
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+
+def _freeze(field: HermitianMatrixField) -> HermitianMatrixField:
+    """Make ``field`` ``_frozen``: each of its arrays, and each array down
+    the ``.base`` chain, read-only. For fields the package computed."""
+    for array in (*(field._planes or ()), vars(field).get("values")):
+        while isinstance(array, np.ndarray):
+            array.setflags(write=False)
+            array = array.base
+    return field
+
+
+def _frozen(field: HermitianMatrixField) -> bool:
+    """Can no array behind ``field`` change? Each of its arrays, and each
+    array down the ``.base`` chain to the one owning the memory, must be
+    read-only; memory owned by another object (a buffer) does not qualify."""
+    for array in (*(field._planes or ()), vars(field).get("values")):
+        while isinstance(array, np.ndarray):
+            if array.flags.writeable:
+                return False
+            array = array.base
+        if array is not None:
+            return False
+    return True
 
 
 def _hermitian_2x2_parts(a, d, c):
@@ -427,9 +448,11 @@ def _tiles(*operands):
     flattened once per walk) and every 0-d plane whole, so an elementwise kernel
     gives on a tile exactly its whole-plane result there. A grid of at
     most ``_TILE`` points is one tile: the planes themselves, with
-    ``span`` the whole flattened grid.
+    ``span`` the whole flattened grid. So are operands that are not
+    planes (n >= 3 matrices and stacks), which are never tiled.
     """
-    size = max(p.size for planes in operands for p in planes)
+    planar = all(isinstance(planes, tuple) for planes in operands)
+    size = max(p.size for planes in operands for p in planes) if planar else 0
     if size <= _TILE:
         yield slice(None), operands
         return
@@ -443,14 +466,15 @@ def _tiles(*operands):
         )
 
 
-def _tiled(kernel, grid: tuple, *operands) -> tuple:
+def _tiled(kernel, grid: tuple, *operands):
     """Arrays of ``kernel(*operands)`` over ``grid``, one tile at a time.
 
     ``kernel`` maps plane tuples elementwise to a tuple of arrays whose
     leading axes are those of its planes (see ``_tiles``). Each tile's
     arrays are written into flat outputs allocated on the first tile,
-    which come back in grid shape. On a grid of one tile the kernel's
-    own arrays are returned, with no copy.
+    which come back in grid shape. On one tile (a small grid, or
+    operands that are not planes) the kernel's own output is returned,
+    with no copy.
     """
     out = None
     for span, tiles in _tiles(*operands):

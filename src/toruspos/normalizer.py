@@ -45,11 +45,12 @@ from .lattice import (
     poisson_solve,
 )
 from .qpositivity import (
-    DEFAULT_EPS_REL,
     _descending_eigenvalues,
-    _inverse_root,
+    _inverse_sqrt,
     _operand,
+    _resolve_eps,
     _sandwich,
+    _spectral_functions,
 )
 
 #: Default relative weight put on non-positive eigendirections of r_const
@@ -63,9 +64,9 @@ def target_constant(L: LineBundleMetric, omega: MetricField) -> float:
     return n * degree_integral(L, omega) / volume_integral(omega)
 
 
-def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
+def _class_scale(L: LineBundleMetric, omega_matrix: np.ndarray) -> float:
     """Largest |pencil eigenvalue| of (r_const, Omega): the scale of c."""
-    inv_root = _inverse_root(_operand(constant_representative(omega)))
+    (inv_root,) = _spectral_functions(_operand(omega_matrix), _inverse_sqrt)
     mu = _descending_eigenvalues(_sandwich(inv_root, _operand(L.r_const)))
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 
@@ -111,6 +112,8 @@ def normalize_scalar_curvature(
     """
     geom = L.geometry
     const = constant_representative(omega)  # NonConstantMetricError if it varies
+    # The class scale sets only the default; a given tolerance is checked.
+    eps = _resolve_eps(_class_scale(L, const) if eps is None else 0.0, eps)
     s = scalar_curvature(L, omega)
     # The expression target_constant evaluates, on the s already at hand.
     c = geom.complex_dim * _degree_of_trace(s, const) / volume_integral(omega)
@@ -138,12 +141,10 @@ def normalize_scalar_curvature(
     flattened = ScalarField(geom, s.values - achieved)
     scalar_deviation = float(np.max(np.abs(flattened.values - c)))
 
-    if eps is None:
-        eps = DEFAULT_EPS_REL * _class_scale(L, omega)
     cert = PositivityCertificate(
         verdict=c > eps,
         margin=c,
-        tolerance=float(eps),
+        tolerance=eps,
         witness_metric=omega,
         witness_weight=f,
         residuals={
@@ -213,16 +214,14 @@ def certify_n_minus_1_positive(
     """
     geom = L.geometry
     mu = np.linalg.eigvalsh(L.r_const)
-    scale = float(np.max(np.abs(mu))) if mu.size else 0.0
-    if eps is None:
-        eps = DEFAULT_EPS_REL * scale
+    eps = _resolve_eps(float(np.max(np.abs(mu))) if mu.size else 0.0, eps)
 
     matrix = aligned_metric_matrix(L.r_const, delta)
     if matrix is None:
         return PositivityCertificate(
             verdict=False,
             margin=float(np.max(mu)),
-            tolerance=float(eps),
+            tolerance=eps,
             details={
                 "reason": "DualPseudoEffective",
                 "delta": delta,
@@ -236,7 +235,7 @@ def certify_n_minus_1_positive(
     return PositivityCertificate(
         verdict=c > eps,
         margin=c,
-        tolerance=float(eps),
+        tolerance=eps,
         witness_metric=omega,
         witness_weight=f,
         residuals=dict(inner.residuals),

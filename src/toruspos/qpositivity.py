@@ -22,13 +22,19 @@ kappa_i = (exp(t * lambda_i) - 1) / t, and the sum of the q+1 smallest
 kappa is bounded below by (exp(t * lambda_{n-q}) - (q+1)) / t > 0. The
 transform is evaluated through the pencil eigensystem, which keeps the
 output positive definite for any eigenvalue spread; the tests keep the
-equivalent truncated power series as a cross-check oracle. For n <= 2
-eigenvalues, matrix functions and the Omega^{-1/2} sandwiches are
-closed-form elementwise formulas on the fields' component planes (see
-CONVENTIONS.md), evaluated one L2-sized tile of the grid at a time;
-larger n uses batched LAPACK. A pencil whose two fields are read-only is
-solved once: its eigenvalues are remembered on the curvature field, so
-the checks and the transform share one solve per (R, Omega) pair.
+equivalent truncated power series as a cross-check oracle.
+
+The pencil eigenvalues and the transform take one path for every n. Each
+field or matrix becomes a kernel operand (``_operand``), a constant base
+is factored once, and the kernels run one L2-sized tile of the grid at a
+time. The operand selects the kernels: for n <= 2 eigenvalues, matrix
+functions and the Omega^{-1/2} sandwiches are closed-form elementwise
+formulas on component planes (see CONVENTIONS.md); larger n uses batched
+LAPACK on one n x n matrix or on the whole, untiled stack. A pencil whose
+two fields are read-only is solved once: its eigenvalues are remembered
+on the curvature field. The transform takes its rate from that solve and
+returns a read-only metric, so the checks and the transform share one
+solve per (R, Omega) pair.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from .lattice import (
     HermitianMatrixField,
     MetricField,
     TorusGeometry,
+    _freeze,
+    _frozen,
     _max_abs,
     _small_eigvalsh,
     _small_matrix_function,
@@ -99,22 +107,19 @@ class EigenvalueField:
         return _max_abs(self.values)
 
 
-def _operand(matrix: np.ndarray):
-    """Component planes of an n x n matrix (or stack) for n <= 2, else itself."""
-    return _split(matrix) if matrix.shape[-1] <= 2 else matrix
+def _operand(x):
+    """Kernel operand of an n x n matrix, a stack of them, or a field.
 
-
-def _base_operand(omega: MetricField):
-    """Planes of an n <= 2 metric; else its n x n matrix, or the whole field."""
-    if omega._planes is not None:
-        return omega._planes
-    const = omega.matrix
-    return omega.values if const is None else const
-
-
-def _field_operand(R: HermitianMatrixField):
-    """Planes of an n <= 2 field, else its values."""
-    return R.values if R._planes is None else R._planes
+    The component planes for n <= 2 (0-d for one matrix or a constant
+    field); for larger n the matrix itself, a constant field's ``matrix``,
+    or else the field's ``values``.
+    """
+    if isinstance(x, HermitianMatrixField):
+        if x._planes is not None:
+            return x._planes
+        const = x.matrix
+        return x.values if const is None else const
+    return _split(x) if x.shape[-1] <= 2 else x
 
 
 def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
@@ -136,12 +141,6 @@ def _spectral_functions(base, *fns) -> list:
     return [np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj()) for fn in fns]
 
 
-def _inverse_root(base):
-    """Base^{-1/2} of a constant matrix or a field of them."""
-    (inv_root,) = _spectral_functions(base, _inverse_sqrt)
-    return inv_root
-
-
 def _sandwich(P, M):
     """``P M P`` for Hermitian P and M, each a constant matrix or a field.
 
@@ -160,8 +159,6 @@ def _sandwich(P, M):
             tt * a + 2.0 * s * cross + s * s * d,
             t * (p * a + s * d) + p * s * w + t * t * np.conj(w),
         )
-    if P.ndim == 2 and M.ndim > 2:
-        return np.einsum("ij,...jk,kl->...il", P, M, P)
     return P @ M @ P
 
 
@@ -172,51 +169,35 @@ def _descending_eigenvalues(B) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.eigvalsh(B)[..., ::-1])
 
 
-def _base_factors(base: tuple, *fns):
-    """Tile kernel giving ``[f(Base) for f in fns]`` on a tile of n <= 2
-    base planes: a constant base (0-d planes) is factored once, here, and
-    a varying one tile by tile."""
-    if any(p.ndim for p in base):
-        return lambda tile: _small_matrix_function(tile, *fns)
-    factors = _small_matrix_function(base, *fns)
+def _base_factors(base, *fns):
+    """Tile kernel giving ``[f(Base) for f in fns]`` on a tile of the base
+    operand: a constant base (0-d planes or one matrix) is factored once,
+    here, and a varying one tile by tile."""
+    varying = any(p.ndim for p in base) if isinstance(base, tuple) else base.ndim > 2
+    if varying:
+        return lambda tile: _spectral_functions(tile, *fns)
+    factors = _spectral_functions(base, *fns)
     return lambda tile: factors
 
 
 def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
     """Descending eigenvalues of the pencil of two operands (see
-    ``_base_operand`` and ``_field_operand``); a constant pencil is
-    solved once and broadcast over the grid.
+    ``_operand``); a constant pencil is solved once and broadcast over
+    the grid.
 
     Planes (n <= 2) are whitened and solved one tile at a time, so no
     grid-sized Base^{-1/2} or Base^{-1/2} R Base^{-1/2} is formed.
     """
-    if isinstance(field, tuple):
-        inverse_root = _base_factors(base, _inverse_sqrt)
+    inverse_root = _base_factors(base, _inverse_sqrt)
 
-        def eigenvalues(f, w):
-            (inv_root,) = inverse_root(w)
-            return (_descending_eigenvalues(_sandwich(inv_root, f)),)
+    def eigenvalues(f, w):
+        (inv_root,) = inverse_root(w)
+        return (_descending_eigenvalues(_sandwich(inv_root, f)),)
 
-        (lam,) = _tiled(eigenvalues, geom.grid_shape, field, base)
-    else:
-        lam = _descending_eigenvalues(_sandwich(_inverse_root(base), field))
+    (lam,) = _tiled(eigenvalues, geom.grid_shape, field, base)
     if lam.ndim == 1:
         lam = np.broadcast_to(lam, (*geom.grid_shape, lam.size))
     return EigenvalueField(geom, lam)
-
-
-def _frozen(field: HermitianMatrixField) -> bool:
-    """Can no array behind ``field`` change? Each of its arrays, and each
-    array down the ``.base`` chain to the one owning the memory, must be
-    read-only; memory owned by another object (a buffer) does not qualify."""
-    for array in (*(field._planes or ()), vars(field).get("values")):
-        while isinstance(array, np.ndarray):
-            if array.flags.writeable:
-                return False
-            array = array.base
-        if array is not None:
-            return False
-    return True
 
 
 def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueField:
@@ -230,7 +211,7 @@ def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueFiel
     cached = R._pencil
     if cached is not None and cached[0] is omega:
         return cached[1]
-    ev = _pencil_eigenvalues(R.geometry, _field_operand(R), _base_operand(omega))
+    ev = _pencil_eigenvalues(R.geometry, _operand(R), _operand(omega))
     ev.values.setflags(write=False)
     if _frozen(R) and _frozen(omega):
         R._pencil = (omega, ev)
@@ -393,8 +374,9 @@ def uniformize_metric(
     psi > 0 everywhere keeps the result positive definite, and the pencil
     eigenvalues of R against the output equal (exp(t*lambda_i) - 1)/t.
 
-    For n <= 2 the output's planes are read-only, so the checks run
-    against it share one pencil solve, as they do against ``omega``.
+    The rate comes from the shared pencil solve of (R, omega), and every
+    array behind the output is read-only, so the checks run against it
+    share one pencil solve, as they do against ``omega``.
 
     Raises NotQPositiveError (via growth_rate) when the input curvature is
     not q-positive against ``omega``, and UniformizationRangeError when
@@ -405,37 +387,25 @@ def uniformize_metric(
     R = chern_curvature(L)
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
-    field, base = _field_operand(R), _base_operand(omega)
-    if n <= 2:
-        # Pass 1 finds the rate from the pencil eigenvalues, solved once per
-        # (R, omega) pair and shared with the checks (read-only); pass 2
-        # whitens R again, tile by tile, and maps it through the shrink and
-        # the root sandwich.
-        rate = _uniformizing_rate(_solve_pencil(R, omega), q, eps)
-        roots = _base_factors(base, np.sqrt, _inverse_sqrt)
+    # Pass 1 finds the rate from the pencil eigenvalues, solved once per
+    # (R, omega) pair and shared with the checks; pass 2 whitens R again,
+    # tile by tile, and maps it through the shrink and the root sandwich.
+    rate = _uniformizing_rate(_solve_pencil(R, omega), q, eps)
+    base = _operand(omega)
+    roots = _base_factors(base, np.sqrt, _inverse_sqrt)
 
-        def transform(f, w):
-            root, inv_root = roots(w)
-            (middle,) = _small_matrix_function(
-                _sandwich(inv_root, f), lambda x: 1.0 / expm1_over_x(rate * x)
-            )
-            return _sandwich(root, middle)
+    def shrink(x):
+        return 1.0 / expm1_over_x(rate * x)
 
-        planes = _tiled(transform, L.geometry.grid_shape, field, base)
-        new = MetricField._from_planes(L.geometry, planes)
-        # Read-only down to the flat tile buffers (see ``_frozen``).
-        for array in new._planes:
-            while isinstance(array, np.ndarray):
-                array.setflags(write=False)
-                array = array.base
-        return new
-    root, inv_root = _spectral_functions(base, np.sqrt, _inverse_sqrt)
-    lam, V = np.linalg.eigh(_sandwich(inv_root, field))  # ascending
-    ev = EigenvalueField(L.geometry, np.ascontiguousarray(lam[..., ::-1]))
-    rate = _uniformizing_rate(ev, q, eps)
+    def transform(f, w):
+        root, inv_root = roots(w)
+        (middle,) = _spectral_functions(_sandwich(inv_root, f), shrink)
+        return _sandwich(root, middle)
 
-    shrink = 1.0 / expm1_over_x(rate * lam)
-    middle = np.einsum("...ij,...j,...kj->...ik", V, shrink, V.conj())
-    new = _sandwich(root, middle)
+    new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
+    if isinstance(new, tuple):
+        return _freeze(MetricField._from_planes(L.geometry, new))
     new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
-    return MetricField(L.geometry, new)
+    # A constant pencil gives one matrix, kept once as a constant metric.
+    shape = (*L.geometry.grid_shape, n, n)
+    return _freeze(MetricField(L.geometry, np.broadcast_to(new, shape)))

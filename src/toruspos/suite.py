@@ -41,7 +41,7 @@ from .normalizer import (
     certify_n_minus_1_positive,
     target_constant,
 )
-from .qpositivity import DEFAULT_EPS_REL, check_q_positive
+from .qpositivity import _resolve_eps, check_q_positive
 
 #: Oracle slack: eigenvalues this far below zero (relative) still count as
 #: semidefinite, absorbing round-off in the eigensolve.
@@ -85,9 +85,7 @@ def dual_not_pseudo_effective(
     """
     geom = L.geometry
     mu = np.linalg.eigvalsh(L.r_const)
-    scale = float(np.max(np.abs(mu)))
-    if eps is None:
-        eps = DEFAULT_EPS_REL * scale
+    eps = _resolve_eps(float(np.max(np.abs(mu))), eps)
 
     best = None
     for delta in SEARCH_DELTAS:
@@ -192,11 +190,7 @@ def equivalence_suite(
             "witness_metric": (
                 None
                 if cert.witness_metric is None
-                else complex_matrix_to_json(
-                    cert.witness_metric.values.reshape(
-                        -1, n, n
-                    )[0]
-                )
+                else complex_matrix_to_json(cert.witness_metric.matrix)
             ),
         },
     )

@@ -6,7 +6,9 @@ Gauduchon defect read the materialized ``(..., n, n)`` ``values`` of their
 fields, so they stay independent of the component-plane kernels.
 
 ``integrate`` (trapezoid quadrature of a product) and
-``is_constant_field`` are small helpers only the tests use. The
+``is_constant_field`` are small helpers only the tests use, and
+``UnsupportedDimensionError`` is what the n <= 2 oracles raise for larger
+n. The
 array-form views at the end run the n <= 2 plane kernels on stacked
 ``(..., n, n)`` matrices: split into planes, apply the kernel, join.
 """
@@ -21,7 +23,7 @@ from toruspos import (
     MetricField,
     NonConstantMetricError,
     ScalarField,
-    UnsupportedDimensionError,
+    TorusposError,
     chern_curvature,
     compensated_sum,
     constant_representative,
@@ -41,6 +43,10 @@ from toruspos.qpositivity import _validate_q
 
 #: Truncation order of the power-series oracle.
 SERIES_TERMS = 30
+
+
+class UnsupportedDimensionError(TorusposError, ValueError):
+    """Oracle only implemented for complex dimension n <= 2."""
 
 
 def uniformized_metric_series(

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 from conftest import hermitian_with_eigs, random_hermitian, random_pd_metric
-from oracles import gauduchon_defect, integrate, wedge_degree_check
+from oracles import (
+    UnsupportedDimensionError,
+    gauduchon_defect,
+    integrate,
+    wedge_degree_check,
+)
 
 from toruspos import (
     LineBundleMetric,
@@ -14,7 +19,6 @@ from toruspos import (
     PositivityCertificate,
     ScalarField,
     TorusGeometry,
-    UnsupportedDimensionError,
     bundle_from_json_dict,
     bundle_to_json_dict,
     check_q_positive,

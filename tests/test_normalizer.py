@@ -1,5 +1,7 @@
 """Constant-scalar-curvature normalization and the trace certificate."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import hermitian_with_eigs, random_hermitian, random_pd_metric
@@ -11,6 +13,7 @@ from toruspos import (
     certify_n_minus_1_positive,
     constant_metric,
     degree_integral,
+    dual_not_pseudo_effective,
     identity_metric,
     is_pseudo_effective,
     scalar_curvature,
@@ -312,3 +315,26 @@ def test_normalize_transform_count(monkeypatch, phi_text, expected):
     _, cert = normalize_scalar_curvature(L, omega)
     assert cert.residuals["poisson_rel"] < 1e-8
     assert calls == {"rfftn": expected, "irfftn": expected}
+
+
+# -------------------------------------------------------------- tolerances
+
+
+@pytest.mark.parametrize("eps", [-10.0, math.nan])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda L, eps: normalize_scalar_curvature(
+            L, identity_metric(L.geometry), eps=eps
+        ),
+        lambda L, eps: certify_n_minus_1_positive(L, eps=eps),
+        lambda L, eps: dual_not_pseudo_effective(L, eps=eps),
+    ],
+    ids=["normalize", "certify", "search"],
+)
+def test_negative_or_nan_eps_is_rejected(entry, eps):
+    """A negative tolerance used to certify diag(-1, -2) with margin -3."""
+    g = TorusGeometry.regular(2, 4)
+    L = LineBundleMetric.from_constant(g, np.diag([-1.0, -2.0]))
+    with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+        entry(L, eps)

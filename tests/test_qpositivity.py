@@ -39,6 +39,7 @@ from toruspos import (
     uniformize_metric,
 )
 from toruspos import cli
+from toruspos.lattice import _frozen
 from toruspos.qpositivity import EigenvalueField
 
 
@@ -460,6 +461,11 @@ def pencil_solves(monkeypatch):
 
 
 def _weighted_bundle(g, q=1):
+    """A weighted bundle that is q-positive (n = 2) or 1-positive (n = 3)."""
+    if g.complex_dim == 3:
+        return LineBundleMetric.from_expression(
+            g, np.diag([2.0, 1.5, -0.5]), "0.01*cos(x1)*sin(y3)"
+        )
     r_const = (
         np.array([[1.5, 0.2j], [-0.2j, -0.4]])
         if q == 1
@@ -468,12 +474,20 @@ def _weighted_bundle(g, q=1):
     return LineBundleMetric.from_expression(g, r_const, "0.01*cos(x1)*sin(y2)")
 
 
-@pytest.mark.parametrize("q", [0, 1])
-@pytest.mark.parametrize("base", ["identity", "constant"])
-def test_uniformize_and_check_solves_two_pencils(pencil_solves, q, base):
-    """The acceptance-1 sequence at n = 2: (R, omega) and (R, new omega)
-    are each solved once, where five solves used to be made."""
-    g = TorusGeometry.regular(2, 8)
+@pytest.mark.parametrize(
+    "n, q, base",
+    [
+        pytest.param(2, q, base, id=f"{base}-{q}")
+        for base in ("identity", "constant")
+        for q in (0, 1)
+    ]
+    + [pytest.param(3, 1, "identity", id="n3-identity-1")],
+)
+def test_uniformize_and_check_solves_two_pencils(pencil_solves, n, q, base):
+    """The acceptance-1 sequence: (R, omega) and (R, new omega) are each
+    solved once, where five solves used to be made at n = 2 and three at
+    n = 3."""
+    g = TorusGeometry.regular(n, 8 if n == 2 else 4)
     L = _weighted_bundle(g, q)
     omega = (
         identity_metric(g)
@@ -588,16 +602,73 @@ def test_equal_metric_object_misses(pencil_solves):
     assert len(pencil_solves) == 2
 
 
-def test_n3_uniformize_neither_reads_nor_seeds_the_cache(pencil_solves):
+def test_n3_uniformize_seeds_the_cache_and_freezes_its_output(pencil_solves):
     g = TorusGeometry.regular(3, 4)
     L = LineBundleMetric.from_expression(g, np.diag([2.0, 1.5, 1.0]), "0.01*cos(x1)")
     R = chern_curvature(L)
     omega = identity_metric(g)
-    uniformize_metric(L, omega, 0)
-    assert R._pencil is None and pencil_solves == []
+    new = uniformize_metric(L, omega, 0)
+    assert len(pencil_solves) == 1
+    assert R._pencil[0] is omega
+    assert generalized_eigenvalues(R, omega) is R._pencil[1]
+    assert _frozen(new) and not new.values.flags.writeable
+    with pytest.raises(ValueError):
+        new.values[(0,) * new.values.ndim] = 0.0
+    assert generalized_eigenvalues(R, new) is generalized_eigenvalues(R, new)
+    assert len(pencil_solves) == 2
+
+
+def test_n3_uniformize_uses_the_reported_rate(monkeypatch):
+    """The transform is built with the rate ``growth_rate`` reads off
+    ``generalized_eigenvalues``. On this instance a rate from a separate
+    ``eigh`` of the pencil differs from it by one ulp."""
+    rates = []
+    original = qpositivity_module._uniformizing_rate
+
+    def recording(*args):
+        rates.append(original(*args))
+        return rates[-1]
+
+    monkeypatch.setattr(qpositivity_module, "_uniformizing_rate", recording)
+    g = TorusGeometry.regular(3, 4)
+    rng = np.random.default_rng(0)
+    r_const = hermitian_with_eigs(rng, rng.uniform(0.5, 2.0, 3))
+    L = LineBundleMetric.from_expression(g, r_const, "0.02*cos(x1)*sin(y3)")
+    omega = identity_metric(g)
+    new = uniformize_metric(L, omega, 0, eps=1e-6)
+    R = chern_curvature(L)
     ev = generalized_eigenvalues(R, omega)
-    uniformize_metric(L, omega, 0)
-    assert R._pencil == (omega, ev) and len(pencil_solves) == 1
+    rate = growth_rate(ev, 0, 1e-6)
+    assert rates == [rate]
+    predicted = np.expm1(rate * ev.values) / rate
+    kappa = generalized_eigenvalues(R, new).values
+    assert np.max(np.abs(kappa - predicted)) <= 1e-12 * np.max(np.abs(predicted))
+
+
+def test_constant_n3_pencil_is_solved_on_one_matrix(monkeypatch):
+    g = TorusGeometry.regular(3, 4)
+    rng = np.random.default_rng(3)
+    L = LineBundleMetric.from_constant(g, hermitian_with_eigs(rng, [2.0, 1.0, 0.5]))
+    R = chern_curvature(L)
+    omega = constant_metric(g, random_pd_matrix(rng, 3))
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    ev = generalized_eigenvalues(R, omega)
+    assert shapes == [(3, 3)]
+    assert ev.values.shape == (*g.grid_shape, 3)
+    # Its uniformized metric is one matrix too, kept as a constant metric.
+    new = uniformize_metric(L, omega, 0)
+    assert new.matrix is not None and _frozen(new)
+    rate = growth_rate(ev, 0)
+    predicted = np.expm1(rate * ev.values) / rate
+    kappa = generalized_eigenvalues(R, new).values
+    assert np.max(np.abs(kappa - predicted)) <= 1e-12 * np.max(np.abs(predicted))
 
 
 # ------------------------------------------------------ pencil properties
