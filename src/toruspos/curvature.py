@@ -33,7 +33,10 @@ from .lattice import (
     TorusGeometry,
     _check_hermitian,
     _freeze,
+    _frozen,
     _irfftn,
+    _known_constant,
+    _pointwise,
     _split,
     _trace_symbol,
     compensated_sum,
@@ -51,8 +54,10 @@ class LineBundleMetric:
     ``phi_expression`` optionally records the closed form the weight was
     built from, so configs and reports round-trip exactly.
 
-    ``r_const`` and the weight values are read-only private copies, so the
-    curvature that chern_curvature caches on the bundle cannot go stale.
+    ``r_const`` is a read-only private copy, and so are the weight values
+    unless no array behind the weight can change already (``_frozen``), so
+    the curvature that chern_curvature caches on the bundle cannot go
+    stale. A constant weight stays one number.
     """
 
     geometry: TorusGeometry
@@ -73,9 +78,13 @@ class LineBundleMetric:
         self.r_const = r_const
         if self.phi.geometry != self.geometry:
             raise ValueError("weight is sampled on a different grid")
-        phi_values = self.phi.values.copy()
-        phi_values.setflags(write=False)
-        self.phi = ScalarField(self.geometry, phi_values)
+        if not _frozen(self.phi):
+            value = self.phi.value
+            self.phi = (
+                _freeze(ScalarField(self.geometry, self.phi.values.copy()))
+                if value is None
+                else ScalarField.constant(self.geometry, value)
+            )
 
     @classmethod
     def from_constant(
@@ -93,10 +102,7 @@ class LineBundleMetric:
     def dual(self) -> "LineBundleMetric":
         """Metric induced on the inverse bundle; curvature flips sign."""
         return LineBundleMetric(
-            self.geometry,
-            -self.r_const,
-            ScalarField(self.geometry, -self.phi.values),
-            None,
+            self.geometry, -self.r_const, _pointwise(np.negative, self.phi), None
         )
 
     def with_weight(self, phi: ScalarField, expression: str | None = None):
@@ -157,12 +163,14 @@ class PositivityCertificate:
 def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
     """Full curvature field ``r_const + complex_hessian(phi)``.
 
-    Computed once per bundle and cached on it; the field is read-only.
+    Computed once per bundle and cached on it; the field is read-only. A
+    constant weight has zero Hessian, so its curvature is ``r_const`` kept
+    as one matrix.
     """
     cached = L._curvature
     if cached is not None and cached[0] is L.r_const and cached[1] is L.phi.values:
         return cached[2]
-    if not np.any(L.phi.values):
+    if _known_constant(L.phi):
         R = HermitianMatrixField.constant(L.geometry, L.r_const)
     else:
         # The constant part goes into the Hessian's own arrays, so the grid
@@ -187,23 +195,41 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
 
     Against a constant metric, ``W = Omega^{-1}``, the trace is
     ``trace(W r_const)`` plus the weight filtered by the trace symbol of
-    W, so no curvature field is built; a varying metric takes the trace
+    W, so no curvature field is built; with a constant weight it is the
+    constant field ``trace(W r_const)``. A varying metric takes the trace
     of ``chern_curvature`` point by point.
+    """
+    return _scalar_curvature(L, omega)[0]
+
+
+def _scalar_curvature(
+    L: LineBundleMetric, omega: MetricField, symbol: np.ndarray | None = None
+) -> tuple[ScalarField, np.ndarray | None]:
+    """scalar_curvature, and the half spectrum ``symbol * rfftn(phi)`` of
+    its varying part when it took the spectral route (else None).
+
+    ``symbol`` is the trace symbol of ``Omega^{-1}`` when the caller has
+    built it already.
     """
     geom = L.geometry
     if omega.geometry != geom:
         raise ValueError("base metric lives on a different grid")
     const = omega.matrix
-    if const is not None:
-        W = np.linalg.inv(const)
-        tr = np.full(geom.grid_shape, np.einsum("ij,ji->", W, L.r_const).real)
-        if np.any(L.phi.values):
-            phat = np.fft.rfftn(L.phi.values)
-            tr += _irfftn(_trace_symbol(geom, W) * phat, geom)
-        return ScalarField(geom, tr)
-    W = np.linalg.inv(omega.values)
-    tr = np.einsum("...ij,...ji->...", W, chern_curvature(L).values)
-    return ScalarField(geom, tr.real)
+    if const is None:
+        W = np.linalg.inv(omega.values)
+        tr = np.einsum("...ij,...ji->...", W, chern_curvature(L).values)
+        return ScalarField(geom, tr.real), None
+    W = np.linalg.inv(const)
+    trace = np.einsum("ij,ji->", W, L.r_const).real
+    if _known_constant(L.phi):
+        return ScalarField.constant(geom, trace), None
+    if symbol is None:
+        symbol = _trace_symbol(geom, W)
+    spectrum = np.fft.rfftn(L.phi.values)
+    spectrum *= symbol
+    tr = _irfftn(spectrum, geom)
+    tr += trace
+    return ScalarField(geom, tr), spectrum
 
 
 def volume_integral(omega: MetricField) -> float:

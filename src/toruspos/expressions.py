@@ -229,20 +229,20 @@ def _check_resolved(tree, geometry: TorusGeometry) -> None:
                 )
 
 
-def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
-    """Evaluate expression text on the grid of ``geometry``.
-
-    Raises ConfigError for coordinates beyond the complex dimension and for
-    product terms that are not periodic or not resolved by the grid.
-    """
+def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:
+    """Value of expression text on the grid of ``geometry``, or a 0-d
+    array when the text has no coordinate in it."""
     tree = parse_expression(text)
     n = geometry.complex_dim
-    for letter, index in expression_coordinates(tree):
+    used = expression_coordinates(tree)
+    for letter, index in used:
         if index > n:
             raise ConfigError(
                 f"coordinate {letter}{index} out of range for complex dimension {n}"
             )
     _check_resolved(tree, geometry)
+    if not used:
+        return _eval(tree, {}, ())
     # Each coordinate is its 1-D axis samples, shaped to broadcast along
     # its own axis: no grid-sized coordinate array is built.
     axes = 2 * n
@@ -255,8 +255,23 @@ def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
     return _eval(tree, coords, geometry.grid_shape)
 
 
+def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
+    """Evaluate expression text on the grid of ``geometry``.
+
+    Raises ConfigError for coordinates beyond the complex dimension and for
+    product terms that are not periodic or not resolved by the grid.
+    """
+    values = _evaluate(text, geometry)
+    return values if values.ndim else np.full(geometry.grid_shape, values)
+
+
 def scalar_field_from_expression(geometry: TorusGeometry, text: str) -> ScalarField:
-    return ScalarField(geometry, evaluate_expression(text, geometry))
+    """The field of expression text; text with no coordinate in it gives
+    a constant field, evaluated once."""
+    values = _evaluate(text, geometry)
+    if values.ndim:
+        return ScalarField(geometry, values)
+    return ScalarField.constant(geometry, values)
 
 
 def random_expression(

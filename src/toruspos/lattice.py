@@ -227,7 +227,12 @@ def _hessian_multiplier(
 
 @dataclass
 class ScalarField:
-    """Real-valued function sampled on the grid."""
+    """Real-valued function sampled on the grid.
+
+    A constant field built by ``constant`` stores one number: its
+    ``values`` is a read-only view of a 0-d array with zero strides,
+    validation runs on that number, and ``value`` hands it to consumers.
+    """
 
     geometry: TorusGeometry
     values: np.ndarray
@@ -238,20 +243,54 @@ class ScalarField:
             raise ValueError(
                 f"scalar field shape {vals.shape} != grid {self.geometry.grid_shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("scalar field contains non-finite values")
         self.values = vals
+        value = self.value
+        if not np.all(np.isfinite(vals if value is None else value)):
+            raise ValueError("scalar field contains non-finite values")
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, value: float) -> "ScalarField":
-        return cls(geometry, np.full(geometry.grid_shape, float(value)))
+        number = np.array(float(value))
+        number.setflags(write=False)
+        return cls(geometry, np.broadcast_to(number, geometry.grid_shape))
+
+    @property
+    def value(self) -> float | None:
+        """The one value when every grid stride is zero, else None."""
+        if any(self.values.strides):
+            return None
+        return float(self.values[(0,) * self.values.ndim])
 
     def mean(self) -> float:
         """Exactly rounded grid mean (bit-stable)."""
         return compensated_sum(self.values) / self.geometry.num_points
 
     def max_abs(self) -> float:
-        return _max_abs(self.values)
+        value = self.value
+        return _max_abs(self.values) if value is None else abs(value)
+
+
+def _known_constant(field: ScalarField) -> bool:
+    """Is ``field`` constant without a transform: constant storage, or a
+    grid of zeros? Its Hessian and trace-symbol image are then zero."""
+    return field.value is not None or not np.any(field.values)
+
+
+def _compact(field: ScalarField):
+    """A constant field's number (a numpy scalar), else its grid values:
+    arithmetic on these costs O(1) for a constant field."""
+    value = field.value
+    return field.values if value is None else np.float64(value)
+
+
+def _pointwise(fn, *fields: ScalarField) -> ScalarField:
+    """The read-only field of ``fn`` on the fields' ``_compact`` values,
+    one number when every field is constant; ``fn`` returns a new array."""
+    geom = _require_same_geometry(*fields)
+    out = fn(*map(_compact, fields))
+    if np.ndim(out) == 0:
+        return ScalarField.constant(geom, out)
+    return _freeze(ScalarField(geom, out))
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -391,21 +430,26 @@ class HermitianMatrixField:
         return values[(0,) * grid_axes]
 
 
-def _freeze(field: HermitianMatrixField) -> HermitianMatrixField:
+def _arrays(field):
+    """The arrays behind a scalar or matrix field (planes and ``values``)."""
+    return (*(getattr(field, "_planes", None) or ()), vars(field).get("values"))
+
+
+def _freeze(field):
     """Make ``field`` ``_frozen``: each of its arrays, and each array down
     the ``.base`` chain, read-only. For fields the package computed."""
-    for array in (*(field._planes or ()), vars(field).get("values")):
+    for array in _arrays(field):
         while isinstance(array, np.ndarray):
             array.setflags(write=False)
             array = array.base
     return field
 
 
-def _frozen(field: HermitianMatrixField) -> bool:
+def _frozen(field) -> bool:
     """Can no array behind ``field`` change? Each of its arrays, and each
     array down the ``.base`` chain to the one owning the memory, must be
     read-only; memory owned by another object (a buffer) does not qualify."""
-    for array in (*(field._planes or ()), vars(field).get("values")):
+    for array in _arrays(field):
         while isinstance(array, np.ndarray):
             if array.flags.writeable:
                 return False
@@ -615,13 +659,25 @@ def compensated_sum(values: np.ndarray) -> float:
     ``sigma`` overflows, goes to ``math.fsum`` itself, which keeps its NaN
     result and its ValueError and OverflowError.
 
+    An array with every stride zero (a constant field's ``values``) holds
+    one value v N times: its sum is ``v * N``, which is the correctly
+    rounded N v, as ``math.fsum`` of N equal floats is. A product that is
+    not finite takes the general path, so ``math.fsum`` decides it.
+
     The extraction runs block by block (``_SUM_BLOCK`` entries, so its two
     work buffers stay in L2), in place. Every block's partial sums are
     exact, so one ``math.fsum`` over all of them is the exactly rounded
     total of any partition, and of any traversal order: parallel callers
     that shard the grid still agree bit-for-bit with the serial reduction.
     """
-    x = np.asarray(values, dtype=np.float64).ravel(order="C")
+    x = np.asarray(values, dtype=np.float64)
+    if x.size and not any(x.strides):
+        total = float(x.flat[0]) * x.size
+        if math.isfinite(total):
+            # Through fsum for its sign of a zero sum, which varies by
+            # Python version; any other single float passes unchanged.
+            return math.fsum([total])
+    x = x.ravel(order="C")
     k = (x.size + 1).bit_length()
     top = max(float(x.max()), -float(x.min()), 0.0) if x.size else 0.0
     if not top < math.ldexp(1.0, 1023 - k):
@@ -723,14 +779,22 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     pure-Nyquist combinations, which carry no derivative information on an
     even grid) are projected out, so ``g`` should be band-limited below the
     Nyquist frequency. A right-hand side that is exactly zero skips the
-    transforms.
+    transforms and gives the constant zero field.
 
     Returns f with zero grid mean and residual
     ``|trace(Omega^{-1} H(f)) - g|_inf <= 1e-8 * |g|_inf`` for band-limited g.
     """
     geom = _require_same_geometry(g, omega)
     inverse_metric = np.linalg.inv(constant_representative(omega))
+    _check_mean_zero(g)
+    sym = _checked_symbol(geom, inverse_metric)
+    if _known_constant(g):  # zero, by the mean check
+        return ScalarField.constant(geom, 0.0)
+    return _solve_spectrum(np.fft.rfftn(g.values), sym, geom)
 
+
+def _check_mean_zero(g: ScalarField) -> None:
+    """poisson_solve's solvability precondition on its right-hand side."""
     g_inf = g.max_abs()
     g_mean = g.mean()
     if abs(g_mean) > MEAN_ZERO_RTOL * g_inf:
@@ -739,18 +803,27 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
             f"{MEAN_ZERO_RTOL:.0e} * |g|_inf = {MEAN_ZERO_RTOL * g_inf:.3e}"
         )
 
+
+def _checked_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray:
+    """``_trace_symbol`` of ``inverse_metric``, guarded for poisson_solve."""
     sym = _trace_symbol(geom, inverse_metric)
-    live = ~_dead_modes(geom)
     # Positive definiteness of the metric makes the symbol strictly negative
     # on every active mode; a singular active symbol is impossible.
-    if not np.all(sym[live] < 0.0):
+    if not np.all(sym[~_dead_modes(geom)] < 0.0):
         raise InternalInvariantError("singular trace symbol on an active mode")
-    if not np.any(g.values):
-        return ScalarField(geom, np.zeros(geom.grid_shape))
+    return sym
 
-    ghat = np.fft.rfftn(g.values)
-    fhat = np.divide(ghat, sym, out=np.zeros_like(ghat), where=live)
-    f = _irfftn(fhat, geom)
+
+def _solve_spectrum(
+    g_hat: np.ndarray, sym: np.ndarray, geom: TorusGeometry
+) -> ScalarField:
+    """The spectral core of poisson_solve: the mean-zero solution f for a
+    right-hand side with half spectrum ``g_hat`` (only its active modes
+    are read). ``g_hat`` is overwritten with the half spectrum that f is
+    the inverse transform of, before its round-off mean is removed."""
+    np.divide(g_hat, sym, out=g_hat, where=~_dead_modes(geom))
+    np.copyto(g_hat, 0.0, where=_dead_modes(geom))
+    f = _irfftn(g_hat, geom)
     f -= compensated_sum(f) / geom.num_points
     return ScalarField(geom, f)
 

@@ -28,21 +28,26 @@ from .curvature import (
     LineBundleMetric,
     PositivityCertificate,
     _degree_of_trace,
+    _scalar_curvature,
     degree_integral,
-    scalar_curvature,
     volume_integral,
 )
 from .lattice import (
     MetricField,
     ScalarField,
+    _check_mean_zero,
+    _checked_symbol,
+    _compact,
     _dz_symbols,
     _hessian_multiplier,
     _irfftn,
+    _known_constant,
+    _max_abs,
+    _solve_spectrum,
     _spectrum_shape,
     compensated_sum,
     constant_metric,
     constant_representative,
-    poisson_solve,
 )
 from .qpositivity import (
     _descending_eigenvalues,
@@ -71,27 +76,33 @@ def _class_scale(L: LineBundleMetric, omega_matrix: np.ndarray) -> float:
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 
 
-def _hessian_trace(f: ScalarField, W: np.ndarray) -> np.ndarray:
+def _hessian_trace(
+    f: ScalarField, W: np.ndarray, f_hat: np.ndarray | None = None
+) -> np.ndarray:
     """``trace(W . complex_hessian(f))`` from the Hessian's own entries.
 
     Entry ``(j, k)`` of the upper triangle has the real multiplier
     ``Re(c W_kj m_jk)``, with ``m_jk`` the Hessian multiplier and
     ``c = 1`` on the diagonal, 2 off it. The multipliers are summed on
-    the half spectrum and applied to ``f``'s spectrum, so one inverse
-    transform gives the trace; the n x n field is never assembled. It
-    deliberately avoids the trace symbol that poisson_solve divides by,
-    so the solver residual can expose a wrong symbol.
+    the half spectrum and applied to ``f``'s spectrum (``f_hat``, when
+    the caller holds it; it is overwritten), so one inverse transform
+    gives the trace; the n x n field is never assembled. It deliberately
+    avoids the trace symbol that poisson_solve divides by, so the solver
+    residual can expose a wrong symbol.
     """
     geom = f.geometry
-    if not np.any(f.values):
-        return np.zeros(geom.grid_shape)
+    if f_hat is None:
+        if _known_constant(f):
+            return np.zeros(geom.grid_shape)
+        f_hat = np.fft.rfftn(f.values)
     symbols = _dz_symbols(geom, half=True)
     multiplier = np.zeros(_spectrum_shape(symbols))
     for j in range(geom.complex_dim):
         for k in range(j, geom.complex_dim):
             weight = W[j, j].real if j == k else 2.0 * W[k, j]
             multiplier += (weight * _hessian_multiplier(symbols, j, k)).real
-    return _irfftn(multiplier * np.fft.rfftn(f.values), geom)
+    f_hat *= multiplier
+    return _irfftn(f_hat, geom)
 
 
 def normalize_scalar_curvature(
@@ -104,42 +115,58 @@ def normalize_scalar_curvature(
     Returns the mean-zero conformal exponent f (the new weight is
     phi - f, i.e. the metric is multiplied by exp(f)) together with a
     certificate recording the solver residual, the deviation of the
-    achieved scalar curvature from c, and the verdict c > eps.
+    achieved scalar curvature from c, and the verdict c > eps. A
+    constant weight gives the constant zero exponent, with no transform.
 
     The right-hand side has zero mean by construction; a MeanNotZeroError
-    out of the solver therefore signals an internal quadrature bug, not a
-    property of the input.
+    out of the solver checks therefore signals an internal quadrature bug,
+    not a property of the input.
     """
     geom = L.geometry
+    grid = geom.grid_shape
     const = constant_representative(omega)  # NonConstantMetricError if it varies
     # The class scale sets only the default; a given tolerance is checked.
     eps = _resolve_eps(_class_scale(L, const) if eps is None else 0.0, eps)
-    s = scalar_curvature(L, omega)
+    W = np.linalg.inv(const)
+    # One trace symbol per call: the scalar curvature filters the weight
+    # with it and the solver divides by it.
+    symbol = _checked_symbol(geom, W)
+    s, spectrum = _scalar_curvature(L, omega, symbol)
     # The expression target_constant evaluates, on the s already at hand.
     c = geom.complex_dim * _degree_of_trace(s, const) / volume_integral(omega)
-    rhs_values = s.values - c
+    rhs = _compact(s) - c
     # c is the exact mean of s in exact arithmetic, so anything left in the
     # mean is quadrature round-off; remove it so the solvability check
     # compares against genuinely oscillatory content. A right-hand side
     # that is nothing but that round-off (constant scalar curvature
     # already) is snapped to exact zero.
-    scale = abs(c) + s.max_abs()
-    if float(np.max(np.abs(rhs_values))) <= 1e-12 * scale:
-        rhs_values = np.zeros(geom.grid_shape)
+    if _max_abs(rhs) <= 1e-12 * (abs(c) + s.max_abs()):
+        rhs = np.float64(0.0)
     else:
-        rhs_values = rhs_values - compensated_sum(rhs_values) / geom.num_points
-    rhs = ScalarField(geom, rhs_values)
-    f = poisson_solve(rhs, omega)
+        rhs = rhs - compensated_sum(np.broadcast_to(rhs, grid)) / geom.num_points
+    rhs = ScalarField(geom, np.broadcast_to(rhs, grid))
+    _check_mean_zero(rhs)
+    if _known_constant(rhs):  # zero, by the mean check
+        f, achieved = ScalarField.constant(geom, 0.0), np.float64(0.0)
+    else:
+        # On every active mode the spectrum s was built from is the
+        # right-hand side's (c and the mean sit on the constant mode). A
+        # grid copy of a constant metric gave s pointwise, with no spectrum.
+        # The spectrum becomes f's in place; it and the symbol are dropped
+        # as soon as they are used, since they set the call's peak memory.
+        if spectrum is None:
+            spectrum = np.fft.rfftn(rhs.values)
+        f = _solve_spectrum(spectrum, symbol, geom)
+        del symbol
+        achieved = _hessian_trace(f, W, spectrum)
+        del spectrum
 
-    achieved = _hessian_trace(f, np.linalg.inv(const))
     rhs_inf = rhs.max_abs()
     if rhs_inf > 0.0:
-        poisson_residual = float(np.max(np.abs(achieved - rhs.values))) / rhs_inf
+        poisson_residual = _max_abs(achieved - rhs.values) / rhs_inf
     else:
         poisson_residual = 0.0
-
-    flattened = ScalarField(geom, s.values - achieved)
-    scalar_deviation = float(np.max(np.abs(flattened.values - c)))
+    scalar_deviation = _max_abs(_compact(s) - achieved - c)
 
     cert = PositivityCertificate(
         verdict=c > eps,

@@ -78,6 +78,19 @@ class EigenvalueField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self._validate(check_order=True)
+
+    @classmethod
+    def _descending(cls, geometry: TorusGeometry, values) -> "EigenvalueField":
+        """A field of ``_descending_eigenvalues`` output. That is sorted by
+        construction, so only the shape and finiteness are checked."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "geometry", geometry)
+        object.__setattr__(field, "values", values)
+        field._validate(check_order=False)
+        return field
+
+    def _validate(self, check_order: bool) -> None:
         n = self.geometry.complex_dim
         vals = np.asarray(self.values, dtype=np.float64)
         expected = (*self.geometry.grid_shape, n)
@@ -85,7 +98,7 @@ class EigenvalueField:
             raise ValueError(f"eigenvalue field shape {vals.shape} != {expected}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("eigenvalue field contains non-finite values")
-        if n > 1 and not np.all(vals[..., :-1] >= vals[..., 1:]):
+        if check_order and n > 1 and not np.all(vals[..., :-1] >= vals[..., 1:]):
             raise ValueError("eigenvalues must be sorted descending at every point")
         object.__setattr__(self, "values", vals)
 
@@ -163,7 +176,12 @@ def _sandwich(P, M):
 
 
 def _descending_eigenvalues(B) -> np.ndarray:
-    """Eigenvalues of Hermitian B (one matrix or a field), descending."""
+    """Eigenvalues of Hermitian B (one matrix or a field), descending.
+
+    The order holds by construction: the closed form puts ``max(a, d) + t``
+    above ``min(a, d) - t`` with ``t >= 0``, and LAPACK returns its
+    eigenvalues ascending.
+    """
     if isinstance(B, tuple):
         return np.stack(_small_eigvalsh(B), axis=-1)
     return np.ascontiguousarray(np.linalg.eigvalsh(B)[..., ::-1])
@@ -197,7 +215,7 @@ def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
     (lam,) = _tiled(eigenvalues, geom.grid_shape, field, base)
     if lam.ndim == 1:
         lam = np.broadcast_to(lam, (*geom.grid_shape, lam.size))
-    return EigenvalueField(geom, lam)
+    return EigenvalueField._descending(geom, lam)
 
 
 def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueField:

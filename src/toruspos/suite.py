@@ -30,8 +30,8 @@ from .curvature import LineBundleMetric, complex_matrix_to_json
 from .expressions import random_expression
 from .lattice import (
     MetricField,
-    ScalarField,
     TorusGeometry,
+    _pointwise,
     constant_metric,
     identity_metric,
 )
@@ -165,7 +165,7 @@ def equivalence_suite(
 
     if cert.verdict and cert.witness_metric is not None:
         modified = L.with_weight(
-            ScalarField(L.geometry, L.phi.values - cert.witness_weight.values)
+            _pointwise(np.subtract, L.phi, cert.witness_weight)
         )
         qpos = check_q_positive(modified, cert.witness_metric, n - 1, eps=eps)
     else:

@@ -445,6 +445,37 @@ def test_bundle_data_and_curvature_are_read_only():
         chern_curvature(LineBundleMetric.from_constant(g, r_const)).values[0, 0] = 0.0
 
 
+def test_constant_weights_stay_one_number():
+    """A constant weight is never copied to the grid: the bundle, its dual,
+    its curvature and its scalar curvature keep one number or matrix."""
+    g = TorusGeometry.regular(2, 6)
+    r_const = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+    omega = random_pd_metric(np.random.default_rng(70), g)
+    L = LineBundleMetric.from_expression(g, r_const, "1.5")
+    assert L.phi.value == 1.5 and L.dual().phi.value == -1.5
+    assert L.with_weight(ScalarField.constant(g, 0.0)).phi.value == 0.0
+    assert np.array_equal(chern_curvature(L).matrix, r_const)
+    s = scalar_curvature(L, omega)
+    assert s.value == np.einsum("ij,ji->", np.linalg.inv(omega.matrix), r_const).real
+    # A constant weight over a writeable number is copied as one number.
+    number = np.array(2.0)
+    shared = ScalarField(g, np.broadcast_to(number, g.grid_shape))
+    kept = LineBundleMetric(g, r_const, shared)
+    number[()] = 3.0
+    assert kept.phi.value == 2.0
+
+
+def test_frozen_weights_are_kept_without_a_copy():
+    g = TorusGeometry.regular(2, 6)
+    L = LineBundleMetric.from_expression(g, np.diag([1.0, -2.0]), "0.2*cos(x1)")
+    dual = L.dual()
+    assert LineBundleMetric(g, dual.r_const, dual.phi).phi.values is dual.phi.values
+    assert L.with_weight(L.phi).phi.values is L.phi.values
+    assert np.array_equal(dual.phi.values, -L.phi.values)
+    with pytest.raises(ValueError):
+        dual.phi.values[0, 0, 0, 0] = 1.0
+
+
 # ---------------------------------------------- trace of the curvature
 
 

@@ -548,6 +548,53 @@ def test_compensated_sum_tiled_past_two_blocks_is_fsum(floats, shift):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+        _SPECIAL_FLOATS,
+    ),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=6),
+)
+def test_compensated_sum_of_a_zero_stride_array_is_fsum(value, shape):
+    """A constant field's values: one number N times, summed as ``v * N``."""
+    vals = np.broadcast_to(np.float64(value), shape)
+    assert not any(vals.strides)
+    assert _fsum_outcome(compensated_sum, vals) == _fsum_outcome(
+        math.fsum, [value] * vals.size
+    )
+
+
+@pytest.mark.parametrize(
+    "value,size",
+    [(-0.0, 8**6), (0.0, 8**6), (5e-324, 8**6), (-5e-324, 3), (1e308, 2),
+     (-1.7e308, 8**6), (math.nan, 4), (math.inf, 4), (-math.inf, 4)],
+)
+def test_compensated_sum_of_a_constant_grid_edge_cases(value, size):
+    vals = np.broadcast_to(np.float64(value), (size,))
+    assert _fsum_outcome(compensated_sum, vals) == _fsum_outcome(
+        math.fsum, [value] * size
+    )
+
+
+def test_constant_scalar_field_stores_one_read_only_number():
+    g = TorusGeometry.regular(2, 6)
+    field = ScalarField.constant(g, -2.5)
+    assert field.values.shape == g.grid_shape
+    assert field.values.strides == (0, 0, 0, 0)
+    assert field.value == -2.5
+    assert field.max_abs() == 2.5 and field.mean() == -2.5
+    with pytest.raises(ValueError):
+        field.values[0, 0, 0, 0] = 1.0
+    copy = ScalarField(g, field.values.copy())
+    assert copy.value is None and copy.max_abs() == 2.5
+    with pytest.raises(ValueError, match="non-finite"):
+        ScalarField.constant(g, math.inf)
+    assert scalar_field_from_expression(g, "0.5 - 2").value == -1.5
+    assert scalar_field_from_expression(g, "0.5*sin(x1)").value is None
+
+
 # ------------------------------------------------------------- elliptic solve
 
 
@@ -555,6 +602,22 @@ def test_poisson_zero_rhs():
     g = TorusGeometry.regular(1, 8)
     f = poisson_solve(ScalarField.constant(g, 0.0), identity_metric(g))
     assert np.max(np.abs(f.values)) == 0.0
+
+
+def test_poisson_constant_zero_rhs_still_runs_its_checks(monkeypatch):
+    """The constant zero solution comes after the precondition and guard."""
+    import toruspos.lattice as lattice_module
+
+    g = TorusGeometry.regular(2, 6)
+    f = poisson_solve(ScalarField.constant(g, 0.0), identity_metric(g))
+    assert f.value == 0.0
+    with pytest.raises(MeanNotZeroError):
+        poisson_solve(ScalarField.constant(g, 1e-300), identity_metric(g))
+    monkeypatch.setattr(
+        lattice_module, "_trace_symbol", lambda geom, W: np.zeros((6, 6, 6, 4))
+    )
+    with pytest.raises(InternalInvariantError):
+        poisson_solve(ScalarField.constant(g, 0.0), identity_metric(g))
 
 
 def test_poisson_analytic_cosine():

@@ -8,6 +8,7 @@ from conftest import hermitian_with_eigs, random_hermitian, random_pd_metric
 
 from toruspos import (
     LineBundleMetric,
+    MetricField,
     ScalarField,
     TorusGeometry,
     certify_n_minus_1_positive,
@@ -291,10 +292,17 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
     assert calls == ["chern_curvature", "complex_hessian"]
 
 
-@pytest.mark.parametrize("phi_text,expected", [("0.2*sin(x1)*cos(y3)", 3), ("0", 0)])
-def test_normalize_transform_count(monkeypatch, phi_text, expected):
-    """A counter, no timing: one forward and one inverse transform each for
-    the scalar curvature, the solve and the residual; none for a zero weight."""
+@pytest.mark.parametrize(
+    "phi_text,forward,inverse",
+    [
+        pytest.param("0.2*sin(x1)*cos(y3)", 1, 3, id="0.2*sin(x1)*cos(y3)-3"),
+        pytest.param("0", 0, 0, id="0-0"),
+    ],
+)
+def test_normalize_transform_count(monkeypatch, phi_text, forward, inverse):
+    """A counter, no timing: one forward transform, of the weight, and one
+    inverse transform each for the scalar curvature, the solve and the
+    residual; none for a zero weight."""
     calls = {"rfftn": 0, "irfftn": 0}
 
     def counting(name, original):
@@ -314,7 +322,38 @@ def test_normalize_transform_count(monkeypatch, phi_text, expected):
     )
     _, cert = normalize_scalar_curvature(L, omega)
     assert cert.residuals["poisson_rel"] < 1e-8
-    assert calls == {"rfftn": expected, "irfftn": expected}
+    assert calls == {"rfftn": forward, "irfftn": inverse}
+
+
+def test_zero_weight_n3_normalize_returns_the_constant_zero_exponent():
+    g = TorusGeometry.regular(3, 4)
+    rng = np.random.default_rng(33)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5, 0.8]), "0"
+    )
+    f, cert = normalize_scalar_curvature(L, random_pd_metric(rng, g))
+    assert f.value == 0.0
+    assert f.values.shape == g.grid_shape and not any(f.values.strides)
+    assert cert.residuals["poisson_rel"] == 0.0
+    assert cert.residuals["scalar_deviation"] <= 1e-15 * abs(cert.margin)
+
+
+def test_grid_copy_metric_solves_the_same_exponent():
+    """A grid copy of a constant metric gives s pointwise, with no spectrum
+    to reuse, so its right-hand side is transformed instead."""
+    g = TorusGeometry.regular(2, 8)
+    rng = np.random.default_rng(34)
+    omega = random_pd_metric(rng, g)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5]), "0.3*sin(x1)*cos(y2)"
+    )
+    f, cert = normalize_scalar_curvature(L, omega)
+    f_copy, cert_copy = normalize_scalar_curvature(
+        L, MetricField(g, omega.values.copy())
+    )
+    assert np.max(np.abs(f.values - f_copy.values)) <= 1e-14 * f.max_abs()
+    assert cert.residuals["poisson_rel"] < 1e-13
+    assert cert_copy.residuals["poisson_rel"] < 1e-13
 
 
 # -------------------------------------------------------------- tolerances

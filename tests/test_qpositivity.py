@@ -152,6 +152,51 @@ def test_eigenvalue_field_requires_descending_order():
         EigenvalueField(g, vals)
 
 
+def _descending_cases(rng, n):
+    """Degenerate, clustered and widely spread Hermitian n x n matrices."""
+    eig_lists = [
+        [0.0] * n,
+        [1.0] * n,
+        [-3.0] * n,
+        [5e-324] * n,
+        [1.0 + k * 2.2e-16 for k in range(n)],
+        [1.0 - k * 1e-15 for k in range(n)],
+        [1e12] + [1.0] * (n - 1),
+        [1e12, -1e12, 1e-12][:n],
+        [1e-12, 1e12, -1.0][:n],
+    ]
+    mats = [np.diag(np.asarray(eigs, dtype=complex)) for eigs in eig_lists]
+    mats += [hermitian_with_eigs(rng, eigs) for eigs in eig_lists for _ in range(20)]
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_eigenvalues_are_descending_by_construction(n):
+    """Kernel-built eigenvalue fields skip the order check; both routes
+    (closed form for n <= 2, LAPACK for any n) must then be descending."""
+    stack = _descending_cases(np.random.default_rng(80 + n), n)
+    routes = [stack] + ([qpositivity_module._operand(stack)] if n <= 2 else [])
+    for operand in routes:
+        vals = qpositivity_module._descending_eigenvalues(operand)
+        assert vals.shape == (len(stack), n)
+        assert np.all(vals[:, :-1] >= vals[:, 1:])
+        want = np.linalg.eigvalsh(stack)[:, ::-1]
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(vals - want) <= 1e-14 * scale)
+
+
+def test_only_the_public_eigenvalue_constructor_checks_the_order():
+    g = TorusGeometry.regular(2, 4)
+    ascending = np.zeros((*g.grid_shape, 2))
+    ascending[..., 1] = 1.0
+    with pytest.raises(ValueError, match="descending"):
+        EigenvalueField(g, ascending)
+    assert EigenvalueField._descending(g, ascending).values is not None
+    ascending[0, 0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        EigenvalueField._descending(g, ascending)
+
+
 # --------------------------------------------------------------- q checks
 
 

@@ -159,6 +159,31 @@ def test_suite_report_serializes():
     }
 
 
+@pytest.mark.parametrize("phi_text,constant", [("0", True), ("0.05*cos(x1)", False)])
+def test_suite_witness_weight_stays_constant_for_a_constant_weight(
+    monkeypatch, phi_text, constant
+):
+    """The modified bundle's weight phi - f is one number when both are."""
+    import toruspos.suite as suite_module
+
+    weights = []
+    original = suite_module.check_q_positive
+
+    def recording(L, omega, q, eps=None):
+        weights.append(L.phi)
+        return original(L, omega, q, eps=eps)
+
+    monkeypatch.setattr(suite_module, "check_q_positive", recording)
+    g = TorusGeometry.regular(2, 8)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(np.random.default_rng(9), [2.0, -0.7]), phi_text
+    )
+    assert equivalence_suite(L).passed
+    (phi,) = weights
+    assert (phi.value is not None) == constant
+    assert not phi.values.flags.writeable
+
+
 # ------------------------------------------------------------------ corpus
 
 
