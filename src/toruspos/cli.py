@@ -6,36 +6,39 @@ and output options. Subcommands dispatch to the library and write a JSON
 report plus optional CSV field dumps into the output directory.
 
 Exit codes: 0 for a completed run regardless of mathematical verdict,
-2 for configuration problems (raised while the config and flags are read
-and resolved), 3 for internal invariant violations (a failed equivalence
-suite, a non-zero-mean elliptic right-hand side, another
-InternalInvariantError, or a ValueError from the library after the
-config was resolved; all of these mean a bug, not a bad instance), 4
-when the uniformizing transform of a valid instance leaves the float64
-range (UniformizationRangeError).
+2 for configuration problems (raised while the config and flags are
+resolved, once per run and before any computation; every value the
+report echoes is validated on every subcommand, also one it does not
+use), 3 for internal invariant violations (a failed equivalence suite, a
+non-zero-mean elliptic right-hand side, another InternalInvariantError,
+or a ValueError from the library after the config was resolved; all of
+these mean a bug, not a bad instance), 4 when the uniformizing transform
+of a valid instance leaves the float64 range (UniformizationRangeError).
 
-Config schema (all keys optional unless noted)::
+Config schema (all keys optional unless noted; each section is a JSON
+object)::
 
     {
       "geometry": {                     # required for instance commands
-        "complex_dim": 2,
-        "grid": 8 or [8, 8, 8, 8],      # per-axis counts, even, >= 4
+        "complex_dim": 2,               # integral
+        "grid": 8 or [8, 8, 8, 8],      # integral per-axis counts, even, >= 4
         "periods": 6.2831853... or [...]
       },
       "instance": {                     # required for instance commands
         "r_const": [[[re, im], ...]],   # n x n Hermitian, nested rows
         "phi": "0.1*sin(x1) + cos(2*y2)"
       },
-      "q": 1,
+      "q": 1,                           # integral, 0..n-1; default n-1
       "base_metric": [[[re, im], ...]], # constant PD matrix, default Id
       "tolerances": {"eps_pos": null, "delta": 0.001},
-      "output": {"dir": "out", "fields": false}
+      "output": {"dir": "out", "fields": false}   # fields: true or false
     }
 
 Flags override the config; ``TORUSPOS_OUT_DIR`` sets the default output
-directory. Reports embed the fully resolved configuration, and repeated
-runs with identical config and seed are byte-identical apart from the
-timestamp field.
+directory. Reports embed the fully resolved configuration (an integral
+float such as ``"q": 1.0`` is echoed as the integer the run used), and
+repeated runs with identical config and seed are byte-identical apart
+from the timestamp field.
 """
 
 from __future__ import annotations
@@ -150,8 +153,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolver(what: str):
-    """Decorate a step that reads the config: the KeyError, TypeError or
-    ValueError a malformed value raises there becomes a ConfigError."""
+    """Decorate a step that reads the config: the KeyError, TypeError,
+    ValueError or OSError a malformed value raises there becomes a
+    ConfigError."""
 
     def decorate(resolve):
         @functools.wraps(resolve)
@@ -160,7 +164,7 @@ def _resolver(what: str):
                 return resolve(*args)
             except ConfigError:
                 raise
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OSError) as exc:
                 raise ConfigError(f"invalid {what}: {exc}") from exc
 
         return checked
@@ -184,211 +188,206 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _parse_grid_flag(text: str, axes: int) -> tuple[int, ...]:
-    try:
-        parts = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--grid expects integers, got {text!r}") from exc
-    if len(parts) == 1:
-        return (parts[0],) * axes
-    if len(parts) != axes:
-        raise ConfigError(f"--grid needs 1 or {axes} counts, got {len(parts)}")
-    return tuple(parts)
+def _section(config: dict, name: str) -> dict:
+    """The config section ``name``, which must be a JSON object ({} if absent)."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    return section
 
 
-@_resolver("geometry")
-def _resolve_geometry(config: dict, args) -> TorusGeometry:
-    geo = config.get("geometry")
-    if geo is None:
-        raise ConfigError("config must provide a geometry section")
-    if "complex_dim" not in geo:
-        raise ConfigError("geometry.complex_dim is required")
-    n = int(geo["complex_dim"])
-    axes = 2 * n
-    grid = geo.get("grid", 16)
-    if isinstance(grid, int):
-        shape = (grid,) * axes
-    else:
-        shape = tuple(int(v) for v in grid)
-    if args.grid:
-        shape = _parse_grid_flag(args.grid, axes)
-    periods = geo.get("periods", 2.0 * math.pi)
-    if isinstance(periods, (int, float)):
-        periods = (float(periods),) * axes
-    else:
-        periods = tuple(float(v) for v in periods)
-    return TorusGeometry(n, shape, periods)
+def _number(value) -> bool:
+    """Is ``value`` a JSON number (booleans are not)?"""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@_resolver("geometry")
-def _resolve_corpus_geometry(config: dict, args) -> TorusGeometry:
-    """The config's geometry, else the default corpus torus (``--grid`` applies)."""
-    if "geometry" in config:
-        return _resolve_geometry(config, args)
-    axes = 2 * DEFAULT_CORPUS_DIM
-    shape = (DEFAULT_CORPUS_GRID,) * axes
-    if args.grid:
-        shape = _parse_grid_flag(args.grid, axes)
-    return TorusGeometry(DEFAULT_CORPUS_DIM, shape, (2.0 * math.pi,) * axes)
+def _integer(value, what: str) -> int:
+    """An integral JSON number as an int (``1.0`` is 1; text and booleans fail)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
-@_resolver("instance")
-def _resolve_instance(config: dict, geometry: TorusGeometry) -> LineBundleMetric:
-    inst = config.get("instance")
-    if inst is None or "r_const" not in inst:
-        raise ConfigError("config must provide instance.r_const")
-    try:
-        return bundle_from_json_dict(geometry, inst)
-    except OSError as exc:
-        raise ConfigError(f"invalid instance: {exc}") from exc
+def _per_axis(value, axes: int) -> list:
+    """A per-axis list, or one value for every axis."""
+    return value if isinstance(value, list) else [value] * axes
 
 
-@_resolver("base_metric")
-def _resolve_base_metric(config: dict, geometry: TorusGeometry) -> MetricField:
-    raw = config.get("base_metric")
-    if raw is None:
-        return identity_metric(geometry)
-    return constant_metric(geometry, complex_matrix_from_json(raw))
+class _Run:
+    """One invocation, resolved once from the config and the flags.
 
+    Constructing it resolves every value the report echoes (``echo``), so
+    a configuration problem is a ConfigError before any work. ``finish``
+    writes the report and prints the summary line.
+    """
 
-def _resolve_out_dir(config: dict, args) -> Path:
-    out = config.get("output", {})
-    path = (
-        args.out_dir
-        or out.get("dir")
-        or os.environ.get("TORUSPOS_OUT_DIR")
-        or DEFAULT_OUT_DIR
-    )
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    def __init__(self, config: dict, args) -> None:
+        self.config = config
+        self.args = args
+        self.corpus = getattr(args, "corpus", None)
+        if self.corpus is not None and self.corpus < 1:
+            raise ConfigError(f"--corpus must be positive, got {self.corpus}")
+        # A corpus run is always seeded.
+        self.seed = 0 if args.seed is None and self.corpus is not None else args.seed
+        self.echo = self._resolve()
 
+    @functools.cached_property
+    @_resolver("geometry")
+    def geometry(self) -> TorusGeometry:
+        """The config's torus; a corpus run without one takes the default."""
+        if "geometry" in self.config or self.corpus is None:
+            geo = _section(self.config, "geometry")
+        else:
+            geo = {"complex_dim": DEFAULT_CORPUS_DIM, "grid": DEFAULT_CORPUS_GRID}
+        if "complex_dim" not in geo:
+            raise ConfigError("config must provide geometry.complex_dim")
+        n = _integer(geo["complex_dim"], "geometry.complex_dim")
+        axes = 2 * n
+        grid = _per_axis(geo.get("grid", 16), axes)
+        shape = [_integer(count, "geometry.grid") for count in grid]
+        if self.args.grid:  # one count, or one per axis
+            flag = [int(count) for count in self.args.grid.split(",")]
+            shape = flag * axes if len(flag) == 1 else flag
+        periods = _per_axis(geo.get("periods", 2.0 * math.pi), axes)
+        if not all(map(_number, periods)):
+            raise ConfigError(f"geometry.periods must be numbers, got {periods!r}")
+        return TorusGeometry(n, tuple(shape), tuple(periods))
 
-@_resolver("tolerances.eps_pos")
-def _resolve_eps(config: dict, args) -> float | None:
-    """Positivity tolerance: ``--tolerance`` wins over ``tolerances.eps_pos``."""
-    eps = args.tolerance
-    if eps is None:
-        eps = config.get("tolerances", {}).get("eps_pos")
-    if eps is not None and not eps >= 0:
-        raise ConfigError(f"tolerance must be nonnegative, got {eps}")
-    return eps
+    @functools.cached_property
+    @_resolver("instance")
+    def bundle(self) -> LineBundleMetric:
+        inst = _section(self.config, "instance")
+        if "r_const" not in inst:
+            raise ConfigError("config must provide instance.r_const")
+        return bundle_from_json_dict(self.geometry, inst)
 
+    @functools.cached_property
+    @_resolver("base_metric")
+    def omega(self) -> MetricField:
+        raw = self.config.get("base_metric")
+        if raw is None:
+            return identity_metric(self.geometry)
+        return constant_metric(self.geometry, complex_matrix_from_json(raw))
 
-@_resolver("tolerances.delta")
-def _resolve_delta(config: dict) -> float:
-    delta = config.get("tolerances", {}).get("delta", DEFAULT_DELTA)
-    if not delta > 0:
-        raise ConfigError(f"tolerances.delta must be positive, got {delta}")
-    return delta
+    @functools.cached_property
+    def q(self) -> int:
+        top = self.geometry.complex_dim - 1
+        q = _integer(self.config.get("q", top), "q")
+        if not 0 <= q <= top:
+            raise ConfigError(f"q must be in 0..{top}, got {q}")
+        return q
 
+    @functools.cached_property
+    def eps(self) -> float | None:
+        """Positivity tolerance: ``--tolerance`` wins over ``tolerances.eps_pos``."""
+        eps = self.args.tolerance
+        if eps is None:
+            eps = _section(self.config, "tolerances").get("eps_pos")
+        if eps is not None and not (_number(eps) and eps >= 0):
+            raise ConfigError(f"tolerance must be a nonnegative number, got {eps!r}")
+        return eps
 
-def _resolved_config_dict(
-    config: dict,
-    args,
-    geometry: TorusGeometry | None,
-    out_dir: Path,
-) -> dict:
-    tol = config.get("tolerances", {})
-    resolved = {
-        "tolerances": {
-            "eps_pos": _resolve_eps(config, args),
-            "delta": tol.get("delta", DEFAULT_DELTA),
-        },
-        "output": {
-            "dir": str(out_dir),
-            "fields": bool(config.get("output", {}).get("fields", False)),
-        },
-    }
-    if geometry is not None:
-        resolved["geometry"] = {
-            "complex_dim": geometry.complex_dim,
-            "grid": list(geometry.grid_shape),
-            "periods": list(geometry.periods),
-        }
-    if "instance" in config:
-        resolved["instance"] = {
-            "r_const": config["instance"].get("r_const"),
-            "phi": config["instance"].get("phi", "0"),
-        }
-    if "base_metric" in config:
-        resolved["base_metric"] = config["base_metric"]
-    if "q" in config:
-        resolved["q"] = config["q"]
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    return resolved
+    @functools.cached_property
+    def delta(self) -> float:
+        delta = _section(self.config, "tolerances").get("delta", DEFAULT_DELTA)
+        if not (_number(delta) and delta > 0):
+            raise ConfigError(f"tolerances.delta must be positive, got {delta!r}")
+        return delta
 
-
-def _write_report(out_dir: Path, task: str, config: dict, result: dict) -> Path:
-    report = {
-        "task": task,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": config,
-        "result": result,
-    }
-    path = out_dir / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-@_resolver("q")
-def _resolve_q(config: dict, geometry: TorusGeometry) -> int:
-    q = int(config.get("q", geometry.complex_dim - 1))
-    if not 0 <= q <= geometry.complex_dim - 1:
-        raise ConfigError(
-            f"q must be in 0..{geometry.complex_dim - 1}, got {q}"
+    @functools.cached_property
+    @_resolver("output.dir")
+    def out_dir(self) -> Path:
+        out_dir = Path(
+            self.args.out_dir
+            or _section(self.config, "output").get("dir")
+            or os.environ.get("TORUSPOS_OUT_DIR")
+            or DEFAULT_OUT_DIR
         )
-    return q
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir
+
+    def _resolve(self) -> dict:
+        """The report's ``config``, built from the resolved values. The
+        instance and the base metric are echoed as given, once valid; the
+        output directory is created last."""
+        geometry = self.geometry
+        echo = {
+            "geometry": {
+                "complex_dim": geometry.complex_dim,
+                "grid": list(geometry.grid_shape),
+                "periods": list(geometry.periods),
+            },
+            "tolerances": {"eps_pos": self.eps, "delta": self.delta},
+        }
+        if self.corpus is None or "instance" in self.config:
+            self.bundle  # validates the raw instance echoed here
+            inst = self.config["instance"]
+            echo["instance"] = {"r_const": inst["r_const"], "phi": inst.get("phi", "0")}
+        if "base_metric" in self.config:
+            self.omega  # validates the raw matrix echoed here
+            echo["base_metric"] = self.config["base_metric"]
+        if "q" in self.config:
+            echo["q"] = self.q
+        if self.corpus is not None:
+            echo["corpus"] = self.corpus
+        if self.seed is not None:
+            echo["seed"] = self.seed
+        fields = _section(self.config, "output").get("fields", False)
+        if not isinstance(fields, bool):
+            raise ConfigError(f"output.fields must be true or false, got {fields!r}")
+        echo["output"] = {"dir": str(self.out_dir), "fields": fields}
+        return echo
+
+    def finish(self, result: dict, summary: str) -> int:
+        """Write ``report.json`` and print the summary line; exit code 0."""
+        report = {
+            "task": self.args.task,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "config": self.echo,
+            "result": result,
+        }
+        path = self.out_dir / "report.json"
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"{self.args.task}: {summary} -> {path}")
+        return 0
 
 
-def _cmd_check_qpos(config, args) -> int:
-    geometry = _resolve_geometry(config, args)
-    bundle = _resolve_instance(config, geometry)
-    omega = _resolve_base_metric(config, geometry)
-    q = _resolve_q(config, geometry)
-    out_dir = _resolve_out_dir(config, args)
-    eps = _resolve_eps(config, args)
-    pointwise = check_q_positive(bundle, omega, q, eps=eps)
-    uniform = check_uniform_q_positive(bundle, omega, q, eps=eps)
+def _agreement(passed: bool) -> int:
+    """Exit code of an equivalence run: a disagreement is a bug."""
+    if passed:
+        return 0
+    print("equivalence-suite: agreement violated, this is a bug", file=sys.stderr)
+    return 3
+
+
+def _cmd_check_qpos(run: _Run) -> int:
+    pointwise = check_q_positive(run.bundle, run.omega, run.q, eps=run.eps)
+    uniform = check_uniform_q_positive(run.bundle, run.omega, run.q, eps=run.eps)
     result = {
         "pointwise": pointwise.to_json_dict(),
         "uniform": uniform.to_json_dict(),
     }
-    path = _write_report(
-        out_dir,
-        "check-qpos",
-        _resolved_config_dict(config, args, geometry, out_dir),
+    return run.finish(
         result,
+        f"q={run.q} pointwise={pointwise.verdict} "
+        f"uniform={uniform.verdict} margin={pointwise.margin:.6g}",
     )
-    print(
-        f"check-qpos: q={q} pointwise={pointwise.verdict} "
-        f"uniform={uniform.verdict} margin={pointwise.margin:.6g} -> {path}"
-    )
-    return 0
 
 
-def _cmd_uniformize(config, args) -> int:
-    geometry = _resolve_geometry(config, args)
-    bundle = _resolve_instance(config, geometry)
-    omega = _resolve_base_metric(config, geometry)
-    q = _resolve_q(config, geometry)
-    out_dir = _resolve_out_dir(config, args)
-    eps = _resolve_eps(config, args)
-    resolved = _resolved_config_dict(config, args, geometry, out_dir)
-    R = chern_curvature(bundle)
-    ev = generalized_eigenvalues(R, omega)
+def _cmd_uniformize(run: _Run) -> int:
+    q = run.q
+    R = chern_curvature(run.bundle)
+    ev = generalized_eigenvalues(R, run.omega)
     try:
-        rate = growth_rate(ev, q, eps=eps)
+        rate = growth_rate(ev, q, eps=run.eps)
     except NotQPositiveError as exc:
         result = {"q_positive": False, "q": q, "reason": str(exc)}
-        path = _write_report(out_dir, "uniformize", resolved, result)
-        print(f"uniformize: q={q} not q-positive -> {path}")
-        return 0
-    new_omega = uniformize_metric(bundle, omega, q, eps=eps)
-    after = check_uniform_q_positive(bundle, new_omega, q, eps=eps)
-    n = geometry.complex_dim
-    floor = float(np.min(ev.at_rank(n - q)))
+        return run.finish(result, f"q={q} not q-positive")
+    new_omega = uniformize_metric(run.bundle, run.omega, q, eps=run.eps)
+    after = check_uniform_q_positive(run.bundle, new_omega, q, eps=run.eps)
+    floor = float(np.min(ev.at_rank(run.geometry.complex_dim - q)))
     bound = uniform_margin_bound(rate, floor, q)
     result = {
         "q_positive": True,
@@ -398,74 +397,44 @@ def _cmd_uniformize(config, args) -> int:
         "uniform": after.to_json_dict(),
         "guaranteed_margin": bound,
     }
-    if resolved["output"]["fields"]:
+    if run.echo["output"]["fields"]:
         new_ev = generalized_eigenvalues(R, new_omega)
-        csv_path = _columns_to_csv(
-            geometry, {"kappa": new_ev.values}, out_dir / "uniformized_eigenvalues.csv"
-        )
+        csv_path = run.out_dir / "uniformized_eigenvalues.csv"
+        _columns_to_csv(run.geometry, {"kappa": new_ev.values}, csv_path)
         result["eigenvalue_csv"] = csv_path.name
-    path = _write_report(out_dir, "uniformize", resolved, result)
-    print(
-        f"uniformize: q={q} rate={rate:.6g} uniform_margin={after.margin:.6g} "
-        f"(guaranteed {bound:.6g}) -> {path}"
-    )
-    return 0
-
-
-def _cmd_normalize_scalar(config, args) -> int:
-    geometry = _resolve_geometry(config, args)
-    bundle = _resolve_instance(config, geometry)
-    omega = _resolve_base_metric(config, geometry)
-    out_dir = _resolve_out_dir(config, args)
-    eps = _resolve_eps(config, args)
-    f, cert = normalize_scalar_curvature(bundle, omega, eps=eps)
-    result = {"certificate": cert.to_json_dict()}
-    csv_path = scalar_field_to_csv(f, out_dir / "conformal_exponent.csv", "f")
-    result["exponent_csv"] = csv_path.name
-    path = _write_report(
-        out_dir,
-        "normalize-scalar",
-        _resolved_config_dict(config, args, geometry, out_dir),
+    return run.finish(
         result,
+        f"q={q} rate={rate:.6g} uniform_margin={after.margin:.6g} "
+        f"(guaranteed {bound:.6g})",
     )
-    print(
-        f"normalize-scalar: c={cert.margin:.6g} verdict={cert.verdict} "
-        f"residual={cert.residuals['poisson_rel']:.3g} -> {path}"
-    )
-    return 0
 
 
-def _cmd_certify(config, args) -> int:
-    geometry = _resolve_geometry(config, args)
-    bundle = _resolve_instance(config, geometry)
-    out_dir = _resolve_out_dir(config, args)
-    eps = _resolve_eps(config, args)
-    delta = _resolve_delta(config)
-    cert = certify_n_minus_1_positive(bundle, delta=delta, eps=eps)
+def _cmd_normalize_scalar(run: _Run) -> int:
+    f, cert = normalize_scalar_curvature(run.bundle, run.omega, eps=run.eps)
+    csv_path = scalar_field_to_csv(f, run.out_dir / "conformal_exponent.csv", "f")
+    result = {"certificate": cert.to_json_dict(), "exponent_csv": csv_path.name}
+    return run.finish(
+        result,
+        f"c={cert.margin:.6g} verdict={cert.verdict} "
+        f"residual={cert.residuals['poisson_rel']:.3g}",
+    )
+
+
+def _cmd_certify(run: _Run) -> int:
+    cert = certify_n_minus_1_positive(run.bundle, delta=run.delta, eps=run.eps)
     result = {"certificate": cert.to_json_dict()}
     if cert.witness_weight is not None:
         csv_path = scalar_field_to_csv(
-            cert.witness_weight, out_dir / "conformal_exponent.csv", "f"
+            cert.witness_weight, run.out_dir / "conformal_exponent.csv", "f"
         )
         result["exponent_csv"] = csv_path.name
-    path = _write_report(
-        out_dir,
-        "certify",
-        _resolved_config_dict(config, args, geometry, out_dir),
-        result,
-    )
-    print(f"certify: verdict={cert.verdict} c={cert.margin:.6g} -> {path}")
-    return 0
+    return run.finish(result, f"verdict={cert.verdict} c={cert.margin:.6g}")
 
 
-def _cmd_psef_test(config, args) -> int:
-    geometry = _resolve_geometry(config, args)
-    bundle = _resolve_instance(config, geometry)
-    out_dir = _resolve_out_dir(config, args)
-    eps = _resolve_eps(config, args)
-    psef = is_pseudo_effective(bundle)
-    dual_psef = is_pseudo_effective(bundle.dual())
-    search = dual_not_pseudo_effective(bundle, eps=eps)
+def _cmd_psef_test(run: _Run) -> int:
+    psef = is_pseudo_effective(run.bundle)
+    dual_psef = is_pseudo_effective(run.bundle.dual())
+    search = dual_not_pseudo_effective(run.bundle, eps=run.eps)
     result = {
         "pseudo_effective": psef,
         "dual_pseudo_effective": dual_psef,
@@ -474,100 +443,48 @@ def _cmd_psef_test(config, args) -> int:
     }
     if search.witness is not None:
         result["witness_metric"] = complex_matrix_to_json(search.witness.matrix)
-    path = _write_report(
-        out_dir,
-        "psef-test",
-        _resolved_config_dict(config, args, geometry, out_dir),
+    return run.finish(
         result,
+        f"psef={psef} dual_psef={dual_psef} pairing={search.constant:.6g}",
     )
-    print(
-        f"psef-test: psef={psef} dual_psef={dual_psef} "
-        f"pairing={search.constant:.6g} -> {path}"
-    )
-    return 0
 
 
-def _cmd_equivalence_suite(config, args) -> int:
-    out_dir = _resolve_out_dir(config, args)
-    eps = _resolve_eps(config, args)
-    delta = _resolve_delta(config)
-
-    if args.corpus is not None:
-        if args.corpus < 1:
-            raise ConfigError(f"--corpus must be positive, got {args.corpus}")
-        geometry = _resolve_corpus_geometry(config, args)
-        seed = args.seed if args.seed is not None else 0
-        reports, summary = run_equivalence_corpus(
-            geometry, args.corpus, seed, delta=delta
+def _cmd_equivalence_suite(run: _Run) -> int:
+    if run.corpus is None:
+        report = equivalence_suite(run.bundle, delta=run.delta, eps=run.eps)
+        run.finish(
+            report.to_json_dict(),
+            f"verdicts={report.verdicts} passed={report.passed}",
         )
-        csv_path = out_dir / "corpus.csv"
-        csv_path.write_text("\n".join(corpus_csv_lines(reports)) + "\n")
-        resolved = _resolved_config_dict(config, args, geometry, out_dir)
-        resolved["corpus"] = args.corpus
-        resolved["seed"] = seed
-        result = dict(summary)
-        result["csv"] = csv_path.name
-        path = _write_report(out_dir, "equivalence-suite", resolved, result)
-        print(
-            f"equivalence-suite: {summary['count']} instances, "
-            f"{summary['fails']} fails, {summary['positive']} positive -> {path}"
-        )
-        if summary["fails"]:
-            print(
-                "equivalence-suite: agreement violated, this is a bug",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
-
-    geometry = _resolve_geometry(config, args)
-    bundle = _resolve_instance(config, geometry)
-    report = equivalence_suite(bundle, delta=delta, eps=eps)
-    path = _write_report(
-        out_dir,
-        "equivalence-suite",
-        _resolved_config_dict(config, args, geometry, out_dir),
-        report.to_json_dict(),
+        return _agreement(report.passed)
+    reports, summary = run_equivalence_corpus(
+        run.geometry, run.corpus, run.seed, delta=run.delta
     )
-    print(
-        f"equivalence-suite: verdicts={report.verdicts} "
-        f"passed={report.passed} -> {path}"
+    csv_path = run.out_dir / "corpus.csv"
+    csv_path.write_text("\n".join(corpus_csv_lines(reports)) + "\n")
+    run.finish(
+        {**summary, "csv": csv_path.name},
+        f"{summary['count']} instances, "
+        f"{summary['fails']} fails, {summary['positive']} positive",
     )
-    if not report.passed:
-        print(
-            "equivalence-suite: agreement violated, this is a bug",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _agreement(not summary["fails"])
 
 
-def _cmd_dump_field(config, args) -> int:
-    geometry = _resolve_geometry(config, args)
-    bundle = _resolve_instance(config, geometry)
-    omega = _resolve_base_metric(config, geometry)
-    out_dir = _resolve_out_dir(config, args)
-    R = chern_curvature(bundle)
-    ev = generalized_eigenvalues(R, omega)
-    s = scalar_curvature(bundle, omega)
+def _cmd_dump_field(run: _Run) -> int:
+    R = chern_curvature(run.bundle)
+    ev = generalized_eigenvalues(R, run.omega)
+    s = scalar_curvature(run.bundle, run.omega)
     ev_path = _columns_to_csv(
-        geometry, {"lambda": ev.values}, out_dir / "eigenvalues.csv"
+        run.geometry, {"lambda": ev.values}, run.out_dir / "eigenvalues.csv"
     )
-    s_path = scalar_field_to_csv(s, out_dir / "scalar_curvature.csv", "s")
+    s_path = scalar_field_to_csv(s, run.out_dir / "scalar_curvature.csv", "s")
     result = {
         "eigenvalues_csv": ev_path.name,
         "scalar_csv": s_path.name,
-        "degree": degree_integral(bundle, omega),
-        "target_constant": target_constant(bundle, omega),
+        "degree": degree_integral(run.bundle, run.omega),
+        "target_constant": target_constant(run.bundle, run.omega),
     }
-    path = _write_report(
-        out_dir,
-        "dump-field",
-        _resolved_config_dict(config, args, geometry, out_dir),
-        result,
-    )
-    print(f"dump-field: wrote {ev_path.name}, {s_path.name} -> {path}")
-    return 0
+    return run.finish(result, f"wrote {ev_path.name}, {s_path.name}")
 
 
 _COMMANDS = {
@@ -584,8 +501,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return _COMMANDS[args.task](config, args)
+        run = _Run(_load_config(args.config), args)
+        return _COMMANDS[args.task](run)
     except ConfigError as exc:
         print(f"toruspos: configuration error: {exc}", file=sys.stderr)
         return 2

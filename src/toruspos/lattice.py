@@ -390,20 +390,16 @@ class HermitianMatrixField:
 
     @classmethod
     def _from_planes(cls, geometry: TorusGeometry, planes: tuple):
-        """A grid field, n <= 2, from planes that broadcast to the grid.
+        """A varying field, n <= 2, from planes of grid shape.
 
-        Planes of grid shape and of the right dtype are kept, not copied:
-        the caller hands them over. Smaller planes are broadcast into
-        grid copies.
+        Planes of the right dtype are kept, not copied: the caller hands
+        them over. A constant field is one matrix (``constant``).
         """
-        grid = geometry.grid_shape
         dtypes = (np.float64, np.float64, np.complex128)
         field = cls.__new__(cls)
         field.geometry = geometry
         field._planes = tuple(
-            np.asarray(p, dtype=dtype) if np.shape(p) == grid
-            else np.broadcast_to(p, grid).astype(dtype)
-            for p, dtype in zip(planes, dtypes)
+            np.asarray(p, dtype=dtype) for p, dtype in zip(planes, dtypes)
         )
         field.__post_init__()
         return field

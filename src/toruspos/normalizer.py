@@ -128,9 +128,10 @@ def normalize_scalar_curvature(
     # The class scale sets only the default; a given tolerance is checked.
     eps = _resolve_eps(_class_scale(L, const) if eps is None else 0.0, eps)
     W = np.linalg.inv(const)
-    # One trace symbol per call: the scalar curvature filters the weight
-    # with it and the solver divides by it.
-    symbol = _checked_symbol(geom, W)
+    # At most one trace symbol per call, built only where it is used: the
+    # scalar curvature filters a varying weight with it and the solver
+    # divides by it. A constant weight leaves nothing to filter or solve.
+    symbol = None if _known_constant(L.phi) else _checked_symbol(geom, W)
     s, spectrum = _scalar_curvature(L, omega, symbol)
     # The expression target_constant evaluates, on the s already at hand.
     c = geom.complex_dim * _degree_of_trace(s, const) / volume_integral(omega)
@@ -156,6 +157,8 @@ def normalize_scalar_curvature(
         # as soon as they are used, since they set the call's peak memory.
         if spectrum is None:
             spectrum = np.fft.rfftn(rhs.values)
+        if symbol is None:
+            symbol = _checked_symbol(geom, W)
         f = _solve_spectrum(spectrum, symbol, geom)
         del symbol
         achieved = _hessian_trace(f, W, spectrum)

@@ -53,6 +53,7 @@ from .lattice import (
     TorusGeometry,
     _freeze,
     _frozen,
+    _join,
     _max_abs,
     _small_eigvalsh,
     _small_matrix_function,
@@ -422,8 +423,11 @@ def uniformize_metric(
 
     new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
     if isinstance(new, tuple):
-        return _freeze(MetricField._from_planes(L.geometry, new))
-    new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
+        if np.ndim(new[0]):
+            return _freeze(MetricField._from_planes(L.geometry, new))
+        new = _join(new)
+    else:
+        new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
     # A constant pencil gives one matrix, kept once as a constant metric.
     shape = (*L.geometry.grid_shape, n, n)
     return _freeze(MetricField(L.geometry, np.broadcast_to(new, shape)))

@@ -257,6 +257,12 @@ def test_out_dir_env_var_sets_default(tmp_path, monkeypatch):
     assert (env_dir / "report.json").is_file()
 
 
+_VALID = {
+    "geometry": {"complex_dim": 1, "grid": 8},
+    "instance": {"r_const": [[1.0]], "phi": "0"},
+}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -277,11 +283,26 @@ def test_out_dir_env_var_sets_default(tmp_path, monkeypatch):
          "instance": {"r_const": [[1.0]], "phi": "sin(5*x1)"}},
         {"geometry": {"complex_dim": 1, "grid": 8, "periods": 3.0},
          "instance": {"r_const": [[1.0]], "phi": "sin(x1)"}},
+        {**_VALID, "tolerances": 5},
+        {**_VALID, "tolerances": [0.001]},
+        {**_VALID, "output": 5},
+        {**_VALID, "output": ["out"]},
+        {**_VALID, "output": {"dir": 5}},
+        {"geometry": 5, "instance": {"r_const": [[1.0]]}},
+        {"geometry": {"complex_dim": 1, "grid": 8}, "instance": 5},
+        {**_VALID, "q": 0.5},
+        {**_VALID, "q": "x"},
+        {**_VALID, "geometry": {"complex_dim": 1.5, "grid": 8}},
+        {**_VALID, "geometry": {"complex_dim": 1, "grid": [8, 8.5]}},
+        {**_VALID, "output": {"fields": "false"}},
     ],
     ids=[
         "empty", "no-dim", "odd-grid", "no-instance", "bad-expression",
         "coord-out-of-range", "non-hermitian", "q-out-of-range",
-        "aliased-weight", "non-periodic-weight",
+        "aliased-weight", "non-periodic-weight", "tolerances-number",
+        "tolerances-list", "output-number", "output-list", "dir-number",
+        "geometry-number", "instance-number", "q-fraction", "q-text",
+        "dim-fraction", "grid-fraction", "fields-text",
     ],
 )
 def test_bad_configs_exit_two(tmp_path, capsys, payload):
@@ -320,7 +341,7 @@ def test_negative_corpus_count_exits_two(tmp_path):
 def test_internal_invariant_violations_exit_three(tmp_path, monkeypatch, capsys):
     from toruspos.errors import MeanNotZeroError
 
-    def boom(config, args):
+    def boom(run):
         raise MeanNotZeroError("right-hand side has mean 1.0")
 
     monkeypatch.setitem(cli._COMMANDS, "check-qpos", boom)
@@ -332,7 +353,7 @@ def test_internal_invariant_violations_exit_three(tmp_path, monkeypatch, capsys)
 def test_library_value_error_after_resolution_exits_three(
     tmp_path, monkeypatch, capsys
 ):
-    def boom(config, args):
+    def boom(run):
         raise ValueError("eigenvalue field contains non-finite values")
 
     monkeypatch.setitem(cli._COMMANDS, "check-qpos", boom)
@@ -349,6 +370,9 @@ def test_library_value_error_after_resolution_exits_three(
         ("certify", {"delta": "small"}),
         ("certify", {"delta": -0.1}),
         ("equivalence-suite", {"delta": 0.0}),
+        ("check-qpos", {"delta": "abc"}),
+        ("check-qpos", {"delta": -1.0}),
+        ("dump-field", {"eps_pos": [0.1]}),
     ],
 )
 def test_bad_tolerances_exit_two(tmp_path, capsys, task, tolerances):
@@ -363,6 +387,80 @@ def test_bad_tolerances_exit_two(tmp_path, capsys, task, tolerances):
     cfg = write_config(tmp_path / "config.json", payload)
     assert cli.main([task, "--config", cfg]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+_TASKS = [
+    "check-qpos", "uniformize", "normalize-scalar", "certify", "psef-test",
+    "equivalence-suite", "dump-field",
+]
+
+
+@pytest.mark.parametrize("task", _TASKS)
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"q": 0.5},
+        {"q": "x"},
+        {"q": True},
+        {"tolerances": {"delta": "abc"}},
+        {"base_metric": [[1.0, 0.0], [0.0, -1.0]]},
+    ],
+    ids=["q-fraction", "q-text", "q-bool", "delta-text", "base-not-pd"],
+)
+def test_echoed_values_are_validated_on_every_subcommand(tmp_path, capsys, task, extra):
+    """Every value the report echoes is checked before any work, also on a
+    subcommand that does not use it, so not even the output directory is
+    made."""
+    payload = {
+        "geometry": {"complex_dim": 2, "grid": 8},
+        "instance": {"r_const": [[1.0, 0.0], [0.0, 0.5]], "phi": "0"},
+        "output": {"dir": str(tmp_path / "out")},
+        **extra,
+    }
+    cfg = write_config(tmp_path / "config.json", payload)
+    assert cli.main([task, "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_run_and_are_echoed_as_ints(tmp_path):
+    runs = []
+    for number in (int, float):
+        cfg = base_config(tmp_path, r_const=[[2.0, 0.0], [0.0, -0.5]],
+                          complex_dim=number(2), grid=number(8), q=number(1))
+        assert cli.main(["check-qpos", "--config", cfg]) == 0
+        runs.append(read_report(tmp_path))
+    config = runs[1]["config"]
+    assert type(config["q"]) is int and type(config["geometry"]["complex_dim"]) is int
+    assert runs[0]["config"] == config
+    assert runs[0]["result"] == runs[1]["result"]
+
+
+@pytest.mark.parametrize("task", _TASKS)
+def test_report_config_round_trips(tmp_path, task):
+    """Fed back as the config, a report's own config gives the same result
+    and the same config, apart from the output directory."""
+    payload = {
+        "geometry": {"complex_dim": 2, "grid": 8},
+        "instance": {"r_const": [[2.0, [0.3, 0.2]], [[0.3, -0.2], 1.0]],
+                     "phi": "0.05*sin(x1)*cos(y2)"},
+        "q": 1,
+        "base_metric": [[1.5, [0.2, -0.4]], [[0.2, 0.4], 0.9]],
+        "tolerances": {"delta": 0.01},
+        "output": {"dir": str(tmp_path / "first"), "fields": True},
+    }
+    reports = []
+    for name in ("first", "second"):
+        cfg = write_config(tmp_path / f"{name}.json", payload)
+        assert cli.main([task, "--config", cfg]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+        payload = json.loads(json.dumps(reports[-1]["config"]))
+        payload["output"]["dir"] = str(tmp_path / "second")
+    first, second = reports
+    assert first["config"]["output"].pop("dir") == str(tmp_path / "first")
+    assert second["config"]["output"].pop("dir") == str(tmp_path / "second")
+    assert first["config"] == second["config"]
+    assert first["result"] == second["result"]
 
 
 def test_bad_corpus_grid_flag_exits_two(tmp_path, capsys):

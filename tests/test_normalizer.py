@@ -325,6 +325,47 @@ def test_normalize_transform_count(monkeypatch, phi_text, forward, inverse):
     assert calls == {"rfftn": forward, "irfftn": inverse}
 
 
+@pytest.mark.parametrize(
+    "phi_text,grid_copy,symbols",
+    [
+        ("0.2*sin(x1)*cos(y3)", False, 1),
+        ("0", False, 0),
+        ("0.2*sin(x1)*cos(y3)", True, 1),
+    ],
+    ids=["weighted", "zero-weight", "weighted-grid-copy"],
+)
+def test_normalize_builds_the_trace_symbol_only_where_used(
+    monkeypatch, phi_text, grid_copy, symbols
+):
+    """A counter, no timing: a weighted normalize builds one trace symbol,
+    which filters the weight and divides its spectrum (only the latter
+    against a grid copy of the metric); a zero weight neither filters nor
+    solves, so it builds none."""
+    import toruspos.curvature as curvature_module
+    import toruspos.lattice as lattice_module
+
+    calls = []
+    original = lattice_module._trace_symbol
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(lattice_module, "_trace_symbol", counting)
+    monkeypatch.setattr(curvature_module, "_trace_symbol", counting)
+    g = TorusGeometry.regular(3, 4)
+    rng = np.random.default_rng(32)
+    omega = random_pd_metric(rng, g)
+    if grid_copy:
+        omega = MetricField(g, omega.values.copy())
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5, 0.8]), phi_text
+    )
+    _, cert = normalize_scalar_curvature(L, omega)
+    assert cert.residuals["poisson_rel"] < 1e-8
+    assert len(calls) == symbols
+
+
 def test_zero_weight_n3_normalize_returns_the_constant_zero_exponent():
     g = TorusGeometry.regular(3, 4)
     rng = np.random.default_rng(33)

@@ -714,6 +714,18 @@ def test_constant_n3_pencil_is_solved_on_one_matrix(monkeypatch):
     predicted = np.expm1(rate * ev.values) / rate
     kappa = generalized_eigenvalues(R, new).values
     assert np.max(np.abs(kappa - predicted)) <= 1e-12 * np.max(np.abs(predicted))
+    # So is a constant pencil's at n = 1 and 2, where the kernels run on planes.
+    for n, eigs in ((1, [1.5]), (2, [2.0, 0.5])):
+        g = TorusGeometry.regular(n, 4)
+        L = LineBundleMetric.from_constant(g, hermitian_with_eigs(rng, eigs))
+        omega = constant_metric(g, random_pd_matrix(rng, n))
+        new = uniformize_metric(L, omega, 0)
+        assert new.matrix is not None and _frozen(new)
+        ev = generalized_eigenvalues(chern_curvature(L), omega)
+        rate = growth_rate(ev, 0)
+        predicted = np.expm1(rate * ev.values) / rate
+        kappa = generalized_eigenvalues(chern_curvature(L), new).values
+        assert np.max(np.abs(kappa - predicted)) <= 1e-12 * np.max(np.abs(predicted))
 
 
 # ------------------------------------------------------ pencil properties
