@@ -310,8 +310,9 @@ class _Run:
 
     def _resolve(self) -> dict:
         """The report's ``config``, built from the resolved values. The
-        instance and the base metric are echoed as given, once valid; the
-        output directory is created last."""
+        instance and the base metric are echoed as given, once valid, and
+        left out of a corpus run, which uses neither, nor q; the output
+        directory is created last."""
         geometry = self.geometry
         echo = {
             "geometry": {
@@ -321,16 +322,16 @@ class _Run:
             },
             "tolerances": {"eps_pos": self.eps, "delta": self.delta},
         }
-        if self.corpus is None or "instance" in self.config:
+        if self.corpus is None:
             self.bundle  # validates the raw instance echoed here
             inst = self.config["instance"]
             echo["instance"] = {"r_const": inst["r_const"], "phi": inst.get("phi", "0")}
-        if "base_metric" in self.config:
-            self.omega  # validates the raw matrix echoed here
-            echo["base_metric"] = self.config["base_metric"]
-        if "q" in self.config:
-            echo["q"] = self.q
-        if self.corpus is not None:
+            if "base_metric" in self.config:
+                self.omega  # validates the raw matrix echoed here
+                echo["base_metric"] = self.config["base_metric"]
+            if "q" in self.config:
+                echo["q"] = self.q
+        else:  # a corpus draws its own instances, bases and q
             echo["corpus"] = self.corpus
         if self.seed is not None:
             echo["seed"] = self.seed

@@ -37,6 +37,7 @@ from .lattice import (
     _irfftn,
     _known_constant,
     _pointwise,
+    _rfftn,
     _split,
     _trace_symbol,
     compensated_sum,
@@ -225,7 +226,7 @@ def _scalar_curvature(
         return ScalarField.constant(geom, trace), None
     if symbol is None:
         symbol = _trace_symbol(geom, W)
-    spectrum = np.fft.rfftn(L.phi.values)
+    spectrum = _rfftn(L.phi.values)
     spectrum *= symbol
     tr = _irfftn(spectrum, geom)
     tr += trace

@@ -26,8 +26,9 @@ class NotQPositiveError(TorusposError, ValueError):
 
 class UniformizationRangeError(TorusposError):
     """The uniformizing transform of a valid q-positive instance leaves the
-    float64 range: ``exp(rate * lambda_max)`` overflows, so the transformed
-    metric cannot be represented. Not a configuration problem."""
+    float64 range: ``exp(rate * lambda_max)`` overflows, or the transformed
+    metric is so ill-conditioned that its computed values are not positive
+    definite, so it cannot be represented. Not a configuration problem."""
 
 
 class ConfigError(TorusposError, ValueError):

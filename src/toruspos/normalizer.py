@@ -43,6 +43,7 @@ from .lattice import (
     _irfftn,
     _known_constant,
     _max_abs,
+    _rfftn,
     _solve_spectrum,
     _spectrum_shape,
     compensated_sum,
@@ -94,7 +95,7 @@ def _hessian_trace(
     if f_hat is None:
         if _known_constant(f):
             return np.zeros(geom.grid_shape)
-        f_hat = np.fft.rfftn(f.values)
+        f_hat = _rfftn(f.values)
     symbols = _dz_symbols(geom, half=True)
     multiplier = np.zeros(_spectrum_shape(symbols))
     for j in range(geom.complex_dim):
@@ -156,7 +157,7 @@ def normalize_scalar_curvature(
         # The spectrum becomes f's in place; it and the symbol are dropped
         # as soon as they are used, since they set the call's peak memory.
         if spectrum is None:
-            spectrum = np.fft.rfftn(rhs.values)
+            spectrum = _rfftn(rhs.values)
         if symbol is None:
             symbol = _checked_symbol(geom, W)
         f = _solve_spectrum(spectrum, symbol, geom)

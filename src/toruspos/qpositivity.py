@@ -399,7 +399,8 @@ def uniformize_metric(
 
     Raises NotQPositiveError (via growth_rate) when the input curvature is
     not q-positive against ``omega``, and UniformizationRangeError when
-    ``exp(rate * lambda_max)`` leaves the float64 range.
+    ``exp(rate * lambda_max)`` leaves the float64 range or the computed
+    metric fails its finiteness or positive-definite gate.
     """
     n = L.geometry.complex_dim
     _validate_q(n, q)
@@ -422,12 +423,20 @@ def uniformize_metric(
         return _sandwich(root, middle)
 
     new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
-    if isinstance(new, tuple):
-        if np.ndim(new[0]):
-            return _freeze(MetricField._from_planes(L.geometry, new))
-        new = _join(new)
-    else:
-        new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
-    # A constant pencil gives one matrix, kept once as a constant metric.
-    shape = (*L.geometry.grid_shape, n, n)
-    return _freeze(MetricField(L.geometry, np.broadcast_to(new, shape)))
+    try:
+        if isinstance(new, tuple):
+            if np.ndim(new[0]):
+                return _freeze(MetricField._from_planes(L.geometry, new))
+            new = _join(new)
+        else:
+            new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
+        # A constant pencil gives one matrix, kept once as a constant metric.
+        shape = (*L.geometry.grid_shape, n, n)
+        return _freeze(MetricField(L.geometry, np.broadcast_to(new, shape)))
+    except ValueError as exc:
+        # Positive definite and finite in exact arithmetic: float64 lost
+        # the metric's small eigen-part, as it does once its condition
+        # number passes about 1e16.
+        raise UniformizationRangeError(
+            f"the uniformized metric is not representable in float64: {exc}"
+        ) from exc

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_unitary
 
 from toruspos import cli
 from toruspos.lattice import TorusGeometry, scalar_field_from_csv
@@ -97,20 +98,36 @@ def test_uniformize_spread_diagonal_class(tmp_path, capsys, top, uniform):
     )
 
 
+#: A fixed Haar unitary (conftest.random_unitary with rng seed 0).
+ROTATION = random_unitary(np.random.default_rng(0), 2)
+
+
 @pytest.mark.parametrize("q", [0, 1])
-@pytest.mark.parametrize("top", [2.0, 30.0, 100.0, 300.0, 1000.0])
-def test_uniformize_spread_sweep_exit_codes(tmp_path, capsys, top, q):
-    """diag(top, 1), zero weight, 8^4: valid configs never exit 2. Only
-    top = 1000 with q = 0 has t * lambda_max = 1000 log 3 past log(float
-    max), where the transformed metric cannot be held: exit 4."""
+@pytest.mark.parametrize(
+    "top,rotated",
+    [(2.0, False), (30.0, False), (100.0, False), (300.0, False), (1000.0, False),
+     (60.0, True)],
+    ids=["2.0", "30.0", "100.0", "300.0", "1000.0", "rotated-60.0"],
+)
+def test_uniformize_spread_sweep_exit_codes(tmp_path, capsys, top, rotated, q):
+    """U diag(top, 1) U*, zero weight, 8^4: valid configs never exit 2 or 3.
+    With U = 1, only top = 1000 with q = 0 has t * lambda_max = 1000 log 3
+    past log(float max), where the transformed metric cannot be held:
+    exit 4. Rotated, top = 60 with q = 0 has t * lambda_max = 66 only, but
+    the transformed metric's condition number passes 1/u, so float64
+    loses its small eigen-part: exit 4 as well, not 3."""
+    r_const = [[top, 0.0], [0.0, 1.0]]
+    if rotated:
+        matrix = (ROTATION * np.array([top, 1.0])) @ ROTATION.conj().T
+        r_const = [[[z.real, z.imag] for z in row] for row in matrix]
     payload = {
         "geometry": {"complex_dim": 2, "grid": 8},
-        "instance": {"r_const": [[top, 0.0], [0.0, 1.0]], "phi": "0"},
+        "instance": {"r_const": r_const, "phi": "0"},
         "q": q,
         "output": {"dir": str(tmp_path / "out")},
     }
     cfg = write_config(tmp_path / "config.json", payload)
-    out_of_range = top == 1000.0 and q == 0
+    out_of_range = top in (1000.0, 60.0) and q == 0
     assert cli.main(["uniformize", "--config", cfg]) == (4 if out_of_range else 0)
     err = capsys.readouterr().err
     if out_of_range:
@@ -196,6 +213,22 @@ def test_equivalence_suite_corpus_mode(tmp_path):
     lines = (out / "corpus.csv").read_text().strip().split("\n")
     assert len(lines) == 13
     assert lines[0].startswith("index,")
+
+
+def test_corpus_report_echoes_no_instance_base_or_q(tmp_path):
+    """A corpus draws its own instances, base metrics and q, so the
+    config's are not echoed as if they had run."""
+    cfg = write_config(tmp_path / "config.json", {
+        "geometry": {"complex_dim": 2, "grid": 8},
+        "instance": {"r_const": [[1.0, 0.0], [0.0, 2.0]], "phi": "0"},
+        "base_metric": [[1.0, 0.0], [0.0, 1.0]],
+        "q": 1,
+        "output": {"dir": str(tmp_path / "out")},
+    })
+    assert cli.main(["equivalence-suite", "--corpus", "2", "--config", cfg]) == 0
+    config = read_report(tmp_path)["config"]
+    assert config["corpus"] == 2
+    assert not {"instance", "base_metric", "q"} & set(config)
 
 
 def test_corpus_runs_are_deterministic(tmp_path):

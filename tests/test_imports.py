@@ -1,5 +1,7 @@
 """The package imports only the standard library and its declared
-dependency, numpy: scipy and other installed packages stay out."""
+dependency, numpy: scipy and other installed packages stay out. Grid
+transforms go through lattice.py's helpers, so numpy's FFT is called in
+that module only."""
 
 import ast
 import sys
@@ -42,3 +44,48 @@ def test_undeclared_imports_are_found(tmp_path):
     )
     names = [name for _, name in _absolute_imports(module)]
     assert names == ["os", "numpy.linalg", "scipy"]
+
+
+#: numpy.fft names that are not transforms.
+FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+
+
+def _numpy_fft_uses(path: Path):
+    """``(line, name)`` of each numpy.fft transform that ``path`` names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.fft"):
+            for alias in node.names:
+                if node.module == "numpy.fft" or alias.name == "fft":
+                    yield node.lineno, alias.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "fft"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in ("np", "numpy")
+            and node.attr not in FFT_HELPERS
+        ):
+            yield node.lineno, node.attr
+
+
+def test_numpy_fft_transforms_are_called_only_in_lattice():
+    sources = sorted(PACKAGE.glob("*.py"))
+    outside = [
+        f"{path.name}:{line}: {name}"
+        for path in sources
+        if path.name != "lattice.py"
+        for line, name in _numpy_fft_uses(path)
+    ]
+    assert outside == []
+    assert list(_numpy_fft_uses(PACKAGE / "lattice.py"))
+
+
+def test_numpy_fft_uses_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\nfrom numpy.fft import rfftn\nfrom numpy import fft\n"
+        "k = np.fft.fftfreq(8)\nx = np.fft.irfftn(k)\ny = numpy.fft.fft(k)\n"
+    )
+    names = [name for _, name in _numpy_fft_uses(module)]
+    assert names == ["rfftn", "fft", "irfftn", "fft"]

@@ -302,18 +302,29 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
 def test_normalize_transform_count(monkeypatch, phi_text, forward, inverse):
     """A counter, no timing: one forward transform, of the weight, and one
     inverse transform each for the scalar curvature, the solve and the
-    residual; none for a zero weight."""
-    calls = {"rfftn": 0, "irfftn": 0}
+    residual; none for a zero weight. The package's transform helpers are
+    counted; on a 4^6 grid they run as matrix products, never np.fft."""
+    import toruspos.curvature as curvature_module
+    import toruspos.lattice as lattice_module
+    import toruspos.normalizer as normalizer_module
 
-    def counting(name, original):
+    calls = []
+
+    def recording(name, original):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.append(name)
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    originals = {name: getattr(lattice_module, name) for name in ("_rfftn", "_irfftn")}
+    for module in (curvature_module, lattice_module, normalizer_module):
+        for name, original in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, original))
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, recording(f"np.fft.{name}", original))
     g = TorusGeometry.regular(3, 4)
     rng = np.random.default_rng(32)
     omega = random_pd_metric(rng, g)
@@ -322,7 +333,7 @@ def test_normalize_transform_count(monkeypatch, phi_text, forward, inverse):
     )
     _, cert = normalize_scalar_curvature(L, omega)
     assert cert.residuals["poisson_rel"] < 1e-8
-    assert calls == {"rfftn": forward, "irfftn": inverse}
+    assert sorted(calls) == ["_irfftn"] * inverse + ["_rfftn"] * forward
 
 
 @pytest.mark.parametrize(

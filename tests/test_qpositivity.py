@@ -379,6 +379,20 @@ def test_uniformize_out_of_float_range_is_a_typed_error():
     assert uniformize_metric(L, identity_metric(g), q=0).min_eigenvalue > 0.0
 
 
+@pytest.mark.parametrize("top", [40.0, 100.0])
+def test_uniformize_ill_conditioned_rotated_class_is_a_typed_error(top):
+    """n = 3, 4^6, U diag(top, 2, 1) U* with a fixed U, q = 0: the exact
+    transform is positive definite, but in a rotated basis float64 loses
+    its small eigen-part, and the computed metric fails its gate. That is
+    a range error (exit 4), not a ValueError (exit 3)."""
+    g = TorusGeometry.regular(3, 4)
+    U = random_unitary(np.random.default_rng(0), 3)
+    r_const = (U * np.array([top, 2.0, 1.0])) @ U.conj().T
+    L = LineBundleMetric.from_constant(g, 0.5 * (r_const + r_const.conj().T))
+    with pytest.raises(UniformizationRangeError, match="not positive definite"):
+        uniformize_metric(L, identity_metric(g), q=0)
+
+
 def test_uniformize_closed_form_example():
     g = TorusGeometry.regular(2, 4)
     L = LineBundleMetric.from_constant(

@@ -1,0 +1,139 @@
+"""The package's grid transforms against numpy's FFT.
+
+Grids whose axes are all at most ``_DFT_MAX_AXIS`` long are transformed
+by dense DFT-matrix products; longer ones by ``np.fft``. Both sides of
+that crossover are drawn here, and numpy's FFT is the reference.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from toruspos import TorusGeometry
+from toruspos.lattice import _dft, _fftn, _ifftn, _irfftn, _rfftn
+
+#: As in test_half_spectrum.py: error relative to the reference's max |entry|.
+RTOL = 1e-13
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _geometry(shape):
+    return TorusGeometry(len(shape) // 2, shape, (1.0,) * len(shape))
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+@st.composite
+def _shapes(draw):
+    """2 or 4 even axes from 4 to 64 points, at most 2^16 points in all."""
+    axes = draw(st.sampled_from([2, 4]))
+    lengths = st.integers(min_value=2, max_value=32).map(lambda k: 2 * k)
+    shape = tuple(draw(st.lists(lengths, min_size=axes, max_size=axes)))
+    if np.prod(shape) > 1 << 16:
+        shape = shape[:2] + (4,) * (axes - 2)
+    return shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shapes(), st.integers(min_value=0, max_value=2**32 - 1))
+@example((4, 8, 32, 6), 0)
+@example((8, 8, 8, 8, 8, 8), 1)
+@example((4, 64), 2)
+@example((64, 4, 4, 8), 3)
+def test_transforms_match_numpy(shape, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape)
+    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(len(shape)))
+    half = np.fft.rfftn(values)
+    _assert_close(_rfftn(values), half)
+    inverse = np.fft.irfftn(half, s=shape, axes=axes)
+    _assert_close(_irfftn(half, _geometry(shape)), inverse)
+    _assert_close(_fftn(values), np.fft.fftn(values))
+    _assert_close(_ifftn(full), np.fft.ifftn(full))
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8, 8), (4, 8, 32, 6), (64, 64)])
+def test_inverse_ignores_the_imaginary_dc_and_nyquist_parts(shape):
+    """As numpy's irfftn does, on the half axis; the other axes' bins pair up."""
+    rng = np.random.default_rng(4)
+    half = np.fft.rfftn(rng.standard_normal(shape))
+    noisy = half.copy()
+    noisy[..., 0] += 1j * rng.standard_normal(shape[:-1])
+    noisy[..., -1] += 1j * rng.standard_normal(shape[:-1])
+    geom = _geometry(shape)
+    ref = np.fft.irfftn(noisy, s=shape, axes=tuple(range(len(shape))))
+    _assert_close(_irfftn(noisy, geom), ref)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8, 8), (4, 8, 32, 6), (64, 64)])
+def test_zero_input_gives_exact_zeros(shape):
+    zeros = np.zeros(shape)
+    assert not np.any(_rfftn(zeros))
+    assert not np.any(_fftn(zeros))
+    assert not np.any(_ifftn(zeros.astype(np.complex128)))
+    half = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=np.complex128)
+    assert not np.any(_irfftn(half, _geometry(shape)))
+
+
+@pytest.mark.parametrize("s", range(4, 34, 2))
+def test_dft_matrices_come_from_an_exactly_symmetric_root_table(s):
+    dft = _dft(s)
+    roots = dft.forward[1]
+    m = np.arange(1, s)
+    assert np.array_equal(dft.forward, dft.forward.T)
+    assert np.array_equal(roots[s - m], np.conj(roots[m]))
+    assert roots[0] == 1.0 and roots[s // 2] == -1.0
+    if s % 4 == 0:
+        assert roots[s // 4] == -1j
+    if s % 8 == 0:
+        assert roots[s // 8].real == -roots[s // 8].imag
+    assert np.max(np.abs(roots - np.exp(-2j * np.pi * np.arange(s) / s))) < 2e-15
+    assert not any(matrix.flags.writeable for matrix in vars(dft).values())
+
+
+_DIGEST = """
+import hashlib
+import numpy as np
+from toruspos.lattice import _dft, _fftn, _ifftn, _irfftn, _rfftn, TorusGeometry
+
+digest = hashlib.sha256()
+for shape in [(8,) * 6, (16,) * 4]:
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(shape)
+    half = _rfftn(values)
+    geom = TorusGeometry(len(shape) // 2, shape, (1.0,) * len(shape))
+    full = _fftn(values)
+    for out in (half, _irfftn(half, geom), full, _ifftn(full)):
+        digest.update(np.ascontiguousarray(out).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _digest_with_blas_threads(threads: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = threads
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
+def test_transforms_are_bit_identical_across_blas_thread_counts():
+    assert _digest_with_blas_threads("1") == _digest_with_blas_threads("2")
