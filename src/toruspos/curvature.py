@@ -210,7 +210,8 @@ def _scalar_curvature(
     its varying part when it took the spectral route (else None).
 
     ``symbol`` is the trace symbol of ``Omega^{-1}`` when the caller has
-    built it already.
+    built it already, which a caller does only for a weight it has found
+    not to be ``_known_constant``; that scan is then not repeated.
     """
     geom = L.geometry
     if omega.geometry != geom:
@@ -222,9 +223,9 @@ def _scalar_curvature(
         return ScalarField(geom, tr.real), None
     W = np.linalg.inv(const)
     trace = np.einsum("ij,ji->", W, L.r_const).real
-    if _known_constant(L.phi):
-        return ScalarField.constant(geom, trace), None
     if symbol is None:
+        if _known_constant(L.phi):
+            return ScalarField.constant(geom, trace), None
         symbol = _trace_symbol(geom, W)
     spectrum = _rfftn(L.phi.values)
     spectrum *= symbol

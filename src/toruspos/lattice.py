@@ -17,6 +17,7 @@ bit-stable.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -268,15 +269,47 @@ def _dft(s: int) -> _Dft:
     return matrices
 
 
-def _products(y: np.ndarray, matrices) -> np.ndarray:
+#: Per-thread transform work space: see ``_work``.
+_WORK = threading.local()
+
+
+def _work(entries: int) -> np.ndarray:
+    """The first ``entries`` complex entries of this thread's work buffer.
+
+    The product-route transforms write their intermediate passes here, so
+    that a grid-sized pass reuses pages already mapped instead of faulting
+    in a fresh allocation that the allocator hands back to the system on
+    free. There is one buffer per thread; it grows to the largest transform
+    seen, never shrinks, and no transform returns a view of it.
+    """
+    buffer = getattr(_WORK, "buffer", None)
+    if buffer is None or buffer.size < entries:
+        _WORK.buffer = buffer = None  # let the smaller one go first
+        _WORK.buffer = buffer = np.empty(entries, dtype=np.complex128)
+    return buffer[:entries]
+
+
+def _alternate(last: np.ndarray, other: np.ndarray, passes: int) -> list:
+    """Targets of ``passes`` successive passes, alternating between the two
+    arrays so that each pass reads one and writes the other, and the last
+    pass writes ``last``."""
+    return [last if (passes - i) % 2 else other for i in range(passes)]
+
+
+def _products(y: np.ndarray, matrices, targets) -> np.ndarray:
     """Contract the leading axis of ``y`` with each matrix in turn and move
-    it to the end, one 2-D product each: after a matrix per axis, the
-    flattened result is in ``y``'s own axis order. A real product's
-    interleaved (re, im) columns are viewed as complex."""
-    for matrix in matrices:
-        y = y.reshape(matrix.shape[0], -1).T @ matrix
-        if y.dtype == np.float64:
-            y = y.view(np.complex128)
+    it to the end, one 2-D product each, written into the flat complex
+    arrays ``targets`` (one per matrix): after a matrix per axis, the last
+    target holds the result in ``y``'s own axis order. A real product
+    writes interleaved (re, im) columns, the float view of its target."""
+    for matrix, target in zip(matrices, targets, strict=True):
+        rows = y.size // matrix.shape[0]
+        if matrix.dtype == np.float64:
+            out = target.view(np.float64).reshape(rows, -1)
+        else:
+            out = target.reshape(rows, -1)
+        np.matmul(y.reshape(matrix.shape[0], -1).T, matrix, out=out)
+        y = target
     return y
 
 
@@ -287,7 +320,10 @@ def _fftn(values: np.ndarray) -> np.ndarray:
         return np.fft.fftn(values)
     first, *rest = shape
     matrices = [_dft(first).forward.view(np.float64), *(_dft(s).forward for s in rest)]
-    return _products(values, matrices).reshape(shape)
+    out = np.empty(shape, dtype=np.complex128)
+    flat = out.reshape(-1)
+    _products(values, matrices, _alternate(flat, _work(flat.size), len(shape)))
+    return out
 
 
 def _ifftn(spectrum: np.ndarray) -> np.ndarray:
@@ -295,7 +331,11 @@ def _ifftn(spectrum: np.ndarray) -> np.ndarray:
     shape = spectrum.shape
     if max(shape) > _DFT_MAX_AXIS:
         return np.fft.ifftn(spectrum)
-    return _products(spectrum, [_dft(s).inverse for s in shape]).reshape(shape)
+    matrices = [_dft(s).inverse for s in shape]
+    out = np.empty(shape, dtype=np.complex128)
+    flat = out.reshape(-1)
+    _products(spectrum, matrices, _alternate(flat, _work(flat.size), len(shape)))
+    return out
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:
@@ -304,9 +344,16 @@ def _rfftn(values: np.ndarray) -> np.ndarray:
     if max(values.shape) > _DFT_MAX_AXIS:
         return np.fft.rfftn(values)
     *lead, s = values.shape
-    half = (values.reshape(-1, s) @ _dft(s).half).view(np.complex128)
-    y = _products(half, [_dft(t).forward for t in lead])
-    return np.ascontiguousarray(y.reshape(s // 2 + 1, -1).T).reshape(*lead, -1)
+    h = s // 2 + 1
+    out = np.empty((*lead, h), dtype=np.complex128)
+    # Every pass alternates between out and the work buffer; the last
+    # product lands in the buffer, and the transpose copy writes out.
+    first, *rest = _alternate(_work(out.size), out.reshape(-1), len(values.shape))
+    half = first.view(np.float64).reshape(-1, 2 * h)
+    np.matmul(values.reshape(-1, s), _dft(s).half, out=half)
+    y = _products(first, [_dft(t).forward for t in lead], rest)
+    np.copyto(out.reshape(-1, h), y.reshape(h, -1).T)
+    return out
 
 
 def _irfftn(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
@@ -315,9 +362,18 @@ def _irfftn(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
     if max(grid) > _DFT_MAX_AXIS:
         return np.fft.irfftn(spectrum, s=grid, axes=tuple(range(len(grid))))
     *lead, s = grid
-    y = _products(spectrum, [_dft(t).inverse for t in lead])
-    y = np.ascontiguousarray(y.reshape(s // 2 + 1, -1).T)
-    return (y.view(np.float64) @ _dft(s).half_inverse).reshape(grid)
+    h = s // 2 + 1
+    # The real output cannot hold a complex pass, so the passes and the
+    # transpose copy alternate between the two halves of the work buffer.
+    size = spectrum.size
+    work = _work(2 * size)
+    *passes, last = _alternate(work[:size], work[size:], len(grid))
+    y = _products(spectrum, [_dft(t).inverse for t in lead], passes)
+    np.copyto(last.reshape(-1, h), y.reshape(h, -1).T)
+    half = last.view(np.float64).reshape(-1, 2 * h)
+    out = np.empty(grid)
+    np.matmul(half, _dft(s).half_inverse, out=out.reshape(-1, s))
+    return out
 
 
 def _hessian_multiplier(
@@ -902,8 +958,9 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     return _solve_spectrum(_rfftn(g.values), sym, geom)
 
 
-def _check_mean_zero(g: ScalarField) -> None:
-    """poisson_solve's solvability precondition on its right-hand side."""
+def _check_mean_zero(g: ScalarField) -> float:
+    """poisson_solve's solvability precondition on its right-hand side;
+    returns the ``|g|_inf`` it compared against."""
     g_inf = g.max_abs()
     g_mean = g.mean()
     if abs(g_mean) > MEAN_ZERO_RTOL * g_inf:
@@ -911,6 +968,7 @@ def _check_mean_zero(g: ScalarField) -> None:
             f"right-hand side mean {g_mean:.3e} exceeds "
             f"{MEAN_ZERO_RTOL:.0e} * |g|_inf = {MEAN_ZERO_RTOL * g_inf:.3e}"
         )
+    return g_inf
 
 
 def _checked_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray:

@@ -103,6 +103,7 @@ def _hessian_trace(
             weight = W[j, j].real if j == k else 2.0 * W[k, j]
             multiplier += (weight * _hessian_multiplier(symbols, j, k)).real
     f_hat *= multiplier
+    del multiplier  # freed before the inverse transform allocates its output
     return _irfftn(f_hat, geom)
 
 
@@ -147,7 +148,7 @@ def normalize_scalar_curvature(
     else:
         rhs = rhs - compensated_sum(np.broadcast_to(rhs, grid)) / geom.num_points
     rhs = ScalarField(geom, np.broadcast_to(rhs, grid))
-    _check_mean_zero(rhs)
+    rhs_inf = _check_mean_zero(rhs)
     if _known_constant(rhs):  # zero, by the mean check
         f, achieved = ScalarField.constant(geom, 0.0), np.float64(0.0)
     else:
@@ -165,7 +166,6 @@ def normalize_scalar_curvature(
         achieved = _hessian_trace(f, W, spectrum)
         del spectrum
 
-    rhs_inf = rhs.max_abs()
     if rhs_inf > 0.0:
         poisson_residual = _max_abs(achieved - rhs.values) / rhs_inf
     else:

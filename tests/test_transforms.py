@@ -8,6 +8,8 @@ that crossover are drawn here, and numpy's FFT is the reference.
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toruspos import TorusGeometry
-from toruspos.lattice import _dft, _fftn, _ifftn, _irfftn, _rfftn
+from toruspos import (
+    LineBundleMetric,
+    TorusGeometry,
+    constant_metric,
+    normalize_scalar_curvature,
+)
+from toruspos.lattice import _WORK, _dft, _fftn, _ifftn, _irfftn, _rfftn
 
 #: As in test_half_spectrum.py: error relative to the reference's max |entry|.
 RTOL = 1e-13
@@ -137,3 +144,112 @@ def _digest_with_blas_threads(threads: str) -> str:
 
 def test_transforms_are_bit_identical_across_blas_thread_counts():
     assert _digest_with_blas_threads("1") == _digest_with_blas_threads("2")
+
+
+#: The product-route grids of the benchmark: n = 3 at 8^6 and n = 2 at 16^4.
+PRODUCT_GRIDS = [(8,) * 6, (16,) * 4]
+
+
+def _calls(shape, seed=0):
+    """The four transforms of one random grid, as name -> zero-argument call."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape)
+    half = np.fft.rfftn(values)
+    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    geom = _geometry(shape)
+    return {
+        "rfftn": lambda: _rfftn(values),
+        "irfftn": lambda: _irfftn(half, geom),
+        "fftn": lambda: _fftn(values),
+        "ifftn": lambda: _ifftn(full),
+    }
+
+
+def _traced_peak(call):
+    """(result, traced peak above the starting level) of ``call()``."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+@pytest.mark.parametrize("shape", PRODUCT_GRIDS)
+@pytest.mark.parametrize("name", ["rfftn", "irfftn", "fftn", "ifftn"])
+def test_warm_transform_allocates_only_its_output(shape, name):
+    """Every pass between input and output goes through the thread's work
+    buffer, so a warmed-up transform allocates its output and nothing of
+    grid size besides (a fresh array per pass adds 1 to 2 output sizes)."""
+    call = _calls(shape)[name]
+    call()  # grows the work buffer and fills the DFT matrix cache
+    out, peak = _traced_peak(call)
+    assert peak <= out.nbytes + 64 * 1024
+
+
+def test_warm_weighted_normalize_peak_stays_within_six_fields():
+    """Spectra, symbol, fields and the transforms' passes of one weighted
+    n = 3 normalize take at most six 8^6 real fields above the start."""
+    geom = TorusGeometry.regular(3, 8)
+    L = LineBundleMetric.from_expression(
+        geom,
+        np.diag([1.0, -0.5, 0.7]).astype(complex),
+        "0.3*sin(x1)*cos(y2) + 0.2*cos(2*x3)*sin(y1)",
+    )
+    omega = constant_metric(
+        geom, np.array([[1.5, 0.2j, 0], [-0.2j, 1.0, 0.1], [0, 0.1, 0.8]])
+    )
+    normalize_scalar_curvature(L, omega)
+    _, peak = _traced_peak(lambda: normalize_scalar_curvature(L, omega))
+    assert peak <= 6 * 8 * geom.num_points
+
+
+def test_two_threads_give_the_serial_results_bit_for_bit():
+    serial = {
+        shape: {name: call().tobytes() for name, call in _calls(shape).items()}
+        for shape in PRODUCT_GRIDS
+    }
+    mismatches, finished = [], []
+
+    def loop(shape):
+        calls = _calls(shape)
+        kept = {name: call() for name, call in calls.items()}
+        for _ in range(6):
+            for name, call in calls.items():
+                if call().tobytes() != serial[shape][name]:
+                    mismatches.append((shape, name))
+        # Results returned before later transforms are still intact.
+        for name, out in kept.items():
+            if out.tobytes() != serial[shape][name]:
+                mismatches.append((shape, name, "kept"))
+        finished.append(shape)
+
+    threads = [threading.Thread(target=loop, args=(s,)) for s in PRODUCT_GRIDS]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not mismatches and len(finished) == 2
+
+
+def test_results_survive_a_larger_grid_growing_the_work_buffer():
+    """In a new thread, so that the buffer starts empty and must grow."""
+    survived = []
+
+    def work():
+        small = {name: call() for name, call in _calls((16,) * 4).items()}
+        before = {name: out.tobytes() for name, out in small.items()}
+        size = _WORK.buffer.size
+        large = [call() for call in _calls((8,) * 6).values()]
+        assert _WORK.buffer.size > size
+        assert not any(
+            np.shares_memory(out, _WORK.buffer) for out in [*small.values(), *large]
+        )
+        survived.append(all(small[k].tobytes() == before[k] for k in small))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join()
+    assert survived == [True]
