@@ -639,9 +639,10 @@ def _hermitian_2x2_parts(a, d, c):
     z.real, z.imag = h, abs_c
     r = np.abs(z)
     del z
-    s = np.abs(h)
+    s = np.asarray(np.abs(h))  # an array also for 0-d planes
     s += r
-    t = np.divide(abs_c, s, out=np.zeros_like(s), where=s > 0.0)
+    s[s == 0.0] = 1.0  # h = |c| = 0 there, so t is 0
+    t = abs_c / s
     t *= abs_c
     return h, t, r
 
@@ -731,16 +732,16 @@ def _small_matrix_function(planes: tuple, *fns) -> list[tuple]:
     at_a = np.copysign(t, h)
     at_d = d - at_a
     at_a += a
-    two_r = r + r
-    nonzero = two_r > 0.0
-    tau = np.divide(t, two_r, out=np.zeros_like(two_r), where=nonzero)
+    two_r = np.asarray(r + r)
+    two_r[two_r == 0.0] = 1.0  # t and c are 0 there, so tau and unit are 0
+    tau = t / two_r
     # (f_hi - f_lo) c / (2r) = (f_a - f_d) unit with |unit| <= 1/2. Real
     # divisions: 1/(2r), which complex division forms, overflows for
     # subnormal r.
-    two_r = np.copysign(two_r, h)
-    unit = np.zeros_like(c)
-    np.divide(c.real, two_r, out=unit.real, where=nonzero)
-    np.divide(c.imag, two_r, out=unit.imag, where=nonzero)
+    np.copysign(two_r, h, out=two_r)
+    unit = np.empty_like(c)
+    np.divide(c.real, two_r, out=unit.real)
+    np.divide(c.imag, two_r, out=unit.imag)
     out = []
     for fn in fns:
         f_a, f_d = fn(at_a), fn(at_d)
@@ -925,12 +926,34 @@ def _trace_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray
     symbol on an active mode therefore cannot occur; poisson_solve checks
     this. scalar_curvature filters the weight with the same symbol against
     a constant metric.
+
+    Term (k, j) is ``Re(conj(a_k) W_kj a_j)``, the (j, k) term its
+    conjugate's real part, so each pair k < j is one term counted twice.
+    The terms are subtracted symbol by symbol, each on its own shape (term
+    (k, j) varies along the axes of ``a_k`` and ``a_j`` only), so only the
+    steps that bring in a third symbol's axes run over the whole half
+    spectrum: two passes at n = 3 instead of nine. For a diagonal ``W``
+    the cross terms are zero and the result is the plain double sum's
+    bit for bit.
     """
     symbols = _dz_symbols(geom, half=True)
-    sym = np.zeros(_spectrum_shape(symbols))
-    for k, a_k in enumerate(symbols):
-        for j, a_j in enumerate(symbols):
-            sym -= (np.conj(a_k) * inverse_metric[k, j] * a_j).real
+
+    def term(k: int, j: int) -> np.ndarray:
+        t = (np.conj(symbols[k]) * inverse_metric[k, j] * symbols[j]).real
+        return t if j == k else 2.0 * t
+
+    def minus(sym: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # In place once sym spans t's axes: one spectrum-sized array at most.
+        if np.broadcast_shapes(sym.shape, t.shape) != sym.shape:
+            return sym - t
+        sym -= t
+        return sym
+
+    sym = 0.0 - term(0, 0)
+    for k in range(1, len(symbols)):
+        for j in range(k - 1):
+            sym = minus(sym, term(j, k))
+        sym = minus(sym, term(k, k) + term(k - 1, k))
     return sym
 
 

@@ -51,12 +51,11 @@ from .lattice import (
     constant_representative,
 )
 from .qpositivity import (
+    _cholesky,
+    _congruence,
     _descending_eigenvalues,
-    _inverse_sqrt,
     _operand,
     _resolve_eps,
-    _sandwich,
-    _spectral_functions,
 )
 
 #: Default relative weight put on non-positive eigendirections of r_const
@@ -72,8 +71,8 @@ def target_constant(L: LineBundleMetric, omega: MetricField) -> float:
 
 def _class_scale(L: LineBundleMetric, omega_matrix: np.ndarray) -> float:
     """Largest |pencil eigenvalue| of (r_const, Omega): the scale of c."""
-    (inv_root,) = _spectral_functions(_operand(omega_matrix), _inverse_sqrt)
-    mu = _descending_eigenvalues(_sandwich(inv_root, _operand(L.r_const)))
+    _, inverse = _cholesky(_operand(omega_matrix))
+    mu = _descending_eigenvalues(_congruence(inverse, _operand(L.r_const)))
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 
 

@@ -14,27 +14,31 @@ the base metric: with
 
 the transformed metric
 
-    new_Omega^{-1} = Omega^{-1/2} V diag(psi(t * lambda)) V* Omega^{-1/2},
+    new_Omega = L V diag(1 / psi(t * lambda)) V* L*,
     psi(x) = (exp(x) - 1) / x,  psi(0) = 1,
 
-(V, lambda the pencil eigensystem) has pencil eigenvalues exactly
-kappa_i = (exp(t * lambda_i) - 1) / t, and the sum of the q+1 smallest
-kappa is bounded below by (exp(t * lambda_{n-q}) - (q+1)) / t > 0. The
-transform is evaluated through the pencil eigensystem, which keeps the
-output positive definite for any eigenvalue spread; the tests keep the
-equivalent truncated power series as a cross-check oracle.
+(Omega = L L* with L its lower Cholesky factor; V, lambda the eigensystem
+of L^{-1} R L^{-*}, whose eigenvalues are the pencil's) has pencil
+eigenvalues exactly kappa_i = (exp(t * lambda_i) - 1) / t, and the sum of
+the q+1 smallest kappa is bounded below by
+(exp(t * lambda_{n-q}) - (q+1)) / t > 0. The transform is evaluated
+through the pencil eigensystem, which keeps the output positive definite
+for any eigenvalue spread; the tests keep the equivalent truncated power
+series as a cross-check oracle. Any X with X X* = Omega is Omega^{1/2} U
+for a unitary U, so in exact arithmetic the Cholesky factor gives the
+same eigenvalues and metric as the symmetric root Omega^{1/2}.
 
 The pencil eigenvalues and the transform take one path for every n. Each
 field or matrix becomes a kernel operand (``_operand``), a constant base
 is factored once, and the kernels run one L2-sized tile of the grid at a
 time. The operand selects the kernels: for n <= 2 eigenvalues, matrix
-functions and the Omega^{-1/2} sandwiches are closed-form elementwise
-formulas on component planes (see CONVENTIONS.md); larger n uses batched
-LAPACK on one n x n matrix or on the whole, untiled stack. A pencil whose
-two fields are read-only is solved once: its eigenvalues are remembered
-on the curvature field. The transform takes its rate from that solve and
-returns a read-only metric, so the checks and the transform share one
-solve per (R, Omega) pair.
+functions, the Cholesky factor and the congruences by it are closed-form
+elementwise formulas on component planes (see CONVENTIONS.md); larger n
+uses batched LAPACK on one n x n matrix or on the whole, untiled stack.
+A pencil whose two fields are read-only is solved once: its eigenvalues
+are remembered on the curvature field. The transform takes its rate from
+that solve and returns a read-only metric, so the checks and the
+transform share one solve per (R, Omega) pair.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .lattice import (
     _small_matrix_function,
     _split,
     _tiled,
+    _tiles,
 )
 
 #: Default positivity tolerance, relative to the largest |eigenvalue|.
@@ -115,7 +120,15 @@ class EigenvalueField:
         n = self.geometry.complex_dim
         if not 1 <= count <= n:
             raise ValueError(f"count must be in 1..{n}, got {count}")
-        return np.sum(self.values[..., n - count :], axis=-1)
+        # Column by column: np.sum over a last axis of n <= 3 entries costs
+        # about 20 ns per point. The values are np.sum's, -0.0 included.
+        columns = [self.values[..., k] for k in range(n - count, n)]
+        if count == 1:
+            return columns[0] + 0.0
+        total = columns[0] + columns[1]
+        for column in columns[2:]:
+            total += column
+        return total
 
     def max_abs(self) -> float:
         return _max_abs(self.values)
@@ -136,44 +149,97 @@ def _operand(x):
     return _split(x) if x.shape[-1] <= 2 else x
 
 
-def _inverse_sqrt(x: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(x)
-
-
-def _spectral_functions(base, *fns) -> list:
-    """``f(Base)`` for each ``f``, of a constant matrix or a field of them.
+def _spectral_functions(M, *fns) -> list:
+    """``f(M)`` for each ``f``, of a Hermitian matrix or a field of them.
 
     Planes (n <= 2) take the closed-form spectral calculus and give
     planes; larger n one batched Hermitian eigendecomposition shared by
     every ``f``.
     """
-    if isinstance(base, tuple):
-        return _small_matrix_function(base, *fns)
-    d, Q = np.linalg.eigh(base)
-    if base.ndim == 2:
+    if isinstance(M, tuple):
+        return _small_matrix_function(M, *fns)
+    d, Q = np.linalg.eigh(M)
+    if M.ndim == 2:
         return [(Q * fn(d)) @ Q.conj().T for fn in fns]
     return [np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj()) for fn in fns]
 
 
-def _sandwich(P, M):
-    """``P M P`` for Hermitian P and M, each a constant matrix or a field.
+def _cholesky(base):
+    """Lower Cholesky factor ``L`` of ``Base = L L*`` and ``L^{-1}``, of a
+    positive definite matrix or a field of them.
+
+    On planes (n <= 2) both are closed form and come as the planes of a
+    lower triangular matrix, diagonal first: ``(l11, l22, l21)`` with
+    ``l11 = sqrt(a)``, ``l21 = c / l11``, ``l22 = sqrt(d - |l21|^2)``, and
+    ``L^{-1}`` has diagonal ``1/l11``, ``1/l22`` and lower entry
+    ``-l21 / (l11 l22)``. Larger n uses LAPACK ``cholesky`` and the
+    inverse of its factor.
+    """
+    if not isinstance(base, tuple):
+        L = np.linalg.cholesky(base)
+        return L, np.linalg.inv(L)
+    l11 = np.sqrt(base[0])
+    inv11 = 1.0 / l11
+    if len(base) == 1:
+        return (l11,), (inv11,)
+    _, d, c = base
+    l21 = c * inv11
+    l22 = np.sqrt(d - (l21.real * l21.real + l21.imag * l21.imag))
+    inv22 = 1.0 / l22
+    return (l11, l22, l21), (inv11, inv22, l21 * -(inv11 * inv22))
+
+
+def _require_factor(metric: MetricField) -> MetricField:
+    """``metric``, when float64 forms its Cholesky factor; else ValueError.
+
+    The positive-definite gate reads the smallest eigenvalue, the pencil
+    route whitens by the factor. Their pivots stay positive once that
+    eigenvalue clears the factorization's rounding, well inside
+    ``64 n^2 u`` times the largest diagonal entry (u = 2.2e-16). A metric
+    below that margin is factored here, as the pencil route factors it.
+    """
+    n = metric.geometry.complex_dim
+    planes = metric._planes
+    if planes is not None:
+        top = max(float(np.max(p)) for p in planes[:2])
+    else:
+        const = metric.matrix
+        values = metric.values if const is None else const
+        top = float(np.max(np.diagonal(values, axis1=-2, axis2=-1).real))
+    if metric.min_eigenvalue > 64 * n * n * np.finfo(np.float64).eps * top:
+        return metric
+    if planes is None:
+        np.linalg.cholesky(values)  # LinAlgError, a ValueError, if it fails
+    elif n == 2:  # for n = 1 the factor is sqrt(a), a > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for _, (tile,) in _tiles(planes):
+                (_, l22, _), _ = _cholesky(tile)
+                if not np.all(l22 > 0.0):
+                    raise ValueError("metric field has no Cholesky factor in float64")
+    return metric
+
+
+def _congruence(T, M):
+    """``T M T*`` for lower triangular T and Hermitian M, each one matrix
+    or a field (``_cholesky`` gives T).
 
     On planes (n <= 2) the product is expanded entry by entry over the
     grid and is exactly Hermitian.
     """
-    if isinstance(M, tuple):
-        if len(M) == 1:
-            return (P[0] ** 2 * M[0],)
-        p, s, t = P
-        a, d, w = M
-        cross = t.real * w.real + t.imag * w.imag  # Re(conj(t) w)
-        tt = t.real * t.real + t.imag * t.imag
-        return (
-            p * p * a + 2.0 * p * cross + tt * d,
-            tt * a + 2.0 * s * cross + s * s * d,
-            t * (p * a + s * d) + p * s * w + t * t * np.conj(w),
-        )
-    return P @ M @ P
+    if not isinstance(M, tuple):
+        return T @ M @ np.conj(np.swapaxes(T, -1, -2))
+    if len(M) == 1:
+        # Squared by pow, not t * t, for a 0-d T: n = 1 keeps its former bits.
+        return (T[0] ** 2 * M[0],)
+    t1, t2, t = T
+    a, d, c = M
+    cross = t.real * c.real + t.imag * c.imag  # Re(conj(t) c)
+    tt = t.real * t.real + t.imag * t.imag
+    return (
+        t1 * t1 * a,
+        tt * a + 2.0 * t2 * cross + t2 * t2 * d,
+        (t1 * t) * a + (t1 * t2) * c,
+    )
 
 
 def _descending_eigenvalues(B) -> np.ndarray:
@@ -188,30 +254,31 @@ def _descending_eigenvalues(B) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.eigvalsh(B)[..., ::-1])
 
 
-def _base_factors(base, *fns):
-    """Tile kernel giving ``[f(Base) for f in fns]`` on a tile of the base
-    operand: a constant base (0-d planes or one matrix) is factored once,
-    here, and a varying one tile by tile."""
+def _base_factor(base):
+    """Tile kernel giving ``_cholesky`` of a tile of the base operand: a
+    constant base (0-d planes or one matrix) is factored once, here, and
+    a varying one tile by tile."""
     varying = any(p.ndim for p in base) if isinstance(base, tuple) else base.ndim > 2
     if varying:
-        return lambda tile: _spectral_functions(tile, *fns)
-    factors = _spectral_functions(base, *fns)
+        return _cholesky
+    factors = _cholesky(base)
     return lambda tile: factors
 
 
 def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
     """Descending eigenvalues of the pencil of two operands (see
-    ``_operand``); a constant pencil is solved once and broadcast over
+    ``_operand``): those of ``L^{-1} R L^{-*}``, with ``L`` the base's
+    Cholesky factor. A constant pencil is solved once and broadcast over
     the grid.
 
     Planes (n <= 2) are whitened and solved one tile at a time, so no
-    grid-sized Base^{-1/2} or Base^{-1/2} R Base^{-1/2} is formed.
+    grid-sized L^{-1} or L^{-1} R L^{-*} is formed.
     """
-    inverse_root = _base_factors(base, _inverse_sqrt)
+    factor = _base_factor(base)
 
     def eigenvalues(f, w):
-        (inv_root,) = inverse_root(w)
-        return (_descending_eigenvalues(_sandwich(inv_root, f)),)
+        _, inverse = factor(w)
+        return (_descending_eigenvalues(_congruence(inverse, f)),)
 
     (lam,) = _tiled(eigenvalues, geom.grid_shape, field, base)
     if lam.ndim == 1:
@@ -242,8 +309,8 @@ def generalized_eigenvalues(
 ) -> EigenvalueField:
     """Eigenvalues of the pencil (R, Omega) at every grid point.
 
-    These are the eigenvalues of the Hermitian matrix
-    Omega^{-1/2} R Omega^{-1/2}; real, base-point orthonormal-frame
+    These are the eigenvalues of the Hermitian matrix L^{-1} R L^{-*},
+    with Omega = L L* the Cholesky factorization; real, base-point frame
     independent, and returned sorted descending in a read-only array.
     When both fields are read-only the result is remembered on ``R``:
     asking again with the same ``omega`` object returns the same field
@@ -387,11 +454,12 @@ def uniformize_metric(
 ) -> MetricField:
     """Base-metric transform turning q-positivity into uniform q-positivity.
 
-    Evaluated pointwise through the pencil eigensystem: with eigenpairs
-    (lambda, V) of Omega^{-1/2} R Omega^{-1/2} and t the growth_rate, the
-    new metric is Omega^{1/2} V diag(1/psi(t*lambda)) V* Omega^{1/2}.
-    psi > 0 everywhere keeps the result positive definite, and the pencil
-    eigenvalues of R against the output equal (exp(t*lambda_i) - 1)/t.
+    Evaluated pointwise through the pencil eigensystem: with Omega = L L*
+    (L the Cholesky factor), eigenpairs (lambda, V) of L^{-1} R L^{-*}
+    and t the growth_rate, the new metric is
+    L V diag(1/psi(t*lambda)) V* L*. psi > 0 everywhere keeps the result
+    positive definite, and the pencil eigenvalues of R against the output
+    equal (exp(t*lambda_i) - 1)/t.
 
     The rate comes from the shared pencil solve of (R, omega), and every
     array behind the output is read-only, so the checks run against it
@@ -409,34 +477,37 @@ def uniformize_metric(
         raise ValueError("curvature and base metric live on different grids")
     # Pass 1 finds the rate from the pencil eigenvalues, solved once per
     # (R, omega) pair and shared with the checks; pass 2 whitens R again,
-    # tile by tile, and maps it through the shrink and the root sandwich.
+    # tile by tile, maps it through the shrink and back by the factor L.
     rate = _uniformizing_rate(_solve_pencil(R, omega), q, eps)
     base = _operand(omega)
-    roots = _base_factors(base, np.sqrt, _inverse_sqrt)
+    factor = _base_factor(base)
 
     def shrink(x):
         return 1.0 / expm1_over_x(rate * x)
 
     def transform(f, w):
-        root, inv_root = roots(w)
-        (middle,) = _spectral_functions(_sandwich(inv_root, f), shrink)
-        return _sandwich(root, middle)
+        root, inverse = factor(w)
+        (middle,) = _spectral_functions(_congruence(inverse, f), shrink)
+        return _congruence(root, middle)
 
     new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
     try:
         if isinstance(new, tuple):
             if np.ndim(new[0]):
-                return _freeze(MetricField._from_planes(L.geometry, new))
+                metric = MetricField._from_planes(L.geometry, new)
+                return _freeze(_require_factor(metric))
             new = _join(new)
         else:
             new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
         # A constant pencil gives one matrix, kept once as a constant metric.
         shape = (*L.geometry.grid_shape, n, n)
-        return _freeze(MetricField(L.geometry, np.broadcast_to(new, shape)))
+        metric = MetricField(L.geometry, np.broadcast_to(new, shape))
+        return _freeze(_require_factor(metric))
     except ValueError as exc:
         # Positive definite and finite in exact arithmetic: float64 lost
         # the metric's small eigen-part, as it does once its condition
-        # number passes about 1e16.
+        # number passes about 1e16. The checks whiten by its Cholesky
+        # factor, so a metric float64 cannot factor is refused here too.
         raise UniformizationRangeError(
             f"the uniformized metric is not representable in float64: {exc}"
         ) from exc

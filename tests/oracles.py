@@ -8,7 +8,8 @@ fields, so they stay independent of the component-plane kernels.
 ``integrate`` (trapezoid quadrature of a product) and
 ``is_constant_field`` are small helpers only the tests use, and
 ``UnsupportedDimensionError`` is what the n <= 2 oracles raise for larger
-n. The
+n. The symmetric-root whitening is the pencil route the package used
+before its Cholesky factor, kept here as a reference for it. The
 array-form views at the end run the n <= 2 plane kernels on stacked
 ``(..., n, n)`` matrices: split into planes, apply the kernel, join.
 """
@@ -179,6 +180,58 @@ def is_constant_field(field: HermitianMatrixField) -> bool:
     return True
 
 
+# -- symmetric-root whitening -----------------------------------------------
+
+
+def _symmetric_sandwich(P: tuple, M: tuple) -> tuple:
+    """Planes of ``P M P`` for Hermitian planes P and M, n <= 2, expanded
+    entry by entry (exactly Hermitian)."""
+    if len(M) == 1:
+        return (P[0] ** 2 * M[0],)
+    p, s, t = P
+    a, d, w = M
+    cross = t.real * w.real + t.imag * w.imag  # Re(conj(t) w)
+    tt = t.real * t.real + t.imag * t.imag
+    return (
+        p * p * a + 2.0 * p * cross + tt * d,
+        tt * a + 2.0 * s * cross + s * s * d,
+        t * (p * a + s * d) + p * s * w + t * t * np.conj(w),
+    )
+
+
+def symmetric_root_whitening(
+    R: np.ndarray, omega: np.ndarray, shrink=None
+) -> np.ndarray:
+    """Descending eigenvalues of ``Omega^{-1/2} R Omega^{-1/2}``, or with
+    ``shrink`` the metric ``Omega^{1/2} shrink(Omega^{-1/2} R Omega^{-1/2})
+    Omega^{1/2}``, of n x n matrices or stacks of them.
+
+    The roots are the base's symmetric ones: for n <= 2 the projector-form
+    plane kernels and the entrywise sandwich, for larger n ``eigh`` and
+    matrix products. In exact arithmetic this is the package's
+    ``L^{-1} R L^{-*}`` route, since ``L = Omega^{1/2} U`` for a unitary U.
+    """
+    R, omega = (np.asarray(x, dtype=np.complex128) for x in (R, omega))
+    n = R.shape[-1]
+    fns = (np.sqrt, lambda x: 1.0 / np.sqrt(x))
+    if n <= 2:
+        root, inv_root = lattice._small_matrix_function(_split(omega), *fns)
+        B = _symmetric_sandwich(inv_root, _split(R))
+        if shrink is None:
+            return np.stack(np.broadcast_arrays(*lattice._small_eigvalsh(B)), axis=-1)
+        (middle,) = lattice._small_matrix_function(B, shrink)
+        return _join(_symmetric_sandwich(root, middle))
+    d, Q = np.linalg.eigh(omega)
+    root, inv_root = (
+        np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj()) for fn in fns
+    )
+    B = inv_root @ R @ inv_root
+    if shrink is None:
+        return np.linalg.eigvalsh(B)[..., ::-1]
+    d, Q = np.linalg.eigh(B)
+    return root @ np.einsum("...ij,...j,...kj->...ik", Q, shrink(d), Q.conj()) @ root
+
+
 # -- array-form views of the n <= 2 plane kernels ---------------------------
 
 
@@ -192,6 +245,19 @@ def _small_matrix_function(stack: np.ndarray, *fns) -> list[np.ndarray]:
     return [_join(planes) for planes in lattice._small_matrix_function(_split(stack), *fns)]
 
 
-def _sandwich(P: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``P M P`` of n x n Hermitian matrices or stacks of them, n <= 2."""
-    return _join(qpositivity._sandwich(_split(P), _split(M)))
+def _cholesky(stack: np.ndarray) -> list[np.ndarray]:
+    """``[L, L^{-1}]`` of stacked n x n positive definite matrices, n <= 2,
+    with ``stack = L L*`` and L lower triangular."""
+    out = []
+    for planes in qpositivity._cholesky(_split(stack)):
+        T = _join(planes)
+        if T.shape[-1] == 2:
+            T[..., 0, 1] = 0.0
+        out.append(T)
+    return out
+
+
+def _congruence(T: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``T M T*`` of lower triangular T and Hermitian M, n <= 2, one matrix
+    or a stack each."""
+    return _join(qpositivity._congruence(_split(T), _split(M)))

@@ -137,6 +137,33 @@ def test_uniformize_spread_sweep_exit_codes(tmp_path, capsys, top, rotated, q):
         assert read_report(tmp_path)["result"]["q_positive"] is True
 
 
+@pytest.mark.parametrize(
+    "n,top,q",
+    [(2, 72.5, 0), (2, 107.5, 0), (3, 30.0, 0), (3, 40.0, 0), (3, 70.0, 0),
+     (3, 90.0, 1)],
+)
+def test_uniformize_rotated_classes_never_exit_3(tmp_path, capsys, n, top, q):
+    """U diag(top, ..., 1) U*, zero weight, 4^(2n): past float64's reach
+    the uniformized metric either is refused (exit 4) or is checked
+    (exit 0). The checks whiten by the metric's Cholesky factor, so a
+    metric float64 cannot factor is refused by ``uniformize_metric``."""
+    U = random_unitary(np.random.default_rng(0), n)
+    eigs = [top, 2.0, 1.0] if n == 3 else [top, 1.0]
+    matrix = (U * np.array(eigs)) @ U.conj().T
+    payload = {
+        "geometry": {"complex_dim": n, "grid": 4},
+        "instance": {"r_const": [[[z.real, z.imag] for z in row] for row in matrix],
+                     "phi": "0"},
+        "q": q,
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path / "config.json", payload)
+    rc = cli.main(["uniformize", "--config", cfg])
+    err = capsys.readouterr().err
+    assert rc in (0, 4), err
+    assert ("uniformization out of range" in err) is (rc == 4)
+
+
 def test_uniformize_negative_instance_reports_not_positive(tmp_path, capsys):
     cfg = base_config(tmp_path, r_const=[[-1.0]])
     assert cli.main(["uniformize", "--config", cfg]) == 0

@@ -1,5 +1,6 @@
 """Component-plane storage of n <= 2 matrix fields and the projector form."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -23,7 +24,12 @@ from toruspos import (
     uniformize_metric,
     volume_integral,
 )
-from toruspos.lattice import _join, _small_matrix_function, _split
+from toruspos.lattice import (
+    _hermitian_2x2_parts,
+    _join,
+    _small_matrix_function,
+    _split,
+)
 
 # ------------------------------------------------------- projector form
 
@@ -36,6 +42,62 @@ _FAMILIES = {
     "square": (lambda x: x * x, lambda x: x * x, 75.0),
     "inv_square": (lambda x: 1.0 / (x * x), lambda x: 1 / (x * x), 75.0),
 }
+
+
+def _masked_parts(a, d, c):
+    """``_hermitian_2x2_parts`` with the masked divide it used before its
+    plain one: ``t = 0`` written where ``|h| + r = 0``."""
+    h = (a - d) * 0.5
+    abs_c = np.abs(c)
+    z = np.empty(np.shape(h), dtype=np.complex128)
+    z.real, z.imag = h, abs_c
+    r = np.abs(z)
+    s = np.abs(h) + r
+    t = np.divide(abs_c, s, out=np.zeros_like(s), where=s > 0.0) * abs_c
+    return h, t, r
+
+
+def _masked_function(a, d, c, fn):
+    """``_small_matrix_function`` with its former masked divides."""
+    h, t, r = _masked_parts(a, d, c)
+    at_a = np.copysign(t, h)
+    at_d = d - at_a
+    at_a = at_a + a
+    two_r = r + r
+    nonzero = two_r > 0.0
+    tau = np.divide(t, two_r, out=np.zeros_like(two_r), where=nonzero)
+    two_r = np.copysign(two_r, h)
+    unit = np.zeros_like(c)
+    np.divide(c.real, two_r, out=unit.real, where=nonzero)
+    np.divide(c.imag, two_r, out=unit.imag, where=nonzero)
+    f_a, f_d = fn(at_a), fn(at_d)
+    diff = f_a - f_d
+    share = diff * tau
+    return f_a - share, f_d + share, diff * unit
+
+
+def test_plain_divides_equal_the_masked_ones():
+    """Dividing by the denominator with its exact zeros replaced by 1
+    gives the values the masked divide did (zeros of either sign count as
+    equal): r = 0, a = d, c = +-0 and subnormal r, on grid planes and on
+    0-d ones."""
+    tiny = 5e-324
+    diagonal = [1.0, 2.0, tiny, 3 * tiny, 1e-300, 0.0, -1.5]
+    lower = [
+        0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+        complex(tiny, 0.0), complex(0.0, -tiny), complex(-tiny, tiny),
+        complex(1e-310, 1e-310), complex(0.25, -0.5),
+    ]
+    a, d, c = (np.array(v) for v in zip(*itertools.product(diagonal, diagonal, lower)))
+    shrink = lambda x: 1.0 / expm1_over_x(x)
+    points = [tuple(p[i, ...] for p in (a, d, c)) for i in range(0, a.size, 7)]
+    for planes in [(a, d, c)] + points:
+        for got, want in zip(_hermitian_2x2_parts(*planes), _masked_parts(*planes)):
+            assert np.array_equal(got, want)
+        for fn in (np.exp, shrink):
+            (got,) = _small_matrix_function(planes, fn)
+            for got_plane, want in zip(got, _masked_function(*planes, fn)):
+                assert np.array_equal(got_plane, want)
 
 
 def _decimal_function(a: float, d: float, c: complex, f) -> tuple:

@@ -17,7 +17,13 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _sandwich, _small_matrix_function, uniformized_metric_series
+from oracles import (
+    _cholesky,
+    _congruence,
+    _small_matrix_function,
+    symmetric_root_whitening,
+    uniformized_metric_series,
+)
 
 import toruspos.qpositivity as qpositivity_module
 from toruspos import (
@@ -107,23 +113,110 @@ def test_pencil_matches_characteristic_roots():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_sandwich_matches_matrix_products(n):
+def test_cholesky_congruences_match_matrix_products(n):
+    """The plane factor is LAPACK's Cholesky factor and its inverse, and
+    the congruences ``L^{-1} M L^{-*}`` and ``L M L*`` by it are the
+    matrix products."""
     rng = np.random.default_rng(11)
     points = 6
     fields = [
         np.stack([random_hermitian(rng, n, scale=3.0) for _ in range(points)])
         for _ in range(2)
     ]
-    P_const = random_pd_matrix(rng, n)
-    for P, M in (
-        (P_const, fields[0]),
-        (fields[1], fields[0]),
-        (P_const, random_hermitian(rng, n)),
+    bases = np.stack([random_pd_matrix(rng, n) for _ in range(points)])
+    base_const = random_pd_matrix(rng, n)
+    eye = np.eye(n)
+    for base, M in (
+        (base_const, fields[0]),
+        (bases, fields[1]),
+        (bases, random_hermitian(rng, n)),
+        (base_const, random_hermitian(rng, n)),
     ):
-        ref = P @ M @ P
-        got = _sandwich(P, M)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        L, inverse = _cholesky(base)
+        assert np.max(np.abs(L - np.linalg.cholesky(base))) <= 1e-15 * np.max(np.abs(L))
+        assert np.max(np.abs(inverse @ L - eye)) <= 1e-15
+        for T in (inverse, L):
+            ref = T @ M @ np.conj(np.swapaxes(T, -1, -2))
+            got = _congruence(T, M)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _rotated_base(rng, n, log_cond):
+    """A Haar-rotated positive definite n x n matrix of condition number
+    ``10**log_cond`` (both extremes among its eigenvalues)."""
+    logs = np.concatenate([[0.0, log_cond], rng.uniform(0.0, log_cond, n)])[:n]
+    return hermitian_with_eigs(rng, 10.0 ** (logs - 0.5 * log_cond))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 6.0),
+    varying=st.booleans(),
+)
+def test_cholesky_pencil_matches_symmetric_root_oracle(n, seed, log_cond, varying):
+    """Eigenvalues of ``L^{-1} R L^{-*}`` against those of the symmetric
+    root whitening, for rotated bases of condition number up to 1e6: within
+    1e-13 of the largest |eigenvalue| up to condition number 5, and within
+    2e-14 times the condition number of it above. That is the pencil's own
+    sensitivity: a 40-digit solve puts either route about u * cond from
+    the exact eigenvalues (u = 2.2e-16). Diagonal bases give equal
+    values, and the identity the same bits."""
+    rng = np.random.default_rng(seed)
+    g = TorusGeometry.regular(n, 4)
+    shape = (*g.grid_shape, n, n)
+    Z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    R = _field(g, Z if varying else Z[(0,) * (2 * n)])  # _field symmetrizes
+    base = _rotated_base(rng, n, log_cond)
+    diagonal = np.diag(np.diag(base).real)
+    R_values = R.values if varying else R.matrix
+    for matrix, compare in (
+        (base, "close"),
+        (diagonal, "equal"),
+        (np.eye(n), "bits"),
+    ):
+        got = _ev(R, _field(g, matrix, MetricField))
+        ref = np.broadcast_to(symmetric_root_whitening(R_values, matrix), got.shape)
+        if compare == "close":
+            tolerance = max(1e-13, 2e-14 * 10.0**log_cond) * np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= tolerance
+        elif compare == "equal":
+            assert np.array_equal(got, ref)
+        else:
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 6.0),
+)
+def test_cholesky_transform_matches_symmetric_root_oracle(n, seed, log_cond):
+    """``L f(L^{-1} R L^{-*}) L*`` against ``Omega^{1/2} f(Omega^{-1/2} R
+    Omega^{-1/2}) Omega^{1/2}``, the same metric in exact arithmetic:
+    within the eigenvalue property's bound, relative to the largest entry,
+    and equal values on the identity base for n <= 2."""
+    rng = np.random.default_rng(seed)
+    g = TorusGeometry.regular(n, 4)
+    base = _rotated_base(rng, n, log_cond)
+    # Pencil eigenvalues in [0.5, 2] against each base, so the transform
+    # stays in float64's range; a weight small against the base's scale.
+    weight = f"{0.01 * float(np.min(np.linalg.eigvalsh(base)))!r}*cos(x1)"
+    for matrix in (base, np.eye(n)):
+        omega = constant_metric(g, matrix)
+        eigs = rng.uniform(0.5, 2.0, n)
+        L = bundle_with_pencil_eigs(rng, g, omega, eigs, weight)
+        R = chern_curvature(L)
+        new = uniformize_metric(L, omega, 0).values
+        rate = growth_rate(generalized_eigenvalues(R, omega), 0)
+        shrink = lambda x: 1.0 / expm1_over_x(rate * x)
+        ref = symmetric_root_whitening(R.values, matrix, shrink)
+        tolerance = max(1e-13, 2e-14 * 10.0**log_cond) * np.max(np.abs(ref))
+        assert np.max(np.abs(new - ref)) <= tolerance
+    assert n == 3 or np.array_equal(new, ref)  # the identity base, last
 
 
 def test_pencil_invariant_under_congruence():
@@ -183,6 +276,23 @@ def test_kernel_eigenvalues_are_descending_by_construction(n):
         want = np.linalg.eigvalsh(stack)[:, ::-1]
         scale = np.max(np.abs(want), axis=-1, keepdims=True)
         assert np.all(np.abs(vals - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_smallest_sum_is_numpy_sum_bit_for_bit(n):
+    """The column-by-column sum gives np.sum's bits, signed zeros included."""
+    g = TorusGeometry.regular(n, 4)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((*g.grid_shape, n)) * 10.0 ** rng.integers(
+        -300, 300, (*g.grid_shape, n)
+    )
+    flat = values.reshape(-1)
+    flat[::5], flat[::7] = 0.0, -0.0
+    values = np.sort(values, axis=-1)[..., ::-1]
+    ev = EigenvalueField(g, values)
+    for count in range(1, n + 1):
+        want = np.sum(values[..., n - count :], axis=-1)
+        assert ev.smallest_sum(count).tobytes() == want.tobytes()
 
 
 def test_only_the_public_eigenvalue_constructor_checks_the_order():
@@ -675,6 +785,41 @@ def test_n3_uniformize_seeds_the_cache_and_freezes_its_output(pencil_solves):
         new.values[(0,) * new.values.ndim] = 0.0
     assert generalized_eigenvalues(R, new) is generalized_eigenvalues(R, new)
     assert len(pencil_solves) == 2
+
+
+def test_n3_acceptance_sequence_lapack_calls(monkeypatch):
+    """Counters, no timing: at n = 3 each whitening factors its base with
+    one ``cholesky`` and inverts the factor (no eigendecomposition of the
+    base), each pencil is solved by one ``eigvalsh``, and the transform
+    maps the solved pair through one ``eigh``; the remaining ``eigvalsh``
+    is the new metric's positive-definite gate."""
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    for name in ("cholesky", "inv", "eigh", "eigvalsh"):
+        counting(name)
+    g = TorusGeometry.regular(3, 4)
+    L = _weighted_bundle(g)
+    omega = constant_metric(g, np.diag([1.2, 0.9, 1.1]))
+    R = chern_curvature(L)
+    calls.clear()
+    assert check_q_positive(L, omega, 1).verdict
+    assert calls == ["cholesky", "inv", "eigvalsh"]
+    calls.clear()
+    new = uniformize_metric(L, omega, 1)
+    assert calls == ["cholesky", "inv", "eigh", "eigvalsh"]
+    calls.clear()
+    assert check_uniform_q_positive(L, new, 1).verdict
+    assert generalized_eigenvalues(R, new) is R._pencil[1]
+    assert calls == ["cholesky", "inv", "eigvalsh"]
 
 
 def test_n3_uniformize_uses_the_reported_rate(monkeypatch):

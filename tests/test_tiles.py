@@ -28,7 +28,7 @@ from toruspos.lattice import (
     _split,
     _tiles,
 )
-from toruspos.qpositivity import EigenvalueField, _sandwich
+from toruspos.qpositivity import EigenvalueField, _cholesky, _congruence
 
 # (n, samples): many tiles, a partial last tile, below one tile, n = 1.
 _GRIDS = [(2, 16), (2, 12), (2, 6), (1, 256)]
@@ -66,13 +66,13 @@ def _whole_plane_reference(L, omega, q):
     """Eigenvalues and uniformized planes with every kernel on whole planes."""
     g = L.geometry
     R, base = chern_curvature(L)._planes, omega._planes
-    root, inv_root = _small_matrix_function(base, np.sqrt, lambda x: 1.0 / np.sqrt(x))
-    B = _sandwich(inv_root, R)
+    root, inverse = _cholesky(base)
+    B = _congruence(inverse, R)
     lam = np.stack(np.broadcast_arrays(*_small_eigvalsh(B)), axis=-1)
     ev = np.broadcast_to(lam, (*g.grid_shape, g.complex_dim))
     rate = growth_rate(EigenvalueField(g, ev), q)
     (middle,) = _small_matrix_function(B, lambda x: 1.0 / expm1_over_x(rate * x))
-    return ev, _sandwich(root, middle)
+    return ev, _congruence(root, middle)
 
 
 def _smallest_eigenvalue(planes) -> float:
@@ -109,10 +109,8 @@ def test_tiled_pipeline_equals_whole_planes(n, samples, q, base, weight):
     assert omega.min_eigenvalue == _smallest_eigenvalue(omega._planes)
     # Against the uniformized base, too: the check's own route.
     ev_new = generalized_eigenvalues(chern_curvature(L), new).values
-    _, inv_root = _small_matrix_function(
-        new._planes, np.sqrt, lambda x: 1.0 / np.sqrt(x)
-    )
-    B = _sandwich(inv_root, chern_curvature(L)._planes)
+    _, inverse = _cholesky(new._planes)
+    B = _congruence(inverse, chern_curvature(L)._planes)
     lam = np.stack(np.broadcast_arrays(*_small_eigvalsh(B)), axis=-1)
     assert _bits_equal(ev_new, np.broadcast_to(lam, (*g.grid_shape, n)))
 
@@ -139,13 +137,13 @@ def test_one_tile_grid_returns_kernel_planes_uncopied():
     assert g.num_points <= _TILE
     L = _bundle(g, 1, "0.02*cos(x1)")
     new = uniformize_metric(L, _constant_metric(g), 1)
-    # The planes come straight from the sandwich: C-contiguous, owning.
+    # The planes come straight from the congruence: C-contiguous, owning.
     assert all(p.flags.c_contiguous and p.base is None for p in new._planes)
 
 
 def test_pencil_peak_memory_is_output_plus_tiles():
-    """At 16^4 against a varying base no grid-sized inverse root, B or
-    parts plane is formed: traced peak stays within the outputs plus
+    """At 16^4 against a varying base no grid-sized factor, B or parts
+    plane is formed: traced peak stays within the outputs plus
     sixteen complex tile planes (whole-plane evaluation peaks near 9 MB
     for the eigenvalues and 15 MB for the transform)."""
     g = TorusGeometry.regular(2, 16)
