@@ -32,14 +32,20 @@ from .lattice import (
     ScalarField,
     TorusGeometry,
     _check_hermitian,
+    _dz_symbols,
     _freeze,
     _frozen,
     _irfftn,
     _known_constant,
+    _mode_route,
+    _mode_symbols,
+    _Modes,
     _pointwise,
     _rfftn,
     _split,
+    _synthesize,
     _trace_symbol,
+    _waves,
     compensated_sum,
     complex_hessian,
     constant_representative,
@@ -58,7 +64,10 @@ class LineBundleMetric:
     ``r_const`` is a read-only private copy, and so are the weight values
     unless no array behind the weight can change already (``_frozen``), so
     the curvature that chern_curvature caches on the bundle cannot go
-    stale. A constant weight stays one number.
+    stale. A constant weight stays one number. A frozen weight keeps its
+    mode table; a copy does not, since the caller may have written into
+    the values since the table was made. ``from_expression`` freezes the
+    weight it evaluates, so it is kept, table and all, with no copy.
     """
 
     geometry: TorusGeometry
@@ -97,7 +106,7 @@ class LineBundleMetric:
     def from_expression(
         cls, geometry: TorusGeometry, r_const: np.ndarray, phi_text: str
     ) -> "LineBundleMetric":
-        phi = scalar_field_from_expression(geometry, phi_text)
+        phi = _freeze(scalar_field_from_expression(geometry, phi_text))
         return cls(geometry, r_const, phi, phi_text)
 
     def dual(self) -> "LineBundleMetric":
@@ -205,13 +214,17 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
 
 def _scalar_curvature(
     L: LineBundleMetric, omega: MetricField, symbol: np.ndarray | None = None
-) -> tuple[ScalarField, np.ndarray | None]:
-    """scalar_curvature, and the half spectrum ``symbol * rfftn(phi)`` of
-    its varying part when it took the spectral route (else None).
+) -> tuple[ScalarField, np.ndarray | _Modes | None]:
+    """scalar_curvature, and the spectrum of its varying part when it took
+    a spectral route (else None): the half spectrum ``symbol *
+    rfftn(phi)``, or on the mode route (``_mode_route`` of the weight, for
+    two transforms) the table of ``symbol`` times the weight's
+    coefficients.
 
     ``symbol`` is the trace symbol of ``Omega^{-1}`` when the caller has
-    built it already, which a caller does only for a weight it has found
-    not to be ``_known_constant``; that scan is then not repeated.
+    built it already, on the route the weight takes (at its modes, or on
+    the half spectrum), which a caller does only for a weight it has
+    found not to be ``_known_constant``; that scan is then not repeated.
     """
     geom = L.geometry
     if omega.geometry != geom:
@@ -223,10 +236,19 @@ def _scalar_curvature(
         return ScalarField(geom, tr.real), None
     W = np.linalg.inv(const)
     trace = np.einsum("ij,ji->", W, L.r_const).real
+    if symbol is None and _known_constant(L.phi):
+        return ScalarField.constant(geom, trace), None
+    modes = _mode_route(L.phi, transforms=2)
     if symbol is None:
-        if _known_constant(L.phi):
-            return ScalarField.constant(geom, trace), None
-        symbol = _trace_symbol(geom, W)
+        if modes is None:
+            symbol = _trace_symbol(_dz_symbols(geom, half=True), W)
+        else:
+            symbol = _trace_symbol(_mode_symbols(geom, modes), W)
+    if modes is not None:
+        # Every mode of a table is active; the constant mode is trace.
+        coefficients = symbol * modes.coefficients
+        tr = _synthesize(geom, trace, _waves(geom, modes, coefficients))
+        return ScalarField(geom, tr), _Modes(trace, modes.wavevectors, coefficients)
     spectrum = _rfftn(L.phi.values)
     spectrum *= symbol
     tr = _irfftn(spectrum, geom)

@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError, InternalInvariantError
-from .lattice import TWO_PI, ScalarField, TorusGeometry
+from .lattice import TWO_PI, ScalarField, TorusGeometry, _Modes
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -39,6 +39,10 @@ _TOKEN_RE = re.compile(
 )
 
 _COORD_RE = re.compile(r"^([xy])([1-9]\d*)$")
+
+#: Most conjugate pairs a product term may expand to before ``_modes``
+#: gives up on the table; far above what any operator's mode route takes.
+_MAX_MODES = 1 << 12
 
 
 def tokenize(text: str) -> list[tuple[str, str]]:
@@ -229,9 +233,9 @@ def _check_resolved(tree, geometry: TorusGeometry) -> None:
                 )
 
 
-def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:
-    """Value of expression text on the grid of ``geometry``, or a 0-d
-    array when the text has no coordinate in it."""
+def _resolved_tree(text: str, geometry: TorusGeometry):
+    """The syntax tree of expression text and the coordinates it uses,
+    once every coordinate is in range and every term resolved."""
     tree = parse_expression(text)
     n = geometry.complex_dim
     used = expression_coordinates(tree)
@@ -241,11 +245,17 @@ def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:
                 f"coordinate {letter}{index} out of range for complex dimension {n}"
             )
     _check_resolved(tree, geometry)
+    return tree, used
+
+
+def _grid_values(tree, used, geometry: TorusGeometry) -> np.ndarray:
+    """Value of a resolved tree on the grid of ``geometry``, or a 0-d
+    array when the tree has no coordinate in it."""
     if not used:
         return _eval(tree, {}, ())
     # Each coordinate is its 1-D axis samples, shaped to broadcast along
     # its own axis: no grid-sized coordinate array is built.
-    axes = 2 * n
+    axes = 2 * geometry.complex_dim
     coords = {}
     for axis in range(axes):
         shape = [1] * axes
@@ -253,6 +263,65 @@ def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:
         key = ("xy"[axis % 2], axis // 2 + 1)
         coords[key] = geometry.axis_coordinates(axis).reshape(shape)
     return _eval(tree, coords, geometry.grid_shape)
+
+
+def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
+    """The exact Fourier modes of a resolved tree, or None.
+
+    Each factor is a sum of exponentials in doubled modes: on an axis of
+    period P, ``cos(k x)`` is ``(e(+d) + e(-d)) / 2`` and ``sin(k x)`` is
+    ``(e(+d) - e(-d)) / 2i`` with ``d = 2 k P / (2 pi)``, an integer even
+    where one factor's own mode ``k P / (2 pi)`` is half an integer. Each
+    product term is expanded, the terms summed, and the doubled modes,
+    all even once ``_check_resolved`` has passed, halved. None when some
+    ``d`` is not an exact integer (a period that is not an exact multiple
+    of pi), or when a product term expands past ``_MAX_MODES`` pairs.
+    """
+    axes = 2 * geometry.complex_dim
+    zero = (0,) * axes
+    total: dict[tuple, complex] = {}
+    for sign, term in tree[1]:
+        product = {zero: complex(sign)}
+        for factor in term[1]:
+            if factor[0] == "num":
+                expansion = {zero: factor[1]}
+            else:
+                _, fn, freq, letter, index = factor
+                axis = 2 * (index - 1) + (letter == "y")
+                doubled = 2.0 * freq * (geometry.periods[axis] / TWO_PI)
+                if not doubled.is_integer():
+                    return None
+                up = [0] * axes
+                up[axis] = int(doubled)
+                up, down = tuple(up), tuple(-m for m in up)
+                half = (0.5, 0.5) if fn == "cos" else (-0.5j, 0.5j)
+                expansion = {}
+                for mode, c in zip((up, down), half):
+                    expansion[mode] = expansion.get(mode, 0.0) + c
+            grown: dict[tuple, complex] = {}
+            for m, c in product.items():
+                for k, d in expansion.items():
+                    key = tuple(a + b for a, b in zip(m, k))
+                    grown[key] = grown.get(key, 0.0) + c * d
+            if len(grown) > 2 * _MAX_MODES + 1:
+                return None
+            product = grown
+        for m, c in product.items():
+            total[m] = total.get(m, 0.0) + c
+    # One mode of each conjugate pair: the one whose last nonzero entry is
+    # positive.
+    pairs = {
+        tuple(a // 2 for a in m): c
+        for m, c in total.items()
+        if any(m) and next(a for a in reversed(m) if a) > 0
+    }
+    return _Modes.of(geometry, total.get(zero, 0.0).real, pairs)
+
+
+def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:
+    """Value of expression text on the grid of ``geometry``, or a 0-d
+    array when the text has no coordinate in it."""
+    return _grid_values(*_resolved_tree(text, geometry), geometry)
 
 
 def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
@@ -267,11 +336,16 @@ def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
 
 def scalar_field_from_expression(geometry: TorusGeometry, text: str) -> ScalarField:
     """The field of expression text; text with no coordinate in it gives
-    a constant field, evaluated once."""
-    values = _evaluate(text, geometry)
-    if values.ndim:
-        return ScalarField(geometry, values)
-    return ScalarField.constant(geometry, values)
+    a constant field, evaluated once. A varying field carries the exact
+    Fourier modes of the text (``lattice._Modes``), which operators read
+    once the field is frozen."""
+    tree, used = _resolved_tree(text, geometry)
+    values = _grid_values(tree, used, geometry)
+    if not values.ndim:
+        return ScalarField.constant(geometry, values)
+    field = ScalarField(geometry, values)
+    field._modes = _modes(tree, geometry)
+    return field
 
 
 def random_expression(

@@ -391,6 +391,122 @@ def _hessian_multiplier(
     return -symbols[j] * np.conj(symbols[k])
 
 
+@dataclass(frozen=True)
+class _Modes:
+    """Exact Fourier modes of a real trigonometric polynomial on a grid.
+
+    The field is ``constant + sum_i 2 Re(c_i e_i)`` with ``c_i`` the
+    ``coefficients`` and ``e_i(x) = exp(2 pi i sum_a m_a x_a / P_a)`` for
+    the integer wavevector ``m`` in row i of ``wavevectors`` (one entry
+    per grid axis). Each row stands for the conjugate pair ``(m, -m)``;
+    its last nonzero entry is positive, and every entry lies strictly
+    below the Nyquist mode of its axis, so it indexes the half spectrum
+    of ``rfftn`` directly.
+    """
+
+    constant: float
+    wavevectors: np.ndarray
+    coefficients: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.wavevectors.setflags(write=False)
+        self.coefficients.setflags(write=False)
+
+    @classmethod
+    def of(cls, geometry: TorusGeometry, constant: float, terms: dict) -> "_Modes":
+        """The table of ``constant`` plus the pair of each ``{m: c}`` in
+        ``terms``; modes are sorted, and zero coefficients dropped."""
+        kept = sorted(m for m, c in terms.items() if c != 0)
+        axes = len(geometry.grid_shape)
+        wavevectors = np.array(kept, dtype=np.int64).reshape(len(kept), axes)
+        coefficients = np.array([terms[m] for m in kept], dtype=np.complex128)
+        return cls(float(constant), wavevectors, coefficients)
+
+    @property
+    def pairs(self) -> int:
+        return len(self.coefficients)
+
+    def terms(self) -> dict:
+        return dict(zip(map(tuple, self.wavevectors.tolist()), self.coefficients))
+
+
+def _mode_symbols(geom: TorusGeometry, modes: _Modes) -> tuple[np.ndarray, ...]:
+    """The d/dz symbols at the modes, one entry per pair: the half-spectrum
+    ``_dz_symbols`` read at each mode's bin."""
+    symbols = _dz_symbols(geom, half=True)
+    shape = _spectrum_shape(symbols)
+    index = tuple(modes.wavevectors[:, a] % s for a, s in enumerate(geom.grid_shape))
+    return tuple(np.broadcast_to(a, shape)[index] for a in symbols)
+
+
+@lru_cache(maxsize=256)
+def _axis_wave(m: int, s: int) -> np.ndarray:
+    """``exp(2 pi i m j / s)`` at the ``s`` points j of an axis, from the
+    exact root table (read-only)."""
+    wave = np.array([_unit_root(-m * j, s) for j in range(s)])
+    wave.setflags(write=False)
+    return wave
+
+
+def _waves(geom: TorusGeometry, modes: _Modes, coefficients) -> list[np.ndarray]:
+    """``2 Re(c e_m)`` for each mode m and its coefficient c, each spanning
+    only the axes where m is nonzero (length 1 on the others), so that it
+    broadcasts against the grid."""
+    axes = len(geom.grid_shape)
+    out = []
+    for m, c in zip(modes.wavevectors.tolist(), coefficients):
+        wave = np.complex128(c)
+        for axis, (mode, s) in enumerate(zip(m, geom.grid_shape)):
+            if mode:
+                shape = [1] * axes
+                shape[axis] = s
+                wave = wave * _axis_wave(mode, s).reshape(shape)
+        wave = np.asarray(wave.real)
+        out.append(wave + wave)
+    return out
+
+
+def _write(out: np.ndarray, constant, terms) -> np.ndarray:
+    """``out`` set to ``constant`` plus the sum of ``terms``, arrays that
+    broadcast against it: one pass over ``out`` per term."""
+    if not terms:
+        out[...] = constant
+        return out
+    np.add(terms[0], constant, out=out)
+    for term in terms[1:]:
+        out += term
+    return out
+
+
+def _synthesize(geom: TorusGeometry, constant, waves) -> np.ndarray:
+    """A new real grid array of ``constant`` plus ``waves`` (``_write``)."""
+    return _write(np.empty(geom.grid_shape), constant, waves)
+
+
+def _mode_table(field: "ScalarField") -> _Modes | None:
+    """The field's mode table, if it has one and no array behind it can
+    change."""
+    modes = field._modes
+    return modes if modes is not None and _frozen(field) else None
+
+
+def _mode_route(field: "ScalarField", transforms: int) -> _Modes | None:
+    """The field's mode table when an operator that makes ``transforms``
+    grid transforms should read it instead: when it has at most as many
+    pairs as those transforms make axis passes, else None (grid route).
+
+    Each pair costs the mode route one grid-sized write per output it
+    reaches, and each axis pass of a transform one BLAS product over the
+    whole spectrum, which measures 2 to 4 times a write into a real grid
+    (CONVENTIONS, "Mode route"), so below this limit the modes are
+    cheaper for an operator that writes one or two grids per pair.
+    """
+    modes = _mode_table(field)
+    if modes is None or modes.pairs > transforms * len(field.geometry.grid_shape):
+        return None
+    return modes
+
+
 @dataclass
 class ScalarField:
     """Real-valued function sampled on the grid.
@@ -398,13 +514,23 @@ class ScalarField:
     A constant field built by ``constant`` stores one number: its
     ``values`` is a read-only view of a 0-d array with zero strides,
     validation runs on that number, and ``value`` hands it to consumers.
+
+    A field may also carry its exact Fourier modes (``_modes``, a
+    ``_Modes`` table): a weight evaluated from an expression, or a result
+    of the mode route. The table is read only while the field is
+    ``_frozen`` (``_mode_table``), so that it cannot go stale.
     """
 
     geometry: TorusGeometry
     values: np.ndarray
 
+    _modes = None
+
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values)
+        if np.iscomplexobj(vals):
+            raise ValueError("scalar field values must be real, got a complex array")
+        vals = np.asarray(vals, dtype=np.float64)
         if vals.shape != self.geometry.grid_shape:
             raise ValueError(
                 f"scalar field shape {vals.shape} != grid {self.geometry.grid_shape}"
@@ -451,12 +577,32 @@ def _compact(field: ScalarField):
 
 def _pointwise(fn, *fields: ScalarField) -> ScalarField:
     """The read-only field of ``fn`` on the fields' ``_compact`` values,
-    one number when every field is constant; ``fn`` returns a new array."""
+    one number when every field is constant; ``fn`` returns a new array.
+
+    The negation of a field with a mode table, or the difference of two,
+    keeps the negation or the difference of the tables.
+    """
     geom = _require_same_geometry(*fields)
     out = fn(*map(_compact, fields))
     if np.ndim(out) == 0:
         return ScalarField.constant(geom, out)
-    return _freeze(ScalarField(geom, out))
+    field = _freeze(ScalarField(geom, out))
+    if fn not in (np.negative, np.subtract):
+        return field
+    if fn is np.negative:  # -b is 0 - b
+        fields = (ScalarField.constant(geom, 0.0), *fields)
+    # A constant field's table is its one number.
+    tables = [
+        _mode_table(f) if f.value is None else _Modes.of(geom, f.value, {})
+        for f in fields
+    ]
+    if None not in tables:
+        a, b = tables
+        terms = a.terms()
+        for m, c in b.terms().items():
+            terms[m] = terms.get(m, 0.0) - c
+        field._modes = _Modes.of(geom, a.constant - b.constant, terms)
+    return field
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -884,12 +1030,19 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     input. The off-diagonal entries are complex and take the full
     inverse transform of the full spectrum. For n <= 2 the transforms are
     the field's component planes. A ``_known_constant`` field has the
-    exact zero Hessian, one matrix, with no transform.
+    exact zero Hessian, one matrix, with no transform, and a field whose
+    mode table ``_mode_route`` takes is written from its modes
+    (``_hessian_of_modes``).
     """
     geom = phi.geometry
     n = geom.complex_dim
     if _known_constant(phi):
         return HermitianMatrixField.constant(geom, np.zeros((n, n)))
+    # The grid route's transforms: one fftn, one irfftn per diagonal entry
+    # and one ifftn per entry above it.
+    modes = _mode_route(phi, transforms=1 + n + n * (n - 1) // 2)
+    if modes is not None:
+        return _hessian_of_modes(geom, modes)
     grid = geom.grid_shape
     phat = _fftn(phi.values)
     half_phat = phat[..., : grid[-1] // 2 + 1]
@@ -915,9 +1068,43 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     return HermitianMatrixField(geom, out)
 
 
-def _trace_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray:
-    """Fourier symbol of ``phi -> trace(W . complex_hessian(phi))`` on the
-    half spectrum of ``rfftn``.
+def _hessian_of_modes(geom: TorusGeometry, modes: _Modes) -> HermitianMatrixField:
+    """complex_hessian on the mode route: entry (j, k) is the sum over the
+    pairs of the multiplier ``_hessian_multiplier`` at the mode times the
+    pair's real wave ``2 Re(c e_m)`` (the multiplier is even in m), so
+    each nonzero multiplier writes the entry's grid once. The lower
+    triangle takes the conjugate multipliers, as the grid route takes the
+    conjugate entries."""
+    n = geom.complex_dim
+    symbols = _mode_symbols(geom, modes)
+    waves = _waves(geom, modes, modes.coefficients)
+
+    def write(out: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+        return _write(out, 0.0, [m * w for m, w in zip(multipliers, waves) if m != 0])
+
+    def diagonal(j: int) -> np.ndarray:
+        return write(np.empty(geom.grid_shape), _hessian_multiplier(symbols, j, j))
+
+    if n == 1:
+        return HermitianMatrixField._from_planes(geom, (diagonal(0),))
+    if n == 2:
+        lower = np.conj(_hessian_multiplier(symbols, 0, 1))
+        c = write(np.empty(geom.grid_shape, dtype=np.complex128), lower)
+        return HermitianMatrixField._from_planes(geom, (diagonal(0), diagonal(1), c))
+    out = np.empty((*geom.grid_shape, n, n), dtype=np.complex128)
+    for j in range(n):
+        write(out[..., j, j], _hessian_multiplier(symbols, j, j))
+        for k in range(j + 1, n):
+            entry = write(out[..., j, k], _hessian_multiplier(symbols, j, k))
+            np.conj(entry, out=out[..., k, j])
+    return HermitianMatrixField(geom, out)
+
+
+def _trace_symbol(symbols: tuple, inverse_metric: np.ndarray) -> np.ndarray:
+    """Fourier symbol of ``phi -> trace(W . complex_hessian(phi))`` on
+    ``symbols``: the d/dz symbols on the half spectrum of ``rfftn``
+    (``_dz_symbols(geom, half=True)``), or at a table's modes
+    (``_mode_symbols``).
 
     For Hermitian positive definite ``W`` the symbol equals
     ``-a(m)^H W a(m)`` with ``a`` the stacked d/dz symbols, hence it is
@@ -936,7 +1123,6 @@ def _trace_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray
     the cross terms are zero and the result is the plain double sum's
     bit for bit.
     """
-    symbols = _dz_symbols(geom, half=True)
 
     def term(k: int, j: int) -> np.ndarray:
         t = (np.conj(symbols[k]) * inverse_metric[k, j] * symbols[j]).real
@@ -967,7 +1153,8 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     pure-Nyquist combinations, which carry no derivative information on an
     even grid) are projected out, so ``g`` should be band-limited below the
     Nyquist frequency. A right-hand side that is exactly zero skips the
-    transforms and gives the constant zero field.
+    transforms and gives the constant zero field; one whose mode table
+    ``_mode_route`` takes is solved on its modes (``_solve_modes``).
 
     Returns f with zero grid mean and residual
     ``|trace(Omega^{-1} H(f)) - g|_inf <= 1e-8 * |g|_inf`` for band-limited g.
@@ -975,9 +1162,12 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     geom = _require_same_geometry(g, omega)
     inverse_metric = np.linalg.inv(constant_representative(omega))
     _check_mean_zero(g)
-    sym = _checked_symbol(geom, inverse_metric)
+    modes = _mode_route(g, transforms=2)
+    sym = _checked_symbol(geom, inverse_metric, modes)
     if _known_constant(g):  # zero, by the mean check
         return ScalarField.constant(geom, 0.0)
+    if modes is not None:
+        return _solve_modes(modes, sym, geom)
     return _solve_spectrum(_rfftn(g.values), sym, geom)
 
 
@@ -994,12 +1184,19 @@ def _check_mean_zero(g: ScalarField) -> float:
     return g_inf
 
 
-def _checked_symbol(geom: TorusGeometry, inverse_metric: np.ndarray) -> np.ndarray:
-    """``_trace_symbol`` of ``inverse_metric``, guarded for poisson_solve."""
-    sym = _trace_symbol(geom, inverse_metric)
+def _checked_symbol(
+    geom: TorusGeometry, inverse_metric: np.ndarray, modes: _Modes | None = None
+) -> np.ndarray:
+    """``_trace_symbol`` of ``inverse_metric`` on the half spectrum, or at
+    the modes of a table, guarded for poisson_solve."""
+    if modes is None:
+        sym = _trace_symbol(_dz_symbols(geom, half=True), inverse_metric)
+        active = sym[~_dead_modes(geom)]
+    else:  # every mode of a table is active
+        sym = active = _trace_symbol(_mode_symbols(geom, modes), inverse_metric)
     # Positive definiteness of the metric makes the symbol strictly negative
     # on every active mode; a singular active symbol is impossible.
-    if not np.all(sym[~_dead_modes(geom)] < 0.0):
+    if not np.all(active < 0.0):
         raise InternalInvariantError("singular trace symbol on an active mode")
     return sym
 
@@ -1016,6 +1213,20 @@ def _solve_spectrum(
     f = _irfftn(g_hat, geom)
     f -= compensated_sum(f) / geom.num_points
     return ScalarField(geom, f)
+
+
+def _solve_modes(g: _Modes, sym: np.ndarray, geom: TorusGeometry) -> ScalarField:
+    """_solve_spectrum on the mode route: each pair's coefficient divided
+    by the trace symbol ``sym`` at its mode (every mode of a table is
+    active; the constant mode is dropped). The solution is read-only and
+    carries its table."""
+    coefficients = g.coefficients / sym
+    f = _synthesize(geom, 0.0, _waves(geom, g, coefficients))
+    mean = compensated_sum(f) / geom.num_points
+    f -= mean
+    field = _freeze(ScalarField(geom, f))
+    field._modes = _Modes(-mean, g.wavevectors, coefficients)
+    return field
 
 
 def scalar_field_to_csv(field: ScalarField, path: str | Path, name: str = "value") -> Path:

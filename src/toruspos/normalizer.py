@@ -43,9 +43,16 @@ from .lattice import (
     _irfftn,
     _known_constant,
     _max_abs,
+    _mode_route,
+    _mode_symbols,
+    _mode_table,
+    _Modes,
     _rfftn,
+    _solve_modes,
     _solve_spectrum,
     _spectrum_shape,
+    _synthesize,
+    _waves,
     compensated_sum,
     constant_metric,
     constant_representative,
@@ -76,33 +83,47 @@ def _class_scale(L: LineBundleMetric, omega_matrix: np.ndarray) -> float:
     return float(np.max(np.abs(mu))) if mu.size else 0.0
 
 
-def _hessian_trace(
-    f: ScalarField, W: np.ndarray, f_hat: np.ndarray | None = None
-) -> np.ndarray:
-    """``trace(W . complex_hessian(f))`` from the Hessian's own entries.
+def _trace_multiplier(symbols: tuple[np.ndarray, ...], W: np.ndarray) -> np.ndarray:
+    """The real multiplier of ``f -> trace(W . complex_hessian(f))`` from
+    the Hessian's own entries, on ``symbols``: the d/dz symbols on the half
+    spectrum, or at a table's modes.
 
     Entry ``(j, k)`` of the upper triangle has the real multiplier
     ``Re(c W_kj m_jk)``, with ``m_jk`` the Hessian multiplier and
-    ``c = 1`` on the diagonal, 2 off it. The multipliers are summed on
-    the half spectrum and applied to ``f``'s spectrum (``f_hat``, when
-    the caller holds it; it is overwritten), so one inverse transform
-    gives the trace; the n x n field is never assembled. It deliberately
-    avoids the trace symbol that poisson_solve divides by, so the solver
-    residual can expose a wrong symbol.
+    ``c = 1`` on the diagonal, 2 off it. It deliberately avoids the trace
+    symbol that poisson_solve divides by, so the solver residual can
+    expose a wrong symbol.
+    """
+    multiplier = np.zeros(_spectrum_shape(symbols))
+    for j in range(len(symbols)):
+        for k in range(j, len(symbols)):
+            weight = W[j, j].real if j == k else 2.0 * W[k, j]
+            multiplier += (weight * _hessian_multiplier(symbols, j, k)).real
+    return multiplier
+
+
+def _hessian_trace(
+    f: ScalarField, W: np.ndarray, f_hat: np.ndarray | None = None
+) -> np.ndarray:
+    """``trace(W . complex_hessian(f))`` from the Hessian's own entries
+    (``_trace_multiplier``); the n x n field is never assembled.
+
+    A solution with a mode table takes the multiplier at its modes and
+    writes the grid once per pair. Otherwise the multiplier is applied to
+    ``f``'s half spectrum (``f_hat``, when the caller holds it; it is
+    overwritten), and one inverse transform gives the trace.
     """
     geom = f.geometry
+    modes = _mode_table(f)
+    if modes is not None:
+        multiplier = _trace_multiplier(_mode_symbols(geom, modes), W)
+        waves = _waves(geom, modes, multiplier * modes.coefficients)
+        return _synthesize(geom, 0.0, waves)
     if f_hat is None:
         if _known_constant(f):
             return np.zeros(geom.grid_shape)
         f_hat = _rfftn(f.values)
-    symbols = _dz_symbols(geom, half=True)
-    multiplier = np.zeros(_spectrum_shape(symbols))
-    for j in range(geom.complex_dim):
-        for k in range(j, geom.complex_dim):
-            weight = W[j, j].real if j == k else 2.0 * W[k, j]
-            multiplier += (weight * _hessian_multiplier(symbols, j, k)).real
-    f_hat *= multiplier
-    del multiplier  # freed before the inverse transform allocates its output
+    f_hat *= _trace_multiplier(_dz_symbols(geom, half=True), W)
     return _irfftn(f_hat, geom)
 
 
@@ -129,10 +150,14 @@ def normalize_scalar_curvature(
     # The class scale sets only the default; a given tolerance is checked.
     eps = _resolve_eps(_class_scale(L, const) if eps is None else 0.0, eps)
     W = np.linalg.inv(const)
-    # At most one trace symbol per call, built only where it is used: the
-    # scalar curvature filters a varying weight with it and the solver
-    # divides by it. A constant weight leaves nothing to filter or solve.
-    symbol = None if _known_constant(L.phi) else _checked_symbol(geom, W)
+    # At most one trace symbol per call, built only where it is used and
+    # on the route _scalar_curvature takes (a weight's modes need a
+    # constant base): the scalar curvature filters a varying weight with
+    # it and the solver divides by it. A constant weight leaves nothing to
+    # filter or solve. The solve and the residual make two grid transforms,
+    # as the scalar curvature does, so they follow its route.
+    modes = None if omega.matrix is None else _mode_route(L.phi, transforms=2)
+    symbol = None if _known_constant(L.phi) else _checked_symbol(geom, W, modes)
     s, spectrum = _scalar_curvature(L, omega, symbol)
     # The expression target_constant evaluates, on the s already at hand.
     c = geom.complex_dim * _degree_of_trace(s, const) / volume_integral(omega)
@@ -150,6 +175,11 @@ def normalize_scalar_curvature(
     rhs_inf = _check_mean_zero(rhs)
     if _known_constant(rhs):  # zero, by the mean check
         f, achieved = ScalarField.constant(geom, 0.0), np.float64(0.0)
+    elif isinstance(spectrum, _Modes):
+        # The mode route: the table of s is the right-hand side's on every
+        # active mode, as the half spectrum is below.
+        f = _solve_modes(spectrum, symbol, geom)
+        achieved = _hessian_trace(f, W)
     else:
         # On every active mode the spectrum s was built from is the
         # right-hand side's (c and the mean sit on the constant mode). A

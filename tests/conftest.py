@@ -1,6 +1,7 @@
 """Shared random-instance builders for the test suite."""
 
 import numpy as np
+import pytest
 
 from toruspos import LineBundleMetric, MetricField, TorusGeometry, constant_metric
 
@@ -54,3 +55,38 @@ def bundle_with_pencil_eigs(
     r_const = root @ core @ root
     r_const = 0.5 * (r_const + r_const.conj().T)
     return LineBundleMetric.from_expression(geom, r_const, phi_text)
+
+
+#: The package's grid transform helpers and numpy's transforms, as counted
+#: by the ``transform_calls`` fixture.
+TRANSFORM_HELPERS = ("_rfftn", "_irfftn", "_fftn", "_ifftn")
+NUMPY_TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """A list that records, by name, every grid transform the package runs
+    from here on: its four helpers, wherever they are imported, and
+    numpy's transforms (named ``np.fft.<name>``)."""
+    import toruspos.curvature as curvature_module
+    import toruspos.lattice as lattice_module
+    import toruspos.normalizer as normalizer_module
+
+    calls = []
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    originals = {name: getattr(lattice_module, name) for name in TRANSFORM_HELPERS}
+    for module in (curvature_module, lattice_module, normalizer_module):
+        for name, original in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, original))
+    for name in NUMPY_TRANSFORMS:
+        original = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, recording(f"np.fft.{name}", original))
+    return calls

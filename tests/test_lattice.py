@@ -595,6 +595,17 @@ def test_constant_scalar_field_stores_one_read_only_number():
     assert scalar_field_from_expression(g, "0.5*sin(x1)").value is None
 
 
+@pytest.mark.parametrize("value", [1 + 1j, 1 + 0j])
+def test_scalar_field_rejects_complex_values(value):
+    """A complex array used to pass as its real part, with only a
+    ComplexWarning; a real field is built from real values."""
+    g = TorusGeometry.regular(1, 4)
+    with pytest.raises(ValueError, match="must be real"):
+        ScalarField(g, np.ones((4, 4)) * value)
+    with pytest.raises(ValueError, match="must be real"):
+        ScalarField(g, np.broadcast_to(np.complex128(value), (4, 4)))
+
+
 # ------------------------------------------------------------- elliptic solve
 
 

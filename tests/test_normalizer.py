@@ -255,6 +255,24 @@ def test_poisson_residual_does_not_trust_the_trace_symbol(monkeypatch):
     assert cert.residuals["poisson_rel"] > 1e-8
 
 
+def test_poisson_residual_does_not_trust_the_trace_symbol_on_the_grid(monkeypatch):
+    """The grid-route twin of the test above: the same weight as a grid
+    field, which takes the transforms instead of the modes."""
+    import toruspos.lattice as lattice_module
+
+    original = lattice_module._trace_symbol
+    monkeypatch.setattr(
+        lattice_module, "_trace_symbol", lambda geom, W: original(geom, W.T)
+    )
+    g = TorusGeometry.regular(2, 8)
+    omega = constant_metric(g, np.array([[1.0, 0.4 + 0.3j], [0.4 - 0.3j, 1.5]]))
+    L = LineBundleMetric.from_expression(
+        g, np.diag([1.0, -0.5]), "0.3*sin(x1)*cos(y2) + 0.2*cos(x2)"
+    )
+    _, cert = normalize_scalar_curvature(_grid_weight(L), omega)
+    assert cert.residuals["poisson_rel"] > 1e-8
+
+
 def test_trace_routes_build_no_curvature_field(monkeypatch):
     """A counter, no timing: a constant base never needs the n x n field."""
     import toruspos.curvature as curvature_module
@@ -292,48 +310,37 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
     assert calls == ["chern_curvature", "complex_hessian"]
 
 
+def _grid_weight(L: LineBundleMetric) -> LineBundleMetric:
+    """The bundle with the same weight values loaded as a grid field: a
+    copy of them, with no mode table."""
+    return L.with_weight(ScalarField(L.geometry, L.phi.values.copy()))
+
+
 @pytest.mark.parametrize(
-    "phi_text,forward,inverse",
+    "phi_text,grid,forward,inverse",
     [
-        pytest.param("0.2*sin(x1)*cos(y3)", 1, 3, id="0.2*sin(x1)*cos(y3)-3"),
-        pytest.param("0", 0, 0, id="0-0"),
+        pytest.param("0.2*sin(x1)*cos(y3)", False, 0, 0, id="0.2*sin(x1)*cos(y3)-0"),
+        pytest.param("0.2*sin(x1)*cos(y3)", True, 1, 3, id="0.2*sin(x1)*cos(y3)-3"),
+        pytest.param("0", False, 0, 0, id="0-0"),
     ],
 )
-def test_normalize_transform_count(monkeypatch, phi_text, forward, inverse):
-    """A counter, no timing: one forward transform, of the weight, and one
-    inverse transform each for the scalar curvature, the solve and the
-    residual; none for a zero weight. The package's transform helpers are
-    counted; on a 4^6 grid they run as matrix products, never np.fft."""
-    import toruspos.curvature as curvature_module
-    import toruspos.lattice as lattice_module
-    import toruspos.normalizer as normalizer_module
-
-    calls = []
-
-    def recording(name, original):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    originals = {name: getattr(lattice_module, name) for name in ("_rfftn", "_irfftn")}
-    for module in (curvature_module, lattice_module, normalizer_module):
-        for name, original in originals.items():
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, recording(name, original))
-    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft"):
-        original = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, recording(f"np.fft.{name}", original))
+def test_normalize_transform_count(transform_calls, phi_text, grid, forward, inverse):
+    """A counter, no timing. An expression weight takes the mode route and
+    runs no transform. The same values as a grid field take one forward
+    transform, of the weight, and one inverse transform each for the
+    scalar curvature, the solve and the residual; a zero weight takes
+    none. On a 4^6 grid the helpers run as matrix products, never np.fft."""
     g = TorusGeometry.regular(3, 4)
     rng = np.random.default_rng(32)
     omega = random_pd_metric(rng, g)
     L = LineBundleMetric.from_expression(
         g, hermitian_with_eigs(rng, [1.5, -0.5, 0.8]), phi_text
     )
+    if grid:
+        L = _grid_weight(L)
     _, cert = normalize_scalar_curvature(L, omega)
     assert cert.residuals["poisson_rel"] < 1e-8
-    assert sorted(calls) == ["_irfftn"] * inverse + ["_rfftn"] * forward
+    assert sorted(transform_calls) == ["_irfftn"] * inverse + ["_rfftn"] * forward
 
 
 @pytest.mark.parametrize(
