@@ -32,15 +32,16 @@ from .lattice import (
     ScalarField,
     TorusGeometry,
     _check_hermitian,
+    _checked_symbol,
     _dz_symbols,
     _freeze,
     _frozen,
     _irfftn,
     _known_constant,
-    _mode_route,
     _mode_symbols,
+    _mode_table,
     _Modes,
-    _pointwise,
+    _negative,
     _rfftn,
     _split,
     _synthesize,
@@ -112,7 +113,7 @@ class LineBundleMetric:
     def dual(self) -> "LineBundleMetric":
         """Metric induced on the inverse bundle; curvature flips sign."""
         return LineBundleMetric(
-            self.geometry, -self.r_const, _pointwise(np.negative, self.phi), None
+            self.geometry, -self.r_const, _negative(self.phi), None
         )
 
     def with_weight(self, phi: ScalarField, expression: str | None = None):
@@ -213,18 +214,18 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
 
 
 def _scalar_curvature(
-    L: LineBundleMetric, omega: MetricField, symbol: np.ndarray | None = None
-) -> tuple[ScalarField, np.ndarray | _Modes | None]:
-    """scalar_curvature, and the spectrum of its varying part when it took
-    a spectral route (else None): the half spectrum ``symbol *
-    rfftn(phi)``, or on the mode route (``_mode_route`` of the weight, for
-    two transforms) the table of ``symbol`` times the weight's
-    coefficients.
+    L: LineBundleMetric, omega: MetricField, checked: bool = False
+) -> tuple[ScalarField, np.ndarray | _Modes | None, np.ndarray | None]:
+    """scalar_curvature, with the spectrum of its varying part and the
+    trace symbol of ``Omega^{-1}`` it filtered the weight with, when it
+    took a spectral route (else None for both).
 
-    ``symbol`` is the trace symbol of ``Omega^{-1}`` when the caller has
-    built it already, on the route the weight takes (at its modes, or on
-    the half spectrum), which a caller does only for a weight it has
-    found not to be ``_known_constant``; that scan is then not repeated.
+    The route is the weight's: on a weight with a mode table
+    (``_mode_table``) the symbol is taken at its modes and the spectrum is
+    the table of ``symbol`` times the weight's coefficients; otherwise
+    both are on the half spectrum, the spectrum ``symbol * rfftn(phi)``.
+    ``checked`` builds the symbol guarded for a solve (``_checked_symbol``),
+    so that a caller dividing by it uses the one this call used.
     """
     geom = L.geometry
     if omega.geometry != geom:
@@ -233,27 +234,29 @@ def _scalar_curvature(
     if const is None:
         W = np.linalg.inv(omega.values)
         tr = np.einsum("...ij,...ji->...", W, chern_curvature(L).values)
-        return ScalarField(geom, tr.real), None
+        return ScalarField(geom, tr.real), None, None
     W = np.linalg.inv(const)
     trace = np.einsum("ij,ji->", W, L.r_const).real
-    if symbol is None and _known_constant(L.phi):
-        return ScalarField.constant(geom, trace), None
-    modes = _mode_route(L.phi, transforms=2)
-    if symbol is None:
-        if modes is None:
-            symbol = _trace_symbol(_dz_symbols(geom, half=True), W)
-        else:
-            symbol = _trace_symbol(_mode_symbols(geom, modes), W)
+    if _known_constant(L.phi):
+        return ScalarField.constant(geom, trace), None, None
+    modes = _mode_table(L.phi)
+    if checked:
+        symbol = _checked_symbol(geom, W, modes)
+    elif modes is None:
+        symbol = _trace_symbol(_dz_symbols(geom, half=True), W)
+    else:
+        symbol = _trace_symbol(_mode_symbols(geom, modes), W)
     if modes is not None:
         # Every mode of a table is active; the constant mode is trace.
         coefficients = symbol * modes.coefficients
         tr = _synthesize(geom, trace, _waves(geom, modes, coefficients))
-        return ScalarField(geom, tr), _Modes(trace, modes.wavevectors, coefficients)
+        spectrum = _Modes(trace, modes.wavevectors, coefficients)
+        return ScalarField(geom, tr), spectrum, symbol
     spectrum = _rfftn(L.phi.values)
     spectrum *= symbol
     tr = _irfftn(spectrum, geom)
     tr += trace
-    return ScalarField(geom, tr), spectrum
+    return ScalarField(geom, tr), spectrum, symbol
 
 
 def volume_integral(omega: MetricField) -> float:

@@ -40,10 +40,6 @@ _TOKEN_RE = re.compile(
 
 _COORD_RE = re.compile(r"^([xy])([1-9]\d*)$")
 
-#: Most conjugate pairs a product term may expand to before ``_modes``
-#: gives up on the table; far above what any operator's mode route takes.
-_MAX_MODES = 1 << 12
-
 
 def tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
@@ -275,7 +271,9 @@ def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
     product term is expanded, the terms summed, and the doubled modes,
     all even once ``_check_resolved`` has passed, halved. None when some
     ``d`` is not an exact integer (a period that is not an exact multiple
-    of pi), or when a product term expands past ``_MAX_MODES`` pairs.
+    of pi), or when the table has more than ``_Modes.MAX_PAIRS`` pairs; a
+    product term that expands past that many gives up early, since the
+    number of modes of a product never falls as factors multiply in.
     """
     axes = 2 * geometry.complex_dim
     zero = (0,) * axes
@@ -303,7 +301,7 @@ def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
                 for k, d in expansion.items():
                     key = tuple(a + b for a, b in zip(m, k))
                     grown[key] = grown.get(key, 0.0) + c * d
-            if len(grown) > 2 * _MAX_MODES + 1:
+            if len(grown) > 2 * _Modes.MAX_PAIRS + 1:
                 return None
             product = grown
         for m, c in product.items():
@@ -315,7 +313,7 @@ def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
         for m, c in total.items()
         if any(m) and next(a for a in reversed(m) if a) > 0
     }
-    return _Modes.of(geometry, total.get(zero, 0.0).real, pairs)
+    return _Modes.of(axes, total.get(zero, 0.0).real, pairs)
 
 
 def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:

@@ -21,6 +21,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -402,7 +403,16 @@ class _Modes:
     its last nonzero entry is positive, and every entry lies strictly
     below the Nyquist mode of its axis, so it indexes the half spectrum
     of ``rfftn`` directly.
+
+    A table has at most ``MAX_PAIRS`` pairs. Every spectral operator takes
+    the mode route on a field with a table, writing one grid per pair and
+    output entry where the grid route makes a fixed number of transforms;
+    the writes were measured to win up to this many pairs on every
+    operator (CONVENTIONS, "Mode route"). A field with more pairs has no
+    table and keeps the grid route.
     """
+
+    MAX_PAIRS: ClassVar[int] = 4
 
     constant: float
     wavevectors: np.ndarray
@@ -413,11 +423,14 @@ class _Modes:
         self.coefficients.setflags(write=False)
 
     @classmethod
-    def of(cls, geometry: TorusGeometry, constant: float, terms: dict) -> "_Modes":
+    def of(cls, axes: int, constant: float, terms: dict) -> "_Modes | None":
         """The table of ``constant`` plus the pair of each ``{m: c}`` in
-        ``terms``; modes are sorted, and zero coefficients dropped."""
+        ``terms`` (wavevectors of ``axes`` entries), or None past
+        ``MAX_PAIRS`` pairs; modes are sorted, and zero coefficients
+        dropped."""
         kept = sorted(m for m, c in terms.items() if c != 0)
-        axes = len(geometry.grid_shape)
+        if len(kept) > cls.MAX_PAIRS:
+            return None
         wavevectors = np.array(kept, dtype=np.int64).reshape(len(kept), axes)
         coefficients = np.array([terms[m] for m in kept], dtype=np.complex128)
         return cls(float(constant), wavevectors, coefficients)
@@ -428,6 +441,14 @@ class _Modes:
 
     def terms(self) -> dict:
         return dict(zip(map(tuple, self.wavevectors.tolist()), self.coefficients))
+
+    def minus(self, other: "_Modes") -> "_Modes | None":
+        """The table of this field minus ``other``'s (``of``)."""
+        terms = self.terms()
+        for m, c in other.terms().items():
+            terms[m] = terms.get(m, 0.0) - c
+        axes = self.wavevectors.shape[1]
+        return _Modes.of(axes, self.constant - other.constant, terms)
 
 
 def _mode_symbols(geom: TorusGeometry, modes: _Modes) -> tuple[np.ndarray, ...]:
@@ -485,26 +506,10 @@ def _synthesize(geom: TorusGeometry, constant, waves) -> np.ndarray:
 
 def _mode_table(field: "ScalarField") -> _Modes | None:
     """The field's mode table, if it has one and no array behind it can
-    change."""
+    change. A spectral operator takes the mode route exactly when this is
+    a table."""
     modes = field._modes
     return modes if modes is not None and _frozen(field) else None
-
-
-def _mode_route(field: "ScalarField", transforms: int) -> _Modes | None:
-    """The field's mode table when an operator that makes ``transforms``
-    grid transforms should read it instead: when it has at most as many
-    pairs as those transforms make axis passes, else None (grid route).
-
-    Each pair costs the mode route one grid-sized write per output it
-    reaches, and each axis pass of a transform one BLAS product over the
-    whole spectrum, which measures 2 to 4 times a write into a real grid
-    (CONVENTIONS, "Mode route"), so below this limit the modes are
-    cheaper for an operator that writes one or two grids per pair.
-    """
-    modes = _mode_table(field)
-    if modes is None or modes.pairs > transforms * len(field.geometry.grid_shape):
-        return None
-    return modes
 
 
 @dataclass
@@ -577,32 +582,35 @@ def _compact(field: ScalarField):
 
 def _pointwise(fn, *fields: ScalarField) -> ScalarField:
     """The read-only field of ``fn`` on the fields' ``_compact`` values,
-    one number when every field is constant; ``fn`` returns a new array.
-
-    The negation of a field with a mode table, or the difference of two,
-    keeps the negation or the difference of the tables.
-    """
+    one number when every field is constant; ``fn`` returns a new array."""
     geom = _require_same_geometry(*fields)
     out = fn(*map(_compact, fields))
     if np.ndim(out) == 0:
         return ScalarField.constant(geom, out)
-    field = _freeze(ScalarField(geom, out))
-    if fn not in (np.negative, np.subtract):
-        return field
-    if fn is np.negative:  # -b is 0 - b
-        fields = (ScalarField.constant(geom, 0.0), *fields)
-    # A constant field's table is its one number.
+    return _freeze(ScalarField(geom, out))
+
+
+def _negative(phi: ScalarField) -> ScalarField:
+    """``-phi`` (``_pointwise``), keeping the negation of its mode table."""
+    out = _pointwise(np.negative, phi)
+    table = _mode_table(phi)
+    if table is not None:
+        out._modes = _Modes.of(table.wavevectors.shape[1], 0.0, {}).minus(table)
+    return out
+
+
+def _difference(a: ScalarField, b: ScalarField) -> ScalarField:
+    """``a - b`` (``_pointwise``), keeping the difference of the fields'
+    mode tables; a constant field's table is its one number."""
+    out = _pointwise(np.subtract, a, b)
+    axes = len(out.geometry.grid_shape)
     tables = [
-        _mode_table(f) if f.value is None else _Modes.of(geom, f.value, {})
-        for f in fields
+        _mode_table(f) if f.value is None else _Modes.of(axes, f.value, {})
+        for f in (a, b)
     ]
-    if None not in tables:
-        a, b = tables
-        terms = a.terms()
-        for m, c in b.terms().items():
-            terms[m] = terms.get(m, 0.0) - c
-        field._modes = _Modes.of(geom, a.constant - b.constant, terms)
-    return field
+    if out.value is None and None not in tables:
+        out._modes = tables[0].minus(tables[1])
+    return out
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -1030,17 +1038,15 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     input. The off-diagonal entries are complex and take the full
     inverse transform of the full spectrum. For n <= 2 the transforms are
     the field's component planes. A ``_known_constant`` field has the
-    exact zero Hessian, one matrix, with no transform, and a field whose
-    mode table ``_mode_route`` takes is written from its modes
+    exact zero Hessian, one matrix, with no transform, and a field with a
+    mode table (``_mode_table``) is written from its modes
     (``_hessian_of_modes``).
     """
     geom = phi.geometry
     n = geom.complex_dim
     if _known_constant(phi):
         return HermitianMatrixField.constant(geom, np.zeros((n, n)))
-    # The grid route's transforms: one fftn, one irfftn per diagonal entry
-    # and one ifftn per entry above it.
-    modes = _mode_route(phi, transforms=1 + n + n * (n - 1) // 2)
+    modes = _mode_table(phi)
     if modes is not None:
         return _hessian_of_modes(geom, modes)
     grid = geom.grid_shape
@@ -1153,16 +1159,17 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     pure-Nyquist combinations, which carry no derivative information on an
     even grid) are projected out, so ``g`` should be band-limited below the
     Nyquist frequency. A right-hand side that is exactly zero skips the
-    transforms and gives the constant zero field; one whose mode table
-    ``_mode_route`` takes is solved on its modes (``_solve_modes``).
+    transforms and gives the constant zero field; one with a mode table
+    (``_mode_table``) is solved on its modes (``_solve_modes``).
 
     Returns f with zero grid mean and residual
     ``|trace(Omega^{-1} H(f)) - g|_inf <= 1e-8 * |g|_inf`` for band-limited g.
+    f is read-only on every route, as a field the package computed.
     """
     geom = _require_same_geometry(g, omega)
     inverse_metric = np.linalg.inv(constant_representative(omega))
     _check_mean_zero(g)
-    modes = _mode_route(g, transforms=2)
+    modes = _mode_table(g)
     sym = _checked_symbol(geom, inverse_metric, modes)
     if _known_constant(g):  # zero, by the mean check
         return ScalarField.constant(geom, 0.0)
@@ -1207,12 +1214,13 @@ def _solve_spectrum(
     """The spectral core of poisson_solve: the mean-zero solution f for a
     right-hand side with half spectrum ``g_hat`` (only its active modes
     are read). ``g_hat`` is overwritten with the half spectrum that f is
-    the inverse transform of, before its round-off mean is removed."""
+    the inverse transform of, before its round-off mean is removed. The
+    solution is read-only."""
     np.divide(g_hat, sym, out=g_hat, where=~_dead_modes(geom))
     np.copyto(g_hat, 0.0, where=_dead_modes(geom))
     f = _irfftn(g_hat, geom)
     f -= compensated_sum(f) / geom.num_points
-    return ScalarField(geom, f)
+    return _freeze(ScalarField(geom, f))
 
 
 def _solve_modes(g: _Modes, sym: np.ndarray, geom: TorusGeometry) -> ScalarField:

@@ -43,7 +43,6 @@ from .lattice import (
     _irfftn,
     _known_constant,
     _max_abs,
-    _mode_route,
     _mode_symbols,
     _mode_table,
     _Modes,
@@ -139,6 +138,7 @@ def normalize_scalar_curvature(
     certificate recording the solver residual, the deviation of the
     achieved scalar curvature from c, and the verdict c > eps. A
     constant weight gives the constant zero exponent, with no transform.
+    f is read-only, whichever route solved for it (``poisson_solve``).
 
     The right-hand side has zero mean by construction; a MeanNotZeroError
     out of the solver checks therefore signals an internal quadrature bug,
@@ -150,15 +150,11 @@ def normalize_scalar_curvature(
     # The class scale sets only the default; a given tolerance is checked.
     eps = _resolve_eps(_class_scale(L, const) if eps is None else 0.0, eps)
     W = np.linalg.inv(const)
-    # At most one trace symbol per call, built only where it is used and
-    # on the route _scalar_curvature takes (a weight's modes need a
-    # constant base): the scalar curvature filters a varying weight with
-    # it and the solver divides by it. A constant weight leaves nothing to
-    # filter or solve. The solve and the residual make two grid transforms,
-    # as the scalar curvature does, so they follow its route.
-    modes = None if omega.matrix is None else _mode_route(L.phi, transforms=2)
-    symbol = None if _known_constant(L.phi) else _checked_symbol(geom, W, modes)
-    s, spectrum = _scalar_curvature(L, omega, symbol)
+    # At most one trace symbol per call, built only where it is used: the
+    # scalar curvature filters a varying weight with it, on the weight's
+    # route, and the solver divides by the same one. A constant weight
+    # leaves nothing to filter or solve.
+    s, spectrum, symbol = _scalar_curvature(L, omega, checked=True)
     # The expression target_constant evaluates, on the s already at hand.
     c = geom.complex_dim * _degree_of_trace(s, const) / volume_integral(omega)
     rhs = _compact(s) - c

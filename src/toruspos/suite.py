@@ -31,7 +31,7 @@ from .expressions import random_expression
 from .lattice import (
     MetricField,
     TorusGeometry,
-    _pointwise,
+    _difference,
     constant_metric,
     identity_metric,
 )
@@ -165,7 +165,7 @@ def equivalence_suite(
 
     if cert.verdict and cert.witness_metric is not None:
         modified = L.with_weight(
-            _pointwise(np.subtract, L.phi, cert.witness_weight)
+            _difference(L.phi, cert.witness_weight)
         )
         qpos = check_q_positive(modified, cert.witness_metric, n - 1, eps=eps)
     else:

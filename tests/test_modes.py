@@ -6,20 +6,16 @@ The grid route stays the reference: every result on the modes must equal
 the one for the same values loaded as a grid field, which has no table.
 """
 
-import contextlib
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import hermitian_with_eigs, random_hermitian, random_pd_matrix
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import toruspos.curvature as curvature_module
-import toruspos.lattice as lattice_module
-import toruspos.normalizer as normalizer_module
 from toruspos import (
     LineBundleMetric,
     ScalarField,
@@ -37,10 +33,10 @@ from toruspos import (
     uniformize_metric,
 )
 from toruspos.lattice import (
+    _difference,
     _freeze,
-    _mode_route,
     _mode_table,
-    _pointwise,
+    _Modes,
     _synthesize,
     _waves,
     scalar_field_to_csv,
@@ -50,19 +46,6 @@ from toruspos.normalizer import normalize_scalar_curvature
 RTOL = 1e-12
 
 # ------------------------------------------------------------ the property
-
-
-@contextlib.contextmanager
-def _modes_always():
-    """Every field with a table takes the mode route, whatever its size."""
-
-    def unlimited(field, transforms):
-        return _mode_table(field)
-
-    with contextlib.ExitStack() as stack:
-        for module in (lattice_module, curvature_module, normalizer_module):
-            stack.enter_context(mock.patch.object(module, "_mode_route", unlimited))
-        yield
 
 
 @st.composite
@@ -108,8 +91,19 @@ def _assert_agree(got, want, scale):
     assert float(np.max(np.abs(np.asarray(got) - np.asarray(want)))) <= RTOL * scale
 
 
+#: Always-run instances whose modes span an x and a y axis of two complex
+#: coordinates, where a Hessian off-diagonal multiplier is not real: the
+#: lower plane (n = 2) and the mirrored entries (n = 3) take its conjugate.
+_CROSS_TERMS = [
+    (TorusGeometry.regular(2, 8), "0.5*sin(x1)*cos(y2) - 0.25*cos(2*y1)"),
+    (TorusGeometry.regular(3, 4), "0.5*sin(x1)*cos(y3) + 0.25*cos(y1)*sin(x2)"),
+]
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(instance=_instances(), seed=st.integers(0, 2**32 - 1))
+@example(instance=_CROSS_TERMS[0], seed=5)
+@example(instance=_CROSS_TERMS[1], seed=6)
 def test_mode_route_agrees_with_grid_route(instance, seed):
     geom, text = instance
     n = geom.complex_dim
@@ -118,7 +112,9 @@ def test_mode_route_agrees_with_grid_route(instance, seed):
     phi = L.phi
     assume(phi.value is None)
     table = _mode_table(phi)
-    assert table is not None
+    # A weight of more than _Modes.MAX_PAIRS pairs has no table and takes
+    # the grid route (test_a_weight_past_the_pair_limit_takes_the_grid_route).
+    assume(table is not None)
     grid_L = L.with_weight(ScalarField(geom, phi.values.copy()))
     assert _mode_table(grid_L.phi) is None
     scale = phi.max_abs()
@@ -127,13 +123,13 @@ def test_mode_route_agrees_with_grid_route(instance, seed):
     _assert_agree(_synthesize(geom, table.constant, waves), phi.values, scale)
     omega = constant_metric(geom, random_pd_matrix(rng, n))
 
-    with _modes_always():
-        hessian = complex_hessian(phi).values
-        s = scalar_curvature(L, omega).values
-        g = _pointwise(np.subtract, phi, ScalarField.constant(geom, phi.mean()))
-        assert _mode_table(g) is not None
-        f_poisson = poisson_solve(g, omega).values
-        f, cert = normalize_scalar_curvature(L, omega)
+    hessian = complex_hessian(phi).values
+    s = scalar_curvature(L, omega).values
+    g = _difference(phi, ScalarField.constant(geom, phi.mean()))
+    assert _mode_table(g) is not None
+    f_poisson = poisson_solve(g, omega).values
+    f, cert = normalize_scalar_curvature(L, omega)
+    assert f.value is not None or _mode_table(f) is not None
     grid_g = ScalarField(geom, g.values.copy())
     grid_f, grid_cert = normalize_scalar_curvature(grid_L, omega)
 
@@ -175,15 +171,14 @@ def test_a_period_off_a_multiple_of_pi_has_no_table():
     assert field.value is None and _mode_table(field) is None
 
 
-def test_a_product_past_the_expansion_cap_has_no_table(monkeypatch):
-    """A product term that expands to more than ``_MAX_MODES`` pairs gives
-    up on the table (the grid route) instead of growing without bound."""
-    import toruspos.expressions as expressions_module
-
+def test_a_product_past_the_pair_limit_has_no_table(monkeypatch):
+    """A product term that expands to more than ``_Modes.MAX_PAIRS`` pairs
+    gives up on the table (the grid route) instead of growing without
+    bound."""
     g = TorusGeometry.regular(2, 8)
     text = "sin(x1)*sin(y1)*sin(x2)"  # 8 modes, 4 pairs
     assert _mode_table(_freeze(scalar_field_from_expression(g, text))).pairs == 4
-    monkeypatch.setattr(expressions_module, "_MAX_MODES", 3)
+    monkeypatch.setattr(_Modes, "MAX_PAIRS", 3)
     assert _mode_table(_freeze(scalar_field_from_expression(g, text))) is None
 
 
@@ -201,6 +196,25 @@ def test_only_frozen_fields_hand_out_their_table():
     assert LineBundleMetric(g, kept.r_const, kept.phi).phi is kept.phi
 
 
+def test_solutions_are_read_only_on_both_routes():
+    """poisson_solve and normalize hand back a read-only f whichever route
+    solved for it: the same call cannot be writeable on one route and not
+    on the other."""
+    g = TorusGeometry.regular(2, 8)
+    omega = constant_metric(g, np.array([[1.2, 0.1], [0.1, 0.9]]))
+    L = LineBundleMetric.from_expression(
+        g, np.diag([1.0, 0.5]), "0.3*sin(x1)*cos(y2) - 0.1*cos(x2)"
+    )
+    grid_L = L.with_weight(ScalarField(g, L.phi.values.copy()))
+    assert _mode_table(L.phi) is not None and _mode_table(grid_L.phi) is None
+    for bundle in (L, grid_L):
+        for f in (poisson_solve(bundle.phi, omega),
+                  normalize_scalar_curvature(bundle, omega)[0]):
+            assert f.value is None and not f.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                f.values[0, 0, 0, 0] = 1.0
+
+
 def test_negation_and_difference_keep_the_tables():
     g = TorusGeometry.regular(2, 8)
     L = LineBundleMetric.from_expression(g, np.eye(2), "0.5*sin(x1) + 0.25*cos(y2)")
@@ -209,15 +223,15 @@ def test_negation_and_difference_keep_the_tables():
     dual = _mode_table(L.dual().phi)
     assert dual.constant == 0.0
     assert np.array_equal(dual.coefficients, -table.coefficients)
-    difference = _mode_table(_pointwise(np.subtract, L.phi, other.phi))
+    difference = _mode_table(_difference(L.phi, other.phi))
     assert difference.wavevectors.tolist() == [[0, 0, 0, 1], [0, 0, 1, 0]]
     assert difference.coefficients.tolist() == [0.125, 0.5]
-    shifted = _mode_table(_pointwise(np.subtract, L.phi, ScalarField.constant(g, 1.5)))
+    shifted = _mode_table(_difference(L.phi, ScalarField.constant(g, 1.5)))
     assert shifted.constant == -1.5
     assert np.array_equal(shifted.coefficients, table.coefficients)
     # A grid field has no table, so neither has a difference with one.
     grid = ScalarField(g, other.phi.values.copy())
-    assert _mode_table(_pointwise(np.subtract, L.phi, grid)) is None
+    assert _mode_table(_difference(L.phi, grid)) is None
 
 
 # ---------------------------------------------------------------- counters
@@ -238,19 +252,32 @@ def test_complex_hessian_of_an_expression_makes_no_transform(
     _assert_agree(H.values, reference.values, phi.max_abs())
 
 
-def test_a_weight_above_the_pair_limit_takes_the_grid_route(transform_calls):
-    """complex_hessian at n = 1 makes two transforms of two axis passes on
-    the grid route, so it takes the modes of at most four pairs."""
+def test_a_weight_past_the_pair_limit_takes_the_grid_route(transform_calls):
+    """A weight of ``_Modes.MAX_PAIRS`` pairs takes the mode route; with one
+    more pair it has no table, so every operator transforms the grid, and
+    the two routes agree."""
     g = TorusGeometry.regular(1, 16)
-    four = "sin(x1) + sin(2*x1) + sin(3*x1) + sin(4*x1)"
-    five = four + " + sin(5*x1)"
-    for text, calls in ((four, []), (five, ["_fftn", "_irfftn"])):
-        phi = LineBundleMetric.from_expression(g, np.eye(1), text).phi
-        assert _mode_table(phi).pairs == len(text.split("+"))
+    waves = [f"0.01*sin({k}*{x})" for k in range(1, 8) for x in ("x1", "y1")]
+    limit = _Modes.MAX_PAIRS
+    assert len(waves) > limit
+    omega = constant_metric(g, np.array([[1.5]]))
+    for text, calls in ((" + ".join(waves[:limit]), False),
+                        (" + ".join(waves[: limit + 1]), True)):
+        L = LineBundleMetric.from_expression(g, np.eye(1), text)
+        assert (_mode_table(L.phi) is None) == calls
         transform_calls.clear()
-        complex_hessian(phi)
-        assert sorted(transform_calls) == calls
-    assert _mode_route(phi, 2) is None and _mode_route(phi, 3) is not None
+        complex_hessian(L.phi)
+        assert bool(transform_calls) == calls
+        transform_calls.clear()
+        scalar_curvature(L, omega)
+        normalize_scalar_curvature(L, omega)
+        assert bool(transform_calls) == calls
+        grid_L = L.with_weight(ScalarField(g, L.phi.values.copy()))
+        scale = L.phi.max_abs()
+        _assert_agree(complex_hessian(L.phi).values,
+                      complex_hessian(grid_L.phi).values, scale)
+        _assert_agree(normalize_scalar_curvature(L, omega)[0].values,
+                      normalize_scalar_curvature(grid_L, omega)[0].values, scale)
 
 
 def test_n2_uniformize_and_check_makes_no_transform(transform_calls):
