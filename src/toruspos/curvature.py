@@ -33,20 +33,13 @@ from .lattice import (
     TorusGeometry,
     _check_hermitian,
     _checked_symbol,
-    _dz_symbols,
     _freeze,
     _frozen,
-    _irfftn,
     _known_constant,
-    _mode_symbols,
-    _mode_table,
-    _Modes,
     _negative,
-    _rfftn,
+    _Spectrum,
     _split,
-    _synthesize,
     _trace_symbol,
-    _waves,
     compensated_sum,
     complex_hessian,
     constant_representative,
@@ -215,15 +208,10 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
 
 def _scalar_curvature(
     L: LineBundleMetric, omega: MetricField, checked: bool = False
-) -> tuple[ScalarField, np.ndarray | _Modes | None, np.ndarray | None]:
-    """scalar_curvature, with the spectrum of its varying part and the
-    trace symbol of ``Omega^{-1}`` it filtered the weight with, when it
-    took a spectral route (else None for both).
-
-    The route is the weight's: on a weight with a mode table
-    (``_mode_table``) the symbol is taken at its modes and the spectrum is
-    the table of ``symbol`` times the weight's coefficients; otherwise
-    both are on the half spectrum, the spectrum ``symbol * rfftn(phi)``.
+) -> tuple[ScalarField, _Spectrum | None, np.ndarray | None]:
+    """scalar_curvature, with the spectrum of its varying part (the
+    weight's ``_Spectrum`` times the trace symbol of ``Omega^{-1}``) and
+    that symbol, when it took the spectral route (else None for both).
     ``checked`` builds the symbol guarded for a solve (``_checked_symbol``),
     so that a caller dividing by it uses the one this call used.
     """
@@ -239,23 +227,11 @@ def _scalar_curvature(
     trace = np.einsum("ij,ji->", W, L.r_const).real
     if _known_constant(L.phi):
         return ScalarField.constant(geom, trace), None, None
-    modes = _mode_table(L.phi)
-    if checked:
-        symbol = _checked_symbol(geom, W, modes)
-    elif modes is None:
-        symbol = _trace_symbol(_dz_symbols(geom, half=True), W)
-    else:
-        symbol = _trace_symbol(_mode_symbols(geom, modes), W)
-    if modes is not None:
-        # Every mode of a table is active; the constant mode is trace.
-        coefficients = symbol * modes.coefficients
-        tr = _synthesize(geom, trace, _waves(geom, modes, coefficients))
-        spectrum = _Modes(trace, modes.wavevectors, coefficients)
-        return ScalarField(geom, tr), spectrum, symbol
-    spectrum = _rfftn(L.phi.values)
-    spectrum *= symbol
-    tr = _irfftn(spectrum, geom)
-    tr += trace
+    spectrum = _Spectrum.of(L.phi)
+    symbol = (
+        _checked_symbol(spectrum, W) if checked else _trace_symbol(spectrum.symbols, W)
+    )
+    tr = spectrum.times(symbol).grid(trace)
     return ScalarField(geom, tr), spectrum, symbol
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import ClassVar
 
@@ -167,19 +167,18 @@ def _angular_frequencies(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=32)
-def _dz_symbols(geom: TorusGeometry, half: bool = False) -> tuple[np.ndarray, ...]:
-    """Fourier symbols of d/dz_j, one read-only array per j.
+def _dz_symbols(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
+    """Fourier symbols of d/dz_j on the half spectrum of ``rfftn``, one
+    read-only array per j.
 
     With the convention d/dz = (d/dx - i d/dy) / 2, a plane wave
     ``exp(i(k_x x + k_y y))`` picks up the factor ``(i/2)(k_x - i k_y)``.
     Symbol j varies only along axes 2j and 2j + 1, so it is stored with
-    length 1 on every other axis and broadcasts against a spectrum.
-    ``half`` selects the spectrum of ``rfftn``: the last axis keeps its
-    first ``s // 2 + 1`` bins.
+    length 1 on every other axis and broadcasts against a spectrum whose
+    last axis keeps its first ``s // 2 + 1`` bins.
     """
     freqs = list(_angular_frequencies(geom))
-    if half:
-        freqs[-1] = freqs[-1][: geom.grid_shape[-1] // 2 + 1]
+    freqs[-1] = freqs[-1][: geom.grid_shape[-1] // 2 + 1]
 
     def along(axis: int) -> np.ndarray:
         shape = [1] * len(freqs)
@@ -205,7 +204,7 @@ def _dead_modes(geom: TorusGeometry) -> np.ndarray:
     These are the constant mode and the pure-Nyquist combinations, which
     carry no derivative information on an even grid.
     """
-    symbols = _dz_symbols(geom, half=True)
+    symbols = _dz_symbols(geom)
     dead = np.ones(_spectrum_shape(symbols), dtype=bool)
     for a in symbols:
         dead &= a == 0.0
@@ -236,9 +235,8 @@ class _Dft:
     """Read-only transform matrices of one even axis length ``s``, ``h = s//2 + 1``.
 
     ``forward`` is the DFT matrix ``F`` and ``inverse`` is ``conj(F)/s``.
-    The real matrices act on float views: ``forward`` viewed as float
-    (s x 2s) and ``half`` (s x 2h) map a real axis to interleaved
-    (re, im) columns of the full and the half spectrum, and
+    The real matrices act on float views: ``half`` (s x 2h) maps a real
+    axis to interleaved (re, im) columns of the half spectrum, and
     ``half_inverse`` (2h x s) maps interleaved half-spectrum bins to the
     real axis. Its rows for the imaginary parts of the DC and Nyquist
     bins are zero (the root table gives exact zero sines there), so those
@@ -301,42 +299,12 @@ def _products(y: np.ndarray, matrices, targets) -> np.ndarray:
     """Contract the leading axis of ``y`` with each matrix in turn and move
     it to the end, one 2-D product each, written into the flat complex
     arrays ``targets`` (one per matrix): after a matrix per axis, the last
-    target holds the result in ``y``'s own axis order. A real product
-    writes interleaved (re, im) columns, the float view of its target."""
+    target holds the result in ``y``'s own axis order."""
     for matrix, target in zip(matrices, targets, strict=True):
-        rows = y.size // matrix.shape[0]
-        if matrix.dtype == np.float64:
-            out = target.view(np.float64).reshape(rows, -1)
-        else:
-            out = target.reshape(rows, -1)
+        out = target.reshape(y.size // matrix.shape[0], -1)
         np.matmul(y.reshape(matrix.shape[0], -1).T, matrix, out=out)
         y = target
     return y
-
-
-def _fftn(values: np.ndarray) -> np.ndarray:
-    """``np.fft.fftn`` of a real grid array."""
-    shape = values.shape
-    if max(shape) > _DFT_MAX_AXIS:
-        return np.fft.fftn(values)
-    first, *rest = shape
-    matrices = [_dft(first).forward.view(np.float64), *(_dft(s).forward for s in rest)]
-    out = np.empty(shape, dtype=np.complex128)
-    flat = out.reshape(-1)
-    _products(values, matrices, _alternate(flat, _work(flat.size), len(shape)))
-    return out
-
-
-def _ifftn(spectrum: np.ndarray) -> np.ndarray:
-    """``np.fft.ifftn`` of a complex grid array."""
-    shape = spectrum.shape
-    if max(shape) > _DFT_MAX_AXIS:
-        return np.fft.ifftn(spectrum)
-    matrices = [_dft(s).inverse for s in shape]
-    out = np.empty(shape, dtype=np.complex128)
-    flat = out.reshape(-1)
-    _products(spectrum, matrices, _alternate(flat, _work(flat.size), len(shape)))
-    return out
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:
@@ -382,8 +350,8 @@ def _hessian_multiplier(
 ) -> np.ndarray:
     """Fourier multiplier ``-a_j conj(a_k)`` of complex Hessian entry (j, k).
 
-    ``symbols`` are the d/dz symbols ``a`` on either spectrum; the result
-    broadcasts against that spectrum. The diagonal multiplier ``-|a_j|^2``
+    ``symbols`` are the d/dz symbols ``a`` at a spectrum's bins
+    (``_Spectrum.symbols``); the result broadcasts against its values. The diagonal multiplier ``-|a_j|^2``
     is returned real. Every multiplier is even in the mode, the product of
     two odd symbols.
     """
@@ -404,12 +372,12 @@ class _Modes:
     below the Nyquist mode of its axis, so it indexes the half spectrum
     of ``rfftn`` directly.
 
-    A table has at most ``MAX_PAIRS`` pairs. Every spectral operator takes
-    the mode route on a field with a table, writing one grid per pair and
-    output entry where the grid route makes a fixed number of transforms;
-    the writes were measured to win up to this many pairs on every
-    operator (CONVENTIONS, "Mode route"). A field with more pairs has no
-    table and keeps the grid route.
+    A table has at most ``MAX_PAIRS`` pairs. A field's spectrum
+    (``_Spectrum``) is its table when it has one, written out one grid per
+    pair and output entry instead of a fixed number of transforms; the
+    writes were measured to win up to this many pairs on every operator
+    (CONVENTIONS, "The two forms of a spectrum"). A field with more pairs
+    has no table, and its spectrum is the half spectrum of its grid.
     """
 
     MAX_PAIRS: ClassVar[int] = 4
@@ -451,15 +419,6 @@ class _Modes:
         return _Modes.of(axes, self.constant - other.constant, terms)
 
 
-def _mode_symbols(geom: TorusGeometry, modes: _Modes) -> tuple[np.ndarray, ...]:
-    """The d/dz symbols at the modes, one entry per pair: the half-spectrum
-    ``_dz_symbols`` read at each mode's bin."""
-    symbols = _dz_symbols(geom, half=True)
-    shape = _spectrum_shape(symbols)
-    index = tuple(modes.wavevectors[:, a] % s for a, s in enumerate(geom.grid_shape))
-    return tuple(np.broadcast_to(a, shape)[index] for a in symbols)
-
-
 @lru_cache(maxsize=256)
 def _axis_wave(m: int, s: int) -> np.ndarray:
     """``exp(2 pi i m j / s)`` at the ``s`` points j of an axis, from the
@@ -487,29 +446,127 @@ def _waves(geom: TorusGeometry, modes: _Modes, coefficients) -> list[np.ndarray]
     return out
 
 
-def _write(out: np.ndarray, constant, terms) -> np.ndarray:
-    """``out`` set to ``constant`` plus the sum of ``terms``, arrays that
-    broadcast against it: one pass over ``out`` per term."""
-    if not terms:
+def _synthesize(geom: TorusGeometry, constant, waves, dtype=np.float64) -> np.ndarray:
+    """A new grid array of ``constant`` plus the sum of ``waves``, arrays
+    that broadcast against the grid: one pass over the grid per wave."""
+    out = np.empty(geom.grid_shape, dtype=dtype)
+    if not waves:
         out[...] = constant
         return out
-    np.add(terms[0], constant, out=out)
-    for term in terms[1:]:
-        out += term
+    np.add(waves[0], constant, out=out)
+    for wave in waves[1:]:
+        out += wave
     return out
 
 
-def _synthesize(geom: TorusGeometry, constant, waves) -> np.ndarray:
-    """A new real grid array of ``constant`` plus ``waves`` (``_write``)."""
-    return _write(np.empty(geom.grid_shape), constant, waves)
-
-
 def _mode_table(field: "ScalarField") -> _Modes | None:
-    """The field's mode table, if it has one and no array behind it can
-    change. A spectral operator takes the mode route exactly when this is
-    a table."""
+    """The field's mode table (its ``_Spectrum``), if it has one and no
+    array behind it can change."""
     modes = field._modes
     return modes if modes is not None and _frozen(field) else None
+
+
+class _Spectrum:
+    """The spectrum of a real field, in one of two forms; every spectral
+    operator reads its field through this type, and no other code knows
+    which form it holds.
+
+    * A mode table (the field's ``_mode_table``): ``values`` holds one
+      coefficient per pair, and ``wavevectors`` are the table's.
+    * Otherwise the ``rfftn`` half spectrum of the grid: ``wavevectors``
+      is None, and ``values`` is transformed on first read, so a guard
+      that needs only the bins (``_checked_symbol``) runs no transform.
+
+    ``times`` and ``over`` overwrite ``values`` (a half spectrum in place,
+    which keeps a call's peak memory), and ``grid`` synthesizes the field:
+    one grid per pair for a table, ``_irfftn`` for a half spectrum.
+    """
+
+    @classmethod
+    def of(cls, field: "ScalarField") -> "_Spectrum":
+        """The field's table when ``_mode_table`` gives one, else its half
+        spectrum."""
+        spectrum = cls()
+        spectrum.geometry, spectrum._field = field.geometry, field
+        table = _mode_table(field)
+        spectrum.wavevectors = None if table is None else table.wavevectors
+        if table is not None:
+            spectrum.values = table.coefficients.copy()
+        return spectrum
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _rfftn(self._field.values)
+
+    @property
+    def symbols(self) -> tuple[np.ndarray, ...]:
+        """The d/dz symbols at the bins: ``_dz_symbols``, read at each
+        pair's bin for a table."""
+        symbols = _dz_symbols(self.geometry)
+        if self.wavevectors is None:
+            return symbols
+        shape = _spectrum_shape(symbols)
+        index = tuple(
+            self.wavevectors[:, a] % s for a, s in enumerate(self.geometry.grid_shape)
+        )
+        return tuple(np.broadcast_to(a, shape)[index] for a in symbols)
+
+    @property
+    def dead(self) -> np.ndarray:
+        """The bins where every d/dz symbol vanishes (``_dead_modes``); every
+        mode of a table is active."""
+        if self.wavevectors is None:
+            return _dead_modes(self.geometry)
+        return np.zeros(len(self.wavevectors), dtype=bool)
+
+    def times(self, multiplier: np.ndarray) -> "_Spectrum":
+        """Multiply by an even multiplier at the bins, in place."""
+        self.values *= multiplier
+        return self
+
+    def over(self, symbol: np.ndarray) -> "_Spectrum":
+        """Divide the active bins by ``symbol`` and zero the dead ones, in
+        place."""
+        dead = self.dead
+        np.divide(self.values, symbol, out=self.values, where=~dead)
+        np.copyto(self.values, 0.0, where=dead)
+        return self
+
+    def grid(self, constant=None, multiplier=None) -> np.ndarray:
+        """The field on the grid, plus ``constant`` when one is given; with
+        an even ``multiplier`` at the bins, the field it maps to.
+
+        A table writes ``2 Re(c e_m)`` once per pair, times the multiplier
+        at its mode, skipping zero multipliers. A half spectrum takes one
+        ``_irfftn``, or two for a complex multiplier: its real and its
+        imaginary part are each even, so each maps the spectrum of a real
+        field to a real field.
+        """
+        geom = self.geometry
+        if self.wavevectors is not None:
+            waves = _waves(geom, self, self.values)
+            dtype = np.complex128 if np.iscomplexobj(multiplier) else np.float64
+            if multiplier is not None:
+                waves = [m * w for m, w in zip(multiplier, waves) if m != 0]
+            return _synthesize(geom, 0.0 if constant is None else constant, waves, dtype)
+        if multiplier is None:
+            out = _irfftn(self.values, geom)
+        elif not np.iscomplexobj(multiplier):
+            out = _irfftn(multiplier * self.values, geom)
+        else:
+            out = np.empty(geom.grid_shape, dtype=np.complex128)
+            out.real = _irfftn(multiplier.real * self.values, geom)
+            out.imag = _irfftn(multiplier.imag * self.values, geom)
+        if constant is not None:
+            out += constant
+        return out
+
+    def modes(self, constant: float) -> _Modes | None:
+        """The table of ``constant`` plus the field of a table's values,
+        None for a half spectrum."""
+        if self.wavevectors is None:
+            return None
+        return _Modes(constant, self.wavevectors, self.values.copy())
 
 
 @dataclass
@@ -521,8 +578,8 @@ class ScalarField:
     validation runs on that number, and ``value`` hands it to consumers.
 
     A field may also carry its exact Fourier modes (``_modes``, a
-    ``_Modes`` table): a weight evaluated from an expression, or a result
-    of the mode route. The table is read only while the field is
+    ``_Modes`` table): a weight evaluated from an expression, or a solution
+    on a table. The table is read only while the field is
     ``_frozen`` (``_mode_table``), so that it cannot go stale.
     """
 
@@ -669,10 +726,12 @@ class HermitianMatrixField:
     ``values`` is a read-only view with zero grid strides, validation runs
     on that one matrix, and ``matrix`` hands it to consumers.
 
-    For n <= 2 the kernels read component planes (see ``_split``). A field
-    computed by the package is built from its planes by ``_from_planes``:
-    it is Hermitian by construction, so its gate is the finiteness check,
-    and ``values`` is assembled on first read and cached read-only.
+    For n <= 2 the kernels read component planes (see ``_split``). A varying
+    field computed by the package is built by ``_computed``, from its planes
+    (n <= 2; ``values`` is then assembled on first read and cached
+    read-only) or its stack (n >= 3): it is Hermitian by construction, so
+    its gate is the finiteness check. A field built from caller values
+    passes the full Hermitian gate.
     """
 
     geometry: TorusGeometry
@@ -680,15 +739,17 @@ class HermitianMatrixField:
 
     #: Component planes for n <= 2 (``_split``), None for n >= 3.
     _planes = None
+    #: Built by ``_computed``: Hermitian by construction.
+    _exact = False
     #: ``(omega, EigenvalueField)`` of the last pencil solved with both
     #: fields read-only (``qpositivity._solve_pencil``), or None.
     _pencil = None
 
     def __post_init__(self) -> None:
         n = self.geometry.complex_dim
-        if "values" not in vars(self):  # built by _from_planes
-            for plane in self._planes:
-                if not np.all(np.isfinite(plane)):
+        if self._exact:
+            for array in _arrays(self):
+                if array is not None and not np.all(np.isfinite(array)):
                     raise ValueError("matrix field contains non-finite values")
             return
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -709,18 +770,24 @@ class HermitianMatrixField:
         return cls(geometry, np.broadcast_to(mat, (*geometry.grid_shape, *mat.shape)))
 
     @classmethod
-    def _from_planes(cls, geometry: TorusGeometry, planes: tuple):
-        """A varying field, n <= 2, from planes of grid shape.
+    def _computed(cls, geometry: TorusGeometry, data):
+        """A varying field the package computed, exactly Hermitian by
+        construction: a tuple of planes of grid shape (n <= 2) or the
+        ``(*grid, n, n)`` stack (n >= 3).
 
-        Planes of the right dtype are kept, not copied: the caller hands
+        Arrays of the right dtype are kept, not copied: the caller hands
         them over. A constant field is one matrix (``constant``).
         """
-        dtypes = (np.float64, np.float64, np.complex128)
         field = cls.__new__(cls)
         field.geometry = geometry
-        field._planes = tuple(
-            np.asarray(p, dtype=dtype) for p, dtype in zip(planes, dtypes)
-        )
+        if isinstance(data, tuple):
+            dtypes = (np.float64, np.float64, np.complex128)
+            field._planes = tuple(
+                np.asarray(p, dtype=dtype) for p, dtype in zip(data, dtypes)
+            )
+        else:
+            field.values = np.asarray(data, dtype=np.complex128)
+        field._exact = True
         field.__post_init__()
         return field
 
@@ -1030,87 +1097,45 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
         (1/4) * [ (d_xj d_xk + d_yj d_yk) phi
                   + i (d_xj d_yk - d_yj d_xk) phi ]
 
+    Each entry is the field of the spectrum (``_Spectrum``) times the
+    entry's multiplier ``_hessian_multiplier``, which is even in the mode.
     The output is Hermitian at every grid point exactly, not just to
-    round-off: the diagonal multipliers ``-|A_j|^2`` are real and even, so
-    the diagonal is the real inverse transform (``irfftn``) of the half
-    spectrum, and the lower triangle mirrors the conjugate of the upper
-    triangle, which is an identity of the continuum operator on real
-    input. The off-diagonal entries are complex and take the full
-    inverse transform of the full spectrum. For n <= 2 the transforms are
-    the field's component planes. A ``_known_constant`` field has the
-    exact zero Hessian, one matrix, with no transform, and a field with a
-    mode table (``_mode_table``) is written from its modes
-    (``_hessian_of_modes``).
+    round-off: the diagonal multipliers ``-|A_j|^2`` are real, so the
+    diagonal is real, and the lower triangle takes the conjugate
+    multipliers of the upper one (n <= 2) or mirrors its conjugate entries
+    (n >= 3), which is an identity of the continuum operator on real
+    input. For n <= 2 the entries are the field's component planes. A
+    ``_known_constant`` field has the exact zero Hessian, one matrix, with
+    no transform.
     """
     geom = phi.geometry
     n = geom.complex_dim
     if _known_constant(phi):
         return HermitianMatrixField.constant(geom, np.zeros((n, n)))
-    modes = _mode_table(phi)
-    if modes is not None:
-        return _hessian_of_modes(geom, modes)
-    grid = geom.grid_shape
-    phat = _fftn(phi.values)
-    half_phat = phat[..., : grid[-1] // 2 + 1]
-    half = _dz_symbols(geom, half=True)
+    spectrum = _Spectrum.of(phi)
+    symbols = spectrum.symbols
 
-    def diagonal(j: int) -> np.ndarray:
-        return _irfftn(_hessian_multiplier(half, j, j) * half_phat, geom)
+    def entry(j: int, k: int) -> np.ndarray:
+        return spectrum.grid(multiplier=_hessian_multiplier(symbols, j, k))
 
     if n == 1:
-        return HermitianMatrixField._from_planes(geom, (diagonal(0),))
-    full = _dz_symbols(geom)
+        return HermitianMatrixField._computed(geom, (entry(0, 0),))
     if n == 2:
-        upper = _ifftn(_hessian_multiplier(full, 0, 1) * phat)
-        lower = np.conj(upper, out=upper)
-        return HermitianMatrixField._from_planes(geom, (diagonal(0), diagonal(1), lower))
-    out = np.empty((*grid, n, n), dtype=np.complex128)
-    for j in range(n):
-        out[..., j, j] = diagonal(j)
-        for k in range(j + 1, n):
-            entry = _ifftn(_hessian_multiplier(full, j, k) * phat)
-            out[..., j, k] = entry
-            out[..., k, j] = np.conj(entry)
-    return HermitianMatrixField(geom, out)
-
-
-def _hessian_of_modes(geom: TorusGeometry, modes: _Modes) -> HermitianMatrixField:
-    """complex_hessian on the mode route: entry (j, k) is the sum over the
-    pairs of the multiplier ``_hessian_multiplier`` at the mode times the
-    pair's real wave ``2 Re(c e_m)`` (the multiplier is even in m), so
-    each nonzero multiplier writes the entry's grid once. The lower
-    triangle takes the conjugate multipliers, as the grid route takes the
-    conjugate entries."""
-    n = geom.complex_dim
-    symbols = _mode_symbols(geom, modes)
-    waves = _waves(geom, modes, modes.coefficients)
-
-    def write(out: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-        return _write(out, 0.0, [m * w for m, w in zip(multipliers, waves) if m != 0])
-
-    def diagonal(j: int) -> np.ndarray:
-        return write(np.empty(geom.grid_shape), _hessian_multiplier(symbols, j, j))
-
-    if n == 1:
-        return HermitianMatrixField._from_planes(geom, (diagonal(0),))
-    if n == 2:
-        lower = np.conj(_hessian_multiplier(symbols, 0, 1))
-        c = write(np.empty(geom.grid_shape, dtype=np.complex128), lower)
-        return HermitianMatrixField._from_planes(geom, (diagonal(0), diagonal(1), c))
+        lower = spectrum.grid(multiplier=np.conj(_hessian_multiplier(symbols, 0, 1)))
+        return HermitianMatrixField._computed(geom, (entry(0, 0), entry(1, 1), lower))
     out = np.empty((*geom.grid_shape, n, n), dtype=np.complex128)
     for j in range(n):
-        write(out[..., j, j], _hessian_multiplier(symbols, j, j))
+        out[..., j, j] = entry(j, j)
         for k in range(j + 1, n):
-            entry = write(out[..., j, k], _hessian_multiplier(symbols, j, k))
-            np.conj(entry, out=out[..., k, j])
-    return HermitianMatrixField(geom, out)
+            out[..., j, k] = entry(j, k)
+            np.conj(out[..., j, k], out=out[..., k, j])
+    return HermitianMatrixField._computed(geom, out)
 
 
 def _trace_symbol(symbols: tuple, inverse_metric: np.ndarray) -> np.ndarray:
     """Fourier symbol of ``phi -> trace(W . complex_hessian(phi))`` on
-    ``symbols``: the d/dz symbols on the half spectrum of ``rfftn``
-    (``_dz_symbols(geom, half=True)``), or at a table's modes
-    (``_mode_symbols``).
+    ``symbols``: the d/dz symbols at a spectrum's bins
+    (``_Spectrum.symbols``).
 
     For Hermitian positive definite ``W`` the symbol equals
     ``-a(m)^H W a(m)`` with ``a`` the stacked d/dz symbols, hence it is
@@ -1159,23 +1184,20 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     pure-Nyquist combinations, which carry no derivative information on an
     even grid) are projected out, so ``g`` should be band-limited below the
     Nyquist frequency. A right-hand side that is exactly zero skips the
-    transforms and gives the constant zero field; one with a mode table
-    (``_mode_table``) is solved on its modes (``_solve_modes``).
+    transforms and gives the constant zero field.
 
     Returns f with zero grid mean and residual
     ``|trace(Omega^{-1} H(f)) - g|_inf <= 1e-8 * |g|_inf`` for band-limited g.
-    f is read-only on every route, as a field the package computed.
+    f is read-only, as a field the package computed.
     """
     geom = _require_same_geometry(g, omega)
     inverse_metric = np.linalg.inv(constant_representative(omega))
     _check_mean_zero(g)
-    modes = _mode_table(g)
-    sym = _checked_symbol(geom, inverse_metric, modes)
+    spectrum = _Spectrum.of(g)
+    sym = _checked_symbol(spectrum, inverse_metric)
     if _known_constant(g):  # zero, by the mean check
         return ScalarField.constant(geom, 0.0)
-    if modes is not None:
-        return _solve_modes(modes, sym, geom)
-    return _solve_spectrum(_rfftn(g.values), sym, geom)
+    return _solve(spectrum, sym)
 
 
 def _check_mean_zero(g: ScalarField) -> float:
@@ -1191,49 +1213,29 @@ def _check_mean_zero(g: ScalarField) -> float:
     return g_inf
 
 
-def _checked_symbol(
-    geom: TorusGeometry, inverse_metric: np.ndarray, modes: _Modes | None = None
-) -> np.ndarray:
-    """``_trace_symbol`` of ``inverse_metric`` on the half spectrum, or at
-    the modes of a table, guarded for poisson_solve."""
-    if modes is None:
-        sym = _trace_symbol(_dz_symbols(geom, half=True), inverse_metric)
-        active = sym[~_dead_modes(geom)]
-    else:  # every mode of a table is active
-        sym = active = _trace_symbol(_mode_symbols(geom, modes), inverse_metric)
+def _checked_symbol(spectrum: _Spectrum, inverse_metric: np.ndarray) -> np.ndarray:
+    """``_trace_symbol`` of ``inverse_metric`` at the spectrum's bins,
+    guarded for poisson_solve."""
+    sym = _trace_symbol(spectrum.symbols, inverse_metric)
     # Positive definiteness of the metric makes the symbol strictly negative
     # on every active mode; a singular active symbol is impossible.
-    if not np.all(active < 0.0):
+    if not np.all(sym[~spectrum.dead] < 0.0):
         raise InternalInvariantError("singular trace symbol on an active mode")
     return sym
 
 
-def _solve_spectrum(
-    g_hat: np.ndarray, sym: np.ndarray, geom: TorusGeometry
-) -> ScalarField:
+def _solve(spectrum: _Spectrum, sym: np.ndarray) -> ScalarField:
     """The spectral core of poisson_solve: the mean-zero solution f for a
-    right-hand side with half spectrum ``g_hat`` (only its active modes
-    are read). ``g_hat`` is overwritten with the half spectrum that f is
-    the inverse transform of, before its round-off mean is removed. The
-    solution is read-only."""
-    np.divide(g_hat, sym, out=g_hat, where=~_dead_modes(geom))
-    np.copyto(g_hat, 0.0, where=_dead_modes(geom))
-    f = _irfftn(g_hat, geom)
-    f -= compensated_sum(f) / geom.num_points
-    return _freeze(ScalarField(geom, f))
-
-
-def _solve_modes(g: _Modes, sym: np.ndarray, geom: TorusGeometry) -> ScalarField:
-    """_solve_spectrum on the mode route: each pair's coefficient divided
-    by the trace symbol ``sym`` at its mode (every mode of a table is
-    active; the constant mode is dropped). The solution is read-only and
-    carries its table."""
-    coefficients = g.coefficients / sym
-    f = _synthesize(geom, 0.0, _waves(geom, g, coefficients))
+    right-hand side with ``spectrum`` (only its active bins are read).
+    ``spectrum`` is overwritten with the one f is the field of, before its
+    round-off mean is removed. The solution is read-only, and a table's
+    carries its own."""
+    geom = spectrum.geometry
+    f = spectrum.over(sym).grid()
     mean = compensated_sum(f) / geom.num_points
     f -= mean
     field = _freeze(ScalarField(geom, f))
-    field._modes = _Modes(-mean, g.wavevectors, coefficients)
+    field._modes = spectrum.modes(-mean)
     return field
 
 

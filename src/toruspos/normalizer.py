@@ -38,20 +38,12 @@ from .lattice import (
     _check_mean_zero,
     _checked_symbol,
     _compact,
-    _dz_symbols,
     _hessian_multiplier,
-    _irfftn,
     _known_constant,
     _max_abs,
-    _mode_symbols,
-    _mode_table,
-    _Modes,
-    _rfftn,
-    _solve_modes,
-    _solve_spectrum,
+    _solve,
+    _Spectrum,
     _spectrum_shape,
-    _synthesize,
-    _waves,
     compensated_sum,
     constant_metric,
     constant_representative,
@@ -84,8 +76,8 @@ def _class_scale(L: LineBundleMetric, omega_matrix: np.ndarray) -> float:
 
 def _trace_multiplier(symbols: tuple[np.ndarray, ...], W: np.ndarray) -> np.ndarray:
     """The real multiplier of ``f -> trace(W . complex_hessian(f))`` from
-    the Hessian's own entries, on ``symbols``: the d/dz symbols on the half
-    spectrum, or at a table's modes.
+    the Hessian's own entries, on ``symbols``: the d/dz symbols at a
+    spectrum's bins.
 
     Entry ``(j, k)`` of the upper triangle has the real multiplier
     ``Re(c W_kj m_jk)``, with ``m_jk`` the Hessian multiplier and
@@ -101,29 +93,11 @@ def _trace_multiplier(symbols: tuple[np.ndarray, ...], W: np.ndarray) -> np.ndar
     return multiplier
 
 
-def _hessian_trace(
-    f: ScalarField, W: np.ndarray, f_hat: np.ndarray | None = None
-) -> np.ndarray:
-    """``trace(W . complex_hessian(f))`` from the Hessian's own entries
-    (``_trace_multiplier``); the n x n field is never assembled.
-
-    A solution with a mode table takes the multiplier at its modes and
-    writes the grid once per pair. Otherwise the multiplier is applied to
-    ``f``'s half spectrum (``f_hat``, when the caller holds it; it is
-    overwritten), and one inverse transform gives the trace.
-    """
-    geom = f.geometry
-    modes = _mode_table(f)
-    if modes is not None:
-        multiplier = _trace_multiplier(_mode_symbols(geom, modes), W)
-        waves = _waves(geom, modes, multiplier * modes.coefficients)
-        return _synthesize(geom, 0.0, waves)
-    if f_hat is None:
-        if _known_constant(f):
-            return np.zeros(geom.grid_shape)
-        f_hat = _rfftn(f.values)
-    f_hat *= _trace_multiplier(_dz_symbols(geom, half=True), W)
-    return _irfftn(f_hat, geom)
+def _hessian_trace(spectrum: _Spectrum, W: np.ndarray) -> np.ndarray:
+    """``trace(W . complex_hessian(f))`` of the field f with ``spectrum``,
+    from the Hessian's own entries (``_trace_multiplier``); the n x n
+    field is never assembled. ``spectrum`` is overwritten."""
+    return spectrum.times(_trace_multiplier(spectrum.symbols, W)).grid()
 
 
 def normalize_scalar_curvature(
@@ -138,7 +112,7 @@ def normalize_scalar_curvature(
     certificate recording the solver residual, the deviation of the
     achieved scalar curvature from c, and the verdict c > eps. A
     constant weight gives the constant zero exponent, with no transform.
-    f is read-only, whichever route solved for it (``poisson_solve``).
+    f is read-only (``poisson_solve``).
 
     The right-hand side has zero mean by construction; a MeanNotZeroError
     out of the solver checks therefore signals an internal quadrature bug,
@@ -151,8 +125,8 @@ def normalize_scalar_curvature(
     eps = _resolve_eps(_class_scale(L, const) if eps is None else 0.0, eps)
     W = np.linalg.inv(const)
     # At most one trace symbol per call, built only where it is used: the
-    # scalar curvature filters a varying weight with it, on the weight's
-    # route, and the solver divides by the same one. A constant weight
+    # scalar curvature filters a varying weight with it, at the bins of the
+    # weight's spectrum, and the solver divides by the same one. A constant weight
     # leaves nothing to filter or solve.
     s, spectrum, symbol = _scalar_curvature(L, omega, checked=True)
     # The expression target_constant evaluates, on the s already at hand.
@@ -171,11 +145,6 @@ def normalize_scalar_curvature(
     rhs_inf = _check_mean_zero(rhs)
     if _known_constant(rhs):  # zero, by the mean check
         f, achieved = ScalarField.constant(geom, 0.0), np.float64(0.0)
-    elif isinstance(spectrum, _Modes):
-        # The mode route: the table of s is the right-hand side's on every
-        # active mode, as the half spectrum is below.
-        f = _solve_modes(spectrum, symbol, geom)
-        achieved = _hessian_trace(f, W)
     else:
         # On every active mode the spectrum s was built from is the
         # right-hand side's (c and the mean sit on the constant mode). A
@@ -183,12 +152,11 @@ def normalize_scalar_curvature(
         # The spectrum becomes f's in place; it and the symbol are dropped
         # as soon as they are used, since they set the call's peak memory.
         if spectrum is None:
-            spectrum = _rfftn(rhs.values)
-        if symbol is None:
-            symbol = _checked_symbol(geom, W)
-        f = _solve_spectrum(spectrum, symbol, geom)
+            spectrum = _Spectrum.of(rhs)
+            symbol = _checked_symbol(spectrum, W)
+        f = _solve(spectrum, symbol)
         del symbol
-        achieved = _hessian_trace(f, W, spectrum)
+        achieved = _hessian_trace(spectrum, W)
         del spectrum
 
     if rhs_inf > 0.0:

@@ -492,16 +492,16 @@ def uniformize_metric(
 
     new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
     try:
-        if isinstance(new, tuple):
-            if np.ndim(new[0]):
-                metric = MetricField._from_planes(L.geometry, new)
-                return _freeze(_require_factor(metric))
-            new = _join(new)
-        else:
+        planes = isinstance(new, tuple)
+        if not planes:
             new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
-        # A constant pencil gives one matrix, kept once as a constant metric.
-        shape = (*L.geometry.grid_shape, n, n)
-        metric = MetricField(L.geometry, np.broadcast_to(new, shape))
+        if np.ndim(new[0]) if planes else new.ndim > 2:
+            metric = MetricField._computed(L.geometry, new)
+        else:
+            # A constant pencil gives one matrix, kept once as a constant metric.
+            matrix = _join(new) if planes else new
+            shape = (*L.geometry.grid_shape, n, n)
+            metric = MetricField(L.geometry, np.broadcast_to(matrix, shape))
         return _freeze(_require_factor(metric))
     except ValueError as exc:
         # Positive definite and finite in exact arithmetic: float64 lost

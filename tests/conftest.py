@@ -59,18 +59,17 @@ def bundle_with_pencil_eigs(
 
 #: The package's grid transform helpers and numpy's transforms, as counted
 #: by the ``transform_calls`` fixture.
-TRANSFORM_HELPERS = ("_rfftn", "_irfftn", "_fftn", "_ifftn")
+TRANSFORM_HELPERS = ("_rfftn", "_irfftn")
 NUMPY_TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
 
 
 @pytest.fixture
 def transform_calls(monkeypatch):
     """A list that records, by name, every grid transform the package runs
-    from here on: its four helpers, wherever they are imported, and
-    numpy's transforms (named ``np.fft.<name>``)."""
-    import toruspos.curvature as curvature_module
+    from here on: its two helpers, which only lattice.py names
+    (tests/test_imports.py), and numpy's transforms (named
+    ``np.fft.<name>``)."""
     import toruspos.lattice as lattice_module
-    import toruspos.normalizer as normalizer_module
 
     calls = []
 
@@ -81,11 +80,9 @@ def transform_calls(monkeypatch):
 
         return wrapper
 
-    originals = {name: getattr(lattice_module, name) for name in TRANSFORM_HELPERS}
-    for module in (curvature_module, lattice_module, normalizer_module):
-        for name, original in originals.items():
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, recording(name, original))
+    for name in TRANSFORM_HELPERS:
+        original = getattr(lattice_module, name)
+        monkeypatch.setattr(lattice_module, name, recording(name, original))
     for name in NUMPY_TRANSFORMS:
         original = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, recording(f"np.fft.{name}", original))

@@ -5,8 +5,9 @@ uniformizing transform, the explicit wedge expansion of the degree and the
 Gauduchon defect read the materialized ``(..., n, n)`` ``values`` of their
 fields, so they stay independent of the component-plane kernels.
 
-``integrate`` (trapezoid quadrature of a product) and
-``is_constant_field`` are small helpers only the tests use, and
+``integrate`` (trapezoid quadrature of a product),
+``is_constant_field`` and the full-spectrum ``reference_symbols`` are
+small helpers only the tests use, and
 ``UnsupportedDimensionError`` is what the n <= 2 oracles raise for larger
 n. The symmetric-root whitening is the pencil route the package used
 before its Cholesky factor, kept here as a reference for it. The
@@ -35,7 +36,6 @@ from toruspos import lattice, qpositivity
 from toruspos.errors import InternalInvariantError
 from toruspos.lattice import (
     TorusGeometry,
-    _dz_symbols,
     _join,
     _require_same_geometry,
     _split,
@@ -116,6 +116,19 @@ def wedge_degree_check(L: LineBundleMetric, omega: MetricField) -> float:
     return 0.5 * geom.cell_volume * compensated_sum(coeff.real)
 
 
+def reference_symbols(geom: TorusGeometry) -> np.ndarray:
+    """Full-grid d/dz_j symbols, Nyquist derivative zeroed, shape (n, *grid):
+    the textbook full spectrum, built apart from the package's own."""
+    n = geom.complex_dim
+    freqs = []
+    for s, period in zip(geom.grid_shape, geom.periods):
+        k = 2.0 * math.pi * np.fft.fftfreq(s, d=period / s)
+        k[s // 2] = 0.0
+        freqs.append(k)
+    kk = np.meshgrid(*freqs, indexing="ij")
+    return np.stack([0.5j * (kk[2 * j] - 1j * kk[2 * j + 1]) for j in range(n)])
+
+
 def complex_hessian_entry_of_complex(
     geom: TorusGeometry, values: np.ndarray, j: int, k: int
 ) -> np.ndarray:
@@ -123,7 +136,7 @@ def complex_hessian_entry_of_complex(
 
     No Hermitian symmetry is implied for complex input.
     """
-    symbols = _dz_symbols(geom)
+    symbols = reference_symbols(geom)
     vhat = np.fft.fftn(np.asarray(values, dtype=np.complex128))
     return np.fft.ifftn(-symbols[j] * np.conj(symbols[k]) * vhat)
 

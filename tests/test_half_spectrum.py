@@ -1,9 +1,9 @@
 """Half-spectrum (rfftn/irfftn) routes against a full complex-FFT reference.
 
-The reference below is the textbook route: full ``fftn``, full symbols,
-full ``ifftn``, real part where the output is real. It is kept here, apart
-from the package, so the production transforms are checked against code
-they do not share.
+The reference below is the textbook route: full ``fftn``, full symbols
+(``oracles.reference_symbols``), full ``ifftn``, real part where the
+output is real. It is kept apart from the package, so the production
+transforms are checked against code they do not share.
 """
 
 import math
@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from conftest import random_hermitian, random_pd_metric
+from oracles import reference_symbols
 
 from toruspos import (
     LineBundleMetric,
@@ -21,6 +22,7 @@ from toruspos import (
     poisson_solve,
     scalar_curvature,
 )
+from toruspos.lattice import _Spectrum
 from toruspos.normalizer import _hessian_trace
 
 RTOL = 1e-13
@@ -34,20 +36,8 @@ BAND_LIMITED = {
 CASES = [(1, 64), (2, 8), (3, 4)]
 
 
-def _reference_symbols(geom):
-    """Full-grid d/dz_j symbols, Nyquist derivative zeroed, shape (n, *grid)."""
-    n = geom.complex_dim
-    freqs = []
-    for s, period in zip(geom.grid_shape, geom.periods):
-        k = 2.0 * math.pi * np.fft.fftfreq(s, d=period / s)
-        k[s // 2] = 0.0
-        freqs.append(k)
-    kk = np.meshgrid(*freqs, indexing="ij")
-    return np.stack([0.5j * (kk[2 * j] - 1j * kk[2 * j + 1]) for j in range(n)])
-
-
 def _reference_hessian(values, geom):
-    a = _reference_symbols(geom)
+    a = reference_symbols(geom)
     n = geom.complex_dim
     vhat = np.fft.fftn(values)
     out = np.empty((*geom.grid_shape, n, n), dtype=complex)
@@ -63,7 +53,7 @@ def _reference_trace(values, W, geom):
 
 
 def _reference_poisson(values, W, geom):
-    a = _reference_symbols(geom)
+    a = reference_symbols(geom)
     sym = -np.einsum("k...,kj,j...->...", np.conj(a), W, a).real
     live = np.sum(np.abs(a) ** 2, axis=0) > 0.0
     ghat = np.fft.fftn(values)
@@ -101,7 +91,7 @@ def test_hessian_trace_matches_full_transform(n, samples, kind):
     geom = TorusGeometry.regular(n, samples)
     W = np.linalg.inv(random_pd_metric(np.random.default_rng(5), geom).matrix)
     f = _weights(geom)[kind]
-    _assert_close(_hessian_trace(f, W), _reference_trace(f.values, W, geom))
+    _assert_close(_hessian_trace(_Spectrum.of(f), W), _reference_trace(f.values, W, geom))
 
 
 @pytest.mark.parametrize("kind", ["band-limited", "white-noise"])

@@ -1,7 +1,9 @@
 """The package imports only the standard library and its declared
 dependency, numpy: scipy and other installed packages stay out. Grid
 transforms go through lattice.py's helpers, so numpy's FFT is called in
-that module only."""
+that module only, and the form a spectrum takes (a mode table or a half
+spectrum) is known there alone: other modules read spectra through
+``lattice._Spectrum``."""
 
 import ast
 import sys
@@ -89,3 +91,48 @@ def test_numpy_fft_uses_are_found(tmp_path):
     )
     names = [name for _, name in _numpy_fft_uses(module)]
     assert names == ["rfftn", "fft", "irfftn", "fft"]
+
+
+#: Transform helpers and mode-table internals that only lattice.py names.
+LATTICE_ONLY = {"_rfftn", "_irfftn", "_mode_table", "_mode_symbols", "_waves", "_write"}
+
+#: The mode table type, named only where tables are built and read.
+TABLE_MODULES = {"lattice.py", "expressions.py"}
+
+
+def _names(path: Path):
+    """``(line, name)`` of each identifier ``path`` names: a variable, an
+    attribute, or a name imported from a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def test_spectrum_forms_are_known_only_in_lattice():
+    sources = sorted(PACKAGE.glob("*.py"))
+    outside = [
+        f"{path.name}:{line}: {name}"
+        for path in sources
+        for line, name in _names(path)
+        if (name in LATTICE_ONLY and path.name != "lattice.py")
+        or (name == "_Modes" and path.name not in TABLE_MODULES)
+    ]
+    assert outside == []
+    assert LATTICE_ONLY & {name for _, name in _names(PACKAGE / "lattice.py")}
+
+
+def test_names_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from .lattice import _rfftn as forward, _Modes\n"
+        "import toruspos.lattice as lattice\n"
+        "def f(field):\n    return lattice._mode_table(field), _waves\n"
+    )
+    names = {name for _, name in _names(module)}
+    assert {"_rfftn", "_Modes", "_mode_table", "_waves"} <= names

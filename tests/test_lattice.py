@@ -94,6 +94,44 @@ def test_hermitian_field_validation():
         HermitianMatrixField(g, vals)
 
 
+def test_computed_stacks_are_gated_for_finiteness_only(monkeypatch):
+    """A counter, no timing: an n = 3 Hessian is Hermitian by construction
+    (its lower triangle mirrors the conjugate of the upper one), so neither
+    spectrum form runs the Hermitian gate on it; a stack of caller values
+    does, and a non-finite computed stack is still refused."""
+    import toruspos.lattice as lattice_module
+
+    gates = []
+    original = lattice_module._check_hermitian
+
+    def counting(vals):
+        gates.append(np.shape(vals))
+        original(vals)
+
+    monkeypatch.setattr(lattice_module, "_check_hermitian", counting)
+    g = TorusGeometry.regular(3, 4)
+    phi = scalar_field_from_expression(g, "0.3*sin(x1)*cos(y2) + 0.1*cos(y3)")
+    for weight in (lattice_module._freeze(phi), ScalarField(g, phi.values.copy())):
+        H = complex_hessian(weight)
+        assert np.array_equal(H.values, np.conj(np.swapaxes(H.values, -1, -2)))
+    assert gates == []
+    HermitianMatrixField(g, H.values.copy())
+    assert gates == [(*g.grid_shape, 3, 3)]
+    stack = H.values.copy()
+    stack[0, 0, 0, 0, 0, 0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianMatrixField._computed(g, stack)
+
+
+@pytest.mark.parametrize("cls", [HermitianMatrixField, MetricField])
+def test_caller_stack_that_is_not_hermitian_still_raises(cls):
+    g = TorusGeometry.regular(3, 4)
+    stack = np.broadcast_to(np.eye(3, dtype=complex), (*g.grid_shape, 3, 3)).copy()
+    stack[1, 2, 3, 0, 1, 2, 0, 2] = 0.5j  # its mirror entry stays 0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        cls(g, stack)
+
+
 def test_metric_field_requires_positive_definite():
     g = TorusGeometry.regular(2, 4)
     mat = np.diag([1.0, -0.5])

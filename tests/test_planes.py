@@ -239,7 +239,7 @@ def test_plane_fields_match_values_fields(n, samples, r_const, q):
     R = chern_curvature(L)
     R_values = HermitianMatrixField(g, R.values.copy())
     vals = _varying_metric_values(g)
-    omega = MetricField._from_planes(g, _split(vals))
+    omega = MetricField._computed(g, _split(vals))
     omega_values = MetricField(g, vals)
     assert "values" not in vars(omega)
     assert omega.min_eigenvalue == pytest.approx(omega_values.min_eigenvalue, rel=1e-13)
@@ -288,7 +288,7 @@ def test_plane_rejections_match_values_route(n, plane, value, cls, match):
     planes = [p.copy() for p in _split(np.broadcast_to(np.eye(n, dtype=complex),
                                                        (*g.grid_shape, n, n)))]
     planes[plane][(1,) * (2 * n)] = value
-    message = _rejection_message(lambda: cls._from_planes(g, tuple(planes)))
+    message = _rejection_message(lambda: cls._computed(g, tuple(planes)))
     assert match in message
     assert message == _rejection_message(lambda: cls(g, _join(tuple(planes))))
 

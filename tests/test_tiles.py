@@ -43,7 +43,7 @@ def _varying_metric(g: TorusGeometry) -> MetricField:
         vals[..., 1, 1] = 0.8 + 0.3 * np.cos(x[3])
         vals[..., 1, 0] = 0.2 * np.cos(x[1]) + 0.1j * np.sin(x[2])
         vals[..., 0, 1] = np.conj(vals[..., 1, 0])
-    return MetricField._from_planes(g, tuple(p.copy() for p in _split(vals)))
+    return MetricField._computed(g, tuple(p.copy() for p in _split(vals)))
 
 
 def _constant_metric(g: TorusGeometry) -> MetricField:

@@ -23,7 +23,7 @@ from toruspos import (
     constant_metric,
     normalize_scalar_curvature,
 )
-from toruspos.lattice import _WORK, _dft, _fftn, _ifftn, _irfftn, _rfftn
+from toruspos.lattice import _WORK, _dft, _irfftn, _rfftn
 
 #: As in test_half_spectrum.py: error relative to the reference's max |entry|.
 RTOL = 1e-13
@@ -60,14 +60,11 @@ def _shapes(draw):
 def test_transforms_match_numpy(shape, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(shape)
-    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     axes = tuple(range(len(shape)))
     half = np.fft.rfftn(values)
     _assert_close(_rfftn(values), half)
     inverse = np.fft.irfftn(half, s=shape, axes=axes)
     _assert_close(_irfftn(half, _geometry(shape)), inverse)
-    _assert_close(_fftn(values), np.fft.fftn(values))
-    _assert_close(_ifftn(full), np.fft.ifftn(full))
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 8, 8), (4, 8, 32, 6), (64, 64)])
@@ -87,8 +84,6 @@ def test_inverse_ignores_the_imaginary_dc_and_nyquist_parts(shape):
 def test_zero_input_gives_exact_zeros(shape):
     zeros = np.zeros(shape)
     assert not np.any(_rfftn(zeros))
-    assert not np.any(_fftn(zeros))
-    assert not np.any(_ifftn(zeros.astype(np.complex128)))
     half = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=np.complex128)
     assert not np.any(_irfftn(half, _geometry(shape)))
 
@@ -112,7 +107,7 @@ def test_dft_matrices_come_from_an_exactly_symmetric_root_table(s):
 _DIGEST = """
 import hashlib
 import numpy as np
-from toruspos.lattice import _dft, _fftn, _ifftn, _irfftn, _rfftn, TorusGeometry
+from toruspos.lattice import _irfftn, _rfftn, TorusGeometry
 
 digest = hashlib.sha256()
 for shape in [(8,) * 6, (16,) * 4]:
@@ -120,8 +115,7 @@ for shape in [(8,) * 6, (16,) * 4]:
     values = rng.standard_normal(shape)
     half = _rfftn(values)
     geom = TorusGeometry(len(shape) // 2, shape, (1.0,) * len(shape))
-    full = _fftn(values)
-    for out in (half, _irfftn(half, geom), full, _ifftn(full)):
+    for out in (half, _irfftn(half, geom)):
         digest.update(np.ascontiguousarray(out).tobytes())
 print(digest.hexdigest())
 """
@@ -151,17 +145,14 @@ PRODUCT_GRIDS = [(8,) * 6, (16,) * 4]
 
 
 def _calls(shape, seed=0):
-    """The four transforms of one random grid, as name -> zero-argument call."""
+    """The two transforms of one random grid, as name -> zero-argument call."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(shape)
     half = np.fft.rfftn(values)
-    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     geom = _geometry(shape)
     return {
         "rfftn": lambda: _rfftn(values),
         "irfftn": lambda: _irfftn(half, geom),
-        "fftn": lambda: _fftn(values),
-        "ifftn": lambda: _ifftn(full),
     }
 
 
@@ -178,7 +169,7 @@ def _traced_peak(call):
 
 
 @pytest.mark.parametrize("shape", PRODUCT_GRIDS)
-@pytest.mark.parametrize("name", ["rfftn", "irfftn", "fftn", "ifftn"])
+@pytest.mark.parametrize("name", ["rfftn", "irfftn"])
 def test_warm_transform_allocates_only_its_output(shape, name):
     """Every pass between input and output goes through the thread's work
     buffer, so a warmed-up transform allocates its output and nothing of
