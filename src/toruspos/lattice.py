@@ -150,40 +150,28 @@ def _require_same_geometry(*objs) -> TorusGeometry:
 
 
 @lru_cache(maxsize=32)
-def _angular_frequencies(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
-    """Angular wavenumbers per real axis with the Nyquist entry zeroed.
-
-    Zeroing the Nyquist derivative multiplier keeps odd symmetry of the
-    first-derivative symbol on even grids, which is what makes the complex
-    Hessian of a real field exactly Hermitian.
-    """
-    out = []
-    for axis in range(2 * geom.complex_dim):
-        s = geom.grid_shape[axis]
-        k = TWO_PI * np.fft.fftfreq(s, d=geom.periods[axis] / s)
-        k[s // 2] = 0.0
-        out.append(k)
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
 def _dz_symbols(geom: TorusGeometry) -> tuple[np.ndarray, ...]:
     """Fourier symbols of d/dz_j on the half spectrum of ``rfftn``, one
     read-only array per j.
 
-    With the convention d/dz = (d/dx - i d/dy) / 2, a plane wave
-    ``exp(i(k_x x + k_y y))`` picks up the factor ``(i/2)(k_x - i k_y)``.
-    Symbol j varies only along axes 2j and 2j + 1, so it is stored with
-    length 1 on every other axis and broadcasts against a spectrum whose
-    last axis keeps its first ``s // 2 + 1`` bins.
+    Each axis has the angular wavenumbers ``2 pi fftfreq`` with the Nyquist
+    entry zeroed, which keeps odd symmetry of the first-derivative symbol
+    on even grids: that is what makes the complex Hessian of a real field
+    exactly Hermitian. With the convention d/dz = (d/dx - i d/dy) / 2, a
+    plane wave ``exp(i(k_x x + k_y y))`` picks up the factor
+    ``(i/2)(k_x - i k_y)``. Symbol j varies only along axes 2j and 2j + 1,
+    so it is stored with length 1 on every other axis and broadcasts
+    against a spectrum whose last axis keeps its first ``s // 2 + 1`` bins.
     """
-    freqs = list(_angular_frequencies(geom))
-    freqs[-1] = freqs[-1][: geom.grid_shape[-1] // 2 + 1]
+    axes = len(geom.grid_shape)
 
     def along(axis: int) -> np.ndarray:
-        shape = [1] * len(freqs)
+        s = geom.grid_shape[axis]
+        k = TWO_PI * np.fft.fftfreq(s, d=geom.periods[axis] / s)
+        k[s // 2] = 0.0
+        shape = [1] * axes
         shape[axis] = -1
-        return freqs[axis].reshape(shape)
+        return k[: s // 2 + 1 if axis == axes - 1 else s].reshape(shape)
 
     out = []
     for j in range(geom.complex_dim):
@@ -351,9 +339,9 @@ def _hessian_multiplier(
     """Fourier multiplier ``-a_j conj(a_k)`` of complex Hessian entry (j, k).
 
     ``symbols`` are the d/dz symbols ``a`` at a spectrum's bins
-    (``_Spectrum.symbols``); the result broadcasts against its values. The diagonal multiplier ``-|a_j|^2``
-    is returned real. Every multiplier is even in the mode, the product of
-    two odd symbols.
+    (``_Spectrum.symbols``); the result broadcasts against its values.
+    The diagonal multiplier ``-|a_j|^2`` is returned real. Every
+    multiplier is even in the mode, the product of two odd symbols.
     """
     if j == k:
         return -np.abs(symbols[j]) ** 2
@@ -498,6 +486,11 @@ class _Spectrum:
     def values(self) -> np.ndarray:
         return _rfftn(self._field.values)
 
+    @cached_property
+    def _table_waves(self) -> list[np.ndarray]:
+        # A table's waves, kept for the next grid until the values change.
+        return _waves(self.geometry, self, self.values)
+
     @property
     def symbols(self) -> tuple[np.ndarray, ...]:
         """The d/dz symbols at the bins: ``_dz_symbols``, read at each
@@ -522,6 +515,7 @@ class _Spectrum:
     def times(self, multiplier: np.ndarray) -> "_Spectrum":
         """Multiply by an even multiplier at the bins, in place."""
         self.values *= multiplier
+        vars(self).pop("_table_waves", None)
         return self
 
     def over(self, symbol: np.ndarray) -> "_Spectrum":
@@ -530,6 +524,7 @@ class _Spectrum:
         dead = self.dead
         np.divide(self.values, symbol, out=self.values, where=~dead)
         np.copyto(self.values, 0.0, where=dead)
+        vars(self).pop("_table_waves", None)
         return self
 
     def grid(self, constant=None, multiplier=None) -> np.ndarray:
@@ -544,11 +539,12 @@ class _Spectrum:
         """
         geom = self.geometry
         if self.wavevectors is not None:
-            waves = _waves(geom, self, self.values)
+            waves = self._table_waves
             dtype = np.complex128 if np.iscomplexobj(multiplier) else np.float64
             if multiplier is not None:
                 waves = [m * w for m, w in zip(multiplier, waves) if m != 0]
-            return _synthesize(geom, 0.0 if constant is None else constant, waves, dtype)
+            constant = 0.0 if constant is None else constant
+            return _synthesize(geom, constant, waves, dtype)
         if multiplier is None:
             out = _irfftn(self.values, geom)
         elif not np.iscomplexobj(multiplier):

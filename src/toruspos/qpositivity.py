@@ -492,16 +492,16 @@ def uniformize_metric(
 
     new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
     try:
-        planes = isinstance(new, tuple)
-        if not planes:
+        if not isinstance(new, tuple):
             new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
-        if np.ndim(new[0]) if planes else new.ndim > 2:
+        elif not np.ndim(new[0]):
+            new = _join(new)
+        if isinstance(new, tuple) or new.ndim > 2:
             metric = MetricField._computed(L.geometry, new)
         else:
             # A constant pencil gives one matrix, kept once as a constant metric.
-            matrix = _join(new) if planes else new
             shape = (*L.geometry.grid_shape, n, n)
-            metric = MetricField(L.geometry, np.broadcast_to(matrix, shape))
+            metric = MetricField(L.geometry, np.broadcast_to(new, shape))
         return _freeze(_require_factor(metric))
     except ValueError as exc:
         # Positive definite and finite in exact arithmetic: float64 lost
