@@ -480,16 +480,12 @@ class _Spectrum:
         spectrum.wavevectors = None if table is None else table.wavevectors
         if table is not None:
             spectrum.values = table.coefficients.copy()
+        spectrum._waves = None  # a table's, kept until its values change
         return spectrum
 
     @cached_property
     def values(self) -> np.ndarray:
         return _rfftn(self._field.values)
-
-    @cached_property
-    def _table_waves(self) -> list[np.ndarray]:
-        # A table's waves, kept for the next grid until the values change.
-        return _waves(self.geometry, self, self.values)
 
     @property
     def symbols(self) -> tuple[np.ndarray, ...]:
@@ -515,7 +511,7 @@ class _Spectrum:
     def times(self, multiplier: np.ndarray) -> "_Spectrum":
         """Multiply by an even multiplier at the bins, in place."""
         self.values *= multiplier
-        vars(self).pop("_table_waves", None)
+        self._waves = None
         return self
 
     def over(self, symbol: np.ndarray) -> "_Spectrum":
@@ -524,7 +520,7 @@ class _Spectrum:
         dead = self.dead
         np.divide(self.values, symbol, out=self.values, where=~dead)
         np.copyto(self.values, 0.0, where=dead)
-        vars(self).pop("_table_waves", None)
+        self._waves = None
         return self
 
     def grid(self, constant=None, multiplier=None) -> np.ndarray:
@@ -538,16 +534,18 @@ class _Spectrum:
         field to a real field.
         """
         geom = self.geometry
+        dtype = np.float64 if multiplier is None else multiplier.dtype
         if self.wavevectors is not None:
-            waves = self._table_waves
-            dtype = np.complex128 if np.iscomplexobj(multiplier) else np.float64
+            if self._waves is None:
+                self._waves = _waves(geom, self, self.values)
+            waves = self._waves
             if multiplier is not None:
                 waves = [m * w for m, w in zip(multiplier, waves) if m != 0]
             constant = 0.0 if constant is None else constant
             return _synthesize(geom, constant, waves, dtype)
         if multiplier is None:
             out = _irfftn(self.values, geom)
-        elif not np.iscomplexobj(multiplier):
+        elif dtype == np.float64:
             out = _irfftn(multiplier * self.values, geom)
         else:
             out = np.empty(geom.grid_shape, dtype=np.complex128)
