@@ -91,7 +91,8 @@ def test_hessian_trace_matches_full_transform(n, samples, kind):
     geom = TorusGeometry.regular(n, samples)
     W = np.linalg.inv(random_pd_metric(np.random.default_rng(5), geom).matrix)
     f = _weights(geom)[kind]
-    _assert_close(_hessian_trace(_Spectrum.of(f), W), _reference_trace(f.values, W, geom))
+    got = _hessian_trace(_Spectrum.of(f), W)
+    _assert_close(got, _reference_trace(f.values, W, geom))
 
 
 @pytest.mark.parametrize("kind", ["band-limited", "white-noise"])
