@@ -181,11 +181,8 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
         # is gated once: the Hessian is exactly Hermitian and finite, and
         # r_const passed the same checks when the bundle was built.
         R = complex_hessian(L.phi)
-        if R._planes is None:
-            R.values += L.r_const
-        else:
-            for plane, entry in zip(R._planes, _split(L.r_const)):
-                plane += entry
+        for plane, entry in zip(R._planes, _split(L.r_const)):
+            plane += entry
         _freeze(R)
     L._curvature = (L.r_const, L.phi.values, R)
     return R

@@ -47,10 +47,11 @@ CONSTANT_FIELD_RTOL = 1e-12
 #: take 512 KB, which stays in a core's L2 cache.
 _SUM_BLOCK = 1 << 15
 
-#: Grid points per tile of the n <= 2 pencil kernels. A tile's temporaries
-#: (64 KB real, 128 KB complex; a dozen or so live at once) stay in a 2 MB
-#: L2 cache and are reused by malloc instead of being faulted in fresh for
-#: every grid-sized pass; smaller tiles pay more per-call dispatch.
+#: Grid points per tile of the pencil kernels. A tile's temporaries at
+#: n <= 2 (64 KB real, 128 KB complex; a dozen or so live at once) stay in
+#: a 2 MB L2 cache and are reused by malloc instead of being faulted in
+#: fresh for every grid-sized pass; smaller tiles pay more per-call
+#: dispatch. At n >= 3 a tile's joined 3 x 3 stack takes 1.2 MB.
 _TILE = 1 << 13
 
 #: Longest grid axis for which the grid transforms (``_rfftn`` and its
@@ -672,30 +673,34 @@ def _max_abs(values: np.ndarray) -> float:
     return max(0.0, float(values.max()), -float(values.min()))
 
 
-def _split(values: np.ndarray) -> tuple:
-    """Component planes of stacked n x n matrices (or of one matrix), n <= 2.
+def _entries(n: int) -> list[tuple[int, int]]:
+    """The entry ``(j, k)`` of each component plane of an n x n field: the
+    diagonal, then the lower triangle row by row."""
+    return [(j, j) for j in range(n)] + [(j, k) for j in range(1, n) for k in range(j)]
 
-    ``(a,)`` for n = 1 and ``(a, d, c)`` for n = 2: the real diagonal
-    entries ``a = M[0, 0]`` and ``d = M[1, 1]`` and the complex lower entry
-    ``c = M[1, 0]``. Like LAPACK, only the real diagonal and the lower
-    triangle are read. The planes are views into ``values``.
+
+def _split(values: np.ndarray) -> tuple:
+    """Component planes of stacked n x n matrices (or of one matrix).
+
+    The entries of ``_entries``: n real diagonal planes ``M[j, j]``, then
+    n(n-1)/2 complex lower planes ``M[j, k]``, ``j > k``; ``(a,)`` for
+    n = 1 and ``(a, d, c)`` for n = 2. Like LAPACK, only the real diagonal
+    and the lower triangle are read. The planes are views into ``values``.
     """
-    if values.shape[-1] == 1:
-        return (values[..., 0, 0].real,)
-    return (values[..., 0, 0].real, values[..., 1, 1].real, values[..., 1, 0])
+    return tuple(
+        values[..., j, k].real if j == k else values[..., j, k]
+        for j, k in _entries(values.shape[-1])
+    )
 
 
 def _join(planes: tuple) -> np.ndarray:
     """The exactly Hermitian ``(..., n, n)`` array that ``planes`` describe."""
-    if len(planes) == 1:
-        return np.asarray(planes[0], dtype=np.complex128)[..., None, None]
-    a, d, c = planes
-    grid = np.broadcast_shapes(np.shape(a), np.shape(d), np.shape(c))
-    out = np.empty((*grid, 2, 2), dtype=np.complex128)
-    out[..., 0, 0] = a
-    out[..., 1, 1] = d
-    out[..., 1, 0] = c
-    out[..., 0, 1] = np.conj(c)
+    n = (math.isqrt(8 * len(planes) + 1) - 1) // 2
+    out = np.empty((*np.broadcast_shapes(*map(np.shape, planes)), n, n), dtype=complex)
+    for (j, k), plane in zip(_entries(n), planes):
+        out[..., j, k] = plane
+        if j != k:
+            out[..., k, j] = np.conj(plane)
     return out
 
 
@@ -720,18 +725,18 @@ class HermitianMatrixField:
     ``values`` is a read-only view with zero grid strides, validation runs
     on that one matrix, and ``matrix`` hands it to consumers.
 
-    For n <= 2 the kernels read component planes (see ``_split``). A varying
-    field computed by the package is built by ``_computed``, from its planes
-    (n <= 2; ``values`` is then assembled on first read and cached
-    read-only) or its stack (n >= 3): it is Hermitian by construction, so
-    its gate is the finiteness check. A field built from caller values
-    passes the full Hermitian gate.
+    The kernels read component planes (see ``_split``) at every n. A
+    varying field computed by the package is built from its planes by
+    ``_computed`` (``values`` is then assembled on first read and cached
+    read-only): it is Hermitian by construction, so its gate is the
+    finiteness check. A field built from caller values passes the full
+    Hermitian gate, and its planes are views into ``values``.
     """
 
     geometry: TorusGeometry
     values: np.ndarray
 
-    #: Component planes for n <= 2 (``_split``), None for n >= 3.
+    #: Component planes (``_split``), set by every constructor.
     _planes = None
     #: Built by ``_computed``: Hermitian by construction.
     _exact = False
@@ -740,12 +745,11 @@ class HermitianMatrixField:
     _pencil = None
 
     def __post_init__(self) -> None:
-        n = self.geometry.complex_dim
         if self._exact:
-            for array in _arrays(self):
-                if array is not None and not np.all(np.isfinite(array)):
-                    raise ValueError("matrix field contains non-finite values")
+            if not all(np.all(np.isfinite(plane)) for plane in self._planes):
+                raise ValueError("matrix field contains non-finite values")
             return
+        n = self.geometry.complex_dim
         vals = np.asarray(self.values, dtype=np.complex128)
         expected = (*self.geometry.grid_shape, n, n)
         if vals.shape != expected:
@@ -754,8 +758,7 @@ class HermitianMatrixField:
         const = self.matrix
         vals = vals if const is None else const
         _check_hermitian(vals)
-        if n <= 2:
-            self._planes = _split(vals)
+        self._planes = _split(vals)
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, matrix: np.ndarray):
@@ -764,23 +767,20 @@ class HermitianMatrixField:
         return cls(geometry, np.broadcast_to(mat, (*geometry.grid_shape, *mat.shape)))
 
     @classmethod
-    def _computed(cls, geometry: TorusGeometry, data):
+    def _computed(cls, geometry: TorusGeometry, planes: tuple):
         """A varying field the package computed, exactly Hermitian by
-        construction: a tuple of planes of grid shape (n <= 2) or the
-        ``(*grid, n, n)`` stack (n >= 3).
+        construction, from its planes of grid shape (``_split``'s order).
 
         Arrays of the right dtype are kept, not copied: the caller hands
         them over. A constant field is one matrix (``constant``).
         """
+        n = geometry.complex_dim
         field = cls.__new__(cls)
         field.geometry = geometry
-        if isinstance(data, tuple):
-            dtypes = (np.float64, np.float64, np.complex128)
-            field._planes = tuple(
-                np.asarray(p, dtype=dtype) for p, dtype in zip(data, dtypes)
-            )
-        else:
-            field.values = np.asarray(data, dtype=np.complex128)
+        field._planes = tuple(
+            np.asarray(p, dtype=np.float64 if i < n else np.complex128)
+            for i, p in enumerate(planes)
+        )
         field._exact = True
         field.__post_init__()
         return field
@@ -870,11 +870,9 @@ def _tiles(*operands):
     flattened once per walk) and every 0-d plane whole, so an elementwise kernel
     gives on a tile exactly its whole-plane result there. A grid of at
     most ``_TILE`` points is one tile: the planes themselves, with
-    ``span`` the whole flattened grid. So are operands that are not
-    planes (n >= 3 matrices and stacks), which are never tiled.
+    ``span`` the whole flattened grid.
     """
-    planar = all(isinstance(planes, tuple) for planes in operands)
-    size = max(p.size for planes in operands for p in planes) if planar else 0
+    size = max(p.size for planes in operands for p in planes)
     if size <= _TILE:
         yield slice(None), operands
         return
@@ -894,9 +892,8 @@ def _tiled(kernel, grid: tuple, *operands):
     ``kernel`` maps plane tuples elementwise to a tuple of arrays whose
     leading axes are those of its planes (see ``_tiles``). Each tile's
     arrays are written into flat outputs allocated on the first tile,
-    which come back in grid shape. On one tile (a small grid, or
-    operands that are not planes) the kernel's own output is returned,
-    with no copy.
+    which come back in grid shape. On one tile (a grid of at most
+    ``_TILE`` points) the kernel's own output is returned, with no copy.
     """
     out = None
     for span, tiles in _tiles(*operands):
@@ -966,27 +963,91 @@ def _small_matrix_function(planes: tuple, *fns) -> list[tuple]:
     return out
 
 
+def _small(x) -> bool:
+    """Is kernel operand ``x`` closed-form planes (n <= 2), not for LAPACK?"""
+    return isinstance(x, tuple) and len(x) <= 3
+
+
+def _stack(x) -> np.ndarray:
+    """The ``(..., n, n)`` stack LAPACK takes of planes or of a stack."""
+    return _join(x) if isinstance(x, tuple) else x
+
+
+def _descending_eigenvalues(B) -> np.ndarray:
+    """Eigenvalues of Hermitian B (a kernel operand), descending along a
+    new last axis.
+
+    The order holds by construction: the closed form puts ``max(a, d) + t``
+    above ``min(a, d) - t`` with ``t >= 0``, and LAPACK returns its
+    eigenvalues ascending.
+    """
+    if _small(B):
+        return np.stack(_small_eigvalsh(B), axis=-1)
+    return np.ascontiguousarray(np.linalg.eigvalsh(_stack(B))[..., ::-1])
+
+
+def _cholesky(base):
+    """Lower Cholesky factor ``L`` of ``Base = L L*`` and ``L^{-1}``, of
+    positive definite planes (a kernel operand).
+
+    On planes (n <= 2) both are closed form and come as the planes of a
+    lower triangular matrix, diagonal first: ``(l11, l22, l21)`` with
+    ``l11 = sqrt(a)``, ``l21 = c / l11``, ``l22 = sqrt(d - |l21|^2)``, and
+    ``L^{-1}`` has diagonal ``1/l11``, ``1/l22`` and lower entry
+    ``-l21 / (l11 l22)``. Larger n uses LAPACK ``cholesky`` on the joined
+    stack and the inverse of its factor, as stacks. A pivot that float64
+    does not form positive raises ``np.linalg.LinAlgError`` (at n = 1 the
+    pivot is ``a``, the eigenvalue itself).
+    """
+    if not _small(base):
+        L = np.linalg.cholesky(_join(base))
+        return L, np.linalg.inv(L)
+    l11 = np.sqrt(base[0])
+    inv11 = 1.0 / l11
+    if len(base) == 1:
+        return (l11,), (inv11,)
+    _, d, c = base
+    l21 = c * inv11
+    pivot = d - (l21.real * l21.real + l21.imag * l21.imag)
+    if not np.all(pivot > 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    l22 = np.sqrt(pivot)
+    inv22 = 1.0 / l22
+    return (l11, l22, l21), (inv11, inv22, l21 * -(inv11 * inv22))
+
+
 @dataclass
 class MetricField(HermitianMatrixField):
-    """Hermitian matrix field that is positive definite at every point."""
+    """Hermitian matrix field that is positive definite at every point,
+    with a Cholesky factor in float64 at every point: the one
+    positive-definite gate of the package."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self._planes is not None:
-            smallest = min(
-                float(np.min(_small_eigvalsh(tile)[-1]))
-                for _, (tile,) in _tiles(self._planes)
-            )
-        else:
-            const = self.matrix
-            vals = self.values if const is None else const
-            smallest = float(np.min(np.linalg.eigvalsh(vals)))
+        planes = self._planes
+        smallest = min(
+            float(_descending_eigenvalues(tile)[..., -1].min())
+            for _, (tile,) in _tiles(planes)
+        )
         if not smallest > 0.0:
             raise ValueError(
                 f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
             )
         # Cached for certificates; recomputing it is the expensive part above.
         self.min_eigenvalue = smallest
+        # The pencil route whitens by the Cholesky factor. Its pivots stay
+        # positive once the smallest eigenvalue clears the factorization's
+        # rounding, well inside 64 n^2 u times the largest diagonal entry
+        # (u = 2.2e-16); a metric below that margin is factored here.
+        n = self.geometry.complex_dim
+        top = max(float(p.max()) for p in planes[:n])
+        if smallest <= 64 * n * n * np.finfo(np.float64).eps * top:
+            try:
+                for _, (tile,) in _tiles(planes):
+                    _cholesky(tile)
+            except np.linalg.LinAlgError as exc:
+                message = "metric field has no Cholesky factor in float64"
+                raise ValueError(message) from exc
 
 
 def identity_metric(geometry: TorusGeometry) -> MetricField:
@@ -1096,11 +1157,10 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     The output is Hermitian at every grid point exactly, not just to
     round-off: the diagonal multipliers ``-|A_j|^2`` are real, so the
     diagonal is real, and the lower triangle takes the conjugate
-    multipliers of the upper one (n <= 2) or mirrors its conjugate entries
-    (n >= 3), which is an identity of the continuum operator on real
-    input. For n <= 2 the entries are the field's component planes. A
-    ``_known_constant`` field has the exact zero Hessian, one matrix, with
-    no transform.
+    multipliers of the upper one, which is an identity of the continuum
+    operator on real input. The entries are the field's component planes.
+    A ``_known_constant`` field has the exact zero Hessian, one matrix,
+    with no transform.
     """
     geom = phi.geometry
     n = geom.complex_dim
@@ -1108,22 +1168,12 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
         return HermitianMatrixField.constant(geom, np.zeros((n, n)))
     spectrum = _Spectrum.of(phi)
     symbols = spectrum.symbols
-
-    def entry(j: int, k: int) -> np.ndarray:
-        return spectrum.grid(multiplier=_hessian_multiplier(symbols, j, k))
-
-    if n == 1:
-        return HermitianMatrixField._computed(geom, (entry(0, 0),))
-    if n == 2:
-        lower = spectrum.grid(multiplier=np.conj(_hessian_multiplier(symbols, 0, 1)))
-        return HermitianMatrixField._computed(geom, (entry(0, 0), entry(1, 1), lower))
-    out = np.empty((*geom.grid_shape, n, n), dtype=np.complex128)
-    for j in range(n):
-        out[..., j, j] = entry(j, j)
-        for k in range(j + 1, n):
-            out[..., j, k] = entry(j, k)
-            np.conj(out[..., j, k], out=out[..., k, j])
-    return HermitianMatrixField._computed(geom, out)
+    # Plane (j, k) from the conjugate multiplier of (k, j).
+    planes = tuple(
+        spectrum.grid(multiplier=np.conj(_hessian_multiplier(symbols, k, j)))
+        for j, k in _entries(n)
+    )
+    return HermitianMatrixField._computed(geom, planes)
 
 
 def _trace_symbol(symbols: tuple, inverse_metric: np.ndarray) -> np.ndarray:

@@ -37,7 +37,9 @@ from .lattice import (
     ScalarField,
     _check_mean_zero,
     _checked_symbol,
+    _cholesky,
     _compact,
+    _descending_eigenvalues,
     _hessian_multiplier,
     _known_constant,
     _max_abs,
@@ -48,13 +50,7 @@ from .lattice import (
     constant_metric,
     constant_representative,
 )
-from .qpositivity import (
-    _cholesky,
-    _congruence,
-    _descending_eigenvalues,
-    _operand,
-    _resolve_eps,
-)
+from .qpositivity import _congruence, _operand, _resolve_eps
 
 #: Default relative weight put on non-positive eigendirections of r_const
 #: when assembling an aligned witness metric.

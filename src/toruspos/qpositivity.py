@@ -29,12 +29,12 @@ for a unitary U, so in exact arithmetic the Cholesky factor gives the
 same eigenvalues and metric as the symmetric root Omega^{1/2}.
 
 The pencil eigenvalues and the transform take one path for every n. Each
-field or matrix becomes a kernel operand (``_operand``), a constant base
-is factored once, and the kernels run one L2-sized tile of the grid at a
-time. The operand selects the kernels: for n <= 2 eigenvalues, matrix
+field or matrix becomes a kernel operand, its component planes
+(``_operand``); a constant base is factored once, and the kernels run one
+L2-sized tile of the grid at a time. For n <= 2 eigenvalues, matrix
 functions, the Cholesky factor and the congruences by it are closed-form
-elementwise formulas on component planes (see CONVENTIONS.md); larger n
-uses batched LAPACK on one n x n matrix or on the whole, untiled stack.
+elementwise formulas on the planes (see CONVENTIONS.md); larger n joins
+each tile's planes into a stack and uses batched LAPACK on it.
 A pencil whose two fields are read-only is solved once: its eigenvalues
 are remembered on the curvature field. The transform takes its rate from
 that solve and returns a read-only metric, so the checks and the
@@ -55,15 +55,17 @@ from .lattice import (
     HermitianMatrixField,
     MetricField,
     TorusGeometry,
+    _cholesky,
+    _descending_eigenvalues,
     _freeze,
     _frozen,
     _join,
     _max_abs,
-    _small_eigvalsh,
+    _small,
     _small_matrix_function,
     _split,
+    _stack,
     _tiled,
-    _tiles,
 )
 
 #: Default positivity tolerance, relative to the largest |eigenvalue|.
@@ -135,88 +137,24 @@ class EigenvalueField:
 
 
 def _operand(x):
-    """Kernel operand of an n x n matrix, a stack of them, or a field.
-
-    The component planes for n <= 2 (0-d for one matrix or a constant
-    field); for larger n the matrix itself, a constant field's ``matrix``,
-    or else the field's ``values``.
-    """
-    if isinstance(x, HermitianMatrixField):
-        if x._planes is not None:
-            return x._planes
-        const = x.matrix
-        return x.values if const is None else const
-    return _split(x) if x.shape[-1] <= 2 else x
+    """Kernel operand of an n x n matrix or a field: its component planes
+    (0-d for one matrix or a constant field)."""
+    return x._planes if isinstance(x, HermitianMatrixField) else _split(x)
 
 
 def _spectral_functions(M, *fns) -> list:
-    """``f(M)`` for each ``f``, of a Hermitian matrix or a field of them.
+    """``f(M)`` for each ``f``, of a Hermitian congruence result.
 
     Planes (n <= 2) take the closed-form spectral calculus and give
-    planes; larger n one batched Hermitian eigendecomposition shared by
-    every ``f``.
+    planes; a stack (n >= 3) one batched Hermitian eigendecomposition
+    shared by every ``f``, giving stacks.
     """
-    if isinstance(M, tuple):
+    if _small(M):
         return _small_matrix_function(M, *fns)
     d, Q = np.linalg.eigh(M)
-    if M.ndim == 2:
+    if d.ndim == 1:
         return [(Q * fn(d)) @ Q.conj().T for fn in fns]
     return [np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj()) for fn in fns]
-
-
-def _cholesky(base):
-    """Lower Cholesky factor ``L`` of ``Base = L L*`` and ``L^{-1}``, of a
-    positive definite matrix or a field of them.
-
-    On planes (n <= 2) both are closed form and come as the planes of a
-    lower triangular matrix, diagonal first: ``(l11, l22, l21)`` with
-    ``l11 = sqrt(a)``, ``l21 = c / l11``, ``l22 = sqrt(d - |l21|^2)``, and
-    ``L^{-1}`` has diagonal ``1/l11``, ``1/l22`` and lower entry
-    ``-l21 / (l11 l22)``. Larger n uses LAPACK ``cholesky`` and the
-    inverse of its factor.
-    """
-    if not isinstance(base, tuple):
-        L = np.linalg.cholesky(base)
-        return L, np.linalg.inv(L)
-    l11 = np.sqrt(base[0])
-    inv11 = 1.0 / l11
-    if len(base) == 1:
-        return (l11,), (inv11,)
-    _, d, c = base
-    l21 = c * inv11
-    l22 = np.sqrt(d - (l21.real * l21.real + l21.imag * l21.imag))
-    inv22 = 1.0 / l22
-    return (l11, l22, l21), (inv11, inv22, l21 * -(inv11 * inv22))
-
-
-def _require_factor(metric: MetricField) -> MetricField:
-    """``metric``, when float64 forms its Cholesky factor; else ValueError.
-
-    The positive-definite gate reads the smallest eigenvalue, the pencil
-    route whitens by the factor. Their pivots stay positive once that
-    eigenvalue clears the factorization's rounding, well inside
-    ``64 n^2 u`` times the largest diagonal entry (u = 2.2e-16). A metric
-    below that margin is factored here, as the pencil route factors it.
-    """
-    n = metric.geometry.complex_dim
-    planes = metric._planes
-    if planes is not None:
-        top = max(float(np.max(p)) for p in planes[:2])
-    else:
-        const = metric.matrix
-        values = metric.values if const is None else const
-        top = float(np.max(np.diagonal(values, axis1=-2, axis2=-1).real))
-    if metric.min_eigenvalue > 64 * n * n * np.finfo(np.float64).eps * top:
-        return metric
-    if planes is None:
-        np.linalg.cholesky(values)  # LinAlgError, a ValueError, if it fails
-    elif n == 2:  # for n = 1 the factor is sqrt(a), a > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for _, (tile,) in _tiles(planes):
-                (_, l22, _), _ = _cholesky(tile)
-                if not np.all(l22 > 0.0):
-                    raise ValueError("metric field has no Cholesky factor in float64")
-    return metric
 
 
 def _congruence(T, M):
@@ -224,10 +162,10 @@ def _congruence(T, M):
     or a field (``_cholesky`` gives T).
 
     On planes (n <= 2) the product is expanded entry by entry over the
-    grid and is exactly Hermitian.
+    grid and is exactly Hermitian; larger n multiplies stacks.
     """
-    if not isinstance(M, tuple):
-        return T @ M @ np.conj(np.swapaxes(T, -1, -2))
+    if not _small(T):
+        return T @ _stack(M) @ np.conj(np.swapaxes(T, -1, -2))
     if len(M) == 1:
         # Squared by pow, not t * t, for a 0-d T: n = 1 keeps its former bits.
         return (T[0] ** 2 * M[0],)
@@ -242,24 +180,20 @@ def _congruence(T, M):
     )
 
 
-def _descending_eigenvalues(B) -> np.ndarray:
-    """Eigenvalues of Hermitian B (one matrix or a field), descending.
-
-    The order holds by construction: the closed form puts ``max(a, d) + t``
-    above ``min(a, d) - t`` with ``t >= 0``, and LAPACK returns its
-    eigenvalues ascending.
-    """
-    if isinstance(B, tuple):
-        return np.stack(_small_eigvalsh(B), axis=-1)
-    return np.ascontiguousarray(np.linalg.eigvalsh(B)[..., ::-1])
+def _hermitian_planes(X) -> tuple:
+    """The planes of the Hermitian part of a kernel result: planes are
+    exactly Hermitian already, and a stack is averaged with its conjugate
+    transpose and split."""
+    if _small(X):
+        return X
+    return _split(0.5 * (X + np.conj(np.swapaxes(X, -1, -2))))
 
 
 def _base_factor(base):
     """Tile kernel giving ``_cholesky`` of a tile of the base operand: a
-    constant base (0-d planes or one matrix) is factored once, here, and
-    a varying one tile by tile."""
-    varying = any(p.ndim for p in base) if isinstance(base, tuple) else base.ndim > 2
-    if varying:
+    constant base (0-d planes) is factored once, here, and a varying one
+    tile by tile."""
+    if any(p.ndim for p in base):
         return _cholesky
     factors = _cholesky(base)
     return lambda tile: factors
@@ -271,8 +205,8 @@ def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
     Cholesky factor. A constant pencil is solved once and broadcast over
     the grid.
 
-    Planes (n <= 2) are whitened and solved one tile at a time, so no
-    grid-sized L^{-1} or L^{-1} R L^{-*} is formed.
+    The pencil is whitened and solved one tile at a time, so no grid-sized
+    L^{-1} or L^{-1} R L^{-*} is formed.
     """
     factor = _base_factor(base)
 
@@ -468,7 +402,8 @@ def uniformize_metric(
     Raises NotQPositiveError (via growth_rate) when the input curvature is
     not q-positive against ``omega``, and UniformizationRangeError when
     ``exp(rate * lambda_max)`` leaves the float64 range or the computed
-    metric fails its finiteness or positive-definite gate.
+    metric fails its finiteness or positive-definite gate (``MetricField``,
+    which also asks for a Cholesky factor in float64).
     """
     n = L.geometry.complex_dim
     _validate_q(n, q)
@@ -488,26 +423,21 @@ def uniformize_metric(
     def transform(f, w):
         root, inverse = factor(w)
         (middle,) = _spectral_functions(_congruence(inverse, f), shrink)
-        return _congruence(root, middle)
+        return _hermitian_planes(_congruence(root, middle))
 
     new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
     try:
-        if not isinstance(new, tuple):
-            new = 0.5 * (new + np.conj(np.swapaxes(new, -1, -2)))
-        elif not np.ndim(new[0]):
-            new = _join(new)
-        if isinstance(new, tuple) or new.ndim > 2:
+        if np.ndim(new[0]):
             metric = MetricField._computed(L.geometry, new)
         else:
             # A constant pencil gives one matrix, kept once as a constant metric.
-            shape = (*L.geometry.grid_shape, n, n)
-            metric = MetricField(L.geometry, np.broadcast_to(new, shape))
-        return _freeze(_require_factor(metric))
+            metric = MetricField.constant(L.geometry, _join(new))
+        return _freeze(metric)
     except ValueError as exc:
         # Positive definite and finite in exact arithmetic: float64 lost
         # the metric's small eigen-part, as it does once its condition
         # number passes about 1e16. The checks whiten by its Cholesky
-        # factor, so a metric float64 cannot factor is refused here too.
+        # factor, so the gate refuses a metric float64 cannot factor too.
         raise UniformizationRangeError(
             f"the uniformized metric is not representable in float64: {exc}"
         ) from exc

@@ -262,7 +262,7 @@ def _cholesky(stack: np.ndarray) -> list[np.ndarray]:
     """``[L, L^{-1}]`` of stacked n x n positive definite matrices, n <= 2,
     with ``stack = L L*`` and L lower triangular."""
     out = []
-    for planes in qpositivity._cholesky(_split(stack)):
+    for planes in lattice._cholesky(_split(stack)):
         T = _join(planes)
         if T.shape[-1] == 2:
             T[..., 0, 1] = 0.0

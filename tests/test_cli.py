@@ -483,6 +483,30 @@ def test_echoed_values_are_validated_on_every_subcommand(tmp_path, capsys, task,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("task", _TASKS)
+def test_base_without_cholesky_factor_exits_two(tmp_path, capsys, task):
+    """A base metric whose smallest eigenvalue is positive (2.8e-17 by
+    LAPACK, 5.6e-17 in closed form) but whose Cholesky pivot
+    d - |l21|^2 is 0 in float64. The pencil route whitens by that factor,
+    so the metric is refused where it is built, on every subcommand."""
+    lower = [-0.30914730029112325, 0.3083325288363063]
+    payload = {
+        "geometry": {"complex_dim": 2, "grid": 4},
+        "instance": {"r_const": [[1.0, 0.0], [0.0, 1.0]], "phi": "0"},
+        "base_metric": [
+            [[0.2563629782152999, 0.0], [lower[0], -lower[1]]],
+            [lower, [0.7436370217847001, 0.0]],
+        ],
+        "q": 1,
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    cfg = write_config(tmp_path / "config.json", payload)
+    assert cli.main([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "no Cholesky factor" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_floats_run_and_are_echoed_as_ints(tmp_path):
     runs = []
     for number in (int, float):

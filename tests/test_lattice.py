@@ -94,11 +94,12 @@ def test_hermitian_field_validation():
         HermitianMatrixField(g, vals)
 
 
-def test_computed_stacks_are_gated_for_finiteness_only(monkeypatch):
+def test_computed_planes_are_gated_for_finiteness_only(monkeypatch):
     """A counter, no timing: an n = 3 Hessian is Hermitian by construction
-    (its lower triangle mirrors the conjugate of the upper one), so neither
-    spectrum form runs the Hermitian gate on it; a stack of caller values
-    does, and a non-finite computed stack is still refused."""
+    (its lower planes take the conjugate multipliers of the upper
+    entries), so neither spectrum form runs the Hermitian gate on it; a
+    stack of caller values does, and a computed field with a non-finite
+    plane is still refused."""
     import toruspos.lattice as lattice_module
 
     gates = []
@@ -113,14 +114,16 @@ def test_computed_stacks_are_gated_for_finiteness_only(monkeypatch):
     phi = scalar_field_from_expression(g, "0.3*sin(x1)*cos(y2) + 0.1*cos(y3)")
     for weight in (lattice_module._freeze(phi), ScalarField(g, phi.values.copy())):
         H = complex_hessian(weight)
+        assert len(H._planes) == 6 and "values" not in vars(H)
+        assert all(p.shape == g.grid_shape for p in H._planes)
         assert np.array_equal(H.values, np.conj(np.swapaxes(H.values, -1, -2)))
     assert gates == []
     HermitianMatrixField(g, H.values.copy())
     assert gates == [(*g.grid_shape, 3, 3)]
-    stack = H.values.copy()
-    stack[0, 0, 0, 0, 0, 0, 1, 2] = np.nan
+    planes = [p.copy() for p in H._planes]
+    planes[4][0, 0, 0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        HermitianMatrixField._computed(g, stack)
+        HermitianMatrixField._computed(g, tuple(planes))
 
 
 @pytest.mark.parametrize("cls", [HermitianMatrixField, MetricField])
