@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConstantMetricError
-from .expressions import scalar_field_from_expression
+from .expressions import _expression_field
 from .lattice import (
     HermitianMatrixField,
     MetricField,
@@ -33,17 +33,19 @@ from .lattice import (
     TorusGeometry,
     _check_hermitian,
     _checked_symbol,
+    _compact,
     _freeze,
+    _from_core,
     _frozen,
     _known_constant,
     _negative,
     _Spectrum,
-    _split,
     _trace_symbol,
     compensated_sum,
     complex_hessian,
     constant_representative,
 )
+from .planes import _join, _split, _tiled
 
 
 @dataclass
@@ -55,13 +57,14 @@ class LineBundleMetric:
     ``phi_expression`` optionally records the closed form the weight was
     built from, so configs and reports round-trip exactly.
 
-    ``r_const`` is a read-only private copy, and so are the weight values
-    unless no array behind the weight can change already (``_frozen``), so
-    the curvature that chern_curvature caches on the bundle cannot go
-    stale. A constant weight stays one number. A frozen weight keeps its
-    mode table; a copy does not, since the caller may have written into
-    the values since the table was made. ``from_expression`` freezes the
-    weight it evaluates, so it is kept, table and all, with no copy.
+    ``r_const`` is a read-only private copy, and so is the weight's core
+    (``lattice._core``) unless no array behind the weight can change
+    already (``_frozen``), so the curvature that chern_curvature caches on
+    the bundle cannot go stale. A constant weight stays one number. A
+    frozen weight keeps its mode table; a copy does not, since the caller
+    may have written into the values since the table was made.
+    ``from_expression`` evaluates its weight frozen, on the axes it varies
+    along, so it is kept, table and all, with no copy.
     """
 
     geometry: TorusGeometry
@@ -83,12 +86,7 @@ class LineBundleMetric:
         if self.phi.geometry != self.geometry:
             raise ValueError("weight is sampled on a different grid")
         if not _frozen(self.phi):
-            value = self.phi.value
-            self.phi = (
-                _freeze(ScalarField(self.geometry, self.phi.values.copy()))
-                if value is None
-                else ScalarField.constant(self.geometry, value)
-            )
+            self.phi = _from_core(self.geometry, _compact(self.phi).copy())
 
     @classmethod
     def from_constant(
@@ -100,8 +98,7 @@ class LineBundleMetric:
     def from_expression(
         cls, geometry: TorusGeometry, r_const: np.ndarray, phi_text: str
     ) -> "LineBundleMetric":
-        phi = _freeze(scalar_field_from_expression(geometry, phi_text))
-        return cls(geometry, r_const, phi, phi_text)
+        return cls(geometry, r_const, _expression_field(geometry, phi_text), phi_text)
 
     def dual(self) -> "LineBundleMetric":
         """Metric induced on the inverse bundle; curvature flips sign."""
@@ -197,8 +194,10 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
     Against a constant metric, ``W = Omega^{-1}``, the trace is
     ``trace(W r_const)`` plus the weight filtered by the trace symbol of
     W, so no curvature field is built; with a constant weight it is the
-    constant field ``trace(W r_const)``. A varying metric takes the trace
-    of ``chern_curvature`` point by point.
+    constant field ``trace(W r_const)``. Against a varying metric it is
+    ``trace(Omega^{-1} R)`` with R ``chern_curvature``, by LAPACK ``inv``
+    and one ``einsum`` per tile of the two fields' common core, so no
+    grid-sized ``(..., n, n)`` stack is formed.
     """
     return _scalar_curvature(L, omega)[0]
 
@@ -217,9 +216,16 @@ def _scalar_curvature(
         raise ValueError("base metric lives on a different grid")
     const = omega.matrix
     if const is None:
-        W = np.linalg.inv(omega.values)
-        tr = np.einsum("...ij,...ji->...", W, chern_curvature(L).values)
-        return ScalarField(geom, tr.real), None, None
+
+        def trace(f, w):
+            # Both stacks on one shape, so that einsum sums every point in
+            # the same order as on the grid.
+            planes = np.broadcast_arrays(*f, *w)
+            W = np.linalg.inv(_join(planes[len(f) :]))
+            return (np.einsum("...ij,...ji->...", W, _join(planes[: len(f)])).real,)
+
+        (tr,) = _tiled(trace, chern_curvature(L)._planes, omega._planes)
+        return _from_core(geom, tr), None, None
     W = np.linalg.inv(const)
     trace = np.einsum("ij,ji->", W, L.r_const).real
     if _known_constant(L.phi):
@@ -229,7 +235,7 @@ def _scalar_curvature(
         _checked_symbol(spectrum, W) if checked else _trace_symbol(spectrum.symbols, W)
     )
     tr = spectrum.times(symbol).grid(trace)
-    return ScalarField(geom, tr), spectrum, symbol
+    return _from_core(geom, tr), spectrum, symbol
 
 
 def volume_integral(omega: MetricField) -> float:
@@ -237,13 +243,16 @@ def volume_integral(omega: MetricField) -> float:
 
     For a constant metric this is ``det * num_points`` rounded once, which
     equals the exactly rounded sum of the equal per-point determinants.
+    A varying metric's determinants are taken one tile at a time on the
+    core of its planes, by the same LAPACK routine as the constant one's,
+    so a grid copy of a constant metric has the same volume.
     """
     geom = omega.geometry
     const = omega.matrix
     if const is not None:
         return geom.cell_volume * (float(np.linalg.det(const).real) * geom.num_points)
-    dets = np.linalg.det(omega.values).real
-    return geom.cell_volume * compensated_sum(dets)
+    (dets,) = _tiled(lambda w: (np.linalg.det(_join(w)).real,), omega._planes)
+    return geom.cell_volume * compensated_sum(np.broadcast_to(dets, geom.grid_shape))
 
 
 def degree_integral(L: LineBundleMetric, omega: MetricField) -> float:

@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError, InternalInvariantError
-from .lattice import TWO_PI, ScalarField, TorusGeometry, _Modes
+from .lattice import TWO_PI, ScalarField, TorusGeometry, _from_core, _Modes
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -168,8 +168,9 @@ def expression_coordinates(tree) -> set[tuple[str, int]]:
     raise InternalInvariantError(f"unknown expression node {kind!r}")
 
 
-def _eval(tree, coords: dict[tuple[str, int], np.ndarray], shape) -> np.ndarray:
-    """Value of ``tree``; factors and products broadcast, sums fill ``shape``."""
+def _eval(tree, coords: dict[tuple[str, int], np.ndarray]) -> np.ndarray:
+    """Value of ``tree``; every node broadcasts, so a sum fills only the
+    broadcast shape of its terms: the axes of the coordinates in it."""
     kind = tree[0]
     if kind == "num":
         return np.float64(tree[1])
@@ -178,14 +179,15 @@ def _eval(tree, coords: dict[tuple[str, int], np.ndarray], shape) -> np.ndarray:
         arg = freq * coords[(letter, index)]
         return np.sin(arg) if fn == "sin" else np.cos(arg)
     if kind == "mul":
-        out = _eval(tree[1][0], coords, shape)
+        out = _eval(tree[1][0], coords)
         for node in tree[1][1:]:
-            out = out * _eval(node, coords, shape)
+            out = out * _eval(node, coords)
         return out
     if kind == "sum":
-        out = np.zeros(shape)
-        for sign, node in tree[1]:
-            out += sign * _eval(node, coords, shape)
+        terms = [sign * _eval(node, coords) for sign, node in tree[1]]
+        out = np.zeros(np.broadcast_shapes(*map(np.shape, terms)))
+        for term in terms:
+            out += term
         return out
     raise InternalInvariantError(f"unknown expression node {kind!r}")
 
@@ -245,10 +247,9 @@ def _resolved_tree(text: str, geometry: TorusGeometry):
 
 
 def _grid_values(tree, used, geometry: TorusGeometry) -> np.ndarray:
-    """Value of a resolved tree on the grid of ``geometry``, or a 0-d
-    array when the tree has no coordinate in it."""
-    if not used:
-        return _eval(tree, {}, ())
+    """Core (``lattice._core``) of a resolved tree on the grid of
+    ``geometry``: length 1 on each axis of a coordinate the tree does not
+    use, or a 0-d array when it uses none."""
     # Each coordinate is its 1-D axis samples, shaped to broadcast along
     # its own axis: no grid-sized coordinate array is built.
     axes = 2 * geometry.complex_dim
@@ -257,8 +258,9 @@ def _grid_values(tree, used, geometry: TorusGeometry) -> np.ndarray:
         shape = [1] * axes
         shape[axis] = -1
         key = ("xy"[axis % 2], axis // 2 + 1)
-        coords[key] = geometry.axis_coordinates(axis).reshape(shape)
-    return _eval(tree, coords, geometry.grid_shape)
+        if key in used:
+            coords[key] = geometry.axis_coordinates(axis).reshape(shape)
+    return _eval(tree, coords)
 
 
 def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
@@ -317,8 +319,7 @@ def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
 
 
 def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:
-    """Value of expression text on the grid of ``geometry``, or a 0-d
-    array when the text has no coordinate in it."""
+    """Core of expression text on the grid of ``geometry`` (``_grid_values``)."""
     return _grid_values(*_resolved_tree(text, geometry), geometry)
 
 
@@ -329,19 +330,34 @@ def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
     product terms that are not periodic or not resolved by the grid.
     """
     values = _evaluate(text, geometry)
-    return values if values.ndim else np.full(geometry.grid_shape, values)
+    if values.shape == geometry.grid_shape:
+        return values
+    return np.full(geometry.grid_shape, values)
 
 
 def scalar_field_from_expression(geometry: TorusGeometry, text: str) -> ScalarField:
     """The field of expression text; text with no coordinate in it gives
-    a constant field, evaluated once. A varying field carries the exact
-    Fourier modes of the text (``lattice._Modes``), which operators read
-    once the field is frozen."""
+    a constant field, evaluated once. A varying field holds a fresh grid
+    array the caller may write into, and carries the exact Fourier modes
+    of the text (``lattice._Modes``), which operators read once the field
+    is frozen."""
+    field = _expression_field(geometry, text)
+    if field.value is not None:
+        return field
+    grid_field = ScalarField(geometry, np.array(field.values))
+    grid_field._modes = field._modes
+    return grid_field
+
+
+def _expression_field(geometry: TorusGeometry, text: str) -> ScalarField:
+    """The frozen field of expression text on its core (``_grid_values``),
+    with its exact Fourier modes: the weight of a bundle. Text with no
+    coordinate in it gives a constant field."""
     tree, used = _resolved_tree(text, geometry)
-    values = _grid_values(tree, used, geometry)
-    if not values.ndim:
-        return ScalarField.constant(geometry, values)
-    field = ScalarField(geometry, values)
+    core = _grid_values(tree, used, geometry)
+    if not core.ndim:
+        return ScalarField.constant(geometry, core)
+    field = _from_core(geometry, core)
     field._modes = _modes(tree, geometry)
     return field
 

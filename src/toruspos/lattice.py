@@ -31,6 +31,7 @@ from .errors import (
     MeanNotZeroError,
     NonConstantMetricError,
 )
+from .planes import _cholesky, _entries, _gate_bounds, _join, _split, _tiles
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,12 +48,11 @@ CONSTANT_FIELD_RTOL = 1e-12
 #: take 512 KB, which stays in a core's L2 cache.
 _SUM_BLOCK = 1 << 15
 
-#: Grid points per tile of the pencil kernels. A tile's temporaries at
-#: n <= 2 (64 KB real, 128 KB complex; a dozen or so live at once) stay in
-#: a 2 MB L2 cache and are reused by malloc instead of being faulted in
-#: fresh for every grid-sized pass; smaller tiles pay more per-call
-#: dispatch. At n >= 3 a tile's joined 3 x 3 stack takes 1.2 MB.
-_TILE = 1 << 13
+#: Largest core whose entries ``compensated_sum`` takes as its exact
+#: partials instead of extracting them: up to about this size, summing
+#: them exactly in Python costs less than the extraction's few dozen
+#: numpy calls.
+_SUM_DIRECT = 64
 
 #: Longest grid axis for which the grid transforms (``_rfftn`` and its
 #: kin) run as dense DFT-matrix products, one BLAS call per axis; a grid
@@ -436,9 +436,11 @@ def _waves(geom: TorusGeometry, modes: _Modes, coefficients) -> list[np.ndarray]
 
 
 def _synthesize(geom: TorusGeometry, constant, waves, dtype=np.float64) -> np.ndarray:
-    """A new grid array of ``constant`` plus the sum of ``waves``, arrays
-    that broadcast against the grid: one pass over the grid per wave."""
-    out = np.empty(geom.grid_shape, dtype=dtype)
+    """The core (see ``_core``) of ``constant`` plus the sum of ``waves``,
+    arrays that broadcast against the grid: a new array on the waves'
+    broadcast shape, one pass over it per wave."""
+    shape = np.broadcast(*waves).shape if waves else (1,) * len(geom.grid_shape)
+    out = np.empty(shape, dtype=dtype)
     if not waves:
         out[...] = constant
         return out
@@ -525,11 +527,14 @@ class _Spectrum:
         return self
 
     def grid(self, constant=None, multiplier=None) -> np.ndarray:
-        """The field on the grid, plus ``constant`` when one is given; with
-        an even ``multiplier`` at the bins, the field it maps to.
+        """The core (``_core``) of the field, plus ``constant`` when one is
+        given; with an even ``multiplier`` at the bins, of the field it
+        maps to.
 
         A table writes ``2 Re(c e_m)`` once per pair, times the multiplier
-        at its mode, skipping zero multipliers. A half spectrum takes one
+        at its mode, skipping zero multipliers, on the axes of the modes
+        it writes (``_synthesize``). A half spectrum gives the whole grid
+        and takes one
         ``_irfftn``, or two for a complex multiplier: its real and its
         imaginary part are each even, so each maps the spectrum of a real
         field to a real field.
@@ -564,13 +569,31 @@ class _Spectrum:
         return _Modes(constant, self.wavevectors, self.values.copy())
 
 
+def _core(values: np.ndarray, trailing: int = 0) -> np.ndarray:
+    """The core of a grid array: the view of ``values`` with length 1 on
+    each grid axis of zero stride, the axes it does not vary along. The
+    last ``trailing`` axes (matrix or eigenvalue entries) are kept whole.
+
+    A field the package computes keeps only its core, an array of the
+    grid's rank, and its ``values`` is the core viewed on the grid with
+    ``np.broadcast_to``: the core is read back from the strides, with no
+    scan. A caller's full array is its own core.
+    """
+    strides = values.strides[: values.ndim - trailing]
+    if 0 not in strides:
+        return values
+    return values[tuple(slice(0, 1) if s == 0 else slice(None) for s in strides)]
+
+
 @dataclass
 class ScalarField:
     """Real-valued function sampled on the grid.
 
-    A constant field built by ``constant`` stores one number: its
-    ``values`` is a read-only view of a 0-d array with zero strides,
-    validation runs on that number, and ``value`` hands it to consumers.
+    A field the package computes stores its core (``_core``): ``values``
+    is a read-only view of it with zero strides on the axes the field
+    does not vary along, and validation and reductions read the core. A
+    constant field built by ``constant`` stores one number (a 0-d core),
+    and ``value`` hands it to consumers.
 
     A field may also carry its exact Fourier modes (``_modes``, a
     ``_Modes`` table): a weight evaluated from an expression, or a solution
@@ -593,8 +616,7 @@ class ScalarField:
                 f"scalar field shape {vals.shape} != grid {self.geometry.grid_shape}"
             )
         self.values = vals
-        value = self.value
-        if not np.all(np.isfinite(vals if value is None else value)):
+        if not np.all(np.isfinite(_core(vals))):
             raise ValueError("scalar field contains non-finite values")
 
     @classmethod
@@ -615,31 +637,32 @@ class ScalarField:
         return compensated_sum(self.values) / self.geometry.num_points
 
     def max_abs(self) -> float:
-        value = self.value
-        return _max_abs(self.values) if value is None else abs(value)
+        return _max_abs(self.values)
+
+
+def _from_core(geometry: TorusGeometry, core) -> ScalarField:
+    """The read-only field whose core is ``core`` (any array that
+    broadcasts against the grid), kept without a copy."""
+    return _freeze(ScalarField(geometry, np.broadcast_to(core, geometry.grid_shape)))
 
 
 def _known_constant(field: ScalarField) -> bool:
     """Is ``field`` constant without a transform: constant storage, or a
-    grid of zeros? Its Hessian and trace-symbol image are then zero."""
-    return field.value is not None or not np.any(field.values)
+    core of zeros? Its Hessian and trace-symbol image are then zero."""
+    return field.value is not None or not np.any(_compact(field))
 
 
-def _compact(field: ScalarField):
-    """A constant field's number (a numpy scalar), else its grid values:
-    arithmetic on these costs O(1) for a constant field."""
-    value = field.value
-    return field.values if value is None else np.float64(value)
+def _compact(field: ScalarField) -> np.ndarray:
+    """The field's core (``_core``): arithmetic on cores costs what the
+    axes the fields vary along hold, one entry for a constant field."""
+    return _core(field.values)
 
 
 def _pointwise(fn, *fields: ScalarField) -> ScalarField:
-    """The read-only field of ``fn`` on the fields' ``_compact`` values,
-    one number when every field is constant; ``fn`` returns a new array."""
+    """The read-only field of ``fn`` on the fields' cores (``_compact``),
+    whose core is their broadcast; ``fn`` returns a new array."""
     geom = _require_same_geometry(*fields)
-    out = fn(*map(_compact, fields))
-    if np.ndim(out) == 0:
-        return ScalarField.constant(geom, out)
-    return _freeze(ScalarField(geom, out))
+    return _from_core(geom, fn(*map(_compact, fields)))
 
 
 def _negative(phi: ScalarField) -> ScalarField:
@@ -665,43 +688,14 @@ def _difference(a: ScalarField, b: ScalarField) -> ScalarField:
     return out
 
 
-def _max_abs(values: np.ndarray) -> float:
-    """``max(|x|)`` of finite, nonempty ``values`` without an ``abs`` temporary.
+def _max_abs(values) -> float:
+    """``max(|x|)`` of finite, nonempty ``values`` without an ``abs``
+    temporary, read on their core (``_core``).
 
     The leading 0.0 makes all-zero input give +0.0, as ``np.abs`` does.
     """
-    return max(0.0, float(values.max()), -float(values.min()))
-
-
-def _entries(n: int) -> list[tuple[int, int]]:
-    """The entry ``(j, k)`` of each component plane of an n x n field: the
-    diagonal, then the lower triangle row by row."""
-    return [(j, j) for j in range(n)] + [(j, k) for j in range(1, n) for k in range(j)]
-
-
-def _split(values: np.ndarray) -> tuple:
-    """Component planes of stacked n x n matrices (or of one matrix).
-
-    The entries of ``_entries``: n real diagonal planes ``M[j, j]``, then
-    n(n-1)/2 complex lower planes ``M[j, k]``, ``j > k``; ``(a,)`` for
-    n = 1 and ``(a, d, c)`` for n = 2. Like LAPACK, only the real diagonal
-    and the lower triangle are read. The planes are views into ``values``.
-    """
-    return tuple(
-        values[..., j, k].real if j == k else values[..., j, k]
-        for j, k in _entries(values.shape[-1])
-    )
-
-
-def _join(planes: tuple) -> np.ndarray:
-    """The exactly Hermitian ``(..., n, n)`` array that ``planes`` describe."""
-    n = (math.isqrt(8 * len(planes) + 1) - 1) // 2
-    out = np.empty((*np.broadcast_shapes(*map(np.shape, planes)), n, n), dtype=complex)
-    for (j, k), plane in zip(_entries(n), planes):
-        out[..., j, k] = plane
-        if j != k:
-            out[..., k, j] = np.conj(plane)
-    return out
+    core = _core(np.asarray(values))
+    return max(0.0, float(core.max()), -float(core.min()))
 
 
 def _check_hermitian(vals: np.ndarray) -> None:
@@ -721,16 +715,20 @@ def _check_hermitian(vals: np.ndarray) -> None:
 class HermitianMatrixField:
     """Field of n x n complex Hermitian matrices, one per grid point.
 
-    A constant field built by ``constant`` stores one n x n matrix: its
-    ``values`` is a read-only view with zero grid strides, validation runs
-    on that one matrix, and ``matrix`` hands it to consumers.
+    The kernels read component planes (see ``_split``) at every n, each
+    plane a core (``_core``): an array of the grid's rank with length 1
+    on the axes that entry does not vary along. A constant field built by
+    ``constant`` stores one n x n matrix: its ``values`` is a read-only
+    view with zero grid strides, its planes have one entry each,
+    validation runs on that one matrix, and ``matrix`` hands it to
+    consumers.
 
-    The kernels read component planes (see ``_split``) at every n. A
-    varying field computed by the package is built from its planes by
-    ``_computed`` (``values`` is then assembled on first read and cached
-    read-only): it is Hermitian by construction, so its gate is the
-    finiteness check. A field built from caller values passes the full
-    Hermitian gate, and its planes are views into ``values``.
+    A field computed by the package is built from its planes by
+    ``_computed`` (``values`` is then assembled on first read, on the
+    planes' broadcast core, and cached as a read-only view on the grid):
+    it is Hermitian by construction, so its gate is the finiteness check.
+    A field built from caller values passes the full Hermitian gate on
+    the core of ``values``, and its planes are views into it.
     """
 
     geometry: TorusGeometry
@@ -755,10 +753,9 @@ class HermitianMatrixField:
         if vals.shape != expected:
             raise ValueError(f"matrix field shape {vals.shape} != {expected}")
         self.values = vals
-        const = self.matrix
-        vals = vals if const is None else const
-        _check_hermitian(vals)
-        self._planes = _split(vals)
+        core = _core(vals, trailing=2)
+        _check_hermitian(core)
+        self._planes = _split(core)
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, matrix: np.ndarray):
@@ -768,11 +765,12 @@ class HermitianMatrixField:
 
     @classmethod
     def _computed(cls, geometry: TorusGeometry, planes: tuple):
-        """A varying field the package computed, exactly Hermitian by
-        construction, from its planes of grid shape (``_split``'s order).
+        """A field the package computed, exactly Hermitian by
+        construction, from its planes (``_split``'s order), cores of the
+        grid's rank.
 
         Arrays of the right dtype are kept, not copied: the caller hands
-        them over. A constant field is one matrix (``constant``).
+        them over.
         """
         n = geometry.complex_dim
         field = cls.__new__(cls)
@@ -790,17 +788,20 @@ class HermitianMatrixField:
         # planes assembles it on first read.
         if name != "values" or self._planes is None:
             raise AttributeError(name)
-        values = _join(self._planes)
-        values.setflags(write=False)
-        self.values = values
-        return values
+        core = _join(self._planes)
+        core.setflags(write=False)
+        n = self.geometry.complex_dim
+        self.values = np.broadcast_to(core, (*self.geometry.grid_shape, n, n))
+        return self.values
 
     @property
     def matrix(self) -> np.ndarray | None:
         """The n x n matrix when every grid stride is zero, else None."""
         values = vars(self).get("values")
-        if values is None:  # built from grid planes
-            return None
+        if values is None:  # built from planes: one entry each, or varying
+            if any(p.size != 1 for p in self._planes):
+                return None
+            values = self.values
         grid_axes = values.ndim - 2
         if any(values.strides[:grid_axes]):
             return None
@@ -836,186 +837,6 @@ def _frozen(field) -> bool:
     return True
 
 
-def _hermitian_2x2_parts(a, d, c):
-    """Half diagonal difference ``h``, shift ``t`` and half gap ``r`` of the
-    2 x 2 Hermitian matrices with planes ``(a, d, c)``.
-
-    The eigenvalues ``m +- r`` with ``m = (a + d)/2`` and
-    ``r = hypot(h, |c|)`` are ``max(a, d) + t`` and ``min(a, d) - t`` with
-    ``t = |c| * (|c| / (r + |h|))``, which is exact for diagonal input and
-    free of the cancellation in ``t = r - |h|``.
-    """
-    h = a - d
-    h *= 0.5
-    abs_c = np.abs(c)
-    # r = hypot(h, |c|) as the modulus of h + i|c|: numpy's complex
-    # absolute value is as careful about overflow and several times faster.
-    z = np.empty(np.shape(h), dtype=np.complex128)
-    z.real, z.imag = h, abs_c
-    r = np.abs(z)
-    del z
-    s = np.asarray(np.abs(h))  # an array also for 0-d planes
-    s += r
-    s[s == 0.0] = 1.0  # h = |c| = 0 there, so t is 0
-    t = abs_c / s
-    t *= abs_c
-    return h, t, r
-
-
-def _tiles(*operands):
-    """``(span, tiles)`` for each L2-sized tile of the flattened grid.
-
-    ``operands`` are plane tuples, each plane of grid shape or 0-d. A
-    tile holds the ``span`` part of every grid plane (a view of the plane
-    flattened once per walk) and every 0-d plane whole, so an elementwise kernel
-    gives on a tile exactly its whole-plane result there. A grid of at
-    most ``_TILE`` points is one tile: the planes themselves, with
-    ``span`` the whole flattened grid.
-    """
-    size = max(p.size for planes in operands for p in planes)
-    if size <= _TILE:
-        yield slice(None), operands
-        return
-    flat = [
-        tuple(p.reshape(-1) if p.ndim else p for p in planes) for planes in operands
-    ]
-    for start in range(0, size, _TILE):
-        span = slice(start, start + _TILE)
-        yield span, tuple(
-            tuple(p[span] if p.ndim else p for p in planes) for planes in flat
-        )
-
-
-def _tiled(kernel, grid: tuple, *operands):
-    """Arrays of ``kernel(*operands)`` over ``grid``, one tile at a time.
-
-    ``kernel`` maps plane tuples elementwise to a tuple of arrays whose
-    leading axes are those of its planes (see ``_tiles``). Each tile's
-    arrays are written into flat outputs allocated on the first tile,
-    which come back in grid shape. On one tile (a grid of at most
-    ``_TILE`` points) the kernel's own output is returned, with no copy.
-    """
-    out = None
-    for span, tiles in _tiles(*operands):
-        parts = kernel(*tiles)
-        if span == slice(None):
-            return parts
-        if out is None:
-            size = math.prod(grid)
-            out = tuple(np.empty((size, *p.shape[1:]), dtype=p.dtype) for p in parts)
-        for target, part in zip(out, parts):
-            target[span] = part
-    return tuple(target.reshape(*grid, *target.shape[1:]) for target in out)
-
-
-def _small_eigvalsh(planes: tuple) -> tuple:
-    """Eigenvalue planes of n x n Hermitian planes, n <= 2, descending.
-
-    Closed form; agrees with ``np.linalg.eigvalsh`` (reversed) to round-off
-    relative to the largest |eigenvalue|.
-    """
-    if len(planes) == 1:
-        return planes
-    a, d, c = planes
-    _, t, _ = _hermitian_2x2_parts(a, d, c)
-    return np.maximum(a, d) + t, np.minimum(a, d) - t
-
-
-def _small_matrix_function(planes: tuple, *fns) -> list[tuple]:
-    """Planes of ``f(M)`` for n x n Hermitian planes ``M``, n <= 2, one per f.
-
-    Each ``f`` maps a real array elementwise. For n = 2 the projector form
-    ``f(M) = f1 P1 + f2 P2`` is evaluated per entry: with ``tau = t/(2r)``
-    (0 where ``r = 0``; ``tau <= 1/2``), the diagonal entry at ``max(a, d)``
-    is ``f_hi - (f_hi - f_lo) tau``, the one at ``min(a, d)`` is
-    ``f_lo + (f_hi - f_lo) tau``, and the lower entry is
-    ``(f_hi - f_lo)/(2r) c``. For positive ``f`` no diagonal term cancels,
-    so each diagonal entry is accurate relative to itself; diagonal input
-    gives exactly ``diag(f(a), f(d))``.
-    """
-    if len(planes) == 1:
-        (a,) = planes
-        return [(fn(a),) for fn in fns]
-    a, d, c = planes
-    h, t, r = _hermitian_2x2_parts(a, d, c)
-    # The eigenvalues at a's place and at d's (hi goes where a >= d); each
-    # diagonal entry is its eigenvalue's f moved a share tau towards the
-    # other one's.
-    at_a = np.copysign(t, h)
-    at_d = d - at_a
-    at_a += a
-    two_r = np.asarray(r + r)
-    two_r[two_r == 0.0] = 1.0  # t and c are 0 there, so tau and unit are 0
-    tau = t / two_r
-    # (f_hi - f_lo) c / (2r) = (f_a - f_d) unit with |unit| <= 1/2. Real
-    # divisions: 1/(2r), which complex division forms, overflows for
-    # subnormal r.
-    np.copysign(two_r, h, out=two_r)
-    unit = np.empty_like(c)
-    np.divide(c.real, two_r, out=unit.real)
-    np.divide(c.imag, two_r, out=unit.imag)
-    out = []
-    for fn in fns:
-        f_a, f_d = fn(at_a), fn(at_d)
-        diff = f_a - f_d
-        share = diff * tau
-        out.append((f_a - share, f_d + share, diff * unit))
-    return out
-
-
-def _small(x) -> bool:
-    """Is kernel operand ``x`` closed-form planes (n <= 2), not for LAPACK?"""
-    return isinstance(x, tuple) and len(x) <= 3
-
-
-def _stack(x) -> np.ndarray:
-    """The ``(..., n, n)`` stack LAPACK takes of planes or of a stack."""
-    return _join(x) if isinstance(x, tuple) else x
-
-
-def _descending_eigenvalues(B) -> np.ndarray:
-    """Eigenvalues of Hermitian B (a kernel operand), descending along a
-    new last axis.
-
-    The order holds by construction: the closed form puts ``max(a, d) + t``
-    above ``min(a, d) - t`` with ``t >= 0``, and LAPACK returns its
-    eigenvalues ascending.
-    """
-    if _small(B):
-        return np.stack(_small_eigvalsh(B), axis=-1)
-    return np.ascontiguousarray(np.linalg.eigvalsh(_stack(B))[..., ::-1])
-
-
-def _cholesky(base):
-    """Lower Cholesky factor ``L`` of ``Base = L L*`` and ``L^{-1}``, of
-    positive definite planes (a kernel operand).
-
-    On planes (n <= 2) both are closed form and come as the planes of a
-    lower triangular matrix, diagonal first: ``(l11, l22, l21)`` with
-    ``l11 = sqrt(a)``, ``l21 = c / l11``, ``l22 = sqrt(d - |l21|^2)``, and
-    ``L^{-1}`` has diagonal ``1/l11``, ``1/l22`` and lower entry
-    ``-l21 / (l11 l22)``. Larger n uses LAPACK ``cholesky`` on the joined
-    stack and the inverse of its factor, as stacks. A pivot that float64
-    does not form positive raises ``np.linalg.LinAlgError`` (at n = 1 the
-    pivot is ``a``, the eigenvalue itself).
-    """
-    if not _small(base):
-        L = np.linalg.cholesky(_join(base))
-        return L, np.linalg.inv(L)
-    l11 = np.sqrt(base[0])
-    inv11 = 1.0 / l11
-    if len(base) == 1:
-        return (l11,), (inv11,)
-    _, d, c = base
-    l21 = c * inv11
-    pivot = d - (l21.real * l21.real + l21.imag * l21.imag)
-    if not np.all(pivot > 0.0):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
-    l22 = np.sqrt(pivot)
-    inv22 = 1.0 / l22
-    return (l11, l22, l21), (inv11, inv22, l21 * -(inv11 * inv22))
-
-
 @dataclass
 class MetricField(HermitianMatrixField):
     """Hermitian matrix field that is positive definite at every point,
@@ -1025,10 +846,12 @@ class MetricField(HermitianMatrixField):
     def __post_init__(self) -> None:
         super().__post_init__()
         planes = self._planes
-        smallest = min(
-            float(_descending_eigenvalues(tile)[..., -1].min())
-            for _, (tile,) in _tiles(planes)
-        )
+        lows, highs = [], []
+        for _, (tile,) in _tiles(planes):
+            low, high = _gate_bounds(tile)
+            lows.append(float(low.min()))
+            highs.append(float(high.max()))
+        smallest, bound = min(lows), max(highs)
         if not smallest > 0.0:
             raise ValueError(
                 f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
@@ -1038,10 +861,14 @@ class MetricField(HermitianMatrixField):
         # The pencil route whitens by the Cholesky factor. Its pivots stay
         # positive once the smallest eigenvalue clears the factorization's
         # rounding, well inside 64 n^2 u times the largest diagonal entry
-        # (u = 2.2e-16); a metric below that margin is factored here.
+        # (u = 2.2e-16); a metric below that margin is factored here. The
+        # diagonal is read only when the smallest eigenvalue is within the
+        # margin of the bound on it.
         n = self.geometry.complex_dim
-        top = max(float(p.max()) for p in planes[:n])
-        if smallest <= 64 * n * n * np.finfo(np.float64).eps * top:
+        margin = 64 * n * n * np.finfo(np.float64).eps
+        if smallest <= margin * bound and smallest <= margin * max(
+            float(p.max()) for p in planes[:n]
+        ):
             try:
                 for _, (tile,) in _tiles(planes):
                     _cholesky(tile)
@@ -1095,35 +922,48 @@ def compensated_sum(values: np.ndarray) -> float:
     and ``sum(q)`` is exact in any order. Repeating on the rest until it
     vanishes leaves a few exact partial sums; ``math.fsum`` of those is
     the exactly rounded total. Non-finite input, or input so large that
-    ``sigma`` overflows, goes to ``math.fsum`` itself, which keeps its NaN
-    result and its ValueError and OverflowError.
+    ``sigma`` overflows for the whole array, goes to ``math.fsum`` of every
+    entry, which keeps its NaN result and its ValueError and OverflowError.
 
-    An array with every stride zero (a constant field's ``values``) holds
-    one value v N times: its sum is ``v * N``, which is the correctly
-    rounded N v, as ``math.fsum`` of N equal floats is. A product that is
-    not finite takes the general path, so ``math.fsum`` decides it.
+    The sum reads the core of ``values`` (``_core``), whose every entry
+    stands for the same number m of entries of ``values`` (one for a full
+    array, N for a constant field's). A core of at most ``_SUM_DIRECT``
+    entries is its own list of exact partials; a larger one is extracted.
+    For m > 1 the total is m times their exact sum, formed in integers
+    (units of the smallest subnormal, 2^-1074) and rounded once by the
+    correctly rounded integer division: the correctly rounded sum, which
+    is what ``math.fsum`` of all N entries gives, for any m.
 
     The extraction runs block by block (``_SUM_BLOCK`` entries, so its two
     work buffers stay in L2), in place. Every block's partial sums are
-    exact, so one ``math.fsum`` over all of them is the exactly rounded
-    total of any partition, and of any traversal order: parallel callers
-    that shard the grid still agree bit-for-bit with the serial reduction.
+    exact, so their exact sum is the total of any partition, and of any
+    traversal order: parallel callers that shard the grid still agree
+    bit-for-bit with the serial reduction.
     """
     x = np.asarray(values, dtype=np.float64)
-    if x.size and not any(x.strides):
-        total = float(x.flat[0]) * x.size
-        if math.isfinite(total):
-            # Through fsum for its sign of a zero sum, which varies by
-            # Python version; any other single float passes unchanged.
-            return math.fsum([total])
-    x = x.ravel(order="C")
-    k = (x.size + 1).bit_length()
-    top = max(float(x.max()), -float(x.min()), 0.0) if x.size else 0.0
-    if not top < math.ldexp(1.0, 1023 - k):
-        return math.fsum(x)
+    core = _core(x)
+    top = max(float(core.max()), -float(core.min()), 0.0) if x.size else 0.0
+    if not top < math.ldexp(1.0, 1023 - (x.size + 1).bit_length()):
+        return math.fsum(x.ravel())
     if top == 0.0:
         # Only zeros: fsum's sign of zero depends on their signs alone.
-        return math.fsum([-0.0] if x.size and np.all(np.signbit(x)) else [])
+        return math.fsum([-0.0] if x.size and np.all(np.signbit(core)) else [])
+    core = core.ravel(order="C")
+    partials = core.tolist() if core.size <= _SUM_DIRECT else _partials(core, top)
+    multiplicity = x.size // core.size
+    if multiplicity == 1:
+        return math.fsum(partials)
+    units = 0
+    for p in partials:
+        numerator, denominator = p.as_integer_ratio()  # denominator 2^j, j <= 1074
+        units += numerator << (1075 - denominator.bit_length())
+    return units * multiplicity / (1 << 1074)
+
+
+def _partials(x: np.ndarray, top: float) -> list:
+    """Exact partial sums of flat ``x`` with ``max|x| = top``, by error-free
+    extraction (``compensated_sum``), block by block."""
+    k = (x.size + 1).bit_length()
     q_buffer, rest_buffer = np.empty((2, min(_SUM_BLOCK, x.size)))
     partials = []
     for start in range(0, x.size, _SUM_BLOCK):
@@ -1140,7 +980,7 @@ def compensated_sum(values: np.ndarray) -> float:
             block = rest
             partials.append(float(q.sum()))
             block_top = max(float(rest.max()), -float(rest.min()))
-    return math.fsum(partials)
+    return partials
 
 
 def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
@@ -1158,9 +998,10 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     round-off: the diagonal multipliers ``-|A_j|^2`` are real, so the
     diagonal is real, and the lower triangle takes the conjugate
     multipliers of the upper one, which is an identity of the continuum
-    operator on real input. The entries are the field's component planes.
-    A ``_known_constant`` field has the exact zero Hessian, one matrix,
-    with no transform.
+    operator on real input. The entries are the field's component planes,
+    each on the axes its own modes span (``_Spectrum.grid``). A
+    ``_known_constant`` field has the exact zero Hessian, one matrix, with
+    no transform.
     """
     geom = phi.geometry
     n = geom.complex_dim
@@ -1276,9 +1117,9 @@ def _solve(spectrum: _Spectrum, sym: np.ndarray) -> ScalarField:
     carries its own."""
     geom = spectrum.geometry
     f = spectrum.over(sym).grid()
-    mean = compensated_sum(f) / geom.num_points
+    mean = compensated_sum(np.broadcast_to(f, geom.grid_shape)) / geom.num_points
     f -= mean
-    field = _freeze(ScalarField(geom, f))
+    field = _from_core(geom, f)
     field._modes = spectrum.modes(-mean)
     return field
 

@@ -37,9 +37,8 @@ from .lattice import (
     ScalarField,
     _check_mean_zero,
     _checked_symbol,
-    _cholesky,
     _compact,
-    _descending_eigenvalues,
+    _from_core,
     _hessian_multiplier,
     _known_constant,
     _max_abs,
@@ -50,7 +49,8 @@ from .lattice import (
     constant_metric,
     constant_representative,
 )
-from .qpositivity import _congruence, _operand, _resolve_eps
+from .planes import _cholesky, _congruence, _descending_eigenvalues
+from .qpositivity import _operand, _resolve_eps
 
 #: Default relative weight put on non-positive eigendirections of r_const
 #: when assembling an aligned witness metric.
@@ -137,7 +137,7 @@ def normalize_scalar_curvature(
         rhs = np.float64(0.0)
     else:
         rhs = rhs - compensated_sum(np.broadcast_to(rhs, grid)) / geom.num_points
-    rhs = ScalarField(geom, np.broadcast_to(rhs, grid))
+    rhs = _from_core(geom, rhs)
     rhs_inf = _check_mean_zero(rhs)
     if _known_constant(rhs):  # zero, by the mean check
         f, achieved = ScalarField.constant(geom, 0.0), np.float64(0.0)
@@ -156,7 +156,7 @@ def normalize_scalar_curvature(
         del spectrum
 
     if rhs_inf > 0.0:
-        poisson_residual = _max_abs(achieved - rhs.values) / rhs_inf
+        poisson_residual = _max_abs(achieved - _compact(rhs)) / rhs_inf
     else:
         poisson_residual = 0.0
     scalar_deviation = _max_abs(_compact(s) - achieved - c)

@@ -30,11 +30,13 @@ same eigenvalues and metric as the symmetric root Omega^{1/2}.
 
 The pencil eigenvalues and the transform take one path for every n. Each
 field or matrix becomes a kernel operand, its component planes
-(``_operand``); a constant base is factored once, and the kernels run one
-L2-sized tile of the grid at a time. For n <= 2 eigenvalues, matrix
-functions, the Cholesky factor and the congruences by it are closed-form
-elementwise formulas on the planes (see CONVENTIONS.md); larger n joins
-each tile's planes into a stack and uses batched LAPACK on it.
+(``_operand``), each on the axes it varies along; a constant base is
+factored once, and the kernels run one L2-sized tile of the operands'
+common core at a time, so the results live on that core too. For n <= 2
+eigenvalues, matrix functions, the Cholesky factor and the congruences
+by it are closed-form elementwise formulas on the planes (see
+CONVENTIONS.md); larger n joins each tile's planes into a stack and
+uses batched LAPACK on it.
 A pencil whose two fields are read-only is solved once: its eigenvalues
 are remembered on the curvature field. The transform takes its rate from
 that solve and returns a read-only metric, so the checks and the
@@ -55,16 +57,18 @@ from .lattice import (
     HermitianMatrixField,
     MetricField,
     TorusGeometry,
-    _cholesky,
-    _descending_eigenvalues,
+    _core,
     _freeze,
     _frozen,
-    _join,
     _max_abs,
+)
+from .planes import (
+    _cholesky,
+    _congruence,
+    _descending_eigenvalues,
     _small,
     _small_matrix_function,
     _split,
-    _stack,
     _tiled,
 )
 
@@ -79,7 +83,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 class EigenvalueField:
     """Real pencil eigenvalues per grid point, sorted descending.
 
-    Frozen, because a solved pencil hands one field to every caller.
+    Frozen, because a solved pencil hands one field to every caller. The
+    eigenvalues are kept on their core (``lattice._core``; the entry axis
+    is kept whole): ``values`` views it on the grid, and the checks'
+    reductions read the core.
     """
 
     geometry: TorusGeometry
@@ -89,12 +96,16 @@ class EigenvalueField:
         self._validate(check_order=True)
 
     @classmethod
-    def _descending(cls, geometry: TorusGeometry, values) -> "EigenvalueField":
-        """A field of ``_descending_eigenvalues`` output. That is sorted by
-        construction, so only the shape and finiteness are checked."""
+    def _descending(cls, geometry: TorusGeometry, core) -> "EigenvalueField":
+        """A field of ``_descending_eigenvalues`` output on a core, which
+        it keeps and views on the grid. That is sorted by construction,
+        so only the shape and finiteness are checked."""
         field = cls.__new__(cls)
         object.__setattr__(field, "geometry", geometry)
-        object.__setattr__(field, "values", values)
+        n = geometry.complex_dim
+        object.__setattr__(
+            field, "values", np.broadcast_to(core, (*geometry.grid_shape, n))
+        )
         field._validate(check_order=False)
         return field
 
@@ -104,11 +115,13 @@ class EigenvalueField:
         expected = (*self.geometry.grid_shape, n)
         if vals.shape != expected:
             raise ValueError(f"eigenvalue field shape {vals.shape} != {expected}")
-        if not np.all(np.isfinite(vals)):
+        core = _core(vals, trailing=1)
+        if not np.all(np.isfinite(core)):
             raise ValueError("eigenvalue field contains non-finite values")
-        if check_order and n > 1 and not np.all(vals[..., :-1] >= vals[..., 1:]):
+        if check_order and n > 1 and not np.all(core[..., :-1] >= core[..., 1:]):
             raise ValueError("eigenvalues must be sorted descending at every point")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_core", core)
 
     def at_rank(self, rank: int) -> np.ndarray:
         """Eigenvalue array at 1-based rank from the largest."""
@@ -118,22 +131,24 @@ class EigenvalueField:
         return self.values[..., rank - 1]
 
     def smallest_sum(self, count: int) -> np.ndarray:
-        """Pointwise sum of the ``count`` smallest eigenvalues."""
+        """Pointwise sum of the ``count`` smallest eigenvalues, formed on
+        the core and viewed on the grid."""
         n = self.geometry.complex_dim
         if not 1 <= count <= n:
             raise ValueError(f"count must be in 1..{n}, got {count}")
         # Column by column: np.sum over a last axis of n <= 3 entries costs
         # about 20 ns per point. The values are np.sum's, -0.0 included.
-        columns = [self.values[..., k] for k in range(n - count, n)]
+        columns = [self._core[..., k] for k in range(n - count, n)]
         if count == 1:
-            return columns[0] + 0.0
-        total = columns[0] + columns[1]
-        for column in columns[2:]:
-            total += column
-        return total
+            total = columns[0] + 0.0
+        else:
+            total = columns[0] + columns[1]
+            for column in columns[2:]:
+                total += column
+        return np.broadcast_to(total, self.geometry.grid_shape)
 
     def max_abs(self) -> float:
-        return _max_abs(self.values)
+        return _max_abs(self._core)
 
 
 def _operand(x):
@@ -157,29 +172,6 @@ def _spectral_functions(M, *fns) -> list:
     return [np.einsum("...ij,...j,...kj->...ik", Q, fn(d), Q.conj()) for fn in fns]
 
 
-def _congruence(T, M):
-    """``T M T*`` for lower triangular T and Hermitian M, each one matrix
-    or a field (``_cholesky`` gives T).
-
-    On planes (n <= 2) the product is expanded entry by entry over the
-    grid and is exactly Hermitian; larger n multiplies stacks.
-    """
-    if not _small(T):
-        return T @ _stack(M) @ np.conj(np.swapaxes(T, -1, -2))
-    if len(M) == 1:
-        # Squared by pow, not t * t, for a 0-d T: n = 1 keeps its former bits.
-        return (T[0] ** 2 * M[0],)
-    t1, t2, t = T
-    a, d, c = M
-    cross = t.real * c.real + t.imag * c.imag  # Re(conj(t) c)
-    tt = t.real * t.real + t.imag * t.imag
-    return (
-        t1 * t1 * a,
-        tt * a + 2.0 * t2 * cross + t2 * t2 * d,
-        (t1 * t) * a + (t1 * t2) * c,
-    )
-
-
 def _hermitian_planes(X) -> tuple:
     """The planes of the Hermitian part of a kernel result: planes are
     exactly Hermitian already, and a stack is averaged with its conjugate
@@ -191,21 +183,22 @@ def _hermitian_planes(X) -> tuple:
 
 def _base_factor(base):
     """Tile kernel giving ``_cholesky`` of a tile of the base operand: a
-    constant base (0-d planes) is factored once, here, and a varying one
+    constant base (one entry per plane) is factored once, here, on its
+    0-d planes as ``planes._tiles`` hands them over, and a varying one
     tile by tile."""
-    if any(p.ndim for p in base):
+    if any(p.size != 1 for p in base):
         return _cholesky
-    factors = _cholesky(base)
+    factors = _cholesky(tuple(p.reshape(()) for p in base))
     return lambda tile: factors
 
 
 def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
     """Descending eigenvalues of the pencil of two operands (see
     ``_operand``): those of ``L^{-1} R L^{-*}``, with ``L`` the base's
-    Cholesky factor. A constant pencil is solved once and broadcast over
-    the grid.
+    Cholesky factor, on the operands' common core (one point for a
+    constant pencil).
 
-    The pencil is whitened and solved one tile at a time, so no grid-sized
+    The pencil is whitened and solved one tile at a time, so no core-sized
     L^{-1} or L^{-1} R L^{-*} is formed.
     """
     factor = _base_factor(base)
@@ -214,9 +207,7 @@ def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
         _, inverse = factor(w)
         return (_descending_eigenvalues(_congruence(inverse, f)),)
 
-    (lam,) = _tiled(eigenvalues, geom.grid_shape, field, base)
-    if lam.ndim == 1:
-        lam = np.broadcast_to(lam, (*geom.grid_shape, lam.size))
+    (lam,) = _tiled(eigenvalues, field, base)
     return EigenvalueField._descending(geom, lam)
 
 
@@ -232,7 +223,6 @@ def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueFiel
     if cached is not None and cached[0] is omega:
         return cached[1]
     ev = _pencil_eigenvalues(R.geometry, _operand(R), _operand(omega))
-    ev.values.setflags(write=False)
     if _frozen(R) and _frozen(omega):
         R._pencil = (omega, ev)
     return ev
@@ -267,8 +257,8 @@ def _certificate_details(ev: EigenvalueField, q: int, mode: str) -> dict:
     return {
         "q": q,
         "mode": mode,
-        "eigenvalue_min": float(np.min(ev.values)),
-        "eigenvalue_max": float(np.max(ev.values)),
+        "eigenvalue_min": float(np.min(ev._core)),
+        "eigenvalue_max": float(np.max(ev._core)),
         "grid": list(ev.geometry.grid_shape),
     }
 
@@ -295,7 +285,7 @@ def check_q_positive(
     n = L.geometry.complex_dim
     _validate_q(n, q)
     ev = generalized_eigenvalues(chern_curvature(L), omega)
-    margin = float(np.min(ev.at_rank(n - q)))
+    margin = float(np.min(_core(ev.at_rank(n - q))))
     eps = _resolve_eps(ev.max_abs(), eps)
     return PositivityCertificate(
         verdict=margin > eps,
@@ -321,7 +311,7 @@ def check_uniform_q_positive(
     n = L.geometry.complex_dim
     _validate_q(n, q)
     ev = generalized_eigenvalues(chern_curvature(L), omega)
-    margin = float(np.min(ev.smallest_sum(q + 1)))
+    margin = float(np.min(_core(ev.smallest_sum(q + 1))))
     eps = _resolve_eps(ev.max_abs(), eps)
     return PositivityCertificate(
         verdict=margin > eps,
@@ -339,7 +329,7 @@ def growth_rate(ev: EigenvalueField, q: int, eps: float | None = None) -> float:
     """
     n = ev.geometry.complex_dim
     _validate_q(n, q)
-    floor = float(np.min(ev.at_rank(n - q)))
+    floor = float(np.min(_core(ev.at_rank(n - q))))
     eps = _resolve_eps(ev.max_abs(), eps)
     if not floor > eps:
         raise NotQPositiveError(
@@ -371,7 +361,7 @@ def _uniformizing_rate(ev: EigenvalueField, q: int, eps: float | None) -> float:
     cannot hold the transformed metric.
     """
     rate = growth_rate(ev, q, eps)
-    top = rate * float(ev.values.max())
+    top = rate * float(ev._core.max())
     if top > _LOG_FLOAT_MAX:
         raise UniformizationRangeError(
             f"rate * largest eigenvalue = {top:.6e} exceeds log(float max) = "
@@ -425,14 +415,9 @@ def uniformize_metric(
         (middle,) = _spectral_functions(_congruence(inverse, f), shrink)
         return _hermitian_planes(_congruence(root, middle))
 
-    new = _tiled(transform, L.geometry.grid_shape, _operand(R), base)
+    new = _tiled(transform, _operand(R), base)
     try:
-        if np.ndim(new[0]):
-            metric = MetricField._computed(L.geometry, new)
-        else:
-            # A constant pencil gives one matrix, kept once as a constant metric.
-            metric = MetricField.constant(L.geometry, _join(new))
-        return _freeze(metric)
+        return _freeze(MetricField._computed(L.geometry, new))
     except ValueError as exc:
         # Positive definite and finite in exact arithmetic: float64 lost
         # the metric's small eigen-part, as it does once its condition

@@ -13,9 +13,14 @@ n. The symmetric-root whitening is the pencil route the package used
 before its Cholesky factor, kept here as a reference for it. The
 array-form views at the end run the n <= 2 plane kernels on stacked
 ``(..., n, n)`` matrices: split into planes, apply the kernel, join.
+``materialized_weight`` and ``synthesized_on_the_grid`` rebuild the
+storage the package kept before fields were stored on their cores: every
+weight and every field written from a mode table on the whole grid.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -32,10 +37,11 @@ from toruspos import (
     generalized_eigenvalues,
     growth_rate,
 )
-from toruspos import lattice, qpositivity
+from toruspos import lattice, planes, qpositivity
 from toruspos.errors import InternalInvariantError
 from toruspos.lattice import (
     TorusGeometry,
+    _freeze,
     _join,
     _require_same_geometry,
     _split,
@@ -228,11 +234,11 @@ def symmetric_root_whitening(
     n = R.shape[-1]
     fns = (np.sqrt, lambda x: 1.0 / np.sqrt(x))
     if n <= 2:
-        root, inv_root = lattice._small_matrix_function(_split(omega), *fns)
+        root, inv_root = planes._small_matrix_function(_split(omega), *fns)
         B = _symmetric_sandwich(inv_root, _split(R))
         if shrink is None:
-            return np.stack(np.broadcast_arrays(*lattice._small_eigvalsh(B)), axis=-1)
-        (middle,) = lattice._small_matrix_function(B, shrink)
+            return np.stack(np.broadcast_arrays(*planes._small_eigvalsh(B)), axis=-1)
+        (middle,) = planes._small_matrix_function(B, shrink)
         return _join(_symmetric_sandwich(root, middle))
     d, Q = np.linalg.eigh(omega)
     root, inv_root = (
@@ -250,20 +256,20 @@ def symmetric_root_whitening(
 
 def _small_eigvalsh(stack: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of stacked n x n Hermitian matrices, n <= 2."""
-    return np.stack(lattice._small_eigvalsh(_split(stack)), axis=-1)
+    return np.stack(planes._small_eigvalsh(_split(stack)), axis=-1)
 
 
 def _small_matrix_function(stack: np.ndarray, *fns) -> list[np.ndarray]:
     """``f(M)`` of stacked n x n Hermitian matrices, n <= 2, one per f."""
-    return [_join(planes) for planes in lattice._small_matrix_function(_split(stack), *fns)]
+    return [_join(f) for f in planes._small_matrix_function(_split(stack), *fns)]
 
 
 def _cholesky(stack: np.ndarray) -> list[np.ndarray]:
     """``[L, L^{-1}]`` of stacked n x n positive definite matrices, n <= 2,
     with ``stack = L L*`` and L lower triangular."""
     out = []
-    for planes in lattice._cholesky(_split(stack)):
-        T = _join(planes)
+    for factor in planes._cholesky(_split(stack)):
+        T = _join(factor)
         if T.shape[-1] == 2:
             T[..., 0, 1] = 0.0
         out.append(T)
@@ -274,3 +280,32 @@ def _congruence(T: np.ndarray, M: np.ndarray) -> np.ndarray:
     """``T M T*`` of lower triangular T and Hermitian M, n <= 2, one matrix
     or a stack each."""
     return _join(qpositivity._congruence(_split(T), _split(M)))
+
+
+# -- fields on the whole grid, as stored before cores ------------------------
+
+
+def materialized_weight(L: LineBundleMetric) -> LineBundleMetric:
+    """``L`` with its weight rebuilt as a frozen, contiguous grid array that
+    keeps the weight's mode table; a constant weight stays one number."""
+    phi = L.phi
+    if phi.value is not None:
+        return L
+    grid = _freeze(ScalarField(L.geometry, np.ascontiguousarray(phi.values)))
+    grid._modes = phi._modes
+    return LineBundleMetric(L.geometry, L.r_const, grid, L.phi_expression)
+
+
+@contextlib.contextmanager
+def synthesized_on_the_grid():
+    """Within the block every field written from a mode table
+    (``lattice._synthesize``) fills the whole grid, so each field computed
+    from a weight is a full array, as before fields kept their cores."""
+    original = lattice._synthesize
+
+    def whole_grid(geom, constant, waves, dtype=np.float64):
+        core = original(geom, constant, waves, dtype)
+        return np.broadcast_to(core, geom.grid_shape).copy()
+
+    with mock.patch.object(lattice, "_synthesize", whole_grid):
+        yield

@@ -24,7 +24,7 @@ from toruspos import (
     uniformize_metric,
     volume_integral,
 )
-from toruspos.lattice import (
+from toruspos.planes import (
     _hermitian_2x2_parts,
     _join,
     _small_matrix_function,

@@ -28,10 +28,10 @@ from toruspos import (
     growth_rate,
     uniformize_metric,
 )
-from toruspos.lattice import (
+from toruspos.lattice import _freeze
+from toruspos.planes import (
     _TILE,
     _cholesky,
-    _freeze,
     _join,
     _small_eigvalsh,
     _small_matrix_function,
@@ -167,13 +167,15 @@ def test_tiled_pipeline_equals_whole_planes(n, samples, q, base, weight):
 
     ev_ref, new_ref = _whole_plane_reference(L, omega, q)
     assert _bits_equal(ev, ev_ref)
-    # A constant pencil gives one matrix, whose planes are 0-d.
+    # A constant pencil gives one matrix, whose planes hold one entry each.
     constant = base == "constant" and weight == "0"
     assert (new.matrix is not None) is constant
+    assert all((p.size == 1) is constant for p in new._planes)
     assert len(new._planes) == len(new_ref)
     same = _bits_equal if n <= 2 else np.array_equal
     for got, ref in zip(new._planes, new_ref):
-        assert same(got, ref if constant else np.broadcast_to(ref, g.grid_shape))
+        # Planes are cores: compared on the grid they stand for.
+        assert same(*(np.broadcast_to(p, g.grid_shape) for p in (got, ref)))
     assert new.min_eigenvalue == _smallest_eigenvalue(new._planes)
     assert omega.min_eigenvalue == _smallest_eigenvalue(omega._planes)
     # Against the uniformized base, too: the check's own route.
