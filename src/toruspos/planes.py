@@ -132,12 +132,9 @@ def _tiles(*operands):
 
 
 def _common_core(operands) -> tuple:
-    """The broadcast shape of every plane of the plane tuples ``operands``.
-    ``np.broadcast``, the faster, takes at most 64 arrays (n <= 7)."""
-    planes = [p for operand in operands for p in operand]
-    if len(planes) > 64:
-        return np.broadcast_shapes(*(p.shape for p in planes))
-    return np.broadcast(*planes).shape
+    """The broadcast shape of every plane of the plane tuples ``operands``,
+    for any number of planes."""
+    return np.broadcast_shapes(*(p.shape for planes in operands for p in planes))
 
 
 def _tiled(kernel, *operands):

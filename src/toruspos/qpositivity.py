@@ -121,7 +121,7 @@ class EigenvalueField:
         if check_order and n > 1 and not np.all(core[..., :-1] >= core[..., 1:]):
             raise ValueError("eigenvalues must be sorted descending at every point")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_core", core)
+        object.__setattr__(self, "_kept", core)
 
     def at_rank(self, rank: int) -> np.ndarray:
         """Eigenvalue array at 1-based rank from the largest."""
@@ -138,7 +138,7 @@ class EigenvalueField:
             raise ValueError(f"count must be in 1..{n}, got {count}")
         # Column by column: np.sum over a last axis of n <= 3 entries costs
         # about 20 ns per point. The values are np.sum's, -0.0 included.
-        columns = [self._core[..., k] for k in range(n - count, n)]
+        columns = [self._kept[..., k] for k in range(n - count, n)]
         if count == 1:
             total = columns[0] + 0.0
         else:
@@ -148,12 +148,12 @@ class EigenvalueField:
         return np.broadcast_to(total, self.geometry.grid_shape)
 
     def max_abs(self) -> float:
-        return _max_abs(self._core)
+        return _max_abs(self._kept)
 
 
 def _operand(x):
     """Kernel operand of an n x n matrix or a field: its component planes
-    (0-d for one matrix or a constant field)."""
+    (one entry each for a constant field, 0-d for one matrix)."""
     return x._planes if isinstance(x, HermitianMatrixField) else _split(x)
 
 
@@ -257,8 +257,8 @@ def _certificate_details(ev: EigenvalueField, q: int, mode: str) -> dict:
     return {
         "q": q,
         "mode": mode,
-        "eigenvalue_min": float(np.min(ev._core)),
-        "eigenvalue_max": float(np.max(ev._core)),
+        "eigenvalue_min": float(np.min(ev._kept)),
+        "eigenvalue_max": float(np.max(ev._kept)),
         "grid": list(ev.geometry.grid_shape),
     }
 
@@ -361,7 +361,7 @@ def _uniformizing_rate(ev: EigenvalueField, q: int, eps: float | None) -> float:
     cannot hold the transformed metric.
     """
     rate = growth_rate(ev, q, eps)
-    top = rate * float(ev._core.max())
+    top = rate * float(ev._kept.max())
     if top > _LOG_FLOAT_MAX:
         raise UniformizationRangeError(
             f"rate * largest eigenvalue = {top:.6e} exceeds log(float max) = "

@@ -126,7 +126,7 @@ def test_a_weight_is_stored_on_the_axes_it_varies_along():
     # entry neither.
     assert [p.shape for p in R._planes] == [(8, 1, 1, 1), (1, 1, 1, 8), (1, 1, 1, 1)]
     ev = generalized_eigenvalues(R, identity_metric(g))
-    assert ev._core.shape == (8, 1, 1, 8, 2) and ev.values.shape == (8, 8, 8, 8, 2)
+    assert ev._kept.shape == (8, 1, 1, 8, 2) and ev.values.shape == (8, 8, 8, 8, 2)
     # A caller's grid array is its own core.
     full = ScalarField(g, np.array(L.phi.values))
     assert _core(full.values).shape == g.grid_shape
@@ -185,13 +185,14 @@ def test_compensated_sum_of_a_core_view_is_fsum_of_the_grid(grid, data):
     )
 
 
-@pytest.mark.parametrize("grid", [(6, 6), (6, 12), (6, 8)])
+@pytest.mark.parametrize("grid", [(6, 6), (6, 12), (6, 8), (48, 6), (48, 12)])
 def test_compensated_sum_rounds_the_core_product_once(grid):
     """The core sum S = 1 + 2^-53 + 2^-80 rounds up to 1 + 2^-52, and 6 or
     12 times that lies on a tie that rounds to even, one ulp past the
     correctly rounded m * S: the product must be rounded once, as
-    math.fsum of the grid does (m = 8 scales exactly either way)."""
-    core = np.zeros((6, 1))
+    math.fsum of the grid does (m = 8 scales exactly either way). A core
+    of 6 entries is its own partials, one of 48 is extracted."""
+    core = np.zeros((grid[0], 1))
     core[:3, 0] = [1.0, 2.0**-53, 2.0**-80]
     view = np.broadcast_to(core, grid)
     assert compensated_sum(view) == math.fsum(view.ravel().tolist())
