@@ -443,7 +443,7 @@ def _cmd_psef_test(run: _Run) -> int:
         "pairing_constant": search.constant,
     }
     if search.witness is not None:
-        result["witness_metric"] = complex_matrix_to_json(search.witness.matrix)
+        result["witness_metric"] = complex_matrix_to_json(search.witness)
     return run.finish(
         result,
         f"psef={psef} dual_psef={dual_psef} pairing={search.constant:.6g}",

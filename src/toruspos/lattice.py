@@ -116,19 +116,19 @@ class TorusGeometry:
         )
         return cls(complex_dim, grid, periods)
 
-    @property
+    @cached_property
     def num_points(self) -> int:
-        return int(np.prod(self.grid_shape))
+        return math.prod(self.grid_shape)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         """Lebesgue volume of one grid cell."""
-        return float(np.prod([p / s for p, s in zip(self.periods, self.grid_shape)]))
+        return math.prod(p / s for p, s in zip(self.periods, self.grid_shape))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         """Total Lebesgue volume of the torus."""
-        return float(np.prod(self.periods))
+        return math.prod(self.periods)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Sample positions along one real axis (length ``grid_shape[axis]``)."""

@@ -213,7 +213,11 @@ def aligned_metric_matrix(
     mu, U = np.linalg.eigh(r_const)
     if not np.any(mu > 0.0):
         return None
-    w = aligned_inverse_weights(mu, delta)
+    return _aligned_matrix(U, aligned_inverse_weights(mu, delta))
+
+
+def _aligned_matrix(U: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The metric ``U diag(1/w) U*`` on the eigenbasis U of r_const."""
     omega = (U / w) @ U.conj().T
     return 0.5 * (omega + omega.conj().T)
 

@@ -8,7 +8,7 @@ metric L are all equivalent:
 
   1. the dual class of L is not pseudo-effective (oracle on -r_const);
   2. some constant positive-definite metric pairs positively with the
-     class (searched over the eigen-aligned family);
+     class (the eigen-aligned family, paired in closed form from r_const);
   3. some conformal rescaling of L has constant positive scalar curvature
      against some constant metric (certify_n_minus_1_positive);
   4. the witness pair from 3 has at least one positive curvature
@@ -22,24 +22,19 @@ random family of instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curvature import LineBundleMetric, complex_matrix_to_json
 from .expressions import random_expression
-from .lattice import (
-    MetricField,
-    TorusGeometry,
-    _difference,
-    constant_metric,
-    identity_metric,
-)
+from .lattice import TorusGeometry, _difference, identity_metric
 from .normalizer import (
     DEFAULT_DELTA,
-    aligned_metric_matrix,
+    _aligned_matrix,
+    aligned_inverse_weights,
     certify_n_minus_1_positive,
-    target_constant,
 )
 from .qpositivity import _resolve_eps, check_q_positive
 
@@ -58,7 +53,12 @@ def is_pseudo_effective(L: LineBundleMetric) -> bool:
     1e-12 relative eigenvalue slack. The weight plays no role: averaging
     it over the torus removes the Hessian part without leaving the class.
     """
-    mu = np.linalg.eigvalsh(L.r_const)
+    return _semidefinite(L.r_const)
+
+
+def _semidefinite(r_const: np.ndarray) -> bool:
+    """The oracle of ``is_pseudo_effective`` on a class matrix."""
+    mu = np.linalg.eigvalsh(r_const)
     scale = float(np.max(np.abs(mu)))
     return bool(np.min(mu) >= -PSEF_EIG_RTOL * scale)
 
@@ -68,7 +68,7 @@ class DegreeSearchResult:
     """Outcome of the positive-pairing search over aligned metrics."""
 
     found: bool
-    witness: MetricField | None
+    witness: np.ndarray | None  # the winning candidate's n x n metric
     constant: float  # best volume-normalized pairing seen
 
 
@@ -80,29 +80,23 @@ def dual_not_pseudo_effective(
 
     A positive pairing with any Gauduchon metric obstructs
     pseudo-effectivity of the dual class; on the torus the eigen-aligned
-    family is enough to find one whenever it exists. The comparison uses
-    the volume-normalized pairing so the verdict is scale invariant.
+    family is enough to find one whenever it exists. The volume-normalized
+    pairing is scale invariant; with an aligned constant metric it is
+    ``sum_j w_j mu_j`` on the eigenpairs of r_const (CONVENTIONS.md).
     """
-    geom = L.geometry
-    mu = np.linalg.eigvalsh(L.r_const)
+    mu, U = np.linalg.eigh(L.r_const)
     eps = _resolve_eps(float(np.max(np.abs(mu))), eps)
+    if not np.any(mu > 0.0):
+        # No aligned candidate exists; report the identity's, trace(r_const).
+        return DegreeSearchResult(False, None, math.fsum(np.diagonal(L.r_const).real))
 
-    best = None
     for delta in SEARCH_DELTAS:
-        matrix = aligned_metric_matrix(L.r_const, delta)
-        if matrix is None:
-            break
-        omega = constant_metric(geom, matrix)
-        c = target_constant(L, omega)
-        if best is None or c > best[0]:
-            best = (c, omega)
+        w = aligned_inverse_weights(mu, delta)
+        c = math.fsum(w * mu)
         if c > eps:
-            return DegreeSearchResult(True, omega, c)
-    if best is None:
-        # No aligned candidate exists; report the identity pairing.
-        c = target_constant(L, identity_metric(geom))
-        return DegreeSearchResult(False, None, c)
-    return DegreeSearchResult(False, None, best[0])
+            return DegreeSearchResult(True, _aligned_matrix(U, w), c)
+    # w falls with delta on the negative directions only, so c is largest last.
+    return DegreeSearchResult(False, None, c)
 
 
 @dataclass
@@ -159,7 +153,7 @@ def equivalence_suite(
     a negative verdict whenever the first three are negative.
     """
     n = L.geometry.complex_dim
-    item1 = not is_pseudo_effective(L.dual())
+    item1 = not _semidefinite(-L.r_const)
     search = dual_not_pseudo_effective(L, eps=eps)
     cert = certify_n_minus_1_positive(L, delta=delta, eps=eps)
 

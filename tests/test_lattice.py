@@ -53,6 +53,28 @@ def test_geometry_basic_properties():
     assert x[-1] == pytest.approx(TWO_PI * 7 / 8)
 
 
+@pytest.mark.parametrize(
+    "geom",
+    [
+        TorusGeometry(1, (8, 4), (TWO_PI, TWO_PI)),
+        TorusGeometry.regular(2, 8),
+        TorusGeometry.regular(2, (16, 8, 12, 6), (1.0, 0.3, 7.1, math.e)),
+        TorusGeometry.regular(3, (4, 6, 8, 10, 12, 14), (0.7, 1.9, 2.3, 3.1, 5.3, 0.1)),
+        TorusGeometry.regular(3, 256, 1e-3),
+    ],
+)
+def test_geometry_sizes_equal_the_array_products(geom):
+    """The sizes, products taken once per geometry, are bit-identical to
+    numpy's products of the same factors."""
+    cell = np.prod([p / s for p, s in zip(geom.periods, geom.grid_shape)])
+    assert geom.num_points == int(np.prod(geom.grid_shape))
+    assert geom.cell_volume == float(cell)
+    assert geom.volume == float(np.prod(geom.periods))
+    assert type(geom.num_points) is int
+    assert type(geom.cell_volume) is float and type(geom.volume) is float
+    assert geom.cell_volume is geom.cell_volume
+
+
 def test_geometry_regular_constructor():
     g = TorusGeometry.regular(2, 8, period=1.0)
     assert g.grid_shape == (8, 8, 8, 8)

@@ -293,10 +293,11 @@ def test_n2_uniformize_and_check_makes_no_transform(transform_calls):
 
 
 def test_weighted_suite_instance_makes_no_transform(transform_calls):
-    """The dual's weight and the witness weight phi - f keep their tables,
-    so no route of the suite transforms the grid. The same values as a
-    grid field run 3 forward and 8 inverse transforms: the off-diagonal
-    Hessian entry takes two, one for each part of its complex multiplier."""
+    """The witness weight phi - f keeps its table, and routes 1 and 2 read
+    only the class, so no route of the suite transforms the grid. The same
+    values as a grid field run 2 forward and 7 inverse transforms, all in
+    routes 3 and 4: the off-diagonal Hessian entry takes two, one for each
+    part of its complex multiplier."""
     g = TorusGeometry.regular(2, 8)
     L = LineBundleMetric.from_expression(
         g, hermitian_with_eigs(np.random.default_rng(9), [2.0, -0.7]),
@@ -308,7 +309,7 @@ def test_weighted_suite_instance_makes_no_transform(transform_calls):
     grid = equivalence_suite(L.with_weight(ScalarField(g, L.phi.values.copy())))
     assert grid.verdicts == report.verdicts
     counts = {name: transform_calls.count(name) for name in set(transform_calls)}
-    assert counts == {"_rfftn": 3, "_irfftn": 8}
+    assert counts == {"_rfftn": 2, "_irfftn": 7}
 
 
 # -------------------------------------------------------- CSV weights, CLI

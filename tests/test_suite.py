@@ -12,13 +12,18 @@ from toruspos import (
     constant_metric,
     dual_not_pseudo_effective,
     equivalence_suite,
+    identity_metric,
     is_pseudo_effective,
     random_bundle,
     run_equivalence_corpus,
 )
-from toruspos.curvature import complex_matrix_from_json
+from toruspos.curvature import PositivityCertificate, complex_matrix_from_json
 from toruspos.expressions import random_expression
-from toruspos.suite import corpus_csv_lines, random_hermitian_class
+from toruspos.normalizer import aligned_metric_matrix
+from toruspos.suite import SEARCH_DELTAS, corpus_csv_lines, random_hermitian_class
+
+#: Unit roundoff of float64.
+EPS64 = np.finfo(np.float64).eps / 2
 
 
 # ----------------------------------------------------------------- oracle
@@ -91,6 +96,96 @@ def test_search_verdict_invariant_under_weight():
             LineBundleMetric.from_expression(g, mat, "0.01*cos(2*x1)")
         )
         assert flat.found == wavy.found
+
+
+@pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_search_reads_the_pairing_of_a_spread_class(s):
+    """For r_const = U diag(s, -100) U* the aligned candidate with weight
+    delta pairs to s (1 - delta): the class gives it to a few ulps of the
+    largest |eigenvalue|, however ill-conditioned the candidate metric,
+    where a grid quadrature against that metric loses about cond(Omega) u."""
+    g = TorusGeometry.regular(2, 8)
+    U = random_unitary(np.random.default_rng(12), 2)
+    matrix = (U * np.array([s, -100.0])) @ U.conj().T
+    L = LineBundleMetric.from_constant(g, 0.5 * (matrix + matrix.conj().T))
+    result = dual_not_pseudo_effective(L)
+    eps = 1e-9 * 100.0
+    winners = [d for d in SEARCH_DELTAS if s * (1.0 - d) > eps]
+    assert result.found == bool(winners)
+    delta = winners[0] if winners else SEARCH_DELTAS[-1]
+    assert abs(result.constant - s * (1.0 - delta)) <= 64 * 2 * EPS64 * 100.0
+    if result.found:
+        assert np.array_equal(result.witness, aligned_metric_matrix(L.r_const, delta))
+
+
+def test_search_without_positive_direction_reads_the_trace():
+    g = TorusGeometry.regular(2, 8)
+    r_const = hermitian_with_eigs(np.random.default_rng(13), [-0.5, -3.0])
+    result = dual_not_pseudo_effective(LineBundleMetric.from_constant(g, r_const))
+    assert not result.found and result.witness is None
+    assert result.constant == pytest.approx(-3.5, rel=1e-14)
+
+
+def test_class_routes_build_no_field(monkeypatch):
+    """Routes 1 and 2 read the class matrix only: no metric field, no
+    bundle (the dual included) and no scalar curvature. Routes 3 and 4
+    are replaced by fixed outcomes so only routes 1 and 2 run."""
+    import toruspos.curvature as curvature_module
+    import toruspos.lattice as lattice_module
+    import toruspos.suite as suite_module
+
+    g = TorusGeometry.regular(2, 8)
+    bundles = [
+        LineBundleMetric.from_expression(
+            g, hermitian_with_eigs(np.random.default_rng(14), eigs), "0.05*cos(x1)"
+        )
+        for eigs in ([2.0, -0.7], [-1.0, -0.2])
+    ]
+    # The fixed certificate below has no witness, so route 4 takes the
+    # identity metric; it is built before counting starts.
+    identity = identity_metric(g)
+    built = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (lattice_module.MetricField, LineBundleMetric):
+        monkeypatch.setattr(
+            cls, "__post_init__", counting(cls.__name__, cls.__post_init__)
+        )
+    for name in ("scalar_curvature", "_scalar_curvature"):
+        monkeypatch.setattr(
+            curvature_module, name, counting(name, getattr(curvature_module, name))
+        )
+    fixed = PositivityCertificate(verdict=True, margin=1.0, tolerance=0.0)
+    for name in ("certify_n_minus_1_positive", "check_q_positive"):
+        monkeypatch.setattr(suite_module, name, lambda *a, **k: fixed)
+    monkeypatch.setattr(suite_module, "identity_metric", lambda geometry: identity)
+    for L in bundles:
+        report = equivalence_suite(L)
+        assert report.dual_not_psef_oracle == report.positive_pairing_search
+        dual_not_pseudo_effective(L)
+    assert built == []
+
+
+@pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
+def test_pairing_and_certificate_agree_on_the_class_constant(n, samples):
+    """Route 2 reads the class constant from the eigenpairs of r_const and
+    route 3 integrates the scalar curvature over the grid: two independent
+    computations of trace(Omega^{-1} r_const) for the same aligned metric,
+    which must agree wherever both decide positive."""
+    g = TorusGeometry.regular(n, samples)
+    reports, summary = run_equivalence_corpus(g, 150, seed=20 + n)
+    assert summary["fails"] == 0 and summary["positive"] > 0
+    for report in reports:
+        if report.positive_pairing_search and report.constant_scalar_certificate:
+            c = report.margins["certificate_constant"]
+            gap = abs(report.margins["pairing_constant"] - c)
+            assert gap <= 1e-9 * (1.0 + abs(c))
 
 
 # ------------------------------------------------------------------- suite
