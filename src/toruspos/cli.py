@@ -285,15 +285,16 @@ class _Run:
         eps = self.args.tolerance
         if eps is None:
             eps = _section(self.config, "tolerances").get("eps_pos")
-        if eps is not None and not (_number(eps) and eps >= 0):
-            raise ConfigError(f"tolerance must be a nonnegative number, got {eps!r}")
+        if eps is not None and not (_number(eps) and 0 <= eps < math.inf):
+            message = f"tolerance must be a nonnegative finite number, got {eps!r}"
+            raise ConfigError(message)
         return eps
 
     @functools.cached_property
     def delta(self) -> float:
         delta = _section(self.config, "tolerances").get("delta", DEFAULT_DELTA)
-        if not (_number(delta) and delta > 0):
-            raise ConfigError(f"tolerances.delta must be positive, got {delta!r}")
+        if not (_number(delta) and 0 < delta < 1):
+            raise ConfigError(f"tolerances.delta must lie in (0, 1), got {delta!r}")
         return delta
 
     @functools.cached_property
@@ -459,7 +460,7 @@ def _cmd_equivalence_suite(run: _Run) -> int:
         )
         return _agreement(report.passed)
     reports, summary = run_equivalence_corpus(
-        run.geometry, run.corpus, run.seed, delta=run.delta
+        run.geometry, run.corpus, run.seed, delta=run.delta, eps=run.eps
     )
     csv_path = run.out_dir / "corpus.csv"
     csv_path.write_text("\n".join(corpus_csv_lines(reports)) + "\n")

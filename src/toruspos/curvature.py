@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConstantMetricError
-from .expressions import _expression_field
+from .expressions import scalar_field_from_expression
 from .lattice import (
     HermitianMatrixField,
     MetricField,
@@ -33,16 +33,13 @@ from .lattice import (
     TorusGeometry,
     _check_hermitian,
     _checked_symbol,
-    _compact,
-    _freeze,
     _from_core,
-    _frozen,
+    _hessian_planes,
     _known_constant,
     _negative,
     _Spectrum,
     _trace_symbol,
     compensated_sum,
-    complex_hessian,
     constant_representative,
 )
 from .planes import _join, _split, _tiled
@@ -57,14 +54,12 @@ class LineBundleMetric:
     ``phi_expression`` optionally records the closed form the weight was
     built from, so configs and reports round-trip exactly.
 
-    ``r_const`` is a read-only private copy, and so is the weight's core
-    (``lattice._core``) unless no array behind the weight can change
-    already (``_frozen``), so the curvature that chern_curvature caches on
-    the bundle cannot go stale. A constant weight stays one number. A
-    frozen weight keeps its mode table; a copy does not, since the caller
-    may have written into the values since the table was made.
-    ``from_expression`` evaluates its weight frozen, on the axes it varies
-    along, so it is kept, table and all, with no copy.
+    ``r_const`` is a read-only private copy, and the weight is kept as it
+    is: a field owns its data and cannot change, so the curvature that
+    chern_curvature caches on the bundle cannot go stale. A constant
+    weight stays one number, and a weight keeps its mode table.
+    ``from_expression`` evaluates its weight on the axes it varies along
+    (``scalar_field_from_expression``).
     """
 
     geometry: TorusGeometry
@@ -85,8 +80,6 @@ class LineBundleMetric:
         self.r_const = r_const
         if self.phi.geometry != self.geometry:
             raise ValueError("weight is sampled on a different grid")
-        if not _frozen(self.phi):
-            self.phi = _from_core(self.geometry, _compact(self.phi).copy())
 
     @classmethod
     def from_constant(
@@ -98,7 +91,8 @@ class LineBundleMetric:
     def from_expression(
         cls, geometry: TorusGeometry, r_const: np.ndarray, phi_text: str
     ) -> "LineBundleMetric":
-        return cls(geometry, r_const, _expression_field(geometry, phi_text), phi_text)
+        phi = scalar_field_from_expression(geometry, phi_text)
+        return cls(geometry, r_const, phi, phi_text)
 
     def dual(self) -> "LineBundleMetric":
         """Metric induced on the inverse bundle; curvature flips sign."""
@@ -174,13 +168,14 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
     if _known_constant(L.phi):
         R = HermitianMatrixField.constant(L.geometry, L.r_const)
     else:
-        # The constant part goes into the Hessian's own arrays, so the grid
-        # is gated once: the Hessian is exactly Hermitian and finite, and
-        # r_const passed the same checks when the bundle was built.
-        R = complex_hessian(L.phi)
-        for plane, entry in zip(R._planes, _split(L.r_const)):
+        # The constant part goes into the Hessian's planes before they are
+        # handed over, so the grid is gated once: the Hessian is exactly
+        # Hermitian and finite, and r_const passed the same checks when the
+        # bundle was built.
+        planes = _hessian_planes(L.phi)
+        for plane, entry in zip(planes, _split(L.r_const)):
             plane += entry
-        _freeze(R)
+        R = HermitianMatrixField._computed(L.geometry, planes)
     L._curvature = (L.r_const, L.phi.values, R)
     return R
 

@@ -336,23 +336,11 @@ def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
 
 
 def scalar_field_from_expression(geometry: TorusGeometry, text: str) -> ScalarField:
-    """The field of expression text; text with no coordinate in it gives
-    a constant field, evaluated once. A varying field holds a fresh grid
-    array the caller may write into, and carries the exact Fourier modes
-    of the text (``lattice._Modes``), which operators read once the field
-    is frozen."""
-    field = _expression_field(geometry, text)
-    if field.value is not None:
-        return field
-    grid_field = ScalarField(geometry, np.array(field.values))
-    grid_field._modes = field._modes
-    return grid_field
-
-
-def _expression_field(geometry: TorusGeometry, text: str) -> ScalarField:
-    """The frozen field of expression text on its core (``_grid_values``),
-    with its exact Fourier modes: the weight of a bundle. Text with no
-    coordinate in it gives a constant field."""
+    """The read-only field of expression text on its core (``_grid_values``),
+    with the exact Fourier modes of the text (``lattice._Modes``), which
+    the spectral operators read instead of transforming: the weight of a
+    bundle. Text with no coordinate in it gives a constant field,
+    evaluated once."""
     tree, used = _resolved_tree(text, geometry)
     core = _grid_values(tree, used, geometry)
     if not core.ndim:

@@ -451,19 +451,12 @@ def _synthesize(geom: TorusGeometry, constant, waves, dtype=np.float64) -> np.nd
     return out
 
 
-def _mode_table(field: "ScalarField") -> _Modes | None:
-    """The field's mode table (its ``_Spectrum``), if it has one and no
-    array behind it can change."""
-    modes = field._modes
-    return modes if modes is not None and _frozen(field) else None
-
-
 class _Spectrum:
     """The spectrum of a real field, in one of two forms; every spectral
     operator reads its field through this type, and no other code knows
     which form it holds.
 
-    * A mode table (the field's ``_mode_table``): ``values`` holds one
+    * A mode table (the field's ``_modes``): ``values`` holds one
       coefficient per pair, and ``wavevectors`` are the table's.
     * Otherwise the ``rfftn`` half spectrum of the grid: ``wavevectors``
       is None, and ``values`` is transformed on first read, so a guard
@@ -476,11 +469,10 @@ class _Spectrum:
 
     @classmethod
     def of(cls, field: "ScalarField") -> "_Spectrum":
-        """The field's table when ``_mode_table`` gives one, else its half
-        spectrum."""
+        """The field's table when it has one, else its half spectrum."""
         spectrum = cls()
         spectrum.geometry, spectrum._field = field.geometry, field
-        table = _mode_table(field)
+        table = field._modes
         spectrum.wavevectors = None if table is None else table.wavevectors
         if table is not None:
             spectrum.values = table.coefficients.copy()
@@ -575,10 +567,10 @@ def _core(values: np.ndarray, trailing: int = 0) -> np.ndarray:
     each grid axis of zero stride, the axes it does not vary along. The
     last ``trailing`` axes (matrix or eigenvalue entries) are kept whole.
 
-    A field the package computes keeps only its core, an array of the
-    grid's rank, and its ``values`` is the core viewed on the grid with
-    ``np.broadcast_to``: the core is read back from the strides, with no
-    scan. A caller's full array is its own core.
+    A field keeps only its core, an array of the grid's rank, and its
+    ``values`` is the core viewed on the grid with ``np.broadcast_to``:
+    the core is read back from the strides, with no scan. A caller's full
+    array is its own core.
     """
     strides = values.strides[: values.ndim - trailing]
     if 0 not in strides:
@@ -586,20 +578,28 @@ def _core(values: np.ndarray, trailing: int = 0) -> np.ndarray:
     return values[tuple(slice(0, 1) if s == 0 else slice(None) for s in strides)]
 
 
+def _owned(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a field keeps it as its own."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass
 class ScalarField:
     """Real-valued function sampled on the grid.
 
-    A field the package computes stores its core (``_core``): ``values``
-    is a read-only view of it with zero strides on the axes the field
-    does not vary along, and validation and reductions read the core. A
-    constant field built by ``constant`` stores one number (a 0-d core),
-    and ``value`` hands it to consumers.
+    A field owns its data, its core (``_core``): the constructor copies the
+    core of the caller's array once into a private read-only array, so a
+    later write to the caller's array does not reach the field. ``values``
+    is a read-only view of the core with zero strides on the axes the
+    field does not vary along, and validation and reductions read the
+    core. A constant field built by ``constant`` stores one number, and
+    ``value`` hands it to consumers. A field the package computes hands
+    its core over without a copy (``_from_core``).
 
     A field may also carry its exact Fourier modes (``_modes``, a
     ``_Modes`` table): a weight evaluated from an expression, or a solution
-    on a table. The table is read only while the field is
-    ``_frozen`` (``_mode_table``), so that it cannot go stale.
+    on a table. Its data cannot change, so neither can the table go stale.
     """
 
     geometry: TorusGeometry
@@ -611,20 +611,21 @@ class ScalarField:
         vals = np.asarray(self.values)
         if np.iscomplexobj(vals):
             raise ValueError("scalar field values must be real, got a complex array")
-        vals = np.asarray(vals, dtype=np.float64)
         if vals.shape != self.geometry.grid_shape:
             raise ValueError(
                 f"scalar field shape {vals.shape} != grid {self.geometry.grid_shape}"
             )
-        self.values = vals
-        if not np.all(np.isfinite(_core(vals))):
+        self._keep(np.array(_core(vals), dtype=np.float64))
+
+    def _keep(self, core: np.ndarray) -> None:
+        """Own ``core``, finite, and view it on the grid as ``values``."""
+        if not np.all(np.isfinite(core)):
             raise ValueError("scalar field contains non-finite values")
+        self.values = np.broadcast_to(_owned(core), self.geometry.grid_shape)
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, value: float) -> "ScalarField":
-        number = np.array(float(value))
-        number.setflags(write=False)
-        return cls(geometry, np.broadcast_to(number, geometry.grid_shape))
+        return cls(geometry, np.broadcast_to(float(value), geometry.grid_shape))
 
     @property
     def value(self) -> float | None:
@@ -642,9 +643,13 @@ class ScalarField:
 
 
 def _from_core(geometry: TorusGeometry, core) -> ScalarField:
-    """The read-only field whose core is ``core`` (any array that
-    broadcasts against the grid), kept without a copy."""
-    return _freeze(ScalarField(geometry, np.broadcast_to(core, geometry.grid_shape)))
+    """The field whose core is ``core`` (an array that broadcasts against
+    the grid, handed over by the package code that computed it): kept
+    without a copy and made read-only."""
+    field = ScalarField.__new__(ScalarField)
+    field.geometry = geometry
+    field._keep(np.asarray(core, dtype=np.float64))
+    return field
 
 
 def _known_constant(field: ScalarField) -> bool:
@@ -669,7 +674,7 @@ def _pointwise(fn, *fields: ScalarField) -> ScalarField:
 def _negative(phi: ScalarField) -> ScalarField:
     """``-phi`` (``_pointwise``), keeping the negation of its mode table."""
     out = _pointwise(np.negative, phi)
-    table = _mode_table(phi)
+    table = phi._modes
     if table is not None:
         out._modes = _Modes.of(table.wavevectors.shape[1], 0.0, {}).minus(table)
     return out
@@ -681,7 +686,7 @@ def _difference(a: ScalarField, b: ScalarField) -> ScalarField:
     out = _pointwise(np.subtract, a, b)
     axes = len(out.geometry.grid_shape)
     tables = [
-        _mode_table(f) if f.value is None else _Modes.of(axes, f.value, {})
+        f._modes if f.value is None else _Modes.of(axes, f.value, {})
         for f in (a, b)
     ]
     if out.value is None and None not in tables:
@@ -718,18 +723,20 @@ class HermitianMatrixField:
 
     The kernels read component planes (see ``_split``) at every n, each
     plane a core (``_core``): an array of the grid's rank with length 1
-    on the axes that entry does not vary along. A constant field built by
-    ``constant`` stores one n x n matrix: its ``values`` is a read-only
-    view with zero grid strides, its planes have one entry each,
+    on the axes that entry does not vary along. Every array a field holds
+    is its own and read-only, and ``values`` is a read-only view on the
+    grid. A constant field built by ``constant`` stores one n x n matrix:
+    its ``values`` has zero grid strides, its planes have one entry each,
     validation runs on that one matrix, and ``matrix`` hands it to
     consumers.
 
-    A field computed by the package is built from its planes by
-    ``_computed`` (``values`` is then assembled on first read, on the
-    planes' broadcast core, and cached as a read-only view on the grid):
-    it is Hermitian by construction, so its gate is the finiteness check.
-    A field built from caller values passes the full Hermitian gate on
-    the core of ``values``, and its planes are views into it.
+    A field computed by the package is built from its planes, handed over
+    without a copy, by ``_computed`` (``values`` is then assembled on
+    first read, on the planes' broadcast core): it is Hermitian by
+    construction, so its gate is the finiteness check. A field built
+    from caller values copies the core of ``values`` once and passes the
+    full Hermitian gate on it, and its planes are views into the copy; a
+    later write to the caller's array does not reach the field.
     """
 
     geometry: TorusGeometry
@@ -739,8 +746,8 @@ class HermitianMatrixField:
     _planes = None
     #: Built by ``_computed``: Hermitian by construction.
     _exact = False
-    #: ``(omega, EigenvalueField)`` of the last pencil solved with both
-    #: fields read-only (``qpositivity._solve_pencil``), or None.
+    #: ``(omega, EigenvalueField)`` of the last pencil solved
+    #: (``qpositivity._solve_pencil``), or None.
     _pencil = None
 
     def __post_init__(self) -> None:
@@ -749,19 +756,18 @@ class HermitianMatrixField:
                 raise ValueError("matrix field contains non-finite values")
             return
         n = self.geometry.complex_dim
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.asarray(self.values)
         expected = (*self.geometry.grid_shape, n, n)
         if vals.shape != expected:
             raise ValueError(f"matrix field shape {vals.shape} != {expected}")
-        self.values = vals
-        core = _core(vals, trailing=2)
+        core = np.array(_core(vals, trailing=2), dtype=np.complex128)
         _check_hermitian(core)
+        self.values = np.broadcast_to(_owned(core), expected)
         self._planes = _split(core)
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, matrix: np.ndarray):
-        mat = np.array(matrix, dtype=np.complex128)
-        mat.setflags(write=False)
+        mat = np.asarray(matrix, dtype=np.complex128)
         return cls(geometry, np.broadcast_to(mat, (*geometry.grid_shape, *mat.shape)))
 
     @classmethod
@@ -770,14 +776,14 @@ class HermitianMatrixField:
         construction, from its planes (``_split``'s order), cores of the
         grid's rank.
 
-        Arrays of the right dtype are kept, not copied: the caller hands
-        them over.
+        Arrays of the right dtype are kept, not copied, and made
+        read-only: the caller hands them over.
         """
         n = geometry.complex_dim
         field = cls.__new__(cls)
         field.geometry = geometry
         field._planes = tuple(
-            np.asarray(p, dtype=np.float64 if i < n else np.complex128)
+            _owned(np.asarray(p, dtype=np.float64 if i < n else np.complex128))
             for i, p in enumerate(planes)
         )
         field._exact = True
@@ -789,10 +795,10 @@ class HermitianMatrixField:
         # planes assembles it on first read.
         if name != "values" or self._planes is None:
             raise AttributeError(name)
-        core = _join(self._planes)
-        core.setflags(write=False)
         n = self.geometry.complex_dim
-        self.values = np.broadcast_to(core, (*self.geometry.grid_shape, n, n))
+        self.values = np.broadcast_to(
+            _owned(_join(self._planes)), (*self.geometry.grid_shape, n, n)
+        )
         return self.values
 
     @property
@@ -807,35 +813,6 @@ class HermitianMatrixField:
         if any(values.strides[:grid_axes]):
             return None
         return values[(0,) * grid_axes]
-
-
-def _arrays(field):
-    """The arrays behind a scalar or matrix field (planes and ``values``)."""
-    return (*(getattr(field, "_planes", None) or ()), vars(field).get("values"))
-
-
-def _freeze(field):
-    """Make ``field`` ``_frozen``: each of its arrays, and each array down
-    the ``.base`` chain, read-only. For fields the package computed."""
-    for array in _arrays(field):
-        while isinstance(array, np.ndarray):
-            array.setflags(write=False)
-            array = array.base
-    return field
-
-
-def _frozen(field) -> bool:
-    """Can no array behind ``field`` change? Each of its arrays, and each
-    array down the ``.base`` chain to the one owning the memory, must be
-    read-only; memory owned by another object (a buffer) does not qualify."""
-    for array in _arrays(field):
-        while isinstance(array, np.ndarray):
-            if array.flags.writeable:
-                return False
-            array = array.base
-        if array is not None:
-            return False
-    return True
 
 
 @dataclass
@@ -1002,17 +979,22 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     no transform.
     """
     geom = phi.geometry
-    n = geom.complex_dim
     if _known_constant(phi):
+        n = geom.complex_dim
         return HermitianMatrixField.constant(geom, np.zeros((n, n)))
+    return HermitianMatrixField._computed(geom, _hessian_planes(phi))
+
+
+def _hessian_planes(phi: ScalarField) -> tuple:
+    """The component planes of ``complex_hessian(phi)`` for a field that
+    is not ``_known_constant``: new arrays, not yet handed over."""
     spectrum = _Spectrum.of(phi)
     symbols = spectrum.symbols
     # Plane (j, k) from the conjugate multiplier of (k, j).
-    planes = tuple(
+    return tuple(
         spectrum.grid(multiplier=np.conj(_hessian_multiplier(symbols, k, j)))
-        for j, k in _entries(n)
+        for j, k in _entries(phi.geometry.complex_dim)
     )
-    return HermitianMatrixField._computed(geom, planes)
 
 
 def _trace_symbol(symbols: tuple, inverse_metric: np.ndarray) -> np.ndarray:
@@ -1071,7 +1053,7 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
 
     Returns f with zero grid mean and residual
     ``|trace(Omega^{-1} H(f)) - g|_inf <= 1e-8 * |g|_inf`` for band-limited g.
-    f is read-only, as a field the package computed.
+    f is read-only, as every field is.
     """
     geom = _require_same_geometry(g, omega)
     inverse_metric = np.linalg.inv(constant_representative(omega))

@@ -187,8 +187,13 @@ def aligned_inverse_weights(mu: np.ndarray, delta: float) -> np.ndarray:
     directions) / |mu_j|, capped at 1, so the negative directions eat at
     most a delta fraction of the positive trace:
 
-        trace = sum w_j mu_j >= (1 - delta) * sum of positive mu.
+        trace = sum w_j mu_j >= (1 - delta) * sum of positive mu,
+
+    which is positive for 0 < delta < 1 only; any other delta raises
+    ValueError.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     mu = np.asarray(mu, dtype=np.float64)
     positive = mu > 0.0
     negative = mu < 0.0

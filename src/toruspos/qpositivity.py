@@ -37,10 +37,10 @@ eigenvalues, matrix functions, the Cholesky factor and the congruences
 by it are closed-form elementwise formulas on the planes (see
 CONVENTIONS.md); larger n joins each tile's planes into a stack and
 uses batched LAPACK on it.
-A pencil whose two fields are read-only is solved once: its eigenvalues
-are remembered on the curvature field. The transform takes its rate from
-that solve and returns a read-only metric, so the checks and the
-transform share one solve per (R, Omega) pair.
+Every field owns read-only arrays, so a pencil is solved once: its
+eigenvalues are remembered on the curvature field. The transform takes
+its rate from that solve, so the checks and the transform share one solve
+per (R, Omega) pair.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ from .lattice import (
     MetricField,
     TorusGeometry,
     _core,
-    _freeze,
-    _frozen,
     _max_abs,
+    _owned,
 )
 from .planes import (
     _cholesky,
@@ -85,42 +84,42 @@ class EigenvalueField:
 
     Frozen, because a solved pencil hands one field to every caller. The
     eigenvalues are kept on their core (``lattice._core``; the entry axis
-    is kept whole): ``values`` views it on the grid, and the checks'
-    reductions read the core.
+    is kept whole), a private read-only array: the constructor copies the
+    core of the caller's array once, ``values`` views it on the grid, and
+    the checks' reductions read the core.
     """
 
     geometry: TorusGeometry
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self._validate(check_order=True)
+        n = self.geometry.complex_dim
+        vals = np.asarray(self.values)
+        expected = (*self.geometry.grid_shape, n)
+        if vals.shape != expected:
+            raise ValueError(f"eigenvalue field shape {vals.shape} != {expected}")
+        core = np.array(_core(vals, trailing=1), dtype=np.float64)
+        self._keep(core, check_order=True)
 
     @classmethod
     def _descending(cls, geometry: TorusGeometry, core) -> "EigenvalueField":
         """A field of ``_descending_eigenvalues`` output on a core, which
-        it keeps and views on the grid. That is sorted by construction,
-        so only the shape and finiteness are checked."""
+        it keeps without a copy. That is sorted by construction, so only
+        the finiteness is checked."""
         field = cls.__new__(cls)
         object.__setattr__(field, "geometry", geometry)
-        n = geometry.complex_dim
-        object.__setattr__(
-            field, "values", np.broadcast_to(core, (*geometry.grid_shape, n))
-        )
-        field._validate(check_order=False)
+        field._keep(core, check_order=False)
         return field
 
-    def _validate(self, check_order: bool) -> None:
+    def _keep(self, core: np.ndarray, check_order: bool) -> None:
+        """Own ``core``, once checked, and view it on the grid as ``values``."""
         n = self.geometry.complex_dim
-        vals = np.asarray(self.values, dtype=np.float64)
-        expected = (*self.geometry.grid_shape, n)
-        if vals.shape != expected:
-            raise ValueError(f"eigenvalue field shape {vals.shape} != {expected}")
-        core = _core(vals, trailing=1)
         if not np.all(np.isfinite(core)):
             raise ValueError("eigenvalue field contains non-finite values")
         if check_order and n > 1 and not np.all(core[..., :-1] >= core[..., 1:]):
             raise ValueError("eigenvalues must be sorted descending at every point")
-        object.__setattr__(self, "values", vals)
+        grid = (*self.geometry.grid_shape, n)
+        object.__setattr__(self, "values", np.broadcast_to(_owned(core), grid))
         object.__setattr__(self, "_kept", core)
 
     def at_rank(self, rank: int) -> np.ndarray:
@@ -212,20 +211,18 @@ def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
 
 
 def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueField:
-    """Read-only pencil eigenvalues of (R, omega), solved once per frozen pair.
+    """Read-only pencil eigenvalues of (R, omega), solved once per pair.
 
-    When neither field can change (``_frozen``), ``R`` keeps one entry:
-    the last ``omega`` it was solved against and the result. The same
-    ``omega`` object (``is``) gets the same field back; any other metric
-    is solved and replaces the entry.
+    ``R`` keeps one entry: the last ``omega`` it was solved against and
+    the result. Fields own read-only arrays, so the entry cannot go stale.
+    The same ``omega`` object (``is``) gets the same field back; any other
+    metric is solved and replaces the entry.
     """
     cached = R._pencil
-    if cached is not None and cached[0] is omega:
-        return cached[1]
-    ev = _pencil_eigenvalues(R.geometry, _operand(R), _operand(omega))
-    if _frozen(R) and _frozen(omega):
-        R._pencil = (omega, ev)
-    return ev
+    if cached is None or cached[0] is not omega:
+        ev = _pencil_eigenvalues(R.geometry, _operand(R), _operand(omega))
+        R._pencil = cached = (omega, ev)
+    return cached[1]
 
 
 def generalized_eigenvalues(
@@ -236,9 +233,9 @@ def generalized_eigenvalues(
     These are the eigenvalues of the Hermitian matrix L^{-1} R L^{-*},
     with Omega = L L* the Cholesky factorization; real, base-point frame
     independent, and returned sorted descending in a read-only array.
-    When both fields are read-only the result is remembered on ``R``:
-    asking again with the same ``omega`` object returns the same field
-    without solving the pencil again.
+    The result is remembered on ``R``: asking again with the same
+    ``omega`` object returns the same field without solving the pencil
+    again.
     """
     if R.geometry != omega.geometry:
         raise ValueError("curvature and base metric live on different grids")
@@ -247,8 +244,8 @@ def generalized_eigenvalues(
 
 def _resolve_eps(ev_scale: float, eps: float | None) -> float:
     if eps is not None:
-        if not eps >= 0:
-            raise ValueError(f"tolerance must be nonnegative, got {eps}")
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"tolerance must be nonnegative and finite, got {eps}")
         return float(eps)
     return DEFAULT_EPS_REL * ev_scale
 
@@ -385,9 +382,9 @@ def uniformize_metric(
     positive definite, and the pencil eigenvalues of R against the output
     equal (exp(t*lambda_i) - 1)/t.
 
-    The rate comes from the shared pencil solve of (R, omega), and every
-    array behind the output is read-only, so the checks run against it
-    share one pencil solve, as they do against ``omega``.
+    The rate comes from the shared pencil solve of (R, omega), and the
+    checks run against the output share one pencil solve, as they do
+    against ``omega``.
 
     Raises NotQPositiveError (via growth_rate) when the input curvature is
     not q-positive against ``omega``, and UniformizationRangeError when
@@ -417,7 +414,7 @@ def uniformize_metric(
 
     new = _tiled(transform, _operand(R), base)
     try:
-        return _freeze(MetricField._computed(L.geometry, new))
+        return MetricField._computed(L.geometry, new)
     except ValueError as exc:
         # Positive definite and finite in exact arithmetic: float64 lost
         # the metric's small eigen-part, as it does once its condition

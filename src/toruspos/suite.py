@@ -237,8 +237,10 @@ def run_equivalence_corpus(
     count: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
+    eps: float | None = None,
 ) -> tuple[list[SuiteReport], dict]:
-    """Run the suite on ``count`` seeded random instances.
+    """Run the suite on ``count`` seeded random instances, each with
+    ``delta`` and ``eps`` (``equivalence_suite``).
 
     Returns the reports plus an aggregate summary; ``fails`` should always
     be zero, anything else indicates a bug in one of the four routes.
@@ -247,7 +249,7 @@ def run_equivalence_corpus(
     reports = []
     for index in range(count):
         bundle = random_bundle(rng, geometry)
-        report = equivalence_suite(bundle, delta=delta)
+        report = equivalence_suite(bundle, delta=delta, eps=eps)
         report.details["index"] = index
         report.details["mu"] = [
             float(v) for v in np.linalg.eigvalsh(bundle.r_const)

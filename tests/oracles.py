@@ -41,7 +41,6 @@ from toruspos import lattice, planes, qpositivity
 from toruspos.errors import InternalInvariantError
 from toruspos.lattice import (
     TorusGeometry,
-    _freeze,
     _join,
     _require_same_geometry,
     _split,
@@ -286,12 +285,12 @@ def _congruence(T: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def materialized_weight(L: LineBundleMetric) -> LineBundleMetric:
-    """``L`` with its weight rebuilt as a frozen, contiguous grid array that
-    keeps the weight's mode table; a constant weight stays one number."""
+    """``L`` with its weight rebuilt as a contiguous grid array that keeps
+    the weight's mode table; a constant weight stays one number."""
     phi = L.phi
     if phi.value is not None:
         return L
-    grid = _freeze(ScalarField(L.geometry, np.ascontiguousarray(phi.values)))
+    grid = ScalarField(L.geometry, np.ascontiguousarray(phi.values))
     grid._modes = phi._modes
     return LineBundleMetric(L.geometry, L.r_const, grid, L.phi_expression)
 

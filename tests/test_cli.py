@@ -305,6 +305,25 @@ def test_tolerance_flag_recorded_in_config_echo(tmp_path):
     assert report["result"]["pointwise"]["tolerance"] == 1e-6
 
 
+def test_corpus_runs_at_the_tolerance_it_echoes(tmp_path, monkeypatch):
+    """A corpus report used to echo the tolerance it never used."""
+    seen = []
+    original = cli.run_equivalence_corpus
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["eps"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_equivalence_corpus", recording)
+    out = tmp_path / "out"
+    args = ["equivalence-suite", "--corpus", "4", "--seed", "7", "--grid", "4"]
+    assert cli.main([*args, "--out-dir", str(out), "--tolerance", "1e-12"]) == 0
+    assert seen == [1e-12]
+    assert json.loads((out / "report.json").read_text())["config"]["tolerances"][
+        "eps_pos"
+    ] == 1e-12
+
+
 def test_out_dir_env_var_sets_default(tmp_path, monkeypatch):
     env_dir = tmp_path / "envout"
     monkeypatch.setenv("TORUSPOS_OUT_DIR", str(env_dir))
@@ -433,6 +452,9 @@ def test_library_value_error_after_resolution_exits_three(
         ("check-qpos", {"delta": "abc"}),
         ("check-qpos", {"delta": -1.0}),
         ("dump-field", {"eps_pos": [0.1]}),
+        ("equivalence-suite", {"delta": 1.0}),
+        ("certify", {"delta": 10.0}),
+        ("check-qpos", {"eps_pos": float("inf")}),
     ],
 )
 def test_bad_tolerances_exit_two(tmp_path, capsys, task, tolerances):

@@ -35,7 +35,7 @@ from toruspos import (
     scalar_field_from_expression,
     uniformize_metric,
 )
-from toruspos.lattice import _core, _freeze
+from toruspos.lattice import _core
 from toruspos.planes import _TILE, _tiles
 
 # n: samples per axis (16^2, 8^4 and 4^6 points).
@@ -243,13 +243,19 @@ def test_one_axis_normalize_and_certify_stay_off_the_grid():
     assert _peak(sequence) < 2 * 2**20
 
 
-def test_expression_fields_handed_to_callers_stay_writeable_grids():
-    """scalar_field_from_expression gives the caller a grid array to own;
-    the bundle keeps the weight on its core."""
+def test_expression_fields_are_read_only_cores():
+    """scalar_field_from_expression gives the field a bundle keeps: on its
+    core, read-only, with its mode table; a caller's grid copy of it is a
+    new field on the whole grid, with no table."""
     g = TorusGeometry.regular(1, 8)
     field = scalar_field_from_expression(g, "0.5*sin(x1)")
-    assert field.values.flags.writeable and field.values.shape == g.grid_shape
-    frozen = _freeze(scalar_field_from_expression(g, "0.5*sin(x1)"))
-    L = LineBundleMetric.from_expression(g, np.eye(1), "0.5*sin(x1)")
-    assert np.array_equal(L.phi.values, frozen.values)
-    assert _core(L.phi.values).shape == (8, 1)
+    assert _core(field.values).shape == (8, 1) and field.values.shape == g.grid_shape
+    assert not field.values.flags.writeable and field._modes is not None
+    L = LineBundleMetric(g, np.eye(1), field)
+    assert L.phi is field
+    assert np.array_equal(
+        LineBundleMetric.from_expression(g, np.eye(1), "0.5*sin(x1)").phi.values,
+        field.values,
+    )
+    grid = ScalarField(g, np.array(field.values))
+    assert _core(grid.values).shape == g.grid_shape and grid._modes is None

@@ -367,17 +367,17 @@ def test_constant_metric_matches_materialized_copy(n, samples):
 
 
 def test_chern_curvature_is_computed_once_per_bundle(monkeypatch):
-    """A counter on complex_hessian, no timing: two calls, one Hessian."""
+    """A counter on the Hessian's planes, no timing: two calls, one Hessian."""
     import toruspos.curvature as curvature_module
 
     calls = []
-    original = curvature_module.complex_hessian
+    original = curvature_module._hessian_planes
 
     def counting(phi):
         calls.append(phi)
         return original(phi)
 
-    monkeypatch.setattr(curvature_module, "complex_hessian", counting)
+    monkeypatch.setattr(curvature_module, "_hessian_planes", counting)
     g = TorusGeometry.regular(2, 8)
     L = LineBundleMetric.from_expression(g, np.eye(2), "0.2*cos(x1)*sin(y2)")
     first = chern_curvature(L)
@@ -435,8 +435,8 @@ def test_bundle_data_and_curvature_are_read_only():
         L.r_const[0, 0] = 1.0
     with pytest.raises(ValueError):
         R.values[0, 0, 0, 0] = 1.0
-    # The caller's arrays are copied, not frozen.
-    phi.values[0, 0] = 1.0
+    # The caller's read-only weight is kept as it is; its r_const is copied.
+    assert L.phi is phi
     r_const[0, 0] = 1.0
     assert chern_curvature(L) is R and L.r_const[0, 0] == 2.0
     with pytest.raises(ValueError):
@@ -457,7 +457,7 @@ def test_constant_weights_stay_one_number():
     assert np.array_equal(chern_curvature(L).matrix, r_const)
     s = scalar_curvature(L, omega)
     assert s.value == np.einsum("ij,ji->", np.linalg.inv(omega.matrix), r_const).real
-    # A constant weight over a writeable number is copied as one number.
+    # A field over a writeable number copies it as one number.
     number = np.array(2.0)
     shared = ScalarField(g, np.broadcast_to(number, g.grid_shape))
     kept = LineBundleMetric(g, r_const, shared)

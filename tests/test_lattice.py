@@ -137,7 +137,7 @@ def test_computed_planes_are_gated_for_finiteness_only(monkeypatch):
     # The mode table writes the planes on the axes of x1, y2 and y3; the
     # half spectrum of a grid copy on the whole grid.
     for weight, core in (
-        (lattice_module._freeze(phi), (4, 1, 1, 4, 1, 4)),
+        (phi, (4, 1, 1, 4, 1, 4)),
         (ScalarField(g, phi.values.copy()), g.grid_shape),
     ):
         H = complex_hessian(weight)

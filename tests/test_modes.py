@@ -34,8 +34,6 @@ from toruspos import (
 )
 from toruspos.lattice import (
     _difference,
-    _freeze,
-    _mode_table,
     _Modes,
     _synthesize,
     _waves,
@@ -111,12 +109,12 @@ def test_mode_route_agrees_with_grid_route(instance, seed):
     L = LineBundleMetric.from_expression(geom, random_hermitian(rng, n, 2.0), text)
     phi = L.phi
     assume(phi.value is None)
-    table = _mode_table(phi)
+    table = phi._modes
     # A weight of more than _Modes.MAX_PAIRS pairs has no table and takes
     # the grid route (test_a_weight_past_the_pair_limit_takes_the_grid_route).
     assume(table is not None)
     grid_L = L.with_weight(ScalarField(geom, phi.values.copy()))
-    assert _mode_table(grid_L.phi) is None
+    assert grid_L.phi._modes is None
     scale = phi.max_abs()
     # The table is the weight.
     waves = _waves(geom, table, table.coefficients)
@@ -126,10 +124,10 @@ def test_mode_route_agrees_with_grid_route(instance, seed):
     hessian = complex_hessian(phi).values
     s = scalar_curvature(L, omega).values
     g = _difference(phi, ScalarField.constant(geom, phi.mean()))
-    assert _mode_table(g) is not None
+    assert g._modes is not None
     f_poisson = poisson_solve(g, omega).values
     f, cert = normalize_scalar_curvature(L, omega)
-    assert f.value is not None or _mode_table(f) is not None
+    assert f.value is not None or f._modes is not None
     grid_g = ScalarField(geom, g.values.copy())
     grid_f, grid_cert = normalize_scalar_curvature(grid_L, omega)
 
@@ -149,14 +147,12 @@ def test_expression_tables_expand_products_in_doubled_modes():
     """On a period of pi, sin(x1) carries the half mode 1/2; its product
     with cos(x1) is sin(2 x1)/2, the integer mode 1 with no constant."""
     g = TorusGeometry.regular(1, 8, period=math.pi)
-    table = _mode_table(_freeze(scalar_field_from_expression(g, "sin(x1)*cos(x1)")))
+    table = scalar_field_from_expression(g, "sin(x1)*cos(x1)")._modes
     assert table.constant == 0.0
     assert table.wavevectors.tolist() == [[1, 0]]
     assert table.coefficients.tolist() == [-0.25j]
     g = TorusGeometry.regular(2, 8)
-    table = _mode_table(
-        _freeze(scalar_field_from_expression(g, "2 - 0.5*cos(y2) + sin(0*x1)"))
-    )
+    table = scalar_field_from_expression(g, "2 - 0.5*cos(y2) + sin(0*x1)")._modes
     assert table.constant == 2.0
     assert table.wavevectors.tolist() == [[0, 0, 0, 1]]
     assert table.coefficients.tolist() == [-0.25]
@@ -167,8 +163,8 @@ def test_a_period_off_a_multiple_of_pi_has_no_table():
     """A frequency whose doubled mode is not an exact integer gives no
     table (the grid route), even where the resolution check passes."""
     g = TorusGeometry.regular(1, 8, period=2.0 * math.pi * (1.0 + 1e-12))
-    field = _freeze(scalar_field_from_expression(g, "cos(x1)"))
-    assert field.value is None and _mode_table(field) is None
+    field = scalar_field_from_expression(g, "cos(x1)")
+    assert field.value is None and field._modes is None
 
 
 def test_a_product_past_the_pair_limit_has_no_table(monkeypatch):
@@ -177,22 +173,26 @@ def test_a_product_past_the_pair_limit_has_no_table(monkeypatch):
     bound."""
     g = TorusGeometry.regular(2, 8)
     text = "sin(x1)*sin(y1)*sin(x2)"  # 8 modes, 4 pairs
-    assert _mode_table(_freeze(scalar_field_from_expression(g, text))).pairs == 4
+    assert scalar_field_from_expression(g, text)._modes.pairs == 4
     monkeypatch.setattr(_Modes, "MAX_PAIRS", 3)
-    assert _mode_table(_freeze(scalar_field_from_expression(g, text))) is None
+    assert scalar_field_from_expression(g, text)._modes is None
 
 
-def test_only_frozen_fields_hand_out_their_table():
-    """A caller may write into an evaluated field, so its table is read
-    only once it is frozen; a bundle's defensive copy has none."""
+def test_a_table_stays_with_the_values_it_was_made_from():
+    """An evaluated field cannot be written into, so its table holds; a
+    caller who changes a copy of its values builds a new field, which has
+    no table. A bundle keeps its weight, table and all."""
     g = TorusGeometry.regular(1, 8)
     field = scalar_field_from_expression(g, "0.5*sin(x1)")
-    assert _mode_table(field) is None and field.values.flags.writeable
-    field.values[0, 0] = 1.0
-    copied = LineBundleMetric(g, np.array([[1.0]]), field)
-    assert _mode_table(copied.phi) is None
+    assert field._modes is not None and not field.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        field.values[0, 0] = 1.0
+    values = np.array(field.values)
+    values[0, 0] = 1.0
+    copied = LineBundleMetric(g, np.array([[1.0]]), ScalarField(g, values))
+    assert copied.phi._modes is None
     kept = LineBundleMetric.from_expression(g, np.array([[1.0]]), "0.5*sin(x1)")
-    assert _mode_table(kept.phi) is not None
+    assert kept.phi._modes is not None
     assert LineBundleMetric(g, kept.r_const, kept.phi).phi is kept.phi
 
 
@@ -206,7 +206,7 @@ def test_solutions_are_read_only_on_both_routes():
         g, np.diag([1.0, 0.5]), "0.3*sin(x1)*cos(y2) - 0.1*cos(x2)"
     )
     grid_L = L.with_weight(ScalarField(g, L.phi.values.copy()))
-    assert _mode_table(L.phi) is not None and _mode_table(grid_L.phi) is None
+    assert L.phi._modes is not None and grid_L.phi._modes is None
     for bundle in (L, grid_L):
         for f in (poisson_solve(bundle.phi, omega),
                   normalize_scalar_curvature(bundle, omega)[0]):
@@ -219,19 +219,19 @@ def test_negation_and_difference_keep_the_tables():
     g = TorusGeometry.regular(2, 8)
     L = LineBundleMetric.from_expression(g, np.eye(2), "0.5*sin(x1) + 0.25*cos(y2)")
     other = LineBundleMetric.from_expression(g, np.eye(2), "0.5*sin(x1) - cos(x2)")
-    table = _mode_table(L.phi)
-    dual = _mode_table(L.dual().phi)
+    table = L.phi._modes
+    dual = L.dual().phi._modes
     assert dual.constant == 0.0
     assert np.array_equal(dual.coefficients, -table.coefficients)
-    difference = _mode_table(_difference(L.phi, other.phi))
+    difference = _difference(L.phi, other.phi)._modes
     assert difference.wavevectors.tolist() == [[0, 0, 0, 1], [0, 0, 1, 0]]
     assert difference.coefficients.tolist() == [0.125, 0.5]
-    shifted = _mode_table(_difference(L.phi, ScalarField.constant(g, 1.5)))
+    shifted = _difference(L.phi, ScalarField.constant(g, 1.5))._modes
     assert shifted.constant == -1.5
     assert np.array_equal(shifted.coefficients, table.coefficients)
     # A grid field has no table, so neither has a difference with one.
     grid = ScalarField(g, other.phi.values.copy())
-    assert _mode_table(_difference(L.phi, grid)) is None
+    assert _difference(L.phi, grid)._modes is None
 
 
 # ---------------------------------------------------------------- counters
@@ -264,7 +264,7 @@ def test_a_weight_past_the_pair_limit_takes_the_grid_route(transform_calls):
     for text, calls in ((" + ".join(waves[:limit]), False),
                         (" + ".join(waves[: limit + 1]), True)):
         L = LineBundleMetric.from_expression(g, np.eye(1), text)
-        assert (_mode_table(L.phi) is None) == calls
+        assert (L.phi._modes is None) == calls
         transform_calls.clear()
         complex_hessian(L.phi)
         assert bool(transform_calls) == calls

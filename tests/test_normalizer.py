@@ -129,6 +129,15 @@ def test_aligned_weights_cap_negative_contribution():
     assert trace >= (1.0 - delta) * 4.0
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 10.0, math.inf, math.nan])
+def test_aligned_weights_need_delta_below_one(delta):
+    """The trace bound (1 - delta) * sum of positive mu is positive only
+    for 0 < delta < 1: at diag(2, -5) a delta of 1 gives trace 0 and one
+    of 10 a trace of -3."""
+    with pytest.raises(ValueError, match="delta must lie in"):
+        aligned_inverse_weights(np.array([-5.0, 2.0]), delta)
+
+
 def test_aligned_matrix_none_for_semi_negative():
     assert aligned_metric_matrix(-np.eye(2)) is None
     assert aligned_metric_matrix(np.zeros((2, 2))) is None
@@ -289,7 +298,7 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
         return wrapper
 
     for module in (curvature_module, lattice_module, normalizer_module):
-        for name in ("chern_curvature", "complex_hessian"):
+        for name in ("chern_curvature", "complex_hessian", "_hessian_planes"):
             if hasattr(module, name):
                 monkeypatch.setattr(
                     module, name, counting(name, getattr(module, name))
@@ -307,7 +316,7 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
     assert calls == []
     # The counters are live: the field route does call them.
     curvature_module.chern_curvature(L)
-    assert calls == ["chern_curvature", "complex_hessian"]
+    assert calls == ["chern_curvature", "_hessian_planes"]
 
 
 def _grid_weight(L: LineBundleMetric) -> LineBundleMetric:
@@ -418,7 +427,7 @@ def test_grid_copy_metric_solves_the_same_exponent():
 # -------------------------------------------------------------- tolerances
 
 
-@pytest.mark.parametrize("eps", [-10.0, math.nan])
+@pytest.mark.parametrize("eps", [-10.0, math.nan, math.inf])
 @pytest.mark.parametrize(
     "entry",
     [
@@ -431,7 +440,9 @@ def test_grid_copy_metric_solves_the_same_exponent():
     ids=["normalize", "certify", "search"],
 )
 def test_negative_or_nan_eps_is_rejected(entry, eps):
-    """A negative tolerance used to certify diag(-1, -2) with margin -3."""
+    """A negative tolerance used to certify diag(-1, -2) with margin -3;
+    an infinite one refutes every class, and the suite then disagreed with
+    its own oracle."""
     g = TorusGeometry.regular(2, 4)
     L = LineBundleMetric.from_constant(g, np.diag([-1.0, -2.0]))
     with pytest.raises(ValueError, match="tolerance must be nonnegative"):

@@ -31,6 +31,7 @@ from toruspos import (
     LineBundleMetric,
     MetricField,
     NotQPositiveError,
+    ScalarField,
     TorusGeometry,
     UniformizationRangeError,
     check_q_positive,
@@ -45,7 +46,6 @@ from toruspos import (
     uniformize_metric,
 )
 from toruspos import cli
-from toruspos.lattice import _frozen
 from toruspos.qpositivity import EigenvalueField
 
 
@@ -301,7 +301,8 @@ def test_only_the_public_eigenvalue_constructor_checks_the_order():
     ascending[..., 1] = 1.0
     with pytest.raises(ValueError, match="descending"):
         EigenvalueField(g, ascending)
-    assert EigenvalueField._descending(g, ascending).values is not None
+    # _descending takes over the array it is handed, so it gets a copy.
+    assert EigenvalueField._descending(g, ascending.copy()).values is not None
     ascending[0, 0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         EigenvalueField._descending(g, ascending)
@@ -727,35 +728,51 @@ def test_uniformized_metric_planes_are_read_only():
             assert plane.base is None or not plane.base.flags.writeable
 
 
-def test_writeable_user_metric_is_solved_fresh(pencil_solves):
-    """No cache is kept while a writeable array stands behind the metric,
-    so an in-place change is seen by the next call."""
+@pytest.mark.parametrize("handed", ["grid", "broadcast"])
+def test_caller_writes_after_construction_reach_no_field(pencil_solves, handed):
+    """Every field constructor copies the core of the caller's array once:
+    a later write into that array changes no field, no cached curvature,
+    no pencil entry and no verdict, and a caller-built metric is solved
+    once."""
     g = TorusGeometry.regular(2, 4)
-    R = chern_curvature(_weighted_bundle(g))
-    matrix = np.array([[1.2, 0.1], [0.1, 0.9]], dtype=complex)
-    grid_values = np.broadcast_to(matrix, (*g.grid_shape, 2, 2)).copy()
-    # A grid copy the user owns, and a read-only broadcast view of a
-    # writeable user matrix: each changes under the metric.
-    view = np.broadcast_to(matrix, grid_values.shape)
-    for values, owner in ((grid_values, grid_values), (view, matrix)):
-        omega = MetricField(g, values)
-        before = generalized_eigenvalues(R, omega)
-        assert R._pencil is None
-        owner *= 2.0
-        after = generalized_eigenvalues(R, omega)
-        assert after is not before
-        assert np.allclose(after.values, before.values / 2.0, rtol=1e-13, atol=0.0)
-    assert len(pencil_solves) == 4
-    # A writeable curvature field is never cached either.
-    R_values = chern_curvature(_weighted_bundle(g)).values.copy()
-    user_R = HermitianMatrixField(g, R_values)
-    omega = identity_metric(g)
-    before = generalized_eigenvalues(user_R, omega)
-    R_values *= 3.0
-    assert np.allclose(
-        generalized_eigenvalues(user_R, omega).values, 3.0 * before.values, rtol=1e-13
-    )
-    assert user_R._pencil is None
+    grid = g.grid_shape
+    x = g.axis_coordinates(0).reshape(-1, 1, 1, 1)
+    # Each caller array at its smallest, and the shape of the field's values.
+    small = {
+        "weight": (0.01 * np.cos(x), grid),
+        "metric": (np.array([[1.2, 0.1j], [-0.1j, 0.9]]), (*grid, 2, 2)),
+        "matrix": (np.array([[1.5, 0.2], [0.2, -0.4]], dtype=complex), (*grid, 2, 2)),
+        "eigenvalues": (np.array([2.0, -1.0]), (*grid, 2)),
+    }
+    if handed == "grid":  # a grid array the caller owns
+        owners = {k: np.broadcast_to(v, shape).copy() for k, (v, shape) in small.items()}
+        values = owners
+    else:  # a read-only broadcast view of a small array the caller owns
+        owners = {k: v for k, (v, _) in small.items()}
+        values = {k: np.broadcast_to(v, shape) for k, (v, shape) in small.items()}
+    phi = ScalarField(g, values["weight"])
+    omega = MetricField(g, values["metric"])
+    M = HermitianMatrixField(g, values["matrix"])
+    ev = EigenvalueField(g, values["eigenvalues"])
+    L = LineBundleMetric(g, np.diag([1.5, -0.4]), phi)
+    R = chern_curvature(L)
+    before = check_q_positive(L, omega, 1)
+    solved = generalized_eigenvalues(R, omega)
+    assert before.verdict and len(pencil_solves) == 1
+    solved_M = generalized_eigenvalues(M, omega)
+    fields = (phi, omega, M, ev, R, solved, solved_M)
+    snapshot = [f.values.copy() for f in fields]
+
+    for owner in owners.values():
+        owner *= -3.0  # the metric indefinite, the eigenvalues ascending
+
+    assert all(np.array_equal(f.values, s) for f, s in zip(fields, snapshot))
+    assert L.phi is phi and chern_curvature(L) is R
+    assert generalized_eigenvalues(R, omega) is solved
+    assert generalized_eigenvalues(M, omega) is solved_M
+    after = check_q_positive(L, omega, 1)
+    assert (after.verdict, after.margin) == (before.verdict, before.margin)
+    assert len(pencil_solves) == 2
 
 
 def test_equal_metric_object_misses(pencil_solves):
@@ -780,7 +797,7 @@ def test_n3_uniformize_seeds_the_cache_and_freezes_its_output(pencil_solves):
     assert len(pencil_solves) == 1
     assert R._pencil[0] is omega
     assert generalized_eigenvalues(R, omega) is R._pencil[1]
-    assert _frozen(new) and not new.values.flags.writeable
+    assert not new.values.flags.writeable
     with pytest.raises(ValueError):
         new.values[(0,) * new.values.ndim] = 0.0
     assert generalized_eigenvalues(R, new) is generalized_eigenvalues(R, new)
@@ -868,7 +885,7 @@ def test_constant_n3_pencil_is_solved_on_one_matrix(monkeypatch):
     assert ev.values.shape == (*g.grid_shape, 3)
     # Its uniformized metric is one matrix too, kept as a constant metric.
     new = uniformize_metric(L, omega, 0)
-    assert new.matrix is not None and _frozen(new)
+    assert new.matrix is not None and not new.matrix.flags.writeable
     rate = growth_rate(ev, 0)
     predicted = np.expm1(rate * ev.values) / rate
     kappa = generalized_eigenvalues(R, new).values
@@ -879,7 +896,7 @@ def test_constant_n3_pencil_is_solved_on_one_matrix(monkeypatch):
         L = LineBundleMetric.from_constant(g, hermitian_with_eigs(rng, eigs))
         omega = constant_metric(g, random_pd_matrix(rng, n))
         new = uniformize_metric(L, omega, 0)
-        assert new.matrix is not None and _frozen(new)
+        assert new.matrix is not None and not new.matrix.flags.writeable
         ev = generalized_eigenvalues(chern_curvature(L), omega)
         rate = growth_rate(ev, 0)
         predicted = np.expm1(rate * ev.values) / rate
@@ -895,12 +912,11 @@ _PENCIL_KINDS = [(1, False), (2, False), (1, True), (2, True), (3, False)]
 
 
 def _field(g, values, cls=HermitianMatrixField):
-    """A constant field of one n x n matrix, or a read-only grid field."""
+    """A constant field of one n x n matrix, or a grid field."""
     values = np.array(values, dtype=np.complex128)
     values = 0.5 * (values + np.conj(np.swapaxes(values, -1, -2)))
     if values.ndim == 2:
         return cls.constant(g, values)
-    values.setflags(write=False)
     return cls(g, values)
 
 

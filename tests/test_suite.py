@@ -336,6 +336,25 @@ def test_corpus_run_all_pass():
     assert lines[0].startswith("index,mu,phi")
 
 
+def test_corpus_runs_each_instance_at_the_given_tolerance():
+    """The corpus hands its tolerance to every instance: each row equals
+    the suite at that tolerance on the same seeded bundle, and a tolerance
+    past some instances' margins flips their rows."""
+    g = TorusGeometry.regular(2, 4)
+    eps = 0.3
+    reports, _ = run_equivalence_corpus(g, 30, seed=7, eps=eps)
+    default, _ = run_equivalence_corpus(g, 30, seed=7)
+    rng = np.random.default_rng(7)
+    for report in reports:
+        bundle = random_bundle(rng, g)
+        expected = equivalence_suite(bundle, eps=eps)
+        expected.details["index"] = report.details["index"]
+        expected.details["mu"] = [float(v) for v in np.linalg.eigvalsh(bundle.r_const)]
+        assert corpus_csv_lines([report]) == corpus_csv_lines([expected])
+    flipped = sum(r.verdicts != d.verdicts for r, d in zip(reports, default))
+    assert 0 < flipped < len(reports)
+
+
 #: Geometries of the strong-weight draw: n = 1 on 16^2, 2 on 8^4, 3 on 4^6.
 STRONG_GEOMETRIES = [TorusGeometry.regular(n, s) for n, s in ((1, 16), (2, 8), (3, 4))]
 

@@ -28,7 +28,6 @@ from toruspos import (
     growth_rate,
     uniformize_metric,
 )
-from toruspos.lattice import _freeze
 from toruspos.planes import (
     _TILE,
     _cholesky,
@@ -154,8 +153,7 @@ def _bits_equal(a, b) -> bool:
 def test_tiled_pipeline_equals_whole_planes(n, samples, q, base, weight):
     g = TorusGeometry.regular(n, samples)
     L = _bundle(g, q, weight)
-    # Frozen, so each pencil is solved once.
-    omega = _freeze((_constant_metric if base == "constant" else _varying_metric)(g))
+    omega = (_constant_metric if base == "constant" else _varying_metric)(g)
     R = chern_curvature(L)
     assert check_q_positive(L, omega, q).verdict
     new = uniformize_metric(L, omega, q)
