@@ -56,8 +56,9 @@ class LineBundleMetric:
 
     ``r_const`` is a read-only private copy, and the weight is kept as it
     is: a field owns its data and cannot change, so the curvature that
-    chern_curvature caches on the bundle cannot go stale. A constant
-    weight stays one number, and a weight keeps its mode table.
+    chern_curvature caches on the bundle, and the class spectrum that
+    class_spectrum caches there, cannot go stale. A constant weight stays
+    one number, and a weight keeps its mode table.
     ``from_expression`` evaluates its weight on the axes it varies along
     (``scalar_field_from_expression``).
     """
@@ -67,6 +68,9 @@ class LineBundleMetric:
     phi: ScalarField
     phi_expression: str | None = None
     _curvature: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _spectrum: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -163,7 +167,7 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
     as one matrix.
     """
     cached = L._curvature
-    if cached is not None and cached[0] is L.r_const and cached[1] is L.phi.values:
+    if cached is not None and cached[0] is L.r_const and cached[1] is L.phi:
         return cached[2]
     if _known_constant(L.phi):
         R = HermitianMatrixField.constant(L.geometry, L.r_const)
@@ -176,8 +180,31 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
         for plane, entry in zip(planes, _split(L.r_const)):
             plane += entry
         R = HermitianMatrixField._computed(L.geometry, planes)
-    L._curvature = (L.r_const, L.phi.values, R)
+    L._curvature = (L.r_const, L.phi, R)
     return R
+
+
+def class_spectrum(L: LineBundleMetric) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh(r_const)``: the eigenvalues of the class, ascending, and an
+    orthonormal eigenbasis as columns, both read-only.
+
+    Computed once per bundle and cached on it, like the curvature: the
+    suite's class routes, the certificate's aligned metric and the corpus
+    CSV all read this one eigensolve.
+    """
+    cached = L._spectrum
+    if cached is None or cached[0] is not L.r_const:
+        cached = L._spectrum = (L.r_const, *_eigenpairs(L.r_const))
+    return cached[1], cached[2]
+
+
+def _eigenpairs(r_const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a class matrix, read-only: the one eigensolve of a class
+    in the package (class_spectrum; a tier-1 source rule keeps it so)."""
+    mu, U = np.linalg.eigh(r_const)
+    mu.setflags(write=False)
+    U.setflags(write=False)
+    return mu, U
 
 
 def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
@@ -209,8 +236,7 @@ def _scalar_curvature(
     geom = L.geometry
     if omega.geometry != geom:
         raise ValueError("base metric lives on a different grid")
-    const = omega.matrix
-    if const is None:
+    if omega.matrix is None:
 
         def trace(f, w):
             # Both stacks on one shape, so that einsum sums every point in
@@ -221,7 +247,7 @@ def _scalar_curvature(
 
         (tr,) = _tiled(trace, chern_curvature(L)._planes, omega._planes)
         return _from_core(geom, tr), None, None
-    W = np.linalg.inv(const)
+    W = omega._inverse
     trace = np.einsum("ij,ji->", W, L.r_const).real
     if _known_constant(L.phi):
         return ScalarField.constant(geom, trace), None, None
@@ -243,9 +269,8 @@ def volume_integral(omega: MetricField) -> float:
     so a grid copy of a constant metric has the same volume.
     """
     geom = omega.geometry
-    const = omega.matrix
-    if const is not None:
-        return geom.cell_volume * (float(np.linalg.det(const).real) * geom.num_points)
+    if omega.matrix is not None:
+        return geom.cell_volume * (omega._determinant * geom.num_points)
     (dets,) = _tiled(lambda w: (np.linalg.det(_join(w)).real,), omega._planes)
     return geom.cell_volume * compensated_sum(np.broadcast_to(dets, geom.grid_shape))
 
@@ -258,14 +283,14 @@ def degree_integral(L: LineBundleMetric, omega: MetricField) -> float:
     accepted: on a flat torus those are automatically Kaehler, hence the
     pairing is an invariant of the curvature class (independent of phi).
     """
-    const = constant_representative(omega)  # NonConstantMetricError if it varies
-    return _degree_of_trace(scalar_curvature(L, omega), const)
+    det = omega._determinant  # NonConstantMetricError if it varies
+    return _degree_of_trace(scalar_curvature(L, omega), det)
 
 
-def _degree_of_trace(tr: ScalarField, const: np.ndarray) -> float:
-    """``(1/n) * integral of tr * det(const)`` for a constant base matrix."""
+def _degree_of_trace(tr: ScalarField, det: float) -> float:
+    """``(1/n) * integral of tr * det`` for the determinant ``det`` of a
+    constant base matrix."""
     geom = tr.geometry
-    det = float(np.linalg.det(const).real)
     return det / geom.complex_dim * geom.cell_volume * compensated_sum(tr.values)
 
 

@@ -372,10 +372,10 @@ def random_expression(
     parts = []
     for _ in range(n_terms):
         coeff = round(float(rng.uniform(0.2, 1.0)) * amplitude, 4)
-        fn = rng.choice(["sin", "cos"])
+        fn = ("sin", "cos")[rng.integers(0, 2)]
         freq = int(rng.integers(1, max_frequency + 1))
         j = int(rng.integers(1, complex_dim + 1))
-        letter = rng.choice(["x", "y"])
+        letter = ("x", "y")[rng.integers(0, 2)]
         coord = f"{letter}{j}"
         arg = coord if freq == 1 else f"{freq}*{coord}"
         parts.append(f"{coeff}*{fn}({arg})")

@@ -483,10 +483,11 @@ class _Spectrum:
     def values(self) -> np.ndarray:
         return _rfftn(self._field.values)
 
-    @property
+    @cached_property
     def symbols(self) -> tuple[np.ndarray, ...]:
         """The d/dz symbols at the bins: ``_dz_symbols``, read at each
-        pair's bin for a table."""
+        pair's bin for a table. Gathered once: the bins are the
+        wavevectors, which ``times`` and ``over`` leave alone."""
         symbols = _dz_symbols(self.geometry)
         if self.wavevectors is None:
             return symbols
@@ -592,10 +593,11 @@ class ScalarField:
     core of the caller's array once into a private read-only array, so a
     later write to the caller's array does not reach the field. ``values``
     is a read-only view of the core with zero strides on the axes the
-    field does not vary along, and validation and reductions read the
-    core. A constant field built by ``constant`` stores one number, and
-    ``value`` hands it to consumers. A field the package computes hands
-    its core over without a copy (``_from_core``).
+    field does not vary along, and validation, reductions and the kernels
+    read the core itself (``_compact``). A constant field built by
+    ``constant`` stores one number, and ``value`` hands it to consumers.
+    A field the package computes hands its core over without a copy
+    (``_from_core``), and ``values`` is then built on first read.
 
     A field may also carry its exact Fourier modes (``_modes``, a
     ``_Modes`` table): a weight evaluated from an expression, or a solution
@@ -606,6 +608,8 @@ class ScalarField:
     values: np.ndarray
 
     _modes = None
+    #: The core (``_core``), read-only; set by every constructor.
+    _data = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values)
@@ -616,39 +620,50 @@ class ScalarField:
                 f"scalar field shape {vals.shape} != grid {self.geometry.grid_shape}"
             )
         self._keep(np.array(_core(vals), dtype=np.float64))
+        self.values = np.broadcast_to(self._data, self.geometry.grid_shape)
 
     def _keep(self, core: np.ndarray) -> None:
-        """Own ``core``, finite, and view it on the grid as ``values``."""
+        """Own ``core``, finite, as the field's data."""
         if not np.all(np.isfinite(core)):
             raise ValueError("scalar field contains non-finite values")
-        self.values = np.broadcast_to(_owned(core), self.geometry.grid_shape)
+        self._data = _owned(core)
+
+    def __getattr__(self, name: str):
+        # Reached only when ``values`` was never set: a field built from its
+        # core views it on the grid on first read.
+        if name != "values" or self._data is None:
+            raise AttributeError(name)
+        self.values = np.broadcast_to(self._data, self.geometry.grid_shape)
+        return self.values
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, value: float) -> "ScalarField":
-        return cls(geometry, np.broadcast_to(float(value), geometry.grid_shape))
+        return _from_core(geometry, float(value))
 
     @property
     def value(self) -> float | None:
-        """The one value when every grid stride is zero, else None."""
-        if any(self.values.strides):
+        """The one value when the core has one entry, else None."""
+        if self._data.size != 1:
             return None
-        return float(self.values[(0,) * self.values.ndim])
+        return self._data.item()
 
     def mean(self) -> float:
         """Exactly rounded grid mean (bit-stable)."""
         return compensated_sum(self.values) / self.geometry.num_points
 
     def max_abs(self) -> float:
-        return _max_abs(self.values)
+        return _max_abs(self._data)
 
 
 def _from_core(geometry: TorusGeometry, core) -> ScalarField:
     """The field whose core is ``core`` (an array that broadcasts against
     the grid, handed over by the package code that computed it): kept
-    without a copy and made read-only."""
+    without a copy, on the grid's rank, and made read-only."""
+    core = np.asarray(core, dtype=np.float64)
     field = ScalarField.__new__(ScalarField)
     field.geometry = geometry
-    field._keep(np.asarray(core, dtype=np.float64))
+    rank = len(geometry.grid_shape)
+    field._keep(_core(core.reshape((1,) * (rank - core.ndim) + core.shape)))
     return field
 
 
@@ -661,7 +676,7 @@ def _known_constant(field: ScalarField) -> bool:
 def _compact(field: ScalarField) -> np.ndarray:
     """The field's core (``_core``): arithmetic on cores costs what the
     axes the fields vary along hold, one entry for a constant field."""
-    return _core(field.values)
+    return field._data
 
 
 def _pointwise(fn, *fields: ScalarField) -> ScalarField:
@@ -854,8 +869,29 @@ class MetricField(HermitianMatrixField):
                 message = "metric field has no Cholesky factor in float64"
                 raise ValueError(message) from exc
 
+    # A constant metric's matrix (``constant_representative``, so a grid
+    # copy is scanned once) and its LAPACK inverse and determinant, each
+    # taken on first use; NonConstantMetricError if the metric varies. The
+    # field cannot change, so neither can they.
 
+    @cached_property
+    def _constant(self) -> np.ndarray:
+        return _owned(constant_representative(self))
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return _owned(np.linalg.inv(self._constant))
+
+    @cached_property
+    def _determinant(self) -> float:
+        return float(np.linalg.det(self._constant).real)
+
+
+@lru_cache(maxsize=32)
 def identity_metric(geometry: TorusGeometry) -> MetricField:
+    """The identity metric, built and gated once per geometry: equal
+    geometries share one field, which cannot change. An entry is one
+    n x n matrix with its inverse and determinant."""
     return constant_metric(geometry, np.eye(geometry.complex_dim))
 
 
@@ -1056,7 +1092,7 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     f is read-only, as every field is.
     """
     geom = _require_same_geometry(g, omega)
-    inverse_metric = np.linalg.inv(constant_representative(omega))
+    inverse_metric = omega._inverse  # NonConstantMetricError if it varies
     _check_mean_zero(g)
     spectrum = _Spectrum.of(g)
     sym = _checked_symbol(spectrum, inverse_metric)

@@ -28,7 +28,9 @@ from .curvature import (
     LineBundleMetric,
     PositivityCertificate,
     _degree_of_trace,
+    _eigenpairs,
     _scalar_curvature,
+    class_spectrum,
     degree_integral,
     volume_integral,
 )
@@ -47,7 +49,6 @@ from .lattice import (
     _spectrum_shape,
     compensated_sum,
     constant_metric,
-    constant_representative,
 )
 from .planes import _cholesky, _congruence, _descending_eigenvalues
 from .qpositivity import _operand, _resolve_eps
@@ -116,17 +117,18 @@ def normalize_scalar_curvature(
     """
     geom = L.geometry
     grid = geom.grid_shape
-    const = constant_representative(omega)  # NonConstantMetricError if it varies
+    W = omega._inverse  # NonConstantMetricError if it varies
     # The class scale sets only the default; a given tolerance is checked.
-    eps = _resolve_eps(_class_scale(L, const) if eps is None else 0.0, eps)
-    W = np.linalg.inv(const)
+    scale = _class_scale(L, omega._constant) if eps is None else 0.0
+    eps = _resolve_eps(scale, eps)
     # At most one trace symbol per call, built only where it is used: the
     # scalar curvature filters a varying weight with it, at the bins of the
     # weight's spectrum, and the solver divides by the same one. A constant weight
     # leaves nothing to filter or solve.
     s, spectrum, symbol = _scalar_curvature(L, omega, checked=True)
     # The expression target_constant evaluates, on the s already at hand.
-    c = geom.complex_dim * _degree_of_trace(s, const) / volume_integral(omega)
+    degree = _degree_of_trace(s, omega._determinant)
+    c = geom.complex_dim * degree / volume_integral(omega)
     rhs = _compact(s) - c
     # c is the exact mean of s in exact arithmetic, so anything left in the
     # mean is quadrature round-off; remove it so the solvability check
@@ -192,8 +194,7 @@ def aligned_inverse_weights(mu: np.ndarray, delta: float) -> np.ndarray:
     which is positive for 0 < delta < 1 only; any other delta raises
     ValueError.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    _check_delta(delta)
     mu = np.asarray(mu, dtype=np.float64)
     positive = mu > 0.0
     negative = mu < 0.0
@@ -207,6 +208,11 @@ def aligned_inverse_weights(mu: np.ndarray, delta: float) -> np.ndarray:
     return w
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def aligned_metric_matrix(
     r_const: np.ndarray, delta: float = DEFAULT_DELTA
 ) -> np.ndarray | None:
@@ -215,7 +221,7 @@ def aligned_metric_matrix(
     None when r_const has no strictly positive eigenvalue (no aligned
     choice can make the trace positive; nothing can, by linearity).
     """
-    mu, U = np.linalg.eigh(r_const)
+    mu, U = _eigenpairs(r_const)
     if not np.any(mu > 0.0):
         return None
     return _aligned_matrix(U, aligned_inverse_weights(mu, delta))
@@ -239,14 +245,15 @@ def certify_n_minus_1_positive(
     positive iff r_const has a strictly positive eigenvalue. On success the
     certificate carries the witness metric and conformal exponent; when
     r_const is negative semidefinite the verdict is false with reason
-    DualPseudoEffective and no solve is attempted.
+    DualPseudoEffective and no solve is attempted. A delta outside (0, 1)
+    raises ValueError on every class.
     """
     geom = L.geometry
-    mu = np.linalg.eigvalsh(L.r_const)
-    eps = _resolve_eps(float(np.max(np.abs(mu))) if mu.size else 0.0, eps)
+    _check_delta(delta)
+    mu, U = class_spectrum(L)
+    eps = _resolve_eps(float(np.max(np.abs(mu))), eps)
 
-    matrix = aligned_metric_matrix(L.r_const, delta)
-    if matrix is None:
+    if not np.any(mu > 0.0):
         return PositivityCertificate(
             verdict=False,
             margin=float(np.max(mu)),
@@ -258,6 +265,7 @@ def certify_n_minus_1_positive(
             },
         )
 
+    matrix = _aligned_matrix(U, aligned_inverse_weights(mu, delta))
     omega = constant_metric(geom, matrix)
     f, inner = normalize_scalar_curvature(L, omega, eps=eps)
     c = inner.margin

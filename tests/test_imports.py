@@ -159,3 +159,61 @@ def test_definitions_are_found(tmp_path):
         "x, _C = 1, 2\ndef _f():\n    _D = 3\nclass _E:\n    pass\n"
     )
     assert _defined(module) == {"_A", "_B", "_f", "_E"}
+
+
+#: numpy's Hermitian eigensolvers.
+EIGENSOLVERS = {"eigh", "eigvalsh"}
+
+#: The one function that eigensolves a class matrix ``r_const``: the
+#: bundle's cached class spectrum (``curvature.class_spectrum``) reads it,
+#: and so does ``aligned_metric_matrix``, which takes a bare matrix.
+CLASS_EIGENSOLVE = ("curvature.py", "_eigenpairs")
+
+
+def _class_eigensolves(path: Path):
+    """``(line, function)`` of each eigh or eigvalsh call in ``path`` with
+    an argument that names ``r_const``; ``function`` is the innermost
+    function the call is made in (None at module level)."""
+
+    def names_r_const(node) -> bool:
+        return any(
+            (isinstance(n, ast.Name) and n.id == "r_const")
+            or (isinstance(n, ast.Attribute) and n.attr == "r_const")
+            for n in ast.walk(node)
+        )
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                arguments = [*child.args, *(k.value for k in child.keywords)]
+                if name in EIGENSOLVERS and any(map(names_r_const, arguments)):
+                    yield child.lineno, function
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def test_only_the_class_spectrum_eigensolves_a_class():
+    """Every route that needs the class's eigenvalues reads the bundle's
+    one cached eigensolve (``class_spectrum``) instead of its own."""
+    found = [
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, function in _class_eigensolves(path)
+    ]
+    assert found == [CLASS_EIGENSOLVE]
+
+
+def test_class_eigensolves_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\nfrom numpy.linalg import eigvalsh\n"
+        "def f(L):\n    return np.linalg.eigh(-L.r_const)\n"
+        "def g(r_const, m):\n    return eigvalsh(a=r_const), np.linalg.eigh(m)\n"
+        "mu = np.linalg.eigvalsh(np.asarray(r_const))\n"
+    )
+    assert list(_class_eigensolves(module)) == [(4, "f"), (6, "g"), (7, None)]

@@ -367,6 +367,17 @@ def test_constant_metric_validates_one_matrix(monkeypatch):
     assert omega.min_eigenvalue == pytest.approx(min(np.linalg.eigvalsh(A)))
 
 
+def test_identity_metric_is_built_once_per_geometry():
+    """Equal geometries share one identity metric, gated once: a field
+    cannot change, so the suite's fourth route and the CLI's default base
+    reuse it."""
+    g = TorusGeometry.regular(2, 8)
+    omega = identity_metric(g)
+    assert identity_metric(TorusGeometry.regular(2, 8)) is omega
+    assert identity_metric(TorusGeometry.regular(2, 4)) is not omega
+    assert np.array_equal(omega.matrix, np.eye(2))
+
+
 # ------------------------------------------------------------ differentiation
 
 

@@ -15,6 +15,7 @@ from toruspos import (
     constant_metric,
     degree_integral,
     dual_not_pseudo_effective,
+    equivalence_suite,
     identity_metric,
     is_pseudo_effective,
     scalar_curvature,
@@ -136,6 +137,19 @@ def test_aligned_weights_need_delta_below_one(delta):
     of 10 a trace of -3."""
     with pytest.raises(ValueError, match="delta must lie in"):
         aligned_inverse_weights(np.array([-5.0, 2.0]), delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 10.0, math.nan])
+@pytest.mark.parametrize("eigs", [[2.0, -5.0], [-2.0, -5.0]], ids=["mixed", "negative"])
+def test_certify_and_suite_refuse_delta_outside_unit_interval(eigs, delta):
+    """A class with no positive eigenvalue has no aligned metric to weigh,
+    but the delta is refused all the same, as on a mixed class."""
+    g = TorusGeometry.regular(2, 8)
+    L = LineBundleMetric.from_constant(g, np.diag(eigs))
+    with pytest.raises(ValueError, match="delta must lie in"):
+        certify_n_minus_1_positive(L, delta=delta)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        equivalence_suite(L, delta=delta)
 
 
 def test_aligned_matrix_none_for_semi_negative():
@@ -391,6 +405,57 @@ def test_normalize_builds_the_trace_symbol_only_where_used(
     _, cert = normalize_scalar_curvature(L, omega)
     assert cert.residuals["poisson_rel"] < 1e-8
     assert len(calls) == symbols
+
+
+def test_normalize_inverts_a_constant_metric_once(monkeypatch):
+    """Counters, no timing: normalize against a constant metric takes one
+    inverse and one determinant of its matrix, kept on the metric, so a
+    second normalize against the same metric takes neither."""
+    g = TorusGeometry.regular(2, 8)
+    rng = np.random.default_rng(36)
+    omega = random_pd_metric(rng, g)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5]), "0.3*sin(x1)*cos(y2)"
+    )
+    seen = {"inv": 0, "det": 0}
+    for name in seen:
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            if np.shape(a) == omega.matrix.shape and np.array_equal(a, omega.matrix):
+                seen[_name] += 1
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    first = normalize_scalar_curvature(L, omega)[1].margin
+    assert seen == {"inv": 1, "det": 1}
+    assert normalize_scalar_curvature(L, omega)[1].margin == first
+    assert seen == {"inv": 1, "det": 1}
+
+
+def test_normalize_gathers_the_weight_symbols_once(monkeypatch):
+    """A counter, no timing: a weight's mode table is filtered, solved and
+    checked on one spectrum, whose symbols are gathered at its bins once
+    (``_Spectrum.symbols``); the solve leaves the bins alone."""
+    import toruspos.lattice as lattice_module
+
+    g = TorusGeometry.regular(2, 8)
+    rng = np.random.default_rng(37)
+    omega = random_pd_metric(rng, g)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5]), "0.3*sin(x1)*cos(y2)"
+    )
+    calls = []
+    original = lattice_module._dz_symbols
+
+    def counting(geometry):
+        calls.append(geometry)
+        return original(geometry)
+
+    monkeypatch.setattr(lattice_module, "_dz_symbols", counting)
+    _, cert = normalize_scalar_curvature(L, omega)
+    assert cert.residuals["poisson_rel"] < 1e-8
+    assert calls == [g]
 
 
 def test_zero_weight_n3_normalize_returns_the_constant_zero_exponent():

@@ -1,5 +1,7 @@
 """Pseudo-effectivity oracle and the four-way equivalence suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import hermitian_with_eigs, random_unitary
@@ -172,6 +174,70 @@ def test_class_routes_build_no_field(monkeypatch):
     assert built == []
 
 
+def _recorded_eigensolves(monkeypatch) -> list:
+    """The argument of every ``np.linalg`` eigh and eigvalsh call from
+    here on, copied."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            seen.append(np.array(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+def _class_solves(seen: list, r_const: np.ndarray) -> int:
+    """How many recorded eigensolves took ``r_const`` or its negative."""
+    return sum(
+        a.shape == r_const.shape
+        and (np.array_equal(a, r_const) or np.array_equal(a, -r_const))
+        for a in seen
+    )
+
+
+@pytest.mark.parametrize(
+    "eigs,phi_text",
+    [([2.0, -0.7], "0.05*cos(x1)"), ([-1.0, -0.2], "0.05*cos(x1)"), ([0.0, 0.0], "0")],
+    ids=["positive", "negative", "zero"],
+)
+def test_suite_eigensolves_the_class_once(monkeypatch, eigs, phi_text):
+    """A counter, no timing: routes 1 to 3 read one cached eigensolve of
+    the class matrix (``class_spectrum``), and the oracle on the bundle
+    reads it again for free."""
+    g = TorusGeometry.regular(2, 8)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(np.random.default_rng(15), eigs), phi_text
+    )
+    seen = _recorded_eigensolves(monkeypatch)
+    report = equivalence_suite(L)
+    assert report.passed
+    assert is_pseudo_effective(L) == (min(eigs) >= 0.0)
+    assert _class_solves(seen, L.r_const) == 1
+
+
+def test_corpus_eigensolves_each_class_once(monkeypatch):
+    """A counter, no timing: a corpus row, its CSV ``mu`` column included,
+    takes one eigensolve of its class matrix."""
+    import toruspos.suite as suite_module
+
+    bundles = []
+    original = suite_module.random_bundle
+
+    def recording(rng, geometry):
+        bundles.append(original(rng, geometry))
+        return bundles[-1]
+
+    monkeypatch.setattr(suite_module, "random_bundle", recording)
+    seen = _recorded_eigensolves(monkeypatch)
+    reports, summary = run_equivalence_corpus(TorusGeometry.regular(2, 8), 12, seed=1)
+    corpus_csv_lines(reports)
+    assert summary["positive"] and summary["negative"]
+    assert [_class_solves(seen, L.r_const) for L in bundles] == [1] * 12
+
+
 @pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
 def test_pairing_and_certificate_agree_on_the_class_constant(n, samples):
     """Route 2 reads the class constant from the eigenpairs of r_const and
@@ -321,6 +387,23 @@ def test_random_bundle_draws_only_resolved_frequencies():
         "0.0008*sin(x1) + 0.0022*cos(2*y2) + 0.0009*sin(x2)",
         "0.0038*sin(2*x2)",
     ]
+
+
+#: sha256 of the phi and verdict columns of the seed-42, 200-instance
+#: corpus on 8^4, one row per line.
+CORPUS_42_DIGEST = "5c0ea860fa7051a3b82678ecdb1fc4c2398a94f3d87743b79e851352d8f2658c"
+
+
+def test_corpus_stream_is_pinned():
+    """The corpus draws (class signs, weight functions and coordinates)
+    and the verdicts on them are pinned: a cheaper draw must take the
+    same values from the generator and leave it in the same state."""
+    reports, _ = run_equivalence_corpus(TorusGeometry.regular(2, 8), 200, seed=42)
+    digest = hashlib.sha256()
+    for line in corpus_csv_lines(reports)[1:]:
+        cells = line.split(",")  # the phi text has no commas
+        digest.update(",".join(cells[2:8]).encode() + b"\n")
+    assert digest.hexdigest() == CORPUS_42_DIGEST
 
 
 def test_corpus_run_all_pass():
