@@ -389,7 +389,7 @@ def _cmd_uniformize(run: _Run) -> int:
         return run.finish(result, f"q={q} not q-positive")
     new_omega = uniformize_metric(run.bundle, run.omega, q, eps=run.eps)
     after = check_uniform_q_positive(run.bundle, new_omega, q, eps=run.eps)
-    floor = float(np.min(ev.at_rank(run.geometry.complex_dim - q)))
+    floor = float(ev.at_rank(run.geometry.complex_dim - q).min())
     bound = uniform_margin_bound(rate, floor, q)
     result = {
         "q_positive": True,

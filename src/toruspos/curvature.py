@@ -33,13 +33,15 @@ from .lattice import (
     TorusGeometry,
     _check_hermitian,
     _checked_symbol,
+    _compact,
     _from_core,
     _hessian_planes,
     _known_constant,
     _negative,
+    _owned,
     _Spectrum,
+    _sum,
     _trace_symbol,
-    compensated_sum,
     constant_representative,
 )
 from .planes import _join, _split, _tiled
@@ -80,10 +82,8 @@ class LineBundleMetric:
         if r_const.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {r_const.shape}")
         _check_hermitian(r_const)
-        r_const.setflags(write=False)
-        self.r_const = r_const
-        if self.phi.geometry != self.geometry:
-            raise ValueError("weight is sampled on a different grid")
+        self.r_const = _owned(r_const)
+        self._check_weight()
 
     @classmethod
     def from_constant(
@@ -98,14 +98,35 @@ class LineBundleMetric:
         phi = scalar_field_from_expression(geometry, phi_text)
         return cls(geometry, r_const, phi, phi_text)
 
+    @classmethod
+    def _derived(
+        cls,
+        geometry: TorusGeometry,
+        r_const: np.ndarray,
+        phi: ScalarField,
+        expression: str | None,
+    ) -> "LineBundleMetric":
+        """A bundle on a class matrix handed over by the package: another
+        bundle's read-only, already gated ``r_const``, or its negation,
+        kept without a copy or a second gate."""
+        bundle = cls.__new__(cls)
+        bundle.geometry, bundle.r_const = geometry, _owned(r_const)
+        bundle.phi, bundle.phi_expression = phi, expression
+        bundle._check_weight()
+        return bundle
+
+    def _check_weight(self) -> None:
+        if self.phi.geometry != self.geometry:
+            raise ValueError("weight is sampled on a different grid")
+
     def dual(self) -> "LineBundleMetric":
         """Metric induced on the inverse bundle; curvature flips sign."""
-        return LineBundleMetric(
+        return LineBundleMetric._derived(
             self.geometry, -self.r_const, _negative(self.phi), None
         )
 
     def with_weight(self, phi: ScalarField, expression: str | None = None):
-        return LineBundleMetric(self.geometry, self.r_const, phi, expression)
+        return LineBundleMetric._derived(self.geometry, self.r_const, phi, expression)
 
 
 @dataclass
@@ -272,7 +293,7 @@ def volume_integral(omega: MetricField) -> float:
     if omega.matrix is not None:
         return geom.cell_volume * (omega._determinant * geom.num_points)
     (dets,) = _tiled(lambda w: (np.linalg.det(_join(w)).real,), omega._planes)
-    return geom.cell_volume * compensated_sum(np.broadcast_to(dets, geom.grid_shape))
+    return geom.cell_volume * _sum(dets, geom.grid_shape)
 
 
 def degree_integral(L: LineBundleMetric, omega: MetricField) -> float:
@@ -291,7 +312,8 @@ def _degree_of_trace(tr: ScalarField, det: float) -> float:
     """``(1/n) * integral of tr * det`` for the determinant ``det`` of a
     constant base matrix."""
     geom = tr.geometry
-    return det / geom.complex_dim * geom.cell_volume * compensated_sum(tr.values)
+    total = _sum(_compact(tr), geom.grid_shape)
+    return det / geom.complex_dim * geom.cell_volume * total
 
 
 def complex_matrix_to_json(matrix: np.ndarray) -> list:

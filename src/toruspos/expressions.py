@@ -231,10 +231,9 @@ def _check_resolved(tree, geometry: TorusGeometry) -> None:
                 )
 
 
-def _resolved_tree(text: str, geometry: TorusGeometry):
-    """The syntax tree of expression text and the coordinates it uses,
-    once every coordinate is in range and every term resolved."""
-    tree = parse_expression(text)
+def _resolved(tree, geometry: TorusGeometry) -> set[tuple[str, int]]:
+    """The coordinates a syntax tree uses, once every coordinate is in
+    range and every term resolved (``_check_resolved``)."""
     n = geometry.complex_dim
     used = expression_coordinates(tree)
     for letter, index in used:
@@ -243,7 +242,7 @@ def _resolved_tree(text: str, geometry: TorusGeometry):
                 f"coordinate {letter}{index} out of range for complex dimension {n}"
             )
     _check_resolved(tree, geometry)
-    return tree, used
+    return used
 
 
 def _grid_values(tree, used, geometry: TorusGeometry) -> np.ndarray:
@@ -259,7 +258,7 @@ def _grid_values(tree, used, geometry: TorusGeometry) -> np.ndarray:
         shape[axis] = -1
         key = ("xy"[axis % 2], axis // 2 + 1)
         if key in used:
-            coords[key] = geometry.axis_coordinates(axis).reshape(shape)
+            coords[key] = geometry._axes[axis].reshape(shape)
     return _eval(tree, coords)
 
 
@@ -320,7 +319,8 @@ def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
 
 def _evaluate(text: str, geometry: TorusGeometry) -> np.ndarray:
     """Core of expression text on the grid of ``geometry`` (``_grid_values``)."""
-    return _grid_values(*_resolved_tree(text, geometry), geometry)
+    tree = parse_expression(text)
+    return _grid_values(tree, _resolved(tree, geometry), geometry)
 
 
 def evaluate_expression(text: str, geometry: TorusGeometry) -> np.ndarray:
@@ -341,8 +341,13 @@ def scalar_field_from_expression(geometry: TorusGeometry, text: str) -> ScalarFi
     the spectral operators read instead of transforming: the weight of a
     bundle. Text with no coordinate in it gives a constant field,
     evaluated once."""
-    tree, used = _resolved_tree(text, geometry)
-    core = _grid_values(tree, used, geometry)
+    return _field_of_tree(geometry, parse_expression(text))
+
+
+def _field_of_tree(geometry: TorusGeometry, tree) -> ScalarField:
+    """``scalar_field_from_expression`` of the text whose syntax tree is
+    ``tree``."""
+    core = _grid_values(tree, _resolved(tree, geometry), geometry)
     if not core.ndim:
         return ScalarField.constant(geometry, core)
     field = _from_core(geometry, core)
@@ -366,10 +371,26 @@ def random_expression(
     coordinate. Coefficients are rounded to 4 decimals so the text
     round-trips exactly.
     """
+    return _draw_expression(
+        rng, complex_dim, amplitude, max_terms, zero_probability, max_frequency
+    )[1]
+
+
+def _draw_expression(
+    rng: np.random.Generator,
+    complex_dim: int,
+    amplitude: float = 0.25,
+    max_terms: int = 3,
+    zero_probability: float = 0.2,
+    max_frequency: int = 2,
+) -> tuple:
+    """``(tree, text)`` of one ``random_expression`` draw: the text, and
+    the syntax tree ``parse_expression`` gives of it, built as it is drawn
+    (for a nonnegative ``amplitude``, whose texts parse)."""
     if rng.random() < zero_probability:
-        return "0"
+        return ("sum", [(1.0, ("mul", [("num", 0.0)]))]), "0"
     n_terms = int(rng.integers(1, max_terms + 1))
-    parts = []
+    terms, parts = [], []
     for _ in range(n_terms):
         coeff = round(float(rng.uniform(0.2, 1.0)) * amplitude, 4)
         fn = ("sin", "cos")[rng.integers(0, 2)]
@@ -379,4 +400,6 @@ def random_expression(
         coord = f"{letter}{j}"
         arg = coord if freq == 1 else f"{freq}*{coord}"
         parts.append(f"{coeff}*{fn}({arg})")
-    return " + ".join(parts)
+        factors = [("num", coeff), ("trig", fn, freq, letter, j)]
+        terms.append((1.0, ("mul", factors)))
+    return ("sum", terms), " + ".join(parts)

@@ -132,8 +132,15 @@ class TorusGeometry:
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Sample positions along one real axis (length ``grid_shape[axis]``)."""
-        s = self.grid_shape[axis]
-        return self.periods[axis] * np.arange(s) / s
+        return self._axes[axis].copy()
+
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        """The sample positions of every axis, read-only: expressions are
+        evaluated on them."""
+        return tuple(
+            _owned(p * np.arange(s) / s) for p, s in zip(self.periods, self.grid_shape)
+        )
 
     def coordinate_arrays(self) -> list[np.ndarray]:
         """Full coordinate arrays, one per real axis, each of grid shape."""
@@ -491,11 +498,14 @@ class _Spectrum:
         symbols = _dz_symbols(self.geometry)
         if self.wavevectors is None:
             return symbols
-        shape = _spectrum_shape(symbols)
-        index = tuple(
+        index = [
             self.wavevectors[:, a] % s for a, s in enumerate(self.geometry.grid_shape)
+        ]
+        # Each symbol is read on its own axes, index 0 on its length-1 ones.
+        return tuple(
+            a[tuple(i if size > 1 else 0 for i, size in zip(index, a.shape))]
+            for a in symbols
         )
-        return tuple(np.broadcast_to(a, shape)[index] for a in symbols)
 
     @property
     def dead(self) -> np.ndarray:
@@ -624,7 +634,7 @@ class ScalarField:
 
     def _keep(self, core: np.ndarray) -> None:
         """Own ``core``, finite, as the field's data."""
-        if not np.all(np.isfinite(core)):
+        if not np.isfinite(core).all():
             raise ValueError("scalar field contains non-finite values")
         self._data = _owned(core)
 
@@ -649,7 +659,7 @@ class ScalarField:
 
     def mean(self) -> float:
         """Exactly rounded grid mean (bit-stable)."""
-        return compensated_sum(self.values) / self.geometry.num_points
+        return _sum(self._data, self.geometry.grid_shape) / self.geometry.num_points
 
     def max_abs(self) -> float:
         return _max_abs(self._data)
@@ -670,7 +680,7 @@ def _from_core(geometry: TorusGeometry, core) -> ScalarField:
 def _known_constant(field: ScalarField) -> bool:
     """Is ``field`` constant without a transform: constant storage, or a
     core of zeros? Its Hessian and trace-symbol image are then zero."""
-    return field.value is not None or not np.any(_compact(field))
+    return field.value is not None or not _compact(field).any()
 
 
 def _compact(field: ScalarField) -> np.ndarray:
@@ -721,10 +731,10 @@ def _max_abs(values) -> float:
 
 def _check_hermitian(vals: np.ndarray) -> None:
     """Finiteness and the ``HERMITIAN_RTOL`` symmetry gate of a matrix stack."""
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("matrix field contains non-finite values")
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    dev = float(np.max(np.abs(vals - np.conj(np.swapaxes(vals, -1, -2)))))
+    scale = float(np.abs(vals).max()) if vals.size else 0.0
+    dev = float(np.abs(vals - np.conj(np.swapaxes(vals, -1, -2))).max())
     if dev > HERMITIAN_RTOL * scale:
         raise ValueError(
             f"matrix field is not Hermitian: deviation {dev:.3e} "
@@ -767,7 +777,7 @@ class HermitianMatrixField:
 
     def __post_init__(self) -> None:
         if self._exact:
-            if not all(np.all(np.isfinite(plane)) for plane in self._planes):
+            if not all(np.isfinite(plane).all() for plane in self._planes):
                 raise ValueError("matrix field contains non-finite values")
             return
         n = self.geometry.complex_dim
@@ -858,7 +868,7 @@ class MetricField(HermitianMatrixField):
         # diagonal is read only when the smallest eigenvalue is within the
         # margin of the bound on it.
         n = self.geometry.complex_dim
-        margin = 64 * n * n * np.finfo(np.float64).eps
+        margin = 64 * n * n * math.ulp(1.0)
         if smallest <= margin * bound and smallest <= margin * max(
             float(p.max()) for p in planes[:n]
         ):
@@ -870,9 +880,9 @@ class MetricField(HermitianMatrixField):
                 raise ValueError(message) from exc
 
     # A constant metric's matrix (``constant_representative``, so a grid
-    # copy is scanned once) and its LAPACK inverse and determinant, each
-    # taken on first use; NonConstantMetricError if the metric varies. The
-    # field cannot change, so neither can they.
+    # copy is scanned once), its LAPACK inverse and determinant, and its
+    # Cholesky factor, each taken on first use; NonConstantMetricError if
+    # the metric varies. The field cannot change, so neither can they.
 
     @cached_property
     def _constant(self) -> np.ndarray:
@@ -885,6 +895,16 @@ class MetricField(HermitianMatrixField):
     @cached_property
     def _determinant(self) -> float:
         return float(np.linalg.det(self._constant).real)
+
+    @cached_property
+    def _factor(self) -> tuple:
+        """``planes._cholesky`` of the matrix's planes: the factor and its
+        inverse that every pencil against the metric is whitened by, as
+        planes of numpy scalars (n <= 2) or read-only stacks."""
+        root, inverse = _cholesky(_split(self._constant))
+        if not isinstance(root, tuple):
+            _owned(root), _owned(inverse)
+        return root, inverse
 
 
 @lru_cache(maxsize=32)
@@ -917,8 +937,8 @@ def constant_representative(
         return const.copy()
     flat = field.values.reshape(-1, *field.values.shape[-2:])
     first = flat[0]
-    scale = max(float(np.max(np.abs(first))), 1.0)
-    dev = float(np.max(np.abs(flat - first)))
+    scale = max(float(np.abs(first).max()), 1.0)
+    dev = float(np.abs(flat - first).max())
     if dev > rtol * scale:
         raise NonConstantMetricError(
             f"field varies over the grid (max deviation {dev:.3e})"
@@ -955,20 +975,28 @@ def compensated_sum(values: np.ndarray) -> float:
     bit-for-bit with the serial reduction.
     """
     x = np.asarray(values, dtype=np.float64)
-    core = _core(x)
-    top = max(float(core.max()), -float(core.min()), 0.0) if x.size else 0.0
-    if not top < math.ldexp(1.0, 1023 - (x.size + 1).bit_length()):
-        return math.fsum(x.ravel())
+    return _sum(_core(x), x.shape)
+
+
+def _sum(core: np.ndarray, shape: tuple) -> float:
+    """``compensated_sum`` of the grid array of ``shape`` whose core
+    (``_core``, float64) is ``core``: the package's reductions pass a
+    field's core and the grid shape it stands for, with no grid view."""
+    size = math.prod(shape)
+    top = max(float(core.max()), -float(core.min()), 0.0) if size else 0.0
+    if not top < math.ldexp(1.0, 1023 - (size + 1).bit_length()):
+        # Overflow depends on the order of the entries: take the grid's.
+        return math.fsum(np.broadcast_to(core, shape).ravel())
     if top == 0.0:
         # Only zeros: fsum's sign of zero depends on their signs alone.
-        return math.fsum([-0.0] if x.size and np.all(np.signbit(core)) else [])
+        return math.fsum([-0.0] if size and np.signbit(core).all() else [])
     core = core.ravel(order="C")
     partials = core.tolist() if core.size <= _SUM_DIRECT else _partials(core, top)
     units = 0
     for p in partials:
         numerator, denominator = p.as_integer_ratio()  # denominator 2^j, j <= 1074
         units += numerator << (1075 - denominator.bit_length())
-    return units * (x.size // core.size) / (1 << 1074)
+    return units * (size // core.size) / (1 << 1074)
 
 
 def _partials(x: np.ndarray, top: float) -> list:
@@ -1120,7 +1148,7 @@ def _checked_symbol(spectrum: _Spectrum, inverse_metric: np.ndarray) -> np.ndarr
     sym = _trace_symbol(spectrum.symbols, inverse_metric)
     # Positive definiteness of the metric makes the symbol strictly negative
     # on every active mode; a singular active symbol is impossible.
-    if not np.all(sym[~spectrum.dead] < 0.0):
+    if not (sym[~spectrum.dead] < 0.0).all():
         raise InternalInvariantError("singular trace symbol on an active mode")
     return sym
 
@@ -1133,7 +1161,7 @@ def _solve(spectrum: _Spectrum, sym: np.ndarray) -> ScalarField:
     carries its own."""
     geom = spectrum.geometry
     f = spectrum.over(sym).grid()
-    mean = compensated_sum(np.broadcast_to(f, geom.grid_shape)) / geom.num_points
+    mean = _sum(f, geom.grid_shape) / geom.num_points
     f -= mean
     field = _from_core(geom, f)
     field._modes = spectrum.modes(-mean)

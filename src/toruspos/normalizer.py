@@ -47,10 +47,10 @@ from .lattice import (
     _solve,
     _Spectrum,
     _spectrum_shape,
-    compensated_sum,
+    _sum,
     constant_metric,
 )
-from .planes import _cholesky, _congruence, _descending_eigenvalues
+from .planes import _congruence, _descending_eigenvalues
 from .qpositivity import _operand, _resolve_eps
 
 #: Default relative weight put on non-positive eigendirections of r_const
@@ -64,11 +64,12 @@ def target_constant(L: LineBundleMetric, omega: MetricField) -> float:
     return n * degree_integral(L, omega) / volume_integral(omega)
 
 
-def _class_scale(L: LineBundleMetric, omega_matrix: np.ndarray) -> float:
-    """Largest |pencil eigenvalue| of (r_const, Omega): the scale of c."""
-    _, inverse = _cholesky(_operand(omega_matrix))
+def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
+    """Largest |pencil eigenvalue| of (r_const, Omega) for a constant
+    metric, whitened by its kept factor: the scale of c."""
+    _, inverse = omega._factor
     mu = _descending_eigenvalues(_congruence(inverse, _operand(L.r_const)))
-    return float(np.max(np.abs(mu))) if mu.size else 0.0
+    return float(np.abs(mu).max()) if mu.size else 0.0
 
 
 def _trace_multiplier(symbols: tuple[np.ndarray, ...], W: np.ndarray) -> np.ndarray:
@@ -119,7 +120,7 @@ def normalize_scalar_curvature(
     grid = geom.grid_shape
     W = omega._inverse  # NonConstantMetricError if it varies
     # The class scale sets only the default; a given tolerance is checked.
-    scale = _class_scale(L, omega._constant) if eps is None else 0.0
+    scale = _class_scale(L, omega) if eps is None else 0.0
     eps = _resolve_eps(scale, eps)
     # At most one trace symbol per call, built only where it is used: the
     # scalar curvature filters a varying weight with it, at the bins of the
@@ -138,7 +139,7 @@ def normalize_scalar_curvature(
     if _max_abs(rhs) <= 1e-12 * (abs(c) + s.max_abs()):
         rhs = np.float64(0.0)
     else:
-        rhs = rhs - compensated_sum(np.broadcast_to(rhs, grid)) / geom.num_points
+        rhs = rhs - _sum(rhs, grid) / geom.num_points
     rhs = _from_core(geom, rhs)
     rhs_inf = _check_mean_zero(rhs)
     if _known_constant(rhs):  # zero, by the mean check
@@ -198,7 +199,7 @@ def aligned_inverse_weights(mu: np.ndarray, delta: float) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.float64)
     positive = mu > 0.0
     negative = mu < 0.0
-    pos_sum = float(np.sum(mu[positive]))
+    pos_sum = float(mu[positive].sum())
     w = np.ones_like(mu)
     m_neg = int(np.count_nonzero(negative))
     if m_neg and pos_sum > 0.0:
@@ -222,7 +223,7 @@ def aligned_metric_matrix(
     choice can make the trace positive; nothing can, by linearity).
     """
     mu, U = _eigenpairs(r_const)
-    if not np.any(mu > 0.0):
+    if not (mu > 0.0).any():
         return None
     return _aligned_matrix(U, aligned_inverse_weights(mu, delta))
 
@@ -251,12 +252,12 @@ def certify_n_minus_1_positive(
     geom = L.geometry
     _check_delta(delta)
     mu, U = class_spectrum(L)
-    eps = _resolve_eps(float(np.max(np.abs(mu))), eps)
+    eps = _resolve_eps(float(np.abs(mu).max()), eps)
 
-    if not np.any(mu > 0.0):
+    if not (mu > 0.0).any():
         return PositivityCertificate(
             verdict=False,
-            margin=float(np.max(mu)),
+            margin=float(mu.max()),
             tolerance=eps,
             details={
                 "reason": "DualPseudoEffective",

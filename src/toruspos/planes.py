@@ -265,7 +265,7 @@ def _cholesky(base):
     _, d, c = base
     l21 = c * inv11
     pivot = d - (l21.real * l21.real + l21.imag * l21.imag)
-    if not np.all(pivot > 0.0):
+    if not (pivot > 0.0).all():
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     l22 = np.sqrt(pivot)
     inv22 = 1.0 / l22

@@ -86,7 +86,8 @@ class EigenvalueField:
     eigenvalues are kept on their core (``lattice._core``; the entry axis
     is kept whole), a private read-only array: the constructor copies the
     core of the caller's array once, ``values`` views it on the grid, and
-    the checks' reductions read the core.
+    the checks' reductions read the core. A field of solved eigenvalues
+    (``_descending``) builds ``values`` on first read.
     """
 
     geometry: TorusGeometry
@@ -100,6 +101,7 @@ class EigenvalueField:
             raise ValueError(f"eigenvalue field shape {vals.shape} != {expected}")
         core = np.array(_core(vals, trailing=1), dtype=np.float64)
         self._keep(core, check_order=True)
+        self._view()
 
     @classmethod
     def _descending(cls, geometry: TorusGeometry, core) -> "EigenvalueField":
@@ -112,15 +114,26 @@ class EigenvalueField:
         return field
 
     def _keep(self, core: np.ndarray, check_order: bool) -> None:
-        """Own ``core``, once checked, and view it on the grid as ``values``."""
+        """Own ``core``, once checked."""
         n = self.geometry.complex_dim
-        if not np.all(np.isfinite(core)):
+        if not np.isfinite(core).all():
             raise ValueError("eigenvalue field contains non-finite values")
-        if check_order and n > 1 and not np.all(core[..., :-1] >= core[..., 1:]):
+        if check_order and n > 1 and not (core[..., :-1] >= core[..., 1:]).all():
             raise ValueError("eigenvalues must be sorted descending at every point")
-        grid = (*self.geometry.grid_shape, n)
-        object.__setattr__(self, "values", np.broadcast_to(_owned(core), grid))
-        object.__setattr__(self, "_kept", core)
+        object.__setattr__(self, "_kept", _owned(core))
+
+    def _view(self) -> np.ndarray:
+        """View the core on the grid as ``values``."""
+        grid = (*self.geometry.grid_shape, self.geometry.complex_dim)
+        object.__setattr__(self, "values", np.broadcast_to(self._kept, grid))
+        return self.values
+
+    def __getattr__(self, name: str):
+        # Reached only when ``values`` was never set: a field of solved
+        # eigenvalues views its core on the grid on first read.
+        if name != "values" or "_kept" not in vars(self):
+            raise AttributeError(name)
+        return self._view()
 
     def at_rank(self, rank: int) -> np.ndarray:
         """Eigenvalue array at 1-based rank from the largest."""
@@ -132,6 +145,10 @@ class EigenvalueField:
     def smallest_sum(self, count: int) -> np.ndarray:
         """Pointwise sum of the ``count`` smallest eigenvalues, formed on
         the core and viewed on the grid."""
+        return np.broadcast_to(self._smallest_sum(count), self.geometry.grid_shape)
+
+    def _smallest_sum(self, count: int) -> np.ndarray:
+        """``smallest_sum`` on the core."""
         n = self.geometry.complex_dim
         if not 1 <= count <= n:
             raise ValueError(f"count must be in 1..{n}, got {count}")
@@ -144,7 +161,7 @@ class EigenvalueField:
             total = columns[0] + columns[1]
             for column in columns[2:]:
                 total += column
-        return np.broadcast_to(total, self.geometry.grid_shape)
+        return total
 
     def max_abs(self) -> float:
         return _max_abs(self._kept)
@@ -180,33 +197,35 @@ def _hermitian_planes(X) -> tuple:
     return _split(0.5 * (X + np.conj(np.swapaxes(X, -1, -2))))
 
 
-def _base_factor(base):
-    """Tile kernel giving ``_cholesky`` of a tile of the base operand: a
-    constant base (one entry per plane) is factored once, here, on its
-    0-d planes as ``planes._tiles`` hands them over, and a varying one
-    tile by tile."""
-    if any(p.size != 1 for p in base):
+def _base_factor(omega: MetricField):
+    """Tile kernel giving ``_cholesky`` of a tile of ``omega``'s planes: a
+    constant metric (one entry per plane) hands over the factor it keeps
+    (``MetricField._factor``), taken once per metric, and a varying one is
+    factored tile by tile."""
+    if any(p.size != 1 for p in omega._planes):
         return _cholesky
-    factors = _cholesky(tuple(p.reshape(()) for p in base))
+    factors = omega._factor
     return lambda tile: factors
 
 
-def _pencil_eigenvalues(geom: TorusGeometry, field, base) -> EigenvalueField:
-    """Descending eigenvalues of the pencil of two operands (see
-    ``_operand``): those of ``L^{-1} R L^{-*}``, with ``L`` the base's
-    Cholesky factor, on the operands' common core (one point for a
-    constant pencil).
+def _pencil_eigenvalues(
+    geom: TorusGeometry, field, omega: MetricField
+) -> EigenvalueField:
+    """Descending eigenvalues of the pencil of an operand (see
+    ``_operand``) and a metric: those of ``L^{-1} R L^{-*}``, with ``L``
+    the metric's Cholesky factor (``_base_factor``), on their common core
+    (one point for a constant pencil).
 
     The pencil is whitened and solved one tile at a time, so no core-sized
     L^{-1} or L^{-1} R L^{-*} is formed.
     """
-    factor = _base_factor(base)
+    factor = _base_factor(omega)
 
     def eigenvalues(f, w):
         _, inverse = factor(w)
         return (_descending_eigenvalues(_congruence(inverse, f)),)
 
-    (lam,) = _tiled(eigenvalues, field, base)
+    (lam,) = _tiled(eigenvalues, field, omega._planes)
     return EigenvalueField._descending(geom, lam)
 
 
@@ -220,7 +239,7 @@ def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueFiel
     """
     cached = R._pencil
     if cached is None or cached[0] is not omega:
-        ev = _pencil_eigenvalues(R.geometry, _operand(R), _operand(omega))
+        ev = _pencil_eigenvalues(R.geometry, _operand(R), omega)
         R._pencil = cached = (omega, ev)
     return cached[1]
 
@@ -254,8 +273,8 @@ def _certificate_details(ev: EigenvalueField, q: int, mode: str) -> dict:
     return {
         "q": q,
         "mode": mode,
-        "eigenvalue_min": float(np.min(ev._kept)),
-        "eigenvalue_max": float(np.max(ev._kept)),
+        "eigenvalue_min": float(ev._kept.min()),
+        "eigenvalue_max": float(ev._kept.max()),
         "grid": list(ev.geometry.grid_shape),
     }
 
@@ -282,7 +301,7 @@ def check_q_positive(
     n = L.geometry.complex_dim
     _validate_q(n, q)
     ev = generalized_eigenvalues(chern_curvature(L), omega)
-    margin = float(np.min(_core(ev.at_rank(n - q))))
+    margin = float(ev._kept[..., n - q - 1].min())
     eps = _resolve_eps(ev.max_abs(), eps)
     return PositivityCertificate(
         verdict=margin > eps,
@@ -308,7 +327,7 @@ def check_uniform_q_positive(
     n = L.geometry.complex_dim
     _validate_q(n, q)
     ev = generalized_eigenvalues(chern_curvature(L), omega)
-    margin = float(np.min(_core(ev.smallest_sum(q + 1))))
+    margin = float(ev._smallest_sum(q + 1).min())
     eps = _resolve_eps(ev.max_abs(), eps)
     return PositivityCertificate(
         verdict=margin > eps,
@@ -326,7 +345,7 @@ def growth_rate(ev: EigenvalueField, q: int, eps: float | None = None) -> float:
     """
     n = ev.geometry.complex_dim
     _validate_q(n, q)
-    floor = float(np.min(_core(ev.at_rank(n - q))))
+    floor = float(ev._kept[..., n - q - 1].min())
     eps = _resolve_eps(ev.max_abs(), eps)
     if not floor > eps:
         raise NotQPositiveError(
@@ -401,8 +420,7 @@ def uniformize_metric(
     # (R, omega) pair and shared with the checks; pass 2 whitens R again,
     # tile by tile, maps it through the shrink and back by the factor L.
     rate = _uniformizing_rate(_solve_pencil(R, omega), q, eps)
-    base = _operand(omega)
-    factor = _base_factor(base)
+    factor = _base_factor(omega)
 
     def shrink(x):
         return 1.0 / expm1_over_x(rate * x)
@@ -412,7 +430,7 @@ def uniformize_metric(
         (middle,) = _spectral_functions(_congruence(inverse, f), shrink)
         return _hermitian_planes(_congruence(root, middle))
 
-    new = _tiled(transform, _operand(R), base)
+    new = _tiled(transform, _operand(R), omega._planes)
     try:
         return MetricField._computed(L.geometry, new)
     except ValueError as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import LineBundleMetric, class_spectrum, complex_matrix_to_json
-from .expressions import random_expression
+from .expressions import _draw_expression, _field_of_tree
 from .lattice import TorusGeometry, _difference, identity_metric
 from .normalizer import (
     DEFAULT_DELTA,
@@ -58,8 +58,8 @@ def is_pseudo_effective(L: LineBundleMetric) -> bool:
 
 def _semidefinite(mu: np.ndarray) -> bool:
     """The oracle of ``is_pseudo_effective`` on a class's eigenvalues."""
-    scale = float(np.max(np.abs(mu)))
-    return bool(np.min(mu) >= -PSEF_EIG_RTOL * scale)
+    scale = float(np.abs(mu).max())
+    return bool(mu.min() >= -PSEF_EIG_RTOL * scale)
 
 
 @dataclass
@@ -84,8 +84,8 @@ def dual_not_pseudo_effective(
     ``sum_j w_j mu_j`` on the eigenpairs of r_const (CONVENTIONS.md).
     """
     mu, U = class_spectrum(L)
-    eps = _resolve_eps(float(np.max(np.abs(mu))), eps)
-    if not np.any(mu > 0.0):
+    eps = _resolve_eps(float(np.abs(mu).max()), eps)
+    if not (mu > 0.0).any():
         # No aligned candidate exists; report the identity's, trace(r_const).
         return DegreeSearchResult(False, None, math.fsum(np.diagonal(L.r_const).real))
 
@@ -221,16 +221,18 @@ def random_bundle(
     r_const; the equivalence verdicts are then stable at corpus grid
     resolutions. (Three terms of frequency <= 2 bound the Hessian norm by
     three times the amplitude.) Frequencies stay below the Nyquist mode
-    of the coarsest axis, so a 4-point axis draws frequency 1 only.
+    of the coarsest axis, so a 4-point axis draws frequency 1 only. The
+    weight's text is ``random_expression``'s, and the weight is built from
+    the syntax tree drawn with it, so the text is not parsed back.
     """
     n = geometry.complex_dim
     matrix, mu = random_hermitian_class(rng, n)
-    amplitude = 0.1 * float(np.min(np.abs(mu)))
+    amplitude = 0.1 * float(np.abs(mu).min())
     max_frequency = min(2, min(geometry.grid_shape) // 2 - 1)
-    phi_text = random_expression(
+    tree, phi_text = _draw_expression(
         rng, n, amplitude=amplitude, max_frequency=max_frequency
     )
-    return LineBundleMetric.from_expression(geometry, matrix, phi_text)
+    return LineBundleMetric(geometry, matrix, _field_of_tree(geometry, tree), phi_text)
 
 
 def run_equivalence_corpus(

@@ -476,6 +476,34 @@ def test_frozen_weights_are_kept_without_a_copy():
         dual.phi.values[0, 0, 0, 0] = 1.0
 
 
+def test_derived_bundles_keep_the_gated_class(monkeypatch):
+    """A counter, no timing: ``with_weight`` and ``dual`` hand over the
+    bundle's read-only, already gated class (negated for ``dual``) with no
+    second Hermitian gate; the public constructor still gates."""
+    import toruspos.curvature as curvature_module
+
+    g = TorusGeometry.regular(2, 6)
+    L = LineBundleMetric.from_expression(g, np.diag([1.0, -2.0]), "0.2*cos(x1)")
+    gates = []
+    original = curvature_module._check_hermitian
+
+    def counting(vals):
+        gates.append(vals)
+        return original(vals)
+
+    monkeypatch.setattr(curvature_module, "_check_hermitian", counting)
+    moved = L.with_weight(ScalarField.constant(g, 0.5))
+    dual = L.dual()
+    assert gates == []
+    assert moved.r_const is L.r_const
+    assert np.array_equal(dual.r_const, -L.r_const)
+    assert not dual.r_const.flags.writeable
+    with pytest.raises(ValueError):
+        L.with_weight(ScalarField.constant(TorusGeometry.regular(2, 4), 0.5))
+    LineBundleMetric(g, dual.r_const, dual.phi)
+    assert len(gates) == 1
+
+
 # ---------------------------------------------- trace of the curvature
 
 

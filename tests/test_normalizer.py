@@ -512,3 +512,29 @@ def test_negative_or_nan_eps_is_rejected(entry, eps):
     L = LineBundleMetric.from_constant(g, np.diag([-1.0, -2.0]))
     with pytest.raises(ValueError, match="tolerance must be nonnegative"):
         entry(L, eps)
+
+
+def test_normalize_views_no_core_on_the_grid(monkeypatch):
+    """A counter, no timing: against a constant metric that has served a
+    normalize already, a normalize of a weight with a mode table reads
+    every reduction and symbol gather on cores, with no
+    ``np.broadcast_to`` grid view."""
+    g = TorusGeometry.regular(2, 8)
+    rng = np.random.default_rng(41)
+    omega = random_pd_metric(rng, g)
+    L = LineBundleMetric.from_expression(
+        g, hermitian_with_eigs(rng, [1.5, -0.5]), "0.3*sin(x1)*cos(y2) + 0.1*cos(x2)"
+    )
+    assert L.phi._modes is not None
+    normalize_scalar_curvature(L, omega)
+    calls = []
+    original = np.broadcast_to
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "broadcast_to", counting)
+    _, cert = normalize_scalar_curvature(L, omega)
+    assert cert.residuals["poisson_rel"] < 1e-8
+    assert calls == []

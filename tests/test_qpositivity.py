@@ -807,9 +807,11 @@ def test_n3_uniformize_seeds_the_cache_and_freezes_its_output(pencil_solves):
 def test_n3_acceptance_sequence_lapack_calls(monkeypatch):
     """Counters, no timing: at n = 3 each whitening factors its base with
     one ``cholesky`` and inverts the factor (no eigendecomposition of the
-    base), each pencil is solved by one ``eigvalsh``, and the transform
-    maps the solved pair through one ``eigh``; the remaining ``eigvalsh``
-    is the new metric's positive-definite gate."""
+    base), once per metric: the transform whitens by the factor the
+    constant base kept from the first check. Each pencil is solved by one
+    ``eigvalsh``, and the transform maps the solved pair through one
+    ``eigh``; the remaining ``eigvalsh`` is the new metric's
+    positive-definite gate."""
     calls = []
 
     def counting(name):
@@ -832,11 +834,39 @@ def test_n3_acceptance_sequence_lapack_calls(monkeypatch):
     assert calls == ["cholesky", "inv", "eigvalsh"]
     calls.clear()
     new = uniformize_metric(L, omega, 1)
-    assert calls == ["cholesky", "inv", "eigh", "eigvalsh"]
+    assert calls == ["eigh", "eigvalsh"]
     calls.clear()
     assert check_uniform_q_positive(L, new, 1).verdict
     assert generalized_eigenvalues(R, new) is R._pencil[1]
     assert calls == ["cholesky", "inv", "eigvalsh"]
+
+
+def test_a_constant_metric_is_factored_once(monkeypatch):
+    """A counter, no timing: check, uniformize, check against the output
+    and the pencil against the first base again whiten by one Cholesky
+    factor of the constant n = 2 base, which the metric keeps; the
+    uniformized metric varies and is factored tile by tile."""
+    import toruspos.lattice as lattice_module
+    import toruspos.planes as planes_module
+
+    constant = []
+
+    def counting(base):
+        if all(np.size(p) == 1 for p in base):
+            constant.append(base)
+        return planes_module._cholesky(base)
+
+    for module in (lattice_module, qpositivity_module):
+        monkeypatch.setattr(module, "_cholesky", counting)
+    g = TorusGeometry.regular(2, 8)
+    L = _weighted_bundle(g)
+    omega = constant_metric(g, np.array([[1.2, 0.1j], [-0.1j, 0.9]]))
+    assert check_q_positive(L, omega, 1).verdict
+    new = uniformize_metric(L, omega, 1)
+    assert new.matrix is None
+    assert check_uniform_q_positive(L, new, 1).verdict
+    generalized_eigenvalues(chern_curvature(L), omega)
+    assert len(constant) == 1
 
 
 def test_n3_uniformize_uses_the_reported_rate(monkeypatch):

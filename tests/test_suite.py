@@ -18,6 +18,7 @@ from toruspos import (
     is_pseudo_effective,
     random_bundle,
     run_equivalence_corpus,
+    scalar_field_from_expression,
 )
 from toruspos.curvature import PositivityCertificate, complex_matrix_from_json
 from toruspos.expressions import random_expression
@@ -475,3 +476,44 @@ def test_suite_passes_where_the_normalized_weight_rescues_the_class():
             rescued += not own.verdict
     assert fails == 0
     assert rescued >= 0.2 * 150
+
+
+def test_random_bundles_build_their_weight_from_the_drawn_tree(monkeypatch):
+    """A counter, no timing: a corpus weight is built from the syntax tree
+    drawn with its text, which equals the text's parse, so the text is
+    never tokenized; the weight equals the text's field."""
+    import toruspos.expressions as expressions_module
+    import toruspos.suite as suite_module
+
+    drawn, tokenized = [], []
+    original_draw = suite_module._draw_expression
+    original_tokenize = expressions_module.tokenize
+
+    def recording(*args, **kwargs):
+        drawn.append(original_draw(*args, **kwargs))
+        return drawn[-1]
+
+    def counting(text):
+        tokenized.append(text)
+        return original_tokenize(text)
+
+    monkeypatch.setattr(suite_module, "_draw_expression", recording)
+    monkeypatch.setattr(expressions_module, "tokenize", counting)
+    for n in (1, 2, 3):
+        g = TorusGeometry.regular(n, 4)
+        for seed in range(200):
+            L = random_bundle(np.random.default_rng(seed), g)
+            tree, text = drawn[-1]
+            assert L.phi_expression == text
+            assert tokenized == []
+            assert tree == expressions_module.parse_expression(text), text
+            tokenized.clear()
+            if seed % 20 == 0:
+                field = scalar_field_from_expression(g, text)
+                tokenized.clear()
+                assert np.array_equal(L.phi.values, field.values)
+                kept, parsed = L.phi._modes, field._modes
+                assert (kept is None) == (parsed is None)
+                if kept is not None:
+                    assert np.array_equal(kept.wavevectors, parsed.wavevectors)
+                    assert np.array_equal(kept.coefficients, parsed.coefficients)
