@@ -287,7 +287,7 @@ def volume_integral(omega: MetricField) -> float:
     equals the exactly rounded sum of the equal per-point determinants.
     A varying metric's determinants are taken one tile at a time on the
     core of its planes, by the same LAPACK routine as the constant one's,
-    so a grid copy of a constant metric has the same volume.
+    so a constant metric stored on varying planes has the same volume.
     """
     geom = omega.geometry
     if omega.matrix is not None:

@@ -22,6 +22,7 @@ load, so a report is reproducible from its own serialized form.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -385,13 +386,14 @@ def _draw_expression(
     max_frequency: int = 2,
 ) -> tuple:
     """``(tree, text)`` of one ``random_expression`` draw: the text, and
-    the syntax tree ``parse_expression`` gives of it, built as it is drawn
-    (for a nonnegative ``amplitude``, whose texts parse)."""
+    the syntax tree ``parse_expression`` gives of it, built as it is drawn.
+    A negative coefficient (a negative ``amplitude``) is written as the
+    term's sign, ``- 0.42*sin(x1)``, which is how the grammar reads it."""
     if rng.random() < zero_probability:
         return ("sum", [(1.0, ("mul", [("num", 0.0)]))]), "0"
     n_terms = int(rng.integers(1, max_terms + 1))
-    terms, parts = [], []
-    for _ in range(n_terms):
+    terms, text = [], ""
+    for i in range(n_terms):
         coeff = round(float(rng.uniform(0.2, 1.0)) * amplitude, 4)
         fn = ("sin", "cos")[rng.integers(0, 2)]
         freq = int(rng.integers(1, max_frequency + 1))
@@ -399,7 +401,9 @@ def _draw_expression(
         letter = ("x", "y")[rng.integers(0, 2)]
         coord = f"{letter}{j}"
         arg = coord if freq == 1 else f"{freq}*{coord}"
-        parts.append(f"{coeff}*{fn}({arg})")
-        factors = [("num", coeff), ("trig", fn, freq, letter, j)]
-        terms.append((1.0, ("mul", factors)))
-    return ("sum", terms), " + ".join(parts)
+        sign = math.copysign(1.0, coeff)
+        text += ("-" if i == 0 else " - ") if sign < 0 else ("" if i == 0 else " + ")
+        text += f"{abs(coeff)}*{fn}({arg})"
+        factors = [("num", abs(coeff)), ("trig", fn, freq, letter, j)]
+        terms.append((sign, ("mul", factors)))
+    return ("sum", terms), text

@@ -55,9 +55,9 @@ _SUM_BLOCK = 1 << 15
 #: 64-entry core 22.9 against 19.4 us.
 _SUM_DIRECT = 32
 
-#: Longest grid axis for which the grid transforms (``_rfftn`` and its
-#: kin) run as dense DFT-matrix products, one BLAS call per axis; a grid
-#: with a longer axis takes numpy's FFT. On axes of 8 to 32 points the
+#: Longest axis for which the grid transforms (``_rfftn`` and its kin)
+#: run as dense DFT-matrix products, one BLAS call per axis; an array with
+#: a longer axis takes numpy's FFT. On axes of 8 to 32 points the
 #: products are 1.5 to 5 times faster than numpy's per-row FFTs; at 64
 #: they cost about the same, and at 256 the FFT is about 4 times faster.
 _DFT_MAX_AXIS = 32
@@ -229,7 +229,9 @@ def _unit_root(m: int, s: int) -> complex:
 
 @dataclass(frozen=True)
 class _Dft:
-    """Read-only transform matrices of one even axis length ``s``, ``h = s//2 + 1``.
+    """Read-only transform matrices of one even axis length ``s``, ``h = s//2 + 1``:
+    a grid's axes are even, and the transforms skip an axis of length 1
+    instead of asking for its matrices.
 
     ``forward`` is the DFT matrix ``F`` and ``inverse`` is ``conj(F)/s``.
     The real matrices act on float views: ``half`` (s x 2h) maps a real
@@ -305,39 +307,47 @@ def _products(y: np.ndarray, matrices, targets) -> np.ndarray:
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:
-    """``np.fft.rfftn`` of a real grid array: the last axis keeps its first
-    ``s // 2 + 1`` bins."""
-    if max(values.shape) > _DFT_MAX_AXIS:
-        return np.fft.rfftn(values)
+    """``np.fft.rfftn`` of a real array of the grid's rank, a grid or a
+    core (``_core``) whose last axis is kept whole: the last axis keeps its
+    first ``s // 2 + 1`` bins. An axis of length 1 is its own DFT, so it
+    is left as it is, with no pass over the array."""
     *lead, s = values.shape
+    axes = [a for a, t in enumerate(values.shape) if t > 1]
+    if max(values.shape) > _DFT_MAX_AXIS:
+        return np.fft.rfftn(values, axes=axes)
     h = s // 2 + 1
     out = np.empty((*lead, h), dtype=np.complex128)
     # Every pass alternates between out and the work buffer; the last
     # product lands in the buffer, and the transpose copy writes out.
-    first, *rest = _alternate(_work(out.size), out.reshape(-1), len(values.shape))
+    first, *rest = _alternate(_work(out.size), out.reshape(-1), len(axes))
     half = first.view(np.float64).reshape(-1, 2 * h)
     np.matmul(values.reshape(-1, s), _dft(s).half, out=half)
-    y = _products(first, [_dft(t).forward for t in lead], rest)
+    y = _products(first, [_dft(t).forward for t in lead if t > 1], rest)
     np.copyto(out.reshape(-1, h), y.reshape(h, -1).T)
     return out
 
 
 def _irfftn(spectrum: np.ndarray, geom: TorusGeometry) -> np.ndarray:
-    """Real field on the grid of ``geom`` from its ``rfftn`` half spectrum."""
-    grid = geom.grid_shape
-    if max(grid) > _DFT_MAX_AXIS:
-        return np.fft.irfftn(spectrum, s=grid, axes=tuple(range(len(grid))))
-    *lead, s = grid
+    """The real array whose ``rfftn`` half spectrum is ``spectrum``, on the
+    grid of ``geom``: its leading axes are the spectrum's (the grid's, or
+    a core's, length 1 on some), its last the grid's. Axes of length 1
+    are left as they are (``_rfftn``)."""
+    s = geom.grid_shape[-1]
+    shape = (*spectrum.shape[:-1], s)
+    axes = [a for a, t in enumerate(shape) if t > 1]
+    if max(shape) > _DFT_MAX_AXIS:
+        return np.fft.irfftn(spectrum, s=[shape[a] for a in axes], axes=axes)
     h = s // 2 + 1
     # The real output cannot hold a complex pass, so the passes and the
     # transpose copy alternate between the two halves of the work buffer.
     size = spectrum.size
     work = _work(2 * size)
-    *passes, last = _alternate(work[:size], work[size:], len(grid))
-    y = _products(spectrum, [_dft(t).inverse for t in lead], passes)
+    *passes, last = _alternate(work[:size], work[size:], len(axes))
+    inverses = [_dft(t).inverse for t in shape[:-1] if t > 1]
+    y = _products(spectrum, inverses, passes)
     np.copyto(last.reshape(-1, h), y.reshape(h, -1).T)
     half = last.view(np.float64).reshape(-1, 2 * h)
-    out = np.empty(grid)
+    out = np.empty(shape)
     np.matmul(half, _dft(s).half_inverse, out=out.reshape(-1, s))
     return out
 
@@ -374,7 +384,7 @@ class _Modes:
     pair and output entry instead of a fixed number of transforms; the
     writes were measured to win up to this many pairs on every operator
     (CONVENTIONS, "The two forms of a spectrum"). A field with more pairs
-    has no table, and its spectrum is the half spectrum of its grid.
+    has no table, and its spectrum is the half spectrum of its core.
     """
 
     MAX_PAIRS: ClassVar[int] = 4
@@ -465,9 +475,12 @@ class _Spectrum:
 
     * A mode table (the field's ``_modes``): ``values`` holds one
       coefficient per pair, and ``wavevectors`` are the table's.
-    * Otherwise the ``rfftn`` half spectrum of the grid: ``wavevectors``
-      is None, and ``values`` is transformed on first read, so a guard
-      that needs only the bins (``_checked_symbol``) runs no transform.
+    * Otherwise the ``rfftn`` half spectrum of the field's core (``_core``)
+      with the grid's last axis kept whole, as it is the halved one:
+      ``wavevectors`` is None, and ``values`` is transformed on first
+      read, so a guard that needs only the bins (``_checked_symbol``) runs
+      no transform. Its bins are the grid's half-spectrum bins on the
+      axes the core spans and bin 0 on its length-1 axes.
 
     ``times`` and ``over`` overwrite ``values`` (a half spectrum in place,
     which keeps a call's peak memory), and ``grid`` synthesizes the field:
@@ -488,16 +501,26 @@ class _Spectrum:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return _rfftn(self._field.values)
+        core = self._field._data
+        s = self.geometry.grid_shape[-1]
+        return _rfftn(np.broadcast_to(core, (*core.shape[:-1], s)))
+
+    @cached_property
+    def _bins(self) -> tuple:
+        """A half spectrum's bins in the grid's (``_dz_symbols``): all of
+        an axis the core spans, bin 0 of its length-1 axes."""
+        lead = self._field._data.shape[:-1]
+        return tuple(slice(None) if t > 1 else slice(0, 1) for t in lead)
 
     @cached_property
     def symbols(self) -> tuple[np.ndarray, ...]:
         """The d/dz symbols at the bins: ``_dz_symbols``, read at each
-        pair's bin for a table. Gathered once: the bins are the
-        wavevectors, which ``times`` and ``over`` leave alone."""
+        pair's bin for a table and at ``_bins`` for a half spectrum.
+        Gathered once: the bins are the wavevectors, which ``times`` and
+        ``over`` leave alone."""
         symbols = _dz_symbols(self.geometry)
         if self.wavevectors is None:
-            return symbols
+            return tuple(a[self._bins] for a in symbols)
         index = [
             self.wavevectors[:, a] % s for a, s in enumerate(self.geometry.grid_shape)
         ]
@@ -512,7 +535,7 @@ class _Spectrum:
         """The bins where every d/dz symbol vanishes (``_dead_modes``); every
         mode of a table is active."""
         if self.wavevectors is None:
-            return _dead_modes(self.geometry)
+            return _dead_modes(self.geometry)[self._bins]
         return np.zeros(len(self.wavevectors), dtype=bool)
 
     def times(self, multiplier: np.ndarray) -> "_Spectrum":
@@ -537,11 +560,10 @@ class _Spectrum:
 
         A table writes ``2 Re(c e_m)`` once per pair, times the multiplier
         at its mode, skipping zero multipliers, on the axes of the modes
-        it writes (``_synthesize``). A half spectrum gives the whole grid
-        and takes one
-        ``_irfftn``, or two for a complex multiplier: its real and its
-        imaginary part are each even, so each maps the spectrum of a real
-        field to a real field.
+        it writes (``_synthesize``). A half spectrum gives its core, the
+        grid's last axis whole, and takes one ``_irfftn``, or two for a
+        complex multiplier: its real and its imaginary part are each even,
+        so each maps the spectrum of a real field to a real field.
         """
         geom = self.geometry
         dtype = np.float64 if multiplier is None else multiplier.dtype
@@ -558,7 +580,8 @@ class _Spectrum:
         elif dtype == np.float64:
             out = _irfftn(multiplier * self.values, geom)
         else:
-            out = np.empty(geom.grid_shape, dtype=np.complex128)
+            core = (*self.values.shape[:-1], geom.grid_shape[-1])
+            out = np.empty(core, dtype=dtype)
             out.real = _irfftn(multiplier.real * self.values, geom)
             out.imag = _irfftn(multiplier.imag * self.values, geom)
         if constant is not None:
@@ -580,13 +603,55 @@ def _core(values: np.ndarray, trailing: int = 0) -> np.ndarray:
 
     A field keeps only its core, an array of the grid's rank, and its
     ``values`` is the core viewed on the grid with ``np.broadcast_to``:
-    the core is read back from the strides, with no scan. A caller's full
-    array is its own core.
+    the core is read back from the strides, with no scan. A caller's
+    array is scanned once, when a field is built from it
+    (``_caller_core``).
     """
     strides = values.strides[: values.ndim - trailing]
     if 0 not in strides:
         return values
     return values[tuple(slice(0, 1) if s == 0 else slice(None) for s in strides)]
+
+
+def _caller_core(values: np.ndarray, dtype, trailing: int = 0) -> np.ndarray:
+    """A new array of ``dtype`` holding the core of a caller's grid array:
+    ``_core``, cut to length 1 on every grid axis along which it equals its
+    first slice bit for bit. The ``int64`` views of the floats are
+    compared, so -0.0 differs from 0.0 and a NaN stays in the core for the
+    finiteness gate. An axis is first probed on two entries, the one after
+    the first and the one before the last, so an array that varies along
+    every axis costs its copy and a few reads more."""
+    core = np.asarray(_core(values, trailing), dtype=dtype)
+    parts = (core.real, core.imag) if core.dtype.kind == "c" else (core,)
+    bits = [part.view(np.int64) for part in parts]
+    step = core.size
+    for axis in range(core.ndim - trailing):
+        length = core.shape[axis]
+        step //= length  # the axis's step between entries in C order
+        if length == 1 or _probe_varies(bits, step):
+            continue
+        head = (slice(None),) * axis + (slice(0, 1),)
+        tail = (slice(None),) * axis + (slice(1, None),)
+        if all((b[tail] == b[head]).all() for b in bits):
+            core, bits = core[head], [b[head] for b in bits]
+    return np.array(core)
+
+
+def _probe_varies(bits: list, step: int) -> bool:
+    """Does an array of ``bits`` differ between its first entry and the
+    one ``step`` after it, or its last and the one ``step`` before it (C
+    order)?"""
+    for b in bits:
+        last = b.size - 1
+        if b.item(step) != b.item(0) or b.item(last - step) != b.item(last):
+            return True
+    return False
+
+
+def _on_grid(core: np.ndarray, shape: tuple) -> np.ndarray:
+    """A read-only core viewed on the grid of ``shape``: itself when it
+    spans the grid."""
+    return core if core.shape == shape else np.broadcast_to(core, shape)
 
 
 def _owned(array: np.ndarray) -> np.ndarray:
@@ -600,8 +665,9 @@ class ScalarField:
     """Real-valued function sampled on the grid.
 
     A field owns its data, its core (``_core``): the constructor copies the
-    core of the caller's array once into a private read-only array, so a
-    later write to the caller's array does not reach the field. ``values``
+    core of the caller's array (``_caller_core``, the axes it varies along)
+    once into a private read-only array, so a later write to the caller's
+    array does not reach the field. ``values``
     is a read-only view of the core with zero strides on the axes the
     field does not vary along, and validation, reductions and the kernels
     read the core itself (``_compact``). A constant field built by
@@ -629,8 +695,8 @@ class ScalarField:
             raise ValueError(
                 f"scalar field shape {vals.shape} != grid {self.geometry.grid_shape}"
             )
-        self._keep(np.array(_core(vals), dtype=np.float64))
-        self.values = np.broadcast_to(self._data, self.geometry.grid_shape)
+        self._keep(_caller_core(vals, np.float64))
+        self.values = _on_grid(self._data, self.geometry.grid_shape)
 
     def _keep(self, core: np.ndarray) -> None:
         """Own ``core``, finite, as the field's data."""
@@ -643,7 +709,7 @@ class ScalarField:
         # core views it on the grid on first read.
         if name != "values" or self._data is None:
             raise AttributeError(name)
-        self.values = np.broadcast_to(self._data, self.geometry.grid_shape)
+        self.values = _on_grid(self._data, self.geometry.grid_shape)
         return self.values
 
     @classmethod
@@ -759,9 +825,10 @@ class HermitianMatrixField:
     without a copy, by ``_computed`` (``values`` is then assembled on
     first read, on the planes' broadcast core): it is Hermitian by
     construction, so its gate is the finiteness check. A field built
-    from caller values copies the core of ``values`` once and passes the
-    full Hermitian gate on it, and its planes are views into the copy; a
-    later write to the caller's array does not reach the field.
+    from caller values copies their core (``_caller_core``: a grid copy of
+    one matrix keeps one entry per plane) once and passes the full
+    Hermitian gate on it, and its planes are views into the copy; a later
+    write to the caller's array does not reach the field.
     """
 
     geometry: TorusGeometry
@@ -780,20 +847,36 @@ class HermitianMatrixField:
             if not all(np.isfinite(plane).all() for plane in self._planes):
                 raise ValueError("matrix field contains non-finite values")
             return
-        n = self.geometry.complex_dim
-        vals = np.asarray(self.values)
-        expected = (*self.geometry.grid_shape, n, n)
-        if vals.shape != expected:
-            raise ValueError(f"matrix field shape {vals.shape} != {expected}")
-        core = np.array(_core(vals, trailing=2), dtype=np.complex128)
+        if self._planes is None:  # the caller's grid array
+            n = self.geometry.complex_dim
+            vals = np.asarray(self.values)
+            expected = (*self.geometry.grid_shape, n, n)
+            if vals.shape != expected:
+                raise ValueError(f"matrix field shape {vals.shape} != {expected}")
+            self._own(_caller_core(vals, np.complex128, trailing=2))
+
+    def _own(self, core: np.ndarray) -> None:
+        """Own ``core``, a new complex array of the grid's rank followed by
+        the n x n entries, once it passes the Hermitian gate."""
         _check_hermitian(core)
-        self.values = np.broadcast_to(_owned(core), expected)
+        n = self.geometry.complex_dim
+        self.values = np.broadcast_to(_owned(core), (*self.geometry.grid_shape, n, n))
         self._planes = _split(core)
 
     @classmethod
     def constant(cls, geometry: TorusGeometry, matrix: np.ndarray):
-        mat = np.asarray(matrix, dtype=np.complex128)
-        return cls(geometry, np.broadcast_to(mat, (*geometry.grid_shape, *mat.shape)))
+        """The field of one n x n matrix, copied and gated once, with no
+        grid view of the caller's matrix."""
+        mat = np.array(matrix, dtype=np.complex128)
+        n, grid = geometry.complex_dim, geometry.grid_shape
+        if mat.shape != (n, n):
+            got, expected = (*grid, *mat.shape), (*grid, n, n)
+            raise ValueError(f"matrix field shape {got} != {expected}")
+        field = cls.__new__(cls)
+        field.geometry = geometry
+        field._own(mat.reshape((1,) * len(grid) + mat.shape))
+        field.__post_init__()
+        return field
 
     @classmethod
     def _computed(cls, geometry: TorusGeometry, planes: tuple):

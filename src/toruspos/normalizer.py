@@ -147,7 +147,7 @@ def normalize_scalar_curvature(
     else:
         # On every active mode the spectrum s was built from is the
         # right-hand side's (c and the mean sit on the constant mode). A
-        # grid copy of a constant metric gave s pointwise, with no spectrum.
+        # varying metric gave s pointwise, with no spectrum.
         # The spectrum becomes f's in place; it and the symbol are dropped
         # as soon as they are used, since they set the call's peak memory.
         if spectrum is None:

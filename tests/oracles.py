@@ -13,9 +13,10 @@ n. The symmetric-root whitening is the pencil route the package used
 before its Cholesky factor, kept here as a reference for it. The
 array-form views at the end run the n <= 2 plane kernels on stacked
 ``(..., n, n)`` matrices: split into planes, apply the kernel, join.
-``materialized_weight`` and ``synthesized_on_the_grid`` rebuild the
-storage the package kept before fields were stored on their cores: every
-weight and every field written from a mode table on the whole grid.
+``on_the_whole_grid``, ``materialized_weight`` and
+``synthesized_on_the_grid`` rebuild the storage the package kept before
+fields were stored on their cores: a caller's field, every weight and
+every field written from a mode table on the whole grid.
 """
 
 import contextlib
@@ -284,13 +285,29 @@ def _congruence(T: np.ndarray, M: np.ndarray) -> np.ndarray:
 # -- fields on the whole grid, as stored before cores ------------------------
 
 
+def on_the_whole_grid(field):
+    """A copy of a scalar or matrix field stored on the whole grid, as the
+    constructors kept a caller's grid array before they looked for its
+    core (``lattice._caller_core``): every kernel, transform and gate then
+    runs on every grid point. Built past the scan, so that it cannot fold
+    back to the core it is the reference for."""
+    values = np.array(field.values)
+    if isinstance(field, ScalarField):
+        return lattice._from_core(field.geometry, values)
+    copy = type(field).__new__(type(field))
+    copy.geometry = field.geometry
+    copy._own(values)
+    copy.__post_init__()
+    return copy
+
+
 def materialized_weight(L: LineBundleMetric) -> LineBundleMetric:
-    """``L`` with its weight rebuilt as a contiguous grid array that keeps
-    the weight's mode table; a constant weight stays one number."""
+    """``L`` with its weight rebuilt on the whole grid (``on_the_whole_grid``)
+    keeping the weight's mode table; a constant weight stays one number."""
     phi = L.phi
     if phi.value is not None:
         return L
-    grid = ScalarField(L.geometry, np.ascontiguousarray(phi.values))
+    grid = on_the_whole_grid(phi)
     grid._modes = phi._modes
     return LineBundleMetric(L.geometry, L.r_const, grid, L.phi_expression)
 

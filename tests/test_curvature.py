@@ -9,6 +9,7 @@ from oracles import (
     UnsupportedDimensionError,
     gauduchon_defect,
     integrate,
+    on_the_whole_grid,
     wedge_degree_check,
 )
 
@@ -342,11 +343,12 @@ def _close(a, b, rtol=1e-13) -> bool:
 
 @pytest.mark.parametrize("n,samples", [(1, 10), (2, 6), (3, 4)])
 def test_constant_metric_matches_materialized_copy(n, samples):
-    """The stored n x n matrix and a grid copy of it give the same numbers."""
+    """The stored n x n matrix and a copy of it on the whole grid give the
+    same numbers."""
     g = TorusGeometry.regular(n, samples)
     rng = np.random.default_rng(10 + n)
     omega = random_pd_metric(rng, g)
-    copy = MetricField(g, omega.values.copy())
+    copy = on_the_whole_grid(omega)
     assert omega.matrix is not None and copy.matrix is None
     assert volume_integral(omega) == volume_integral(copy)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruspos import (
     ConfigError,
@@ -11,7 +13,7 @@ from toruspos import (
     random_expression,
     scalar_field_from_expression,
 )
-from toruspos.expressions import expression_coordinates, tokenize
+from toruspos.expressions import _draw_expression, expression_coordinates, tokenize
 
 
 def test_tokenize_splits_numbers_names_symbols():
@@ -130,6 +132,37 @@ def test_random_expression_always_parses_and_round_trips():
             zeros += 1
     # about a fifth of draws should be the flat weight
     assert 30 <= zeros <= 110
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(-2.0, 2.0, allow_nan=False),
+    n=st.integers(1, 3),
+)
+def test_random_expression_text_round_trips_for_either_sign(seed, amplitude, n):
+    """The drawn text parses to the drawn tree whatever the amplitude's
+    sign (a negative coefficient is written as the term's sign), and the
+    draw with the amplitude negated evaluates to the negated field."""
+
+    def draw(a):
+        return _draw_expression(np.random.default_rng(seed), n, amplitude=a)
+
+    tree, text = draw(amplitude)
+    assert parse_expression(text) == tree
+    assert random_expression(np.random.default_rng(seed), n, amplitude=amplitude) == text
+    g = TorusGeometry.regular(n, 8 if n < 3 else 6)
+    assert np.array_equal(
+        evaluate_expression(draw(-amplitude)[1], g), -evaluate_expression(text, g)
+    )
+
+
+def test_a_negative_amplitude_is_written_as_term_signs():
+    text = random_expression(np.random.default_rng(0), 1, amplitude=-0.5)
+    assert text == "-0.1164*sin(x1) - 0.4253*cos(2*y1)"
+    assert parse_expression(text) == _draw_expression(
+        np.random.default_rng(0), 1, amplitude=-0.5
+    )[0]
 
 
 def test_random_expression_respects_amplitude():

@@ -10,6 +10,7 @@ from oracles import (
     _small_matrix_function,
     integrate,
     is_constant_field,
+    on_the_whole_grid,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,11 +135,11 @@ def test_computed_planes_are_gated_for_finiteness_only(monkeypatch):
     monkeypatch.setattr(lattice_module, "_check_hermitian", counting)
     g = TorusGeometry.regular(3, 4)
     phi = scalar_field_from_expression(g, "0.3*sin(x1)*cos(y2) + 0.1*cos(y3)")
-    # The mode table writes the planes on the axes of x1, y2 and y3; the
-    # half spectrum of a grid copy on the whole grid.
+    # The mode table writes the planes on the axes of x1, y2 and y3, and
+    # so does the half spectrum of a grid copy, on the copy's core.
     for weight, core in (
         (phi, (4, 1, 1, 4, 1, 4)),
-        (ScalarField(g, phi.values.copy()), g.grid_shape),
+        (ScalarField(g, phi.values.copy()), (4, 1, 1, 4, 1, 4)),
     ):
         H = complex_hessian(weight)
         assert len(H._planes) == 6 and "values" not in vars(H)
@@ -146,7 +147,7 @@ def test_computed_planes_are_gated_for_finiteness_only(monkeypatch):
         assert np.array_equal(H.values, np.conj(np.swapaxes(H.values, -1, -2)))
     assert gates == []
     HermitianMatrixField(g, H.values.copy())
-    assert gates == [(*g.grid_shape, 3, 3)]
+    assert gates == [(4, 1, 1, 4, 1, 4, 3, 3)]
     planes = [p.copy() for p in H._planes]
     planes[4][0, 0, 0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -306,7 +307,11 @@ def test_constant_field_stores_one_read_only_matrix():
         omega.matrix[0, 0] = 5.0
     mat[0, 0] = 5.0  # the field keeps its own copy
     assert omega.matrix[0, 0] == 2.0
-    materialized = MetricField(g, omega.values.copy())
+    # A caller's grid copy is stored as its one matrix; a copy kept on the
+    # whole grid is scanned by constant_representative.
+    copy = MetricField(g, omega.values.copy())
+    assert copy.matrix.tobytes() == omega.matrix.tobytes()
+    materialized = on_the_whole_grid(omega)
     assert materialized.matrix is None
     assert np.array_equal(constant_representative(materialized), omega.matrix)
     assert is_constant_field(omega) and is_constant_field(materialized)
@@ -316,11 +321,29 @@ def test_constant_field_stores_one_read_only_matrix():
     assert np.array_equal(bare.matrix, omega.matrix)
 
 
+def test_a_constant_field_views_its_matrix_on_the_grid_once(monkeypatch):
+    """A counter, no timing: a constant metric copies and gates its one
+    matrix, and views it on the grid once, not the caller's matrix too."""
+    calls = []
+    original = np.broadcast_to
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "broadcast_to", counting)
+    g = TorusGeometry.regular(2, 6)
+    omega = constant_metric(g, np.array([[2.0, 0.5j], [-0.5j, 1.0]]))
+    assert len(calls) == 1 and omega.values.strides[:4] == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"matrix field shape \(6, 6, 6, 6, 3\)"):
+        HermitianMatrixField.constant(g, np.ones(3))
+
+
 @pytest.mark.parametrize("n,samples", [(1, 10), (2, 6), (3, 4)])
 def test_constant_metric_min_eigenvalue_matches_materialized(n, samples):
     g = TorusGeometry.regular(n, samples)
     omega = random_pd_metric(np.random.default_rng(n), g)
-    materialized = MetricField(g, omega.values.copy())
+    materialized = on_the_whole_grid(omega)
     assert omega.min_eigenvalue == pytest.approx(materialized.min_eigenvalue, rel=1e-13)
 
 
@@ -667,7 +690,7 @@ def test_constant_scalar_field_stores_one_read_only_number():
     with pytest.raises(ValueError):
         field.values[0, 0, 0, 0] = 1.0
     copy = ScalarField(g, field.values.copy())
-    assert copy.value is None and copy.max_abs() == 2.5
+    assert copy.value == -2.5 and copy.max_abs() == 2.5
     with pytest.raises(ValueError, match="non-finite"):
         ScalarField.constant(g, math.inf)
     assert scalar_field_from_expression(g, "0.5 - 2").value == -1.5
@@ -704,7 +727,9 @@ def test_poisson_constant_zero_rhs_still_runs_its_checks(monkeypatch):
     with pytest.raises(MeanNotZeroError):
         poisson_solve(ScalarField.constant(g, 1e-300), identity_metric(g))
     monkeypatch.setattr(
-        lattice_module, "_trace_symbol", lambda geom, W: np.zeros((6, 6, 6, 4))
+        lattice_module,
+        "_trace_symbol",
+        lambda symbols, W: np.zeros(lattice_module._spectrum_shape(symbols)),
     )
     with pytest.raises(InternalInvariantError):
         poisson_solve(ScalarField.constant(g, 0.0), identity_metric(g))

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 from conftest import hermitian_with_eigs, random_hermitian, random_pd_metric
+from oracles import on_the_whole_grid
 
 from toruspos import (
     LineBundleMetric,
-    MetricField,
     ScalarField,
     TorusGeometry,
     certify_n_minus_1_positive,
@@ -398,7 +398,7 @@ def test_normalize_builds_the_trace_symbol_only_where_used(
     rng = np.random.default_rng(32)
     omega = random_pd_metric(rng, g)
     if grid_copy:
-        omega = MetricField(g, omega.values.copy())
+        omega = on_the_whole_grid(omega)
     L = LineBundleMetric.from_expression(
         g, hermitian_with_eigs(rng, [1.5, -0.5, 0.8]), phi_text
     )
@@ -481,9 +481,7 @@ def test_grid_copy_metric_solves_the_same_exponent():
         g, hermitian_with_eigs(rng, [1.5, -0.5]), "0.3*sin(x1)*cos(y2)"
     )
     f, cert = normalize_scalar_curvature(L, omega)
-    f_copy, cert_copy = normalize_scalar_curvature(
-        L, MetricField(g, omega.values.copy())
-    )
+    f_copy, cert_copy = normalize_scalar_curvature(L, on_the_whole_grid(omega))
     assert np.max(np.abs(f.values - f_copy.values)) <= 1e-14 * f.max_abs()
     assert cert.residuals["poisson_rel"] < 1e-13
     assert cert_copy.residuals["poisson_rel"] < 1e-13
