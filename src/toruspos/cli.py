@@ -229,6 +229,8 @@ class _Run:
         self.corpus = getattr(args, "corpus", None)
         if self.corpus is not None and self.corpus < 1:
             raise ConfigError(f"--corpus must be positive, got {self.corpus}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         # A corpus run is always seeded.
         self.seed = 0 if args.seed is None and self.corpus is not None else args.seed
         self.echo = self._resolve()

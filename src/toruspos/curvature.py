@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConstantMetricError
 from .expressions import scalar_field_from_expression
 from .lattice import (
     HermitianMatrixField,
@@ -39,10 +38,10 @@ from .lattice import (
     _known_constant,
     _negative,
     _owned,
+    _require_same_geometry,
     _Spectrum,
     _sum,
     _trace_symbol,
-    constant_representative,
 )
 from .planes import _join, _split, _tiled
 
@@ -116,8 +115,7 @@ class LineBundleMetric:
         return bundle
 
     def _check_weight(self) -> None:
-        if self.phi.geometry != self.geometry:
-            raise ValueError("weight is sampled on a different grid")
+        _require_same_geometry(self, self.phi)
 
     def dual(self) -> "LineBundleMetric":
         """Metric induced on the inverse bundle; curvature flips sign."""
@@ -166,11 +164,10 @@ class PositivityCertificate:
         for key, value in sorted(self.details.items()):
             out[key] = value
         if self.witness_metric is not None:
-            try:
-                const = constant_representative(self.witness_metric)
-                out["witness_metric"] = complex_matrix_to_json(const)
-            except NonConstantMetricError:
-                out["witness_metric"] = "field"
+            const = self.witness_metric.matrix
+            out["witness_metric"] = (
+                "field" if const is None else complex_matrix_to_json(const)
+            )
         if self.witness_weight is not None:
             w = self.witness_weight
             out["witness_weight"] = {
@@ -254,9 +251,7 @@ def _scalar_curvature(
     ``checked`` builds the symbol guarded for a solve (``_checked_symbol``),
     so that a caller dividing by it uses the one this call used.
     """
-    geom = L.geometry
-    if omega.geometry != geom:
-        raise ValueError("base metric lives on a different grid")
+    geom = _require_same_geometry(L, omega)
     if omega.matrix is None:
 
         def trace(f, w):
@@ -283,11 +278,12 @@ def _scalar_curvature(
 def volume_integral(omega: MetricField) -> float:
     """Total volume ``integral of det(Omega)`` over the torus.
 
-    For a constant metric this is ``det * num_points`` rounded once, which
-    equals the exactly rounded sum of the equal per-point determinants.
-    A varying metric's determinants are taken one tile at a time on the
-    core of its planes, by the same LAPACK routine as the constant one's,
-    so a constant metric stored on varying planes has the same volume.
+    For a constant metric (one matrix, ``matrix``) this is
+    ``det * num_points`` rounded once, which equals the exactly rounded
+    sum of the equal per-point determinants. A varying metric's
+    determinants are taken one tile at a time on the core of its planes,
+    by the same LAPACK routine as the constant one's, so equal matrices
+    stored on the whole grid give the same volume.
     """
     geom = omega.geometry
     if omega.matrix is not None:

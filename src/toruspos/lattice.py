@@ -41,9 +41,6 @@ HERMITIAN_RTOL = 1e-12
 #: Relative tolerance on the grid mean of an elliptic right-hand side.
 MEAN_ZERO_RTOL = 1e-8
 
-#: Relative tolerance when extracting the constant representative of a field.
-CONSTANT_FIELD_RTOL = 1e-12
-
 #: Entries per block of ``compensated_sum``: its two float64 work buffers
 #: take 512 KB, which stays in a core's L2 cache.
 _SUM_BLOCK = 1 << 15
@@ -816,10 +813,11 @@ class HermitianMatrixField:
     plane a core (``_core``): an array of the grid's rank with length 1
     on the axes that entry does not vary along. Every array a field holds
     is its own and read-only, and ``values`` is a read-only view on the
-    grid. A constant field built by ``constant`` stores one n x n matrix:
-    its ``values`` has zero grid strides, its planes have one entry each,
-    validation runs on that one matrix, and ``matrix`` hands it to
-    consumers.
+    grid. A field is constant exactly when each of its planes has one
+    entry, which is how ``constant`` and a caller's grid copy of one
+    matrix are stored: its ``values`` has zero grid strides, validation
+    runs on that one matrix, and ``matrix`` hands it to consumers.
+    Constancy is read off the storage alone.
 
     A field computed by the package is built from its planes, handed over
     without a copy, by ``_computed`` (``values`` is then assembled on
@@ -836,24 +834,21 @@ class HermitianMatrixField:
 
     #: Component planes (``_split``), set by every constructor.
     _planes = None
-    #: Built by ``_computed``: Hermitian by construction.
-    _exact = False
     #: ``(omega, EigenvalueField)`` of the last pencil solved
     #: (``qpositivity._solve_pencil``), or None.
     _pencil = None
 
     def __post_init__(self) -> None:
-        if self._exact:
+        if self._planes is not None:  # handed over, or owned past the gate
             if not all(np.isfinite(plane).all() for plane in self._planes):
                 raise ValueError("matrix field contains non-finite values")
             return
-        if self._planes is None:  # the caller's grid array
-            n = self.geometry.complex_dim
-            vals = np.asarray(self.values)
-            expected = (*self.geometry.grid_shape, n, n)
-            if vals.shape != expected:
-                raise ValueError(f"matrix field shape {vals.shape} != {expected}")
-            self._own(_caller_core(vals, np.complex128, trailing=2))
+        n = self.geometry.complex_dim
+        vals = np.asarray(self.values)
+        expected = (*self.geometry.grid_shape, n, n)
+        if vals.shape != expected:
+            raise ValueError(f"matrix field shape {vals.shape} != {expected}")
+        self._own(_caller_core(vals, np.complex128, trailing=2))
 
     def _own(self, core: np.ndarray) -> None:
         """Own ``core``, a new complex array of the grid's rank followed by
@@ -894,7 +889,6 @@ class HermitianMatrixField:
             _owned(np.asarray(p, dtype=np.float64 if i < n else np.complex128))
             for i, p in enumerate(planes)
         )
-        field._exact = True
         field.__post_init__()
         return field
 
@@ -911,16 +905,10 @@ class HermitianMatrixField:
 
     @property
     def matrix(self) -> np.ndarray | None:
-        """The n x n matrix when every grid stride is zero, else None."""
-        values = vars(self).get("values")
-        if values is None:  # built from planes: one entry each, or varying
-            if any(p.size != 1 for p in self._planes):
-                return None
-            values = self.values
-        grid_axes = values.ndim - 2
-        if any(values.strides[:grid_axes]):
+        """The n x n matrix when every plane has one entry, else None."""
+        if any(p.size != 1 for p in self._planes):
             return None
-        return values[(0,) * grid_axes]
+        return self.values[(0,) * len(self.geometry.grid_shape)]
 
 
 @dataclass
@@ -962,10 +950,10 @@ class MetricField(HermitianMatrixField):
                 message = "metric field has no Cholesky factor in float64"
                 raise ValueError(message) from exc
 
-    # A constant metric's matrix (``constant_representative``, so a grid
-    # copy is scanned once), its LAPACK inverse and determinant, and its
-    # Cholesky factor, each taken on first use; NonConstantMetricError if
-    # the metric varies. The field cannot change, so neither can they.
+    # A constant metric's matrix (``constant_representative``, read off
+    # its storage), its LAPACK inverse and determinant, and its Cholesky
+    # factor, each taken on first use; NonConstantMetricError if the
+    # metric varies. The field cannot change, so neither can they.
 
     @cached_property
     def _constant(self) -> np.ndarray:
@@ -1002,31 +990,18 @@ def constant_metric(geometry: TorusGeometry, matrix: np.ndarray) -> MetricField:
     return MetricField.constant(geometry, matrix)
 
 
-def constant_representative(
-    field: HermitianMatrixField, rtol: float = CONSTANT_FIELD_RTOL
-) -> np.ndarray:
-    """Return the constant n x n matrix a constant field represents.
-
-    Read off ``field.matrix`` when the field stores one; a materialized
-    field is scanned for variation.
+def constant_representative(field: HermitianMatrixField) -> np.ndarray:
+    """A copy of the n x n matrix of a constant field, ``field.matrix``.
 
     Raises
     ------
     NonConstantMetricError
-        If the field varies over the grid beyond ``rtol`` relative.
+        If the field varies: some plane has more than one entry.
     """
     const = field.matrix
-    if const is not None:
-        return const.copy()
-    flat = field.values.reshape(-1, *field.values.shape[-2:])
-    first = flat[0]
-    scale = max(float(np.abs(first).max()), 1.0)
-    dev = float(np.abs(flat - first).max())
-    if dev > rtol * scale:
-        raise NonConstantMetricError(
-            f"field varies over the grid (max deviation {dev:.3e})"
-        )
-    return first.copy()
+    if const is None:
+        raise NonConstantMetricError("field varies over the grid")
+    return const.copy()
 
 
 def compensated_sum(values: np.ndarray) -> float:

@@ -38,7 +38,6 @@ from .lattice import (
     MetricField,
     ScalarField,
     _check_mean_zero,
-    _checked_symbol,
     _compact,
     _from_core,
     _hessian_multiplier,
@@ -146,13 +145,9 @@ def normalize_scalar_curvature(
         f, achieved = ScalarField.constant(geom, 0.0), np.float64(0.0)
     else:
         # On every active mode the spectrum s was built from is the
-        # right-hand side's (c and the mean sit on the constant mode). A
-        # varying metric gave s pointwise, with no spectrum.
+        # right-hand side's (c and the mean sit on the constant mode).
         # The spectrum becomes f's in place; it and the symbol are dropped
         # as soon as they are used, since they set the call's peak memory.
-        if spectrum is None:
-            spectrum = _Spectrum.of(rhs)
-            symbol = _checked_symbol(spectrum, W)
         f = _solve(spectrum, symbol)
         del symbol
         achieved = _hessian_trace(spectrum, W)

@@ -57,9 +57,10 @@ from .lattice import (
     HermitianMatrixField,
     MetricField,
     TorusGeometry,
-    _core,
+    _caller_core,
     _max_abs,
     _owned,
+    _require_same_geometry,
 )
 from .planes import (
     _cholesky,
@@ -85,7 +86,8 @@ class EigenvalueField:
     Frozen, because a solved pencil hands one field to every caller. The
     eigenvalues are kept on their core (``lattice._core``; the entry axis
     is kept whole), a private read-only array: the constructor copies the
-    core of the caller's array once, ``values`` views it on the grid, and
+    core of the caller's array once (``lattice._caller_core``, the axes it
+    varies along bit for bit), ``values`` views it on the grid, and
     the checks' reductions read the core. A field of solved eigenvalues
     (``_descending``) builds ``values`` on first read.
     """
@@ -99,8 +101,7 @@ class EigenvalueField:
         expected = (*self.geometry.grid_shape, n)
         if vals.shape != expected:
             raise ValueError(f"eigenvalue field shape {vals.shape} != {expected}")
-        core = np.array(_core(vals, trailing=1), dtype=np.float64)
-        self._keep(core, check_order=True)
+        self._keep(_caller_core(vals, np.float64, trailing=1), check_order=True)
         self._view()
 
     @classmethod
@@ -256,8 +257,7 @@ def generalized_eigenvalues(
     ``omega`` object returns the same field without solving the pencil
     again.
     """
-    if R.geometry != omega.geometry:
-        raise ValueError("curvature and base metric live on different grids")
+    _require_same_geometry(R, omega)
     return _solve_pencil(R, omega)
 
 
@@ -414,8 +414,7 @@ def uniformize_metric(
     n = L.geometry.complex_dim
     _validate_q(n, q)
     R = chern_curvature(L)
-    if R.geometry != omega.geometry:
-        raise ValueError("curvature and base metric live on different grids")
+    _require_same_geometry(R, omega)
     # Pass 1 finds the rate from the pencil eigenvalues, solved once per
     # (R, omega) pair and shared with the checks; pass 2 whitens R again,
     # tile by tile, maps it through the shrink and back by the factor L.

@@ -16,7 +16,9 @@ array-form views at the end run the n <= 2 plane kernels on stacked
 ``on_the_whole_grid``, ``materialized_weight`` and
 ``synthesized_on_the_grid`` rebuild the storage the package kept before
 fields were stored on their cores: a caller's field, every weight and
-every field written from a mode table on the whole grid.
+every field written from a mode table on the whole grid. A field is
+constant by its storage alone, so a whole-grid copy of a constant metric
+is a varying metric, which the constant-only routes refuse.
 """
 
 import contextlib

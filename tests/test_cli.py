@@ -417,6 +417,20 @@ def test_negative_corpus_count_exits_two(tmp_path):
     ]) == 2
 
 
+def test_negative_seed_exits_two(tmp_path, capsys):
+    """A negative seed is a configuration error on every subcommand: a
+    corpus run used to exit 3 on it, and check-qpos to echo it."""
+    assert cli.main([
+        "equivalence-suite", "--corpus", "3", "--seed", "-1",
+        "--out-dir", str(tmp_path / "corpus"), "--grid", "8",
+    ]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    cfg = base_config(tmp_path, r_const=[[1.0]])
+    assert cli.main(["check-qpos", "--config", cfg, "--seed", "-5"]) == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_internal_invariant_violations_exit_three(tmp_path, monkeypatch, capsys):
     from toruspos.errors import MeanNotZeroError
 

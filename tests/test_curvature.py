@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from toruspos import (
+    GeometryMismatchError,
     LineBundleMetric,
     MetricField,
     NonConstantMetricError,
@@ -30,8 +31,10 @@ from toruspos import (
     generalized_eigenvalues,
     identity_metric,
     normalize_scalar_curvature,
+    poisson_solve,
     scalar_curvature,
     scalar_field_from_expression,
+    uniformize_metric,
     volume_integral,
 )
 from toruspos.curvature import complex_matrix_from_json, complex_matrix_to_json
@@ -344,7 +347,8 @@ def _close(a, b, rtol=1e-13) -> bool:
 @pytest.mark.parametrize("n,samples", [(1, 10), (2, 6), (3, 4)])
 def test_constant_metric_matches_materialized_copy(n, samples):
     """The stored n x n matrix and a copy of it on the whole grid give the
-    same numbers."""
+    same numbers on every route that takes a varying metric; the copy's
+    storage varies, so the constant-only routes refuse it."""
     g = TorusGeometry.regular(n, samples)
     rng = np.random.default_rng(10 + n)
     omega = random_pd_metric(rng, g)
@@ -354,18 +358,63 @@ def test_constant_metric_matches_materialized_copy(n, samples):
 
     r_const = hermitian_with_eigs(rng, rng.uniform(0.5, 2.0, n))
     L = LineBundleMetric.from_expression(g, r_const, "0.05*cos(x1) + 0.03*sin(y1)")
-    assert _close(degree_integral(L, omega), degree_integral(L, copy))
+    with pytest.raises(NonConstantMetricError):
+        degree_integral(L, copy)
+    with pytest.raises(NonConstantMetricError):
+        normalize_scalar_curvature(L, copy)
     assert _close(scalar_curvature(L, omega).values, scalar_curvature(L, copy).values)
     R = chern_curvature(L)
     ev, ev_copy = generalized_eigenvalues(R, omega), generalized_eigenvalues(R, copy)
     assert _close(ev.values, ev_copy.values)
-    _, cert = normalize_scalar_curvature(L, omega)
-    _, cert_copy = normalize_scalar_curvature(L, copy)
-    assert _close(cert.details["constant"], cert_copy.details["constant"])
     q = n - 1
     pos, pos_copy = check_q_positive(L, omega, q), check_q_positive(L, copy, q)
     assert pos.verdict and pos.verdict == pos_copy.verdict
     assert _close(pos.margin, pos_copy.margin)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_a_metric_varying_in_one_point_is_varying_at_every_scale(scale):
+    """A relative change of 1e-7 at one grid point makes a metric varying,
+    whatever its scale: each constant-only route refuses it. A tolerance
+    floored at 1 once read the metric at scale 1e-6 as constant and
+    solved against its first point's matrix."""
+    g = TorusGeometry.regular(2, 8)
+    rng = np.random.default_rng(21)
+    vals = np.broadcast_to(
+        scale * random_pd_metric(rng, g).matrix, (*g.grid_shape, 2, 2)
+    ).copy()
+    vals[3, 1, 4, 2] *= 1.0 + 1e-7
+    omega = MetricField(g, vals)
+    assert omega.matrix is None
+    L = LineBundleMetric.from_expression(g, np.diag([1.0, 0.5]), "0.2*cos(x1)")
+    rhs = scalar_field_from_expression(g, "cos(x1) + sin(y2)")
+    with pytest.raises(NonConstantMetricError):
+        normalize_scalar_curvature(L, omega)
+    with pytest.raises(NonConstantMetricError):
+        poisson_solve(rhs, omega)
+    with pytest.raises(NonConstantMetricError):
+        degree_integral(L, omega)
+
+
+def test_a_geometry_mismatch_is_typed_on_every_route():
+    """Every route that pairs a bundle or curvature with a base metric, and
+    a bundle with its weight, raises GeometryMismatchError on two grids."""
+    g, other = TorusGeometry.regular(1, 8), TorusGeometry.regular(1, 6)
+    with pytest.raises(GeometryMismatchError):
+        LineBundleMetric(g, np.eye(1), ScalarField.constant(other, 0.0))
+    L = LineBundleMetric.from_expression(g, np.eye(1), "0.1*cos(x1)")
+    omega = identity_metric(other)
+    routes = [
+        lambda: scalar_curvature(L, omega),
+        lambda: generalized_eigenvalues(chern_curvature(L), omega),
+        lambda: check_q_positive(L, omega, 0),
+        lambda: uniformize_metric(L, omega, 0),
+        lambda: normalize_scalar_curvature(L, omega),
+        lambda: degree_integral(L, omega),
+    ]
+    for route in routes:
+        with pytest.raises(GeometryMismatchError):
+            route()
 
 
 def test_chern_curvature_is_computed_once_per_bundle(monkeypatch):

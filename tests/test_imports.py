@@ -3,7 +3,9 @@ dependency, numpy: scipy and other installed packages stay out. Grid
 transforms go through lattice.py's helpers, so numpy's FFT is called in
 that module only, and the form a spectrum takes (a mode table or a half
 spectrum) is known there alone: other modules read spectra through
-``lattice._Spectrum``."""
+``lattice._Spectrum``. Two geometries are compared in one function,
+``lattice._require_same_geometry``, which raises the typed
+GeometryMismatchError."""
 
 import ast
 import sys
@@ -217,3 +219,47 @@ def test_class_eigensolves_are_found(tmp_path):
         "mu = np.linalg.eigvalsh(np.asarray(r_const))\n"
     )
     assert list(_class_eigensolves(module)) == [(4, "f"), (6, "g"), (7, None)]
+
+
+#: The one function that compares geometries.
+GEOMETRY_CHECK = ("lattice.py", "_require_same_geometry")
+
+
+def _geometry_comparisons(path: Path):
+    """``(line, function)`` of each comparison in ``path`` with an operand
+    that reads a ``.geometry`` attribute; ``function`` is the innermost
+    function the comparison is made in (None at module level)."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Compare) and any(
+                isinstance(operand, ast.Attribute) and operand.attr == "geometry"
+                for operand in (child.left, *child.comparators)
+            ):
+                yield child.lineno, function
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def test_only_the_geometry_check_compares_geometries():
+    found = [
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, function in _geometry_comparisons(path)
+    ]
+    assert found == [GEOMETRY_CHECK]
+
+
+def test_geometry_comparisons_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(L, omega):\n    return L.geometry != omega.geometry\n"
+        "def g(a, geom):\n    if geom == a.geometry:\n        pass\n"
+        "ok = a.geometry.grid_shape == (4, 4)\n"
+        "same = b.phi.geometry is c.geometry\n"
+    )
+    assert list(_geometry_comparisons(module)) == [(2, "f"), (4, "g"), (7, None)]

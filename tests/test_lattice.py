@@ -308,17 +308,14 @@ def test_constant_field_stores_one_read_only_matrix():
     mat[0, 0] = 5.0  # the field keeps its own copy
     assert omega.matrix[0, 0] == 2.0
     # A caller's grid copy is stored as its one matrix; a copy kept on the
-    # whole grid is scanned by constant_representative.
+    # whole grid is stored as varying, and constancy is read off storage.
     copy = MetricField(g, omega.values.copy())
     assert copy.matrix.tobytes() == omega.matrix.tobytes()
     materialized = on_the_whole_grid(omega)
     assert materialized.matrix is None
-    assert np.array_equal(constant_representative(materialized), omega.matrix)
-    assert is_constant_field(omega) and is_constant_field(materialized)
-    bare = object.__new__(MetricField)
-    bare.geometry = g
-    bare.values = omega.values
-    assert np.array_equal(bare.matrix, omega.matrix)
+    with pytest.raises(NonConstantMetricError):
+        constant_representative(materialized)
+    assert is_constant_field(omega) and not is_constant_field(materialized)
 
 
 def test_a_constant_field_views_its_matrix_on_the_grid_once(monkeypatch):
@@ -766,9 +763,9 @@ def test_poisson_singular_symbol_is_an_internal_invariant_error():
     g = TorusGeometry.regular(2, 4)
     bad = object.__new__(MetricField)
     bad.geometry = g
-    bad.values = np.broadcast_to(
-        np.diag([1.0, -1.0]).astype(complex), (*g.grid_shape, 2, 2)
-    ).copy()
+    # One matrix past the positive-definite gate: the Hermitian gate only.
+    bad._own(np.diag([1.0, -1.0]).astype(complex).reshape(1, 1, 1, 1, 2, 2))
+    assert bad.matrix is not None
     rhs = scalar_field_from_expression(g, "cos(x1) + sin(y2)")
     with pytest.raises(InternalInvariantError):
         poisson_solve(rhs, bad)

@@ -1,5 +1,6 @@
 """Constant-scalar-curvature normalization and the trace certificate."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from oracles import on_the_whole_grid
 
 from toruspos import (
     LineBundleMetric,
+    MetricField,
+    NonConstantMetricError,
     ScalarField,
     TorusGeometry,
     certify_n_minus_1_positive,
@@ -379,9 +382,9 @@ def test_normalize_builds_the_trace_symbol_only_where_used(
     monkeypatch, phi_text, grid_copy, symbols
 ):
     """A counter, no timing: a weighted normalize builds one trace symbol,
-    which filters the weight and divides its spectrum (only the latter
-    against a grid copy of the metric); a zero weight neither filters nor
-    solves, so it builds none."""
+    which filters the weight and divides its spectrum (also against a
+    caller's grid copy of the metric, stored as its one matrix); a zero
+    weight neither filters nor solves, so it builds none."""
     import toruspos.curvature as curvature_module
     import toruspos.lattice as lattice_module
 
@@ -398,7 +401,7 @@ def test_normalize_builds_the_trace_symbol_only_where_used(
     rng = np.random.default_rng(32)
     omega = random_pd_metric(rng, g)
     if grid_copy:
-        omega = on_the_whole_grid(omega)
+        omega = MetricField(g, omega.values.copy())
     L = LineBundleMetric.from_expression(
         g, hermitian_with_eigs(rng, [1.5, -0.5, 0.8]), phi_text
     )
@@ -472,8 +475,10 @@ def test_zero_weight_n3_normalize_returns_the_constant_zero_exponent():
 
 
 def test_grid_copy_metric_solves_the_same_exponent():
-    """A grid copy of a constant metric gives s pointwise, with no spectrum
-    to reuse, so its right-hand side is transformed instead."""
+    """A caller's grid copy of a constant metric is stored as its one
+    matrix, so it gives the same exponent and certificate bit for bit; a
+    copy kept on the whole grid is a varying metric, which the
+    constant-coefficient solve refuses."""
     g = TorusGeometry.regular(2, 8)
     rng = np.random.default_rng(34)
     omega = random_pd_metric(rng, g)
@@ -481,10 +486,13 @@ def test_grid_copy_metric_solves_the_same_exponent():
         g, hermitian_with_eigs(rng, [1.5, -0.5]), "0.3*sin(x1)*cos(y2)"
     )
     f, cert = normalize_scalar_curvature(L, omega)
-    f_copy, cert_copy = normalize_scalar_curvature(L, on_the_whole_grid(omega))
-    assert np.max(np.abs(f.values - f_copy.values)) <= 1e-14 * f.max_abs()
+    copy = MetricField(g, omega.values.copy())
+    f_copy, cert_copy = normalize_scalar_curvature(L, copy)
+    assert f_copy.values.tobytes() == f.values.tobytes()
+    assert json.dumps(cert_copy.to_json_dict()) == json.dumps(cert.to_json_dict())
     assert cert.residuals["poisson_rel"] < 1e-13
-    assert cert_copy.residuals["poisson_rel"] < 1e-13
+    with pytest.raises(NonConstantMetricError):
+        normalize_scalar_curvature(L, on_the_whole_grid(omega))
 
 
 # -------------------------------------------------------------- tolerances

@@ -245,6 +245,30 @@ def test_eigenvalue_field_requires_descending_order():
         EigenvalueField(g, vals)
 
 
+def test_eigenvalue_field_keeps_the_core_of_a_caller_array():
+    """A caller's eigenvalues that vary along one grid axis are kept on
+    that axis alone, read-only, as scalar and matrix fields keep theirs;
+    the finiteness and order checks still see every entry."""
+    g = TorusGeometry.regular(2, 4)
+    x = np.arange(4.0).reshape(1, 4, 1, 1)
+    vals = np.broadcast_to(np.stack([x + 1.0, -x], axis=-1), (*g.grid_shape, 2))
+    vals = vals.copy()
+    ev = EigenvalueField(g, vals)
+    assert ev._kept.shape == (1, 4, 1, 1, 2)
+    assert not ev.values.flags.writeable
+    assert np.array_equal(ev.values, vals)
+    vals[0, 0, 0, 0, 0] = 7.0  # the field keeps its own copy
+    assert ev.values[0, 0, 0, 0, 0] == 1.0
+    bad = vals.copy()
+    bad[2, 1, 0, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        EigenvalueField(g, bad)
+    unsorted = vals.copy()
+    unsorted[3, 2, 1, 0] = [0.0, 1.0]
+    with pytest.raises(ValueError, match="descending"):
+        EigenvalueField(g, unsorted)
+
+
 def _descending_cases(rng, n):
     """Degenerate, clustered and widely spread Hermitian n x n matrices."""
     eig_lists = [
