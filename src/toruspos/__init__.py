@@ -69,6 +69,7 @@ from .suite import (
     equivalence_suite,
     is_pseudo_effective,
     random_bundle,
+    random_bundles,
     run_equivalence_corpus,
 )
 
@@ -114,6 +115,7 @@ __all__ = [
     "parse_expression",
     "poisson_solve",
     "random_bundle",
+    "random_bundles",
     "random_expression",
     "run_equivalence_corpus",
     "scalar_curvature",

@@ -216,9 +216,21 @@ def class_spectrum(L: LineBundleMetric) -> tuple[np.ndarray, np.ndarray]:
     return cached[1], cached[2]
 
 
+def _class_spectra(bundles: list[LineBundleMetric]) -> None:
+    """Fill every bundle's ``class_spectrum`` cache from one ``eigh`` of
+    their stacked ``r_const``: a corpus eigensolves its classes at once."""
+    if not bundles:
+        return
+    mu, U = _eigenpairs(np.stack([L.r_const for L in bundles]))
+    for L, mu_row, U_row in zip(bundles, mu, U):
+        L._spectrum = (L.r_const, mu_row, U_row)
+
+
 def _eigenpairs(r_const: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a class matrix, read-only: the one eigensolve of a class
-    in the package (class_spectrum; a tier-1 source rule keeps it so)."""
+    """``eigh`` of a class matrix or a stack of them, read-only: the one
+    eigensolve of a class in the package (class_spectrum, _class_spectra;
+    a tier-1 source rule keeps it so). A stack's rows are the bits of
+    lone calls."""
     mu, U = np.linalg.eigh(r_const)
     mu.setflags(write=False)
     U.setflags(write=False)

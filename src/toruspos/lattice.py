@@ -617,7 +617,10 @@ def _caller_core(values: np.ndarray, dtype, trailing: int = 0) -> np.ndarray:
     compared, so -0.0 differs from 0.0 and a NaN stays in the core for the
     finiteness gate. An axis is first probed on two entries, the one after
     the first and the one before the last, so an array that varies along
-    every axis costs its copy and a few reads more."""
+    every axis costs its copy and a few reads more. A complex array is
+    refused for a real ``dtype``, which would keep its real part only."""
+    if np.iscomplexobj(values) and not np.issubdtype(dtype, np.complexfloating):
+        raise ValueError("field values must be real, got a complex array")
     core = np.asarray(_core(values, trailing), dtype=dtype)
     parts = (core.real, core.imag) if core.dtype.kind == "c" else (core,)
     bits = [part.view(np.int64) for part in parts]
@@ -686,8 +689,6 @@ class ScalarField:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values)
-        if np.iscomplexobj(vals):
-            raise ValueError("scalar field values must be real, got a complex array")
         if vals.shape != self.geometry.grid_shape:
             raise ValueError(
                 f"scalar field shape {vals.shape} != grid {self.geometry.grid_shape}"

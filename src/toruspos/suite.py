@@ -27,7 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import LineBundleMetric, class_spectrum, complex_matrix_to_json
+from .curvature import (
+    LineBundleMetric,
+    _class_spectra,
+    class_spectrum,
+    complex_matrix_to_json,
+)
 from .expressions import _draw_expression, _field_of_tree
 from .lattice import TorusGeometry, _difference, identity_metric
 from .normalizer import (
@@ -197,24 +202,41 @@ def random_hermitian_class(
     Magnitudes are 10**uniform(-2, 2) with independent random signs, so
     mixed signatures and strongly scaled classes both appear. The
     eigenbasis is a Haar unitary (QR of a complex Gaussian with the phase
-    ambiguity fixed). Returns (matrix, eigenvalues).
+    ambiguity fixed). Returns (matrix, eigenvalues). The count-1 case of
+    the corpus drawer's classes (``_class_draw``, ``_hermitian_classes``).
     """
+    mu, z = _class_draw(rng, n)
+    return _hermitian_classes(mu[None], z[None])[0], np.sort(mu)
+
+
+def _class_draw(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One class's draws, in stream order: its eigenvalues (magnitudes,
+    then signs) and the complex Gaussian ``z`` of its eigenbasis."""
     mu = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
     # rng.choice's draw by its own index: the same values and generator
     # state, at a fraction of its cost.
     mu *= np.array([-1.0, 1.0])[rng.integers(0, 2, size=n)]
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return mu, z
+
+
+def _hermitian_classes(mu: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The class matrices ``(Q * mu) Q*``, Hermitian-symmetrized, of a
+    stack of eigenvalues ``(count, n)`` in the Haar unitaries ``Q`` of a
+    stack of Gaussians ``(count, n, n)``: one stacked QR, whose rows are
+    the bits of lone calls."""
     Q, R = np.linalg.qr(z)
-    Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-    matrix = (Q * mu) @ Q.conj().T
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return matrix, np.sort(mu)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (d / np.abs(d))[:, None, :]
+    matrices = (Q * mu[:, None, :]) @ Q.conj().swapaxes(-1, -2)
+    return 0.5 * (matrices + matrices.conj().swapaxes(-1, -2))
 
 
-def random_bundle(
-    rng: np.random.Generator, geometry: TorusGeometry
-) -> LineBundleMetric:
-    """Random instance for corpus runs: random class, subordinate weight.
+def random_bundles(
+    rng: np.random.Generator, geometry: TorusGeometry, count: int
+) -> list[LineBundleMetric]:
+    """``count`` random instances for corpus runs: random class,
+    subordinate weight.
 
     The weight amplitude is tied to the smallest |eigenvalue| of the class
     so the Hessian perturbation never overturns the sign structure of
@@ -224,15 +246,36 @@ def random_bundle(
     of the coarsest axis, so a 4-point axis draws frequency 1 only. The
     weight's text is ``random_expression``'s, and the weight is built from
     the syntax tree drawn with it, so the text is not parsed back.
+
+    Each instance's draws come from ``rng`` in stream order (its class,
+    then its weight), so the first k of ``count`` instances are the k
+    instances of a shorter draw. The class matrices are then made in one
+    stacked pass (``_hermitian_classes``).
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     n = geometry.complex_dim
-    matrix, mu = random_hermitian_class(rng, n)
-    amplitude = 0.1 * float(np.abs(mu).min())
     max_frequency = min(2, min(geometry.grid_shape) // 2 - 1)
-    tree, phi_text = _draw_expression(
-        rng, n, amplitude=amplitude, max_frequency=max_frequency
-    )
-    return LineBundleMetric(geometry, matrix, _field_of_tree(geometry, tree), phi_text)
+    mu = np.empty((count, n))
+    z = np.empty((count, n, n), dtype=np.complex128)
+    drawn = []
+    for index in range(count):
+        mu[index], z[index] = _class_draw(rng, n)
+        amplitude = 0.1 * float(np.abs(mu[index]).min())
+        drawn.append(
+            _draw_expression(rng, n, amplitude=amplitude, max_frequency=max_frequency)
+        )
+    return [
+        LineBundleMetric(geometry, matrix, _field_of_tree(geometry, tree), phi_text)
+        for matrix, (tree, phi_text) in zip(_hermitian_classes(mu, z), drawn)
+    ]
+
+
+def random_bundle(
+    rng: np.random.Generator, geometry: TorusGeometry
+) -> LineBundleMetric:
+    """One random corpus instance: ``random_bundles`` of count 1."""
+    return random_bundles(rng, geometry, 1)[0]
 
 
 def run_equivalence_corpus(
@@ -248,10 +291,12 @@ def run_equivalence_corpus(
     Returns the reports plus an aggregate summary; ``fails`` should always
     be zero, anything else indicates a bug in one of the four routes.
     """
-    rng = np.random.default_rng(seed)
+    bundles = random_bundles(np.random.default_rng(seed), geometry, count)
+    _class_spectra(bundles)
     reports = []
     for index in range(count):
-        bundle = random_bundle(rng, geometry)
+        # Dropped as it is done with, so a corpus holds one curvature at a time.
+        bundle, bundles[index] = bundles[index], None
         report = equivalence_suite(bundle, delta=delta, eps=eps)
         report.details["index"] = index
         report.details["mu"] = class_spectrum(bundle)[0].tolist()

@@ -168,7 +168,9 @@ EIGENSOLVERS = {"eigh", "eigvalsh"}
 
 #: The one function that eigensolves a class matrix ``r_const``: the
 #: bundle's cached class spectrum (``curvature.class_spectrum``) reads it,
-#: and so does ``aligned_metric_matrix``, which takes a bare matrix.
+#: a corpus fills those caches from one stacked call of it
+#: (``curvature._class_spectra``), and ``aligned_metric_matrix``, which
+#: takes a bare matrix, calls it too.
 CLASS_EIGENSOLVE = ("curvature.py", "_eigenpairs")
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruspos import (
+    EigenvalueField,
     GeometryMismatchError,
     HermitianMatrixField,
     InternalInvariantError,
@@ -703,6 +704,19 @@ def test_scalar_field_rejects_complex_values(value):
         ScalarField(g, np.ones((4, 4)) * value)
     with pytest.raises(ValueError, match="must be real"):
         ScalarField(g, np.broadcast_to(np.complex128(value), (4, 4)))
+
+
+@pytest.mark.parametrize("field_type", [ScalarField, EigenvalueField])
+def test_every_real_field_type_rejects_a_complex_caller_array(field_type):
+    """``EigenvalueField`` used to keep a complex array's real part with
+    only a ComplexWarning: ``lattice._caller_core`` refuses a complex array
+    for every real field type, even one of zero imaginary part."""
+    g = TorusGeometry.regular(1, 4)
+    shape = (4, 4) if field_type is ScalarField else (4, 4, 1)
+    for value in (1 + 2j, 1 + 0j):
+        with pytest.raises(ValueError, match="must be real"):
+            field_type(g, np.full(shape, value))
+    assert np.array_equal(field_type(g, np.ones(shape)).values, np.ones(shape))
 
 
 # ------------------------------------------------------------- elliptic solve

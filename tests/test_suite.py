@@ -17,11 +17,18 @@ from toruspos import (
     identity_metric,
     is_pseudo_effective,
     random_bundle,
+    random_bundles,
     run_equivalence_corpus,
     scalar_field_from_expression,
 )
-from toruspos.curvature import PositivityCertificate, complex_matrix_from_json
+from toruspos.curvature import (
+    PositivityCertificate,
+    _class_spectra,
+    class_spectrum,
+    complex_matrix_from_json,
+)
 from toruspos.expressions import random_expression
+from toruspos.lattice import _compact
 from toruspos.normalizer import aligned_metric_matrix
 from toruspos.suite import SEARCH_DELTAS, corpus_csv_lines, random_hermitian_class
 
@@ -191,11 +198,13 @@ def _recorded_eigensolves(monkeypatch) -> list:
 
 
 def _class_solves(seen: list, r_const: np.ndarray) -> int:
-    """How many recorded eigensolves took ``r_const`` or its negative."""
+    """How many recorded eigensolves took ``r_const`` or its negative; a
+    stacked argument counts each of its matrices that does."""
     return sum(
-        a.shape == r_const.shape
-        and (np.array_equal(a, r_const) or np.array_equal(a, -r_const))
+        np.array_equal(m, r_const) or np.array_equal(m, -r_const)
         for a in seen
+        if a.shape[-2:] == r_const.shape
+        for m in a.reshape(-1, *r_const.shape)
     )
 
 
@@ -221,22 +230,25 @@ def test_suite_eigensolves_the_class_once(monkeypatch, eigs, phi_text):
 
 def test_corpus_eigensolves_each_class_once(monkeypatch):
     """A counter, no timing: a corpus row, its CSV ``mu`` column included,
-    takes one eigensolve of its class matrix."""
+    takes one eigensolve of its class matrix, and the corpus solves all
+    its classes in one stacked call."""
     import toruspos.suite as suite_module
 
     bundles = []
-    original = suite_module.random_bundle
+    original = suite_module.random_bundles
 
-    def recording(rng, geometry):
-        bundles.append(original(rng, geometry))
-        return bundles[-1]
+    def recording(rng, geometry, count):
+        bundles.extend(original(rng, geometry, count))
+        return list(bundles)
 
-    monkeypatch.setattr(suite_module, "random_bundle", recording)
+    monkeypatch.setattr(suite_module, "random_bundles", recording)
     seen = _recorded_eigensolves(monkeypatch)
     reports, summary = run_equivalence_corpus(TorusGeometry.regular(2, 8), 12, seed=1)
     corpus_csv_lines(reports)
     assert summary["positive"] and summary["negative"]
     assert [_class_solves(seen, L.r_const) for L in bundles] == [1] * 12
+    classes = np.stack([L.r_const for L in bundles])
+    assert sum(np.array_equal(a, classes) for a in seen) == 1
 
 
 @pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
@@ -388,6 +400,50 @@ def test_random_bundle_draws_only_resolved_frequencies():
         "0.0008*sin(x1) + 0.0022*cos(2*y2) + 0.0009*sin(x2)",
         "0.0038*sin(2*x2)",
     ]
+
+
+@pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
+def test_stacked_draw_equals_successive_lone_draws(n, samples):
+    """``random_bundles`` takes each instance's draws in stream order and
+    makes the classes in one stacked QR, and ``_class_spectra`` solves
+    them in one stacked eigh: both give the bits of lone calls, and the
+    generator ends in the same state."""
+    g = TorusGeometry.regular(n, samples)
+    stacked_rng, lone_rng = np.random.default_rng(31), np.random.default_rng(31)
+    stacked = random_bundles(stacked_rng, g, 100)
+    _class_spectra(stacked)
+    lone = [random_bundle(lone_rng, g) for _ in range(100)]
+    assert stacked_rng.bit_generator.state == lone_rng.bit_generator.state
+    for a, b in zip(stacked, lone):
+        assert a.r_const.tobytes() == b.r_const.tobytes()
+        assert a.phi_expression == b.phi_expression
+        core_a, core_b = _compact(a.phi), _compact(b.phi)
+        assert core_a.shape == core_b.shape
+        assert core_a.tobytes() == core_b.tobytes()
+        for got, expected in zip(class_spectrum(a), class_spectrum(b)):
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
+def test_corpus_rows_are_a_prefix_of_a_longer_corpus(n, samples):
+    """The first k rows of an N-instance corpus, every CSV column, are the
+    k-instance corpus of the same seed: the stacked passes do not reach
+    across instances."""
+    g = TorusGeometry.regular(n, samples)
+    long, _ = run_equivalence_corpus(g, 30, seed=17)
+    short, _ = run_equivalence_corpus(g, 11, seed=17)
+    assert corpus_csv_lines(long)[:12] == corpus_csv_lines(short)
+
+
+def test_corpus_count_is_non_negative():
+    """A negative count used to run nothing and report ``count: -2,
+    negative: -2``; zero instances are an empty corpus."""
+    g = TorusGeometry.regular(2, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_equivalence_corpus(g, -2, seed=3)
+    reports, summary = run_equivalence_corpus(g, 0, seed=3)
+    assert reports == []
+    assert summary == {"count": 0, "seed": 3, "fails": 0, "positive": 0, "negative": 0}
 
 
 #: sha256 of the phi and verdict columns of the seed-42, 200-instance
