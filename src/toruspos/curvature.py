@@ -34,16 +34,17 @@ from .lattice import (
     _checked_symbol,
     _compact,
     _from_core,
+    _hessian_multiplier,
     _hessian_planes,
     _known_constant,
     _negative,
     _owned,
     _require_same_geometry,
-    _Spectrum,
     _sum,
     _trace_symbol,
 )
-from .planes import _join, _split, _tiled
+from .planes import _entries, _join, _split, _tiled
+from .stacks import _half, _weight_spectra
 
 
 @dataclass
@@ -202,6 +203,39 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
     return R
 
 
+def _chern_planes(geometry: TorusGeometry, weights: list, r_consts: list) -> tuple:
+    """``(stack, planes)``: the component planes of ``chern_curvature`` of
+    the bundles with ``weights`` and class matrices ``r_consts``, on one
+    stack (``stacks._weight_spectra``), bit for bit.
+
+    Each plane is the weight's Hessian entry plus r_const's. The mode
+    tables are joined, so each plane is synthesized once for all of them
+    (``stacks._Waves``, with the entry's Hessian multiplier); a weight with
+    no table takes ``_hessian_planes`` alone, and a ``_known_constant``
+    weight's planes are r_const's entries themselves.
+    """
+    stack, spectra, (table, _, waves) = _weight_spectra(geometry, weights)
+    entries = _split(np.stack(r_consts))
+    halves = {i: _hessian_planes(weights[i]) for i, sp in enumerate(spectra) if _half(sp)}
+    planes = []
+    for p, (j, k) in enumerate(_entries(geometry.complex_dim)):
+        entry = entries[p]
+        if table is None:
+            plane = waves.grid(0.0, dtype=entry.dtype)
+        else:
+            multiplier = np.conj(_hessian_multiplier(table.symbols, k, j))
+            plane = waves.grid(0.0, multiplier)
+        plane += stack.repeat(entry)
+        parts = stack.split(plane)
+        for i, sp in enumerate(spectra):
+            if sp is None:
+                parts[i][...] = entry[i]
+            elif i in halves:
+                parts[i][...] = halves[i][p] + entry[i]
+        planes.append(plane)
+    return stack, tuple(planes)
+
+
 def class_spectrum(L: LineBundleMetric) -> tuple[np.ndarray, np.ndarray]:
     """``eigh(r_const)``: the eigenvalues of the class, ascending, and an
     orthonormal eigenbasis as columns, both read-only.
@@ -243,48 +277,68 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
     Equals the sum of the generalized eigenvalues of (R, Omega) at each
     grid point, and scales by exp(-u) when omega is scaled by exp(u).
 
-    Against a constant metric, ``W = Omega^{-1}``, the trace is
-    ``trace(W r_const)`` plus the weight filtered by the trace symbol of
-    W, so no curvature field is built; with a constant weight it is the
-    constant field ``trace(W r_const)``. Against a varying metric it is
+    Against a constant metric it is the count-1 case of ``_traces``, so no
+    curvature field is built. Against a varying metric it is
     ``trace(Omega^{-1} R)`` with R ``chern_curvature``, by LAPACK ``inv``
     and one ``einsum`` per tile of the two fields' common core, so no
     grid-sized ``(..., n, n)`` stack is formed.
     """
-    return _scalar_curvature(L, omega)[0]
-
-
-def _scalar_curvature(
-    L: LineBundleMetric, omega: MetricField, checked: bool = False
-) -> tuple[ScalarField, _Spectrum | None, np.ndarray | None]:
-    """scalar_curvature, with the spectrum of its varying part (the
-    weight's ``_Spectrum`` times the trace symbol of ``Omega^{-1}``) and
-    that symbol, when it took the spectral route (else None for both).
-    ``checked`` builds the symbol guarded for a solve (``_checked_symbol``),
-    so that a caller dividing by it uses the one this call used.
-    """
     geom = _require_same_geometry(L, omega)
-    if omega.matrix is None:
+    if omega.matrix is not None:
+        return _from_core(geom, _traces([L], omega._inverse[None])[1])
 
-        def trace(f, w):
-            # Both stacks on one shape, so that einsum sums every point in
-            # the same order as on the grid.
-            planes = np.broadcast_arrays(*f, *w)
-            W = np.linalg.inv(_join(planes[len(f) :]))
-            return (np.einsum("...ij,...ji->...", W, _join(planes[: len(f)])).real,)
+    def trace(f, w):
+        # Both stacks on one shape, so that einsum sums every point in
+        # the same order as on the grid.
+        planes = np.broadcast_arrays(*f, *w)
+        W = np.linalg.inv(_join(planes[len(f) :]))
+        return (np.einsum("...ij,...ji->...", W, _join(planes[: len(f)])).real,)
 
-        (tr,) = _tiled(trace, chern_curvature(L)._planes, omega._planes)
-        return _from_core(geom, tr), None, None
-    W = omega._inverse
-    trace = np.einsum("ij,ji->", W, L.r_const).real
-    if _known_constant(L.phi):
-        return ScalarField.constant(geom, trace), None, None
-    spectrum = _Spectrum.of(L.phi)
-    symbol = (
-        _checked_symbol(spectrum, W) if checked else _trace_symbol(spectrum.symbols, W)
+    (tr,) = _tiled(trace, chern_curvature(L)._planes, omega._planes)
+    return _from_core(geom, tr)
+
+
+def _traces(bundles: list[LineBundleMetric], W: np.ndarray, checked: bool = False):
+    """The scalar curvature of each bundle against the constant metric
+    with inverse ``W[i]``, on one stack of the weights' spectra
+    (``stacks._weight_spectra``): ``(stack, s, spectra, joined, symbols)``.
+
+    Bundle i's is ``trace(W[i] r_const)`` plus its weight filtered by the
+    trace symbol of ``W[i]`` at the bins of its spectrum; the mode tables
+    are joined, so one symbol and one synthesis serve them all, and a
+    weight without a table takes its half spectrum alone. ``spectra`` and
+    ``joined`` are ``_weight_spectra``'s, left holding the filtered
+    spectra, and ``symbols`` maps each half spectrum's instance, and None
+    for the joined table, to its symbol. ``checked`` builds the symbols
+    guarded for a solve (``_checked_symbol``), so that a caller dividing by
+    them uses the ones this call used.
+    """
+    traces = np.array(
+        [np.einsum("ij,ji->", w, L.r_const).real for w, L in zip(W, bundles)]
     )
-    tr = spectrum.times(symbol).grid(trace)
-    return _from_core(geom, tr), spectrum, symbol
+    stack, spectra, joined = _weight_spectra(
+        bundles[0].geometry, [L.phi for L in bundles]
+    )
+    table, owners, waves = joined
+
+    def symbol(spectrum, w):
+        if checked:
+            return _checked_symbol(spectrum, w)
+        return _trace_symbol(spectrum.symbols, w)
+
+    symbols = {i: symbol(sp, W[i]) for i, sp in enumerate(spectra) if _half(sp)}
+    if stack.lone and symbols:  # a lone half spectrum gives its core as it is
+        return stack, spectra[0].times(symbols[0]).grid(traces[0]), spectra, joined, symbols
+    if table is not None:
+        # Each row's inverse metric; a lone table's is its one matrix.
+        symbols[None] = symbol(table, W[0] if stack.lone else W[owners])
+        table.times(symbols[None])
+    s = waves.grid(stack.repeat(traces))
+    parts = stack.split(s)
+    for i, sp in enumerate(spectra):
+        if _half(sp):
+            parts[i][...] = sp.times(symbols[i]).grid(traces[i])
+    return stack, s, spectra, joined, symbols
 
 
 def volume_integral(omega: MetricField) -> float:
@@ -313,14 +367,8 @@ def degree_integral(L: LineBundleMetric, omega: MetricField) -> float:
     pairing is an invariant of the curvature class (independent of phi).
     """
     det = omega._determinant  # NonConstantMetricError if it varies
-    return _degree_of_trace(scalar_curvature(L, omega), det)
-
-
-def _degree_of_trace(tr: ScalarField, det: float) -> float:
-    """``(1/n) * integral of tr * det`` for the determinant ``det`` of a
-    constant base matrix."""
-    geom = tr.geometry
-    total = _sum(_compact(tr), geom.grid_shape)
+    geom = L.geometry
+    total = _sum(_compact(scalar_curvature(L, omega)), geom.grid_shape)
     return det / geom.complex_dim * geom.cell_volume * total
 
 

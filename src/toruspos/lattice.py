@@ -468,7 +468,8 @@ def _synthesize(geom: TorusGeometry, constant, waves, dtype=np.float64) -> np.nd
 class _Spectrum:
     """The spectrum of a real field, in one of two forms; every spectral
     operator reads its field through this type, and no other code knows
-    which form it holds.
+    which form it holds but ``stacks``, which joins the tables of a stack
+    of fields row by row (``_rows``).
 
     * A mode table (the field's ``_modes``): ``values`` holds one
       coefficient per pair, and ``wavevectors`` are the table's.
@@ -487,12 +488,22 @@ class _Spectrum:
     @classmethod
     def of(cls, field: "ScalarField") -> "_Spectrum":
         """The field's table when it has one, else its half spectrum."""
-        spectrum = cls()
-        spectrum.geometry, spectrum._field = field.geometry, field
         table = field._modes
-        spectrum.wavevectors = None if table is None else table.wavevectors
         if table is not None:
-            spectrum.values = table.coefficients.copy()
+            return cls._rows(field.geometry, table.wavevectors, table.coefficients.copy())
+        spectrum = cls._rows(field.geometry, None, None)
+        spectrum._field = field
+        return spectrum
+
+    @classmethod
+    def _rows(cls, geometry, wavevectors, values) -> "_Spectrum":
+        """The table of rows ``wavevectors`` with ``values`` (one field's,
+        or a stack's tables joined: ``stacks``), or with None for both a
+        half spectrum, whose ``_field`` the caller sets."""
+        spectrum = cls()
+        spectrum.geometry, spectrum.wavevectors = geometry, wavevectors
+        if values is not None:
+            spectrum.values = values
         spectrum._waves = None  # a table's, kept until its values change
         return spectrum
 
@@ -585,12 +596,12 @@ class _Spectrum:
             out += constant
         return out
 
-    def modes(self, constant: float) -> _Modes | None:
-        """The table of ``constant`` plus the field of a table's values,
-        None for a half spectrum."""
+    def modes(self, constant: float, rows=slice(None)) -> _Modes | None:
+        """The table of ``constant`` plus the field of a table's values
+        (those of ``rows`` in a joined table), None for a half spectrum."""
         if self.wavevectors is None:
             return None
-        return _Modes(constant, self.wavevectors, self.values.copy())
+        return _Modes(constant, self.wavevectors[rows], self.values[rows].copy())
 
 
 def _core(values: np.ndarray, trailing: int = 0) -> np.ndarray:
@@ -1125,7 +1136,8 @@ def _trace_symbol(symbols: tuple, inverse_metric: np.ndarray) -> np.ndarray:
     ``symbols``: the d/dz symbols at a spectrum's bins
     (``_Spectrum.symbols``).
 
-    For Hermitian positive definite ``W`` the symbol equals
+    ``inverse_metric`` is one matrix, or one per symbol entry (a stack's
+    joined table rows). For Hermitian positive definite ``W`` the symbol equals
     ``-a(m)^H W a(m)`` with ``a`` the stacked d/dz symbols, hence it is
     real, even in ``m``, strictly negative on every mode carrying a
     nonzero derivative multiplier, and exactly zero otherwise. A singular
@@ -1144,7 +1156,7 @@ def _trace_symbol(symbols: tuple, inverse_metric: np.ndarray) -> np.ndarray:
     """
 
     def term(k: int, j: int) -> np.ndarray:
-        t = (np.conj(symbols[k]) * inverse_metric[k, j] * symbols[j]).real
+        t = (np.conj(symbols[k]) * inverse_metric[..., k, j] * symbols[j]).real
         return t if j == k else 2.0 * t
 
     def minus(sym: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -27,30 +27,28 @@ import numpy as np
 from .curvature import (
     LineBundleMetric,
     PositivityCertificate,
-    _degree_of_trace,
     _eigenpairs,
-    _scalar_curvature,
+    _traces,
     class_spectrum,
     degree_integral,
     volume_integral,
 )
+from .errors import MeanNotZeroError
 from .lattice import (
+    MEAN_ZERO_RTOL,
     MetricField,
     ScalarField,
-    _check_mean_zero,
-    _compact,
     _from_core,
     _hessian_multiplier,
-    _known_constant,
-    _max_abs,
+    _require_same_geometry,
     _solve,
     _Spectrum,
     _spectrum_shape,
-    _sum,
     constant_metric,
 )
-from .planes import _congruence, _descending_eigenvalues
+from .planes import _cholesky, _congruence, _descending_eigenvalues, _gate_bounds, _split
 from .qpositivity import _operand, _resolve_eps
+from .stacks import _half
 
 #: Default relative weight put on non-positive eigendirections of r_const
 #: when assembling an aligned witness metric.
@@ -74,7 +72,8 @@ def _class_scale(L: LineBundleMetric, omega: MetricField) -> float:
 def _trace_multiplier(symbols: tuple[np.ndarray, ...], W: np.ndarray) -> np.ndarray:
     """The real multiplier of ``f -> trace(W . complex_hessian(f))`` from
     the Hessian's own entries, on ``symbols``: the d/dz symbols at a
-    spectrum's bins.
+    spectrum's bins. ``W`` is one matrix, or one per bin (a stack's joined
+    table rows).
 
     Entry ``(j, k)`` of the upper triangle has the real multiplier
     ``Re(c W_kj m_jk)``, with ``m_jk`` the Hessian multiplier and
@@ -85,7 +84,7 @@ def _trace_multiplier(symbols: tuple[np.ndarray, ...], W: np.ndarray) -> np.ndar
     multiplier = np.zeros(_spectrum_shape(symbols))
     for j in range(len(symbols)):
         for k in range(j, len(symbols)):
-            weight = W[j, j].real if j == k else 2.0 * W[k, j]
+            weight = W[..., j, j].real if j == k else 2.0 * W[..., k, j]
             multiplier += (weight * _hessian_multiplier(symbols, j, k)).real
     return multiplier
 
@@ -109,72 +108,118 @@ def normalize_scalar_curvature(
     certificate recording the solver residual, the deviation of the
     achieved scalar curvature from c, and the verdict c > eps. A
     constant weight gives the constant zero exponent, with no transform.
-    f is read-only (``poisson_solve``).
+    f is read-only (``poisson_solve``). The count-1 case of the stacked
+    normalize (``_normalized``) that certificates take.
 
     The right-hand side has zero mean by construction; a MeanNotZeroError
     out of the solver checks therefore signals an internal quadrature bug,
     not a property of the input.
     """
-    geom = L.geometry
-    grid = geom.grid_shape
     W = omega._inverse  # NonConstantMetricError if it varies
     # The class scale sets only the default; a given tolerance is checked.
     scale = _class_scale(L, omega) if eps is None else 0.0
     eps = _resolve_eps(scale, eps)
-    # At most one trace symbol per call, built only where it is used: the
-    # scalar curvature filters a varying weight with it, at the bins of the
-    # weight's spectrum, and the solver divides by the same one. A constant weight
-    # leaves nothing to filter or solve.
-    s, spectrum, symbol = _scalar_curvature(L, omega, checked=True)
-    # The expression target_constant evaluates, on the s already at hand.
-    degree = _degree_of_trace(s, omega._determinant)
-    c = geom.complex_dim * degree / volume_integral(omega)
-    rhs = _compact(s) - c
-    # c is the exact mean of s in exact arithmetic, so anything left in the
-    # mean is quadrature round-off; remove it so the solvability check
-    # compares against genuinely oscillatory content. A right-hand side
-    # that is nothing but that round-off (constant scalar curvature
-    # already) is snapped to exact zero.
-    if _max_abs(rhs) <= 1e-12 * (abs(c) + s.max_abs()):
-        rhs = np.float64(0.0)
-    else:
-        rhs = rhs - _sum(rhs, grid) / geom.num_points
-    rhs = _from_core(geom, rhs)
-    rhs_inf = _check_mean_zero(rhs)
-    if _known_constant(rhs):  # zero, by the mean check
-        f, achieved = ScalarField.constant(geom, 0.0), np.float64(0.0)
-    else:
-        # On every active mode the spectrum s was built from is the
-        # right-hand side's (c and the mean sit on the constant mode).
-        # The spectrum becomes f's in place; it and the symbol are dropped
-        # as soon as they are used, since they set the call's peak memory.
-        f = _solve(spectrum, symbol)
-        del symbol
-        achieved = _hessian_trace(spectrum, W)
-        del spectrum
-
-    if rhs_inf > 0.0:
-        poisson_residual = _max_abs(achieved - _compact(rhs)) / rhs_inf
-    else:
-        poisson_residual = 0.0
-    scalar_deviation = _max_abs(_compact(s) - achieved - c)
-
+    geom = _require_same_geometry(L, omega)
+    ((f, c, residuals),) = _normalized([L], W[None], [omega._determinant])
     cert = PositivityCertificate(
         verdict=c > eps,
         margin=c,
         tolerance=eps,
         witness_metric=omega,
         witness_weight=f,
-        residuals={
-            "poisson_rel": poisson_residual,
-            "scalar_deviation": scalar_deviation,
-        },
+        residuals=residuals,
         details={
             "constant": c,
             "grid": list(geom.grid_shape),
         },
     )
     return f, cert
+
+
+def _normalized(
+    bundles: list[LineBundleMetric], W: np.ndarray, determinants: list[float]
+) -> list[tuple[ScalarField, float, dict]]:
+    """``normalize_scalar_curvature`` of each bundle against the constant
+    metric with inverse ``W[i]`` and determinant ``determinants[i]``, on
+    one stack (``stacks._Stack``): the exponent f, the class constant c
+    and the residuals of each.
+
+    The scalar curvatures come from ``curvature._traces``, with their
+    symbols guarded for the solve; c is the degree over the volume.
+    Subtracting c and the right-hand side's round-off mean leaves the
+    Poisson right-hand side, solved where it is not zero; one that is
+    nothing but round-off (constant scalar curvature already) is snapped
+    to zero. The spectrum of the scalar curvature's varying part is the
+    right-hand side's on every active mode, so it becomes f's in place:
+    one solve and one check serve the joined tables, and a half spectrum
+    is solved alone.
+    """
+    geom = bundles[0].geometry
+    n, points = geom.complex_dim, geom.num_points
+    stack, s, spectra, (table, owners, waves), symbols = _traces(bundles, W, True)
+    halves = [i for i, sp in enumerate(spectra) if _half(sp)]
+    # The expression target_constant evaluates, on the s at hand.
+    c = [
+        n * (det / n * geom.cell_volume * total) / (geom.cell_volume * (det * points))
+        for det, total in zip(determinants, stack.sums(s))
+    ]
+    c_on = stack.repeat(np.array(c))
+    rhs = s - c_on
+    # c is the exact mean of s in exact arithmetic, so anything left in the
+    # mean is quadrature round-off; it is removed so the solvability check
+    # compares against genuinely oscillatory content.
+    snapped = [
+        r <= 1e-12 * (abs(ci) + m)
+        for r, ci, m in zip(stack.max_abs(rhs), c, stack.max_abs(s))
+    ]
+    means = [0.0 if snap else t / points for snap, t in zip(snapped, stack.sums(rhs))]
+    rhs = np.where(
+        stack.repeat(np.array(snapped)), 0.0, rhs - stack.repeat(np.array(means))
+    )
+    rhs_inf = stack.max_abs(rhs)
+    for g_inf, total in zip(rhs_inf, stack.sums(rhs)):
+        if abs(total / points) > MEAN_ZERO_RTOL * g_inf:
+            raise MeanNotZeroError(
+                f"right-hand side mean {total / points:.3e} exceeds "
+                f"{MEAN_ZERO_RTOL:.0e} * |g|_inf = {MEAN_ZERO_RTOL * g_inf:.3e}"
+            )
+    # A right-hand side of one entry is zero by the mean check, as is one
+    # of zeros: neither is solved, and f is the constant zero.
+    solved = [g_inf > 0.0 and size > 1 for g_inf, size in zip(rhs_inf, stack.sizes)]
+    exponents = [ScalarField.constant(geom, 0.0) for _ in bundles]
+    achieved = np.float64(0.0)
+    if any(solved):
+        if table is not None:
+            table.over(symbols[None])
+        f = waves.grid(0.0)
+        f_means = [t / points for t in stack.sums(f)]
+        f -= stack.repeat(np.array(f_means))
+        stops = np.cumsum(np.bincount(owners, minlength=len(bundles))).tolist()
+        for i, part in enumerate(stack.split(f)):
+            if solved[i] and spectra[i] is not None and not _half(spectra[i]):
+                exponents[i] = _from_core(geom, part)
+                rows = slice(stops[i - 1] if i else 0, stops[i])
+                exponents[i]._modes = table.modes(-f_means[i], rows)
+        if table is not None:
+            rows_W = W[0] if stack.lone else W[owners]
+            table.times(_trace_multiplier(table.symbols, rows_W))
+        achieved = waves.grid(0.0)
+        done = stack.split(achieved)
+        for i in halves:
+            if solved[i]:
+                exponents[i] = _solve(spectra[i], symbols[i])
+                done[i][...] = _hessian_trace(spectra[i], W[i])
+        achieved = np.where(stack.repeat(np.array(solved)), achieved, 0.0)
+
+    poisson = [
+        d / g_inf if g_inf > 0.0 else 0.0
+        for d, g_inf in zip(stack.max_abs(achieved - rhs), rhs_inf)
+    ]
+    deviation = stack.max_abs(s - achieved - c_on)
+    return [
+        (f_i, c_i, {"poisson_rel": p, "scalar_deviation": d})
+        for f_i, c_i, p, d in zip(exponents, c, poisson, deviation)
+    ]
 
 
 def aligned_inverse_weights(mu: np.ndarray, delta: float) -> np.ndarray:
@@ -188,20 +233,20 @@ def aligned_inverse_weights(mu: np.ndarray, delta: float) -> np.ndarray:
         trace = sum w_j mu_j >= (1 - delta) * sum of positive mu,
 
     which is positive for 0 < delta < 1 only; any other delta raises
-    ValueError.
+    ValueError. ``mu`` is one class's eigenvalues or a stack of them
+    (classes on the leading axes), each row weighed alone.
     """
     _check_delta(delta)
     mu = np.asarray(mu, dtype=np.float64)
-    positive = mu > 0.0
     negative = mu < 0.0
-    pos_sum = float(mu[positive].sum())
+    # Adding the zeros leaves the sum of the positive entries, in order.
+    pos_sum = np.where(mu > 0.0, mu, 0.0).sum(axis=-1, keepdims=True)
+    m_neg = np.count_nonzero(negative, axis=-1, keepdims=True)
     w = np.ones_like(mu)
-    m_neg = int(np.count_nonzero(negative))
-    if m_neg and pos_sum > 0.0:
-        w[negative] = np.minimum(
-            1.0, delta * pos_sum / (m_neg * np.abs(mu[negative]))
-        )
-    return w
+    np.divide(
+        delta * pos_sum, m_neg * np.abs(mu), out=w, where=negative & (pos_sum > 0.0)
+    )
+    return np.minimum(1.0, w, out=w)
 
 
 def _check_delta(delta: float) -> None:
@@ -224,9 +269,10 @@ def aligned_metric_matrix(
 
 
 def _aligned_matrix(U: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The metric ``U diag(1/w) U*`` on the eigenbasis U of r_const."""
-    omega = (U / w) @ U.conj().T
-    return 0.5 * (omega + omega.conj().T)
+    """The metric ``U diag(1/w) U*`` on the eigenbasis U of r_const, or the
+    stack of them of stacks of U and w."""
+    omega = (U / w[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+    return 0.5 * (omega + np.conj(np.swapaxes(omega, -1, -2)))
 
 
 def certify_n_minus_1_positive(
@@ -242,39 +288,84 @@ def certify_n_minus_1_positive(
     certificate carries the witness metric and conformal exponent; when
     r_const is negative semidefinite the verdict is false with reason
     DualPseudoEffective and no solve is attempted. A delta outside (0, 1)
-    raises ValueError on every class.
+    raises ValueError on every class. The count-1 case of the stacked
+    certificates (``_certificates``).
     """
-    geom = L.geometry
-    _check_delta(delta)
-    mu, U = class_spectrum(L)
-    eps = _resolve_eps(float(np.abs(mu).max()), eps)
+    (cert,), (matrix,), _ = _certificates([L], delta, eps)
+    if matrix is not None:
+        cert.witness_metric = constant_metric(L.geometry, matrix)
+    return cert
 
-    if not (mu > 0.0).any():
-        return PositivityCertificate(
+
+def _certificates(
+    bundles: list[LineBundleMetric], delta: float, eps: float | None
+) -> tuple[list[PositivityCertificate], list, list]:
+    """``certify_n_minus_1_positive`` of each bundle, on one stack: the
+    certificates (with no witness metric), and each bundle's witness
+    matrix and the inverse of its Cholesky factor (``planes._cholesky``),
+    or None for a class with no positive eigenvalue.
+
+    The witness metrics are built, gated and factored as one stack of
+    planes, and inverted as one stack; the gate is ``MetricField``'s on
+    matrices Hermitian by construction: finite, positive definite, with a
+    Cholesky factor in float64. The normalization is ``_normalized``.
+    """
+    _check_delta(delta)
+    geom = bundles[0].geometry
+    spectra = [class_spectrum(L) for L in bundles]
+    tolerances = [_resolve_eps(float(np.abs(mu).max()), eps) for mu, _ in spectra]
+    details = {"delta": delta, "grid": list(geom.grid_shape)}
+    certs = [
+        PositivityCertificate(
             verdict=False,
             margin=float(mu.max()),
-            tolerance=eps,
-            details={
-                "reason": "DualPseudoEffective",
-                "delta": delta,
-                "grid": list(geom.grid_shape),
-            },
+            tolerance=tol,
+            details={"reason": "DualPseudoEffective", **details},
         )
+        for (mu, _), tol in zip(spectra, tolerances)
+    ]
+    matrices, inverses = [None] * len(bundles), [None] * len(bundles)
+    positive = [i for i, (mu, _) in enumerate(spectra) if (mu > 0.0).any()]
+    if not positive:
+        return certs, matrices, inverses
+    mu = np.stack([spectra[i][0] for i in positive])
+    U = np.stack([spectra[i][1] for i in positive])
+    witnesses = _aligned_matrix(U, aligned_inverse_weights(mu, delta))
+    inverse = _gated_factor(witnesses)
+    W = np.linalg.inv(witnesses)
+    determinants = np.linalg.det(witnesses).real.tolist()
+    normalized = _normalized([bundles[i] for i in positive], W, determinants)
+    for k, (i, (f, c, residuals)) in enumerate(zip(positive, normalized)):
+        certs[i] = PositivityCertificate(
+            verdict=c > tolerances[i],
+            margin=c,
+            tolerance=tolerances[i],
+            witness_weight=f,
+            residuals=residuals,
+            details={"constant": c, **details},
+        )
+        matrices[i] = witnesses[k]
+        inverses[i] = inverse[k] if isinstance(inverse, np.ndarray) else tuple(
+            p[k] for p in inverse
+        )
+    return certs, matrices, inverses
 
-    matrix = _aligned_matrix(U, aligned_inverse_weights(mu, delta))
-    omega = constant_metric(geom, matrix)
-    f, inner = normalize_scalar_curvature(L, omega, eps=eps)
-    c = inner.margin
-    return PositivityCertificate(
-        verdict=c > eps,
-        margin=c,
-        tolerance=eps,
-        witness_metric=omega,
-        witness_weight=f,
-        residuals=dict(inner.residuals),
-        details={
-            "constant": c,
-            "delta": delta,
-            "grid": list(geom.grid_shape),
-        },
-    )
+
+def _gated_factor(matrices: np.ndarray):
+    """The inverse Cholesky factor (``planes._cholesky``) of a stack of
+    metric matrices that are exactly Hermitian by construction, once they
+    pass ``MetricField``'s gate: finite, positive definite and factored in
+    float64; ValueError, as the gate raises, if one does not."""
+    if not np.isfinite(matrices).all():
+        raise ValueError("matrix field contains non-finite values")
+    planes = _split(matrices)
+    low, _ = _gate_bounds(planes)
+    smallest = float(low.min())
+    if not smallest > 0.0:
+        raise ValueError(
+            f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
+        )
+    try:
+        return _cholesky(planes)[1]
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("metric field has no Cholesky factor in float64") from exc

@@ -102,9 +102,10 @@ def _tiles(*operands):
             for planes in operands
         )
         return
-    # Rows over the trailing axes from axis k on fit a tile; a tile takes up
-    # to `step` indices of axis k - 1, at one index of the axes before it.
-    k = next(k for k in range(len(core)) if math.prod(core[k:]) <= _TILE)
+    # Rows over the trailing axes from axis k on fit a tile (k = len(core):
+    # single points); a tile takes up to `step` indices of axis k - 1, at
+    # one index of the axes before it.
+    k = next(k for k in range(len(core) + 1) if math.prod(core[k:]) <= _TILE)
     row = math.prod(core[k:])
     step = _TILE // row
 

@@ -71,6 +71,7 @@ from .planes import (
     _split,
     _tiled,
 )
+from .stacks import _Stack
 
 #: Default positivity tolerance, relative to the largest |eigenvalue|.
 DEFAULT_EPS_REL = 1e-9
@@ -214,20 +215,44 @@ def _pencil_eigenvalues(
 ) -> EigenvalueField:
     """Descending eigenvalues of the pencil of an operand (see
     ``_operand``) and a metric: those of ``L^{-1} R L^{-*}``, with ``L``
-    the metric's Cholesky factor (``_base_factor``), on their common core
-    (one point for a constant pencil).
+    the metric's Cholesky factor, on their common core (one point for a
+    constant pencil). A constant metric whitens by the inverse factor it
+    keeps (``_whitened_eigenvalues``), a varying one is factored tile by
+    tile.
 
     The pencil is whitened and solved one tile at a time, so no core-sized
     L^{-1} or L^{-1} R L^{-*} is formed.
     """
-    factor = _base_factor(omega)
+    if all(p.size == 1 for p in omega._planes):
+        lam = _whitened_eigenvalues(field, omega._factor[1])
+        return EigenvalueField._descending(geom, lam)
 
     def eigenvalues(f, w):
-        _, inverse = factor(w)
+        _, inverse = _cholesky(w)
         return (_descending_eigenvalues(_congruence(inverse, f)),)
 
     (lam,) = _tiled(eigenvalues, field, omega._planes)
     return EigenvalueField._descending(geom, lam)
+
+
+def _whitened_eigenvalues(field, inverse) -> np.ndarray:
+    """Descending eigenvalues of ``T R T*`` for the operand ``field`` and a
+    lower triangular ``inverse`` (``planes._cholesky``'s planes at n <= 2,
+    a stack of n x n matrices at n >= 3) that broadcasts against it: one
+    factor, or one per point of a stack. Solved one tile of their common
+    core at a time; a stack's matrices enter ``_tiled`` entry by entry."""
+    n = None if isinstance(inverse, tuple) else inverse.shape[-1]
+    entries = inverse if n is None else tuple(
+        inverse[..., j, k] for j in range(n) for k in range(n)
+    )
+
+    def eigenvalues(f, t):
+        if n is not None:
+            t = np.stack(t, axis=-1).reshape(*np.shape(t[0]), n, n)
+        return (_descending_eigenvalues(_congruence(t, f)),)
+
+    (lam,) = _tiled(eigenvalues, field, entries)
+    return lam
 
 
 def _solve_pencil(R: HermitianMatrixField, omega: MetricField) -> EigenvalueField:
@@ -296,19 +321,41 @@ def check_q_positive(
     eigenvalue; the verdict requires it to clear ``eps`` (default
     1e-9 times the largest |eigenvalue|, so the check is scale invariant).
     The pencil is solved by ``generalized_eigenvalues``, so a repeated
-    (curvature, ``omega``) pair is solved once.
+    (curvature, ``omega``) pair is solved once. The count-1 case of the
+    stacked check (``_floors``).
     """
     n = L.geometry.complex_dim
     _validate_q(n, q)
     ev = generalized_eigenvalues(chern_curvature(L), omega)
-    margin = float(ev._kept[..., n - q - 1].min())
-    eps = _resolve_eps(ev.max_abs(), eps)
-    return PositivityCertificate(
-        verdict=margin > eps,
-        margin=margin,
-        tolerance=eps,
-        details=_certificate_details(ev, q, "pointwise"),
-    )
+    stack = _Stack(L.geometry, [ev._kept.shape[:-1]])
+    return _floors(stack, ev._kept, q, eps)[0]
+
+
+def _floors(stack: _Stack, ev: np.ndarray, q: int, eps: float | None) -> list:
+    """``check_q_positive`` of each instance of a stack, from the descending
+    pencil eigenvalues on its points: the minimum of the (n-q)-th largest
+    against ``eps``, by default 1e-9 times the instance's largest
+    |eigenvalue|."""
+    n = stack.geometry.complex_dim
+    margins = stack.minima(ev[..., n - q - 1])
+    certs = []
+    for margin, low, high in zip(margins, stack.minima(ev), stack.maxima(ev)):
+        tolerance = _resolve_eps(max(0.0, high, -low), eps)
+        certs.append(
+            PositivityCertificate(
+                verdict=margin > tolerance,
+                margin=margin,
+                tolerance=tolerance,
+                details={
+                    "q": q,
+                    "mode": "pointwise",
+                    "eigenvalue_min": low,
+                    "eigenvalue_max": high,
+                    "grid": list(stack.geometry.grid_shape),
+                },
+            )
+        )
+    return certs
 
 
 def check_uniform_q_positive(

@@ -29,6 +29,7 @@ import numpy as np
 
 from .curvature import (
     LineBundleMetric,
+    _chern_planes,
     _class_spectra,
     class_spectrum,
     complex_matrix_to_json,
@@ -38,10 +39,11 @@ from .lattice import TorusGeometry, _difference, identity_metric
 from .normalizer import (
     DEFAULT_DELTA,
     _aligned_matrix,
+    _certificates,
     aligned_inverse_weights,
-    certify_n_minus_1_positive,
 )
-from .qpositivity import _resolve_eps, check_q_positive
+from .qpositivity import _floors, _resolve_eps, _whitened_eigenvalues
+from .stacks import chunk_size
 
 #: Oracle slack: eigenvalues this far below zero (relative) still count as
 #: semidefinite, absorbing round-off in the eigensolve.
@@ -49,6 +51,11 @@ PSEF_EIG_RTOL = 1e-12
 
 #: Fallback weights tried by the degree search after the default delta.
 SEARCH_DELTAS = (DEFAULT_DELTA, DEFAULT_DELTA / 10.0, DEFAULT_DELTA / 100.0)
+
+#: A route's margin within this many times its tolerance of zero counts
+#: its instance as near the decision boundary (the corpus summary's
+#: ``near_boundary``).
+NEAR_BOUNDARY = 10.0
 
 
 def is_pseudo_effective(L: LineBundleMetric) -> bool:
@@ -58,13 +65,14 @@ def is_pseudo_effective(L: LineBundleMetric) -> bool:
     1e-12 relative eigenvalue slack. The weight plays no role: averaging
     it over the torus removes the Hessian part without leaving the class.
     """
-    return _semidefinite(class_spectrum(L)[0])
+    return bool(_semidefinite(class_spectrum(L)[0]))
 
 
-def _semidefinite(mu: np.ndarray) -> bool:
-    """The oracle of ``is_pseudo_effective`` on a class's eigenvalues."""
-    scale = float(np.abs(mu).max())
-    return bool(mu.min() >= -PSEF_EIG_RTOL * scale)
+def _semidefinite(mu: np.ndarray) -> np.ndarray:
+    """The oracle of ``is_pseudo_effective`` on a class's eigenvalues, or
+    on each row of a stack of them."""
+    scale = np.abs(mu).max(axis=-1)
+    return mu.min(axis=-1) >= -PSEF_EIG_RTOL * scale
 
 
 @dataclass
@@ -74,6 +82,7 @@ class DegreeSearchResult:
     found: bool
     witness: np.ndarray | None  # the winning candidate's n x n metric
     constant: float  # best volume-normalized pairing seen
+    tolerance: float = 0.0  # the pairing must exceed it
 
 
 def dual_not_pseudo_effective(
@@ -86,26 +95,47 @@ def dual_not_pseudo_effective(
     pseudo-effectivity of the dual class; on the torus the eigen-aligned
     family is enough to find one whenever it exists. The volume-normalized
     pairing is scale invariant; with an aligned constant metric it is
-    ``sum_j w_j mu_j`` on the eigenpairs of r_const (CONVENTIONS.md).
+    ``sum_j w_j mu_j`` on the eigenpairs of r_const (CONVENTIONS.md). The
+    count-1 case of the stacked search (``_searches``).
     """
-    mu, U = class_spectrum(L)
-    eps = _resolve_eps(float(np.abs(mu).max()), eps)
-    if not (mu > 0.0).any():
-        # No aligned candidate exists; report the identity's, trace(r_const).
-        return DegreeSearchResult(False, None, math.fsum(np.diagonal(L.r_const).real))
+    return _searches([L], eps)[0]
 
+
+def _searches(bundles: list[LineBundleMetric], eps: float | None) -> list:
+    """``dual_not_pseudo_effective`` of each bundle, on the stack of their
+    class spectra: each candidate weight is tried on every class still
+    searching at once, and each pairing is an exactly rounded sum."""
+    spectra = [class_spectrum(L) for L in bundles]
+    mu = np.stack([m for m, _ in spectra])
+    U = np.stack([u for _, u in spectra])
+    tolerances = [_resolve_eps(scale, eps) for scale in np.abs(mu).max(axis=1).tolist()]
+    # No aligned candidate exists without a positive eigenvalue; report
+    # the identity's pairing, trace(r_const).
+    results = [
+        DegreeSearchResult(False, None, math.fsum(np.diagonal(L.r_const).real), tol)
+        for L, tol in zip(bundles, tolerances)
+    ]
+    searching = np.flatnonzero((mu > 0.0).any(axis=1))
     for delta in SEARCH_DELTAS:
-        w = aligned_inverse_weights(mu, delta)
-        c = math.fsum(w * mu)
-        if c > eps:
-            return DegreeSearchResult(True, _aligned_matrix(U, w), c)
-    # w falls with delta on the negative directions only, so c is largest last.
-    return DegreeSearchResult(False, None, c)
+        w = aligned_inverse_weights(mu[searching], delta)
+        pairings = [math.fsum(row) for row in (w * mu[searching]).tolist()]
+        found = np.array([c > tolerances[i] for c, i in zip(pairings, searching)], bool)
+        witnesses = iter(_aligned_matrix(U[searching[found]], w[found]))
+        for i, c, hit in zip(searching.tolist(), pairings, found.tolist()):
+            witness = next(witnesses) if hit else None
+            results[i] = DegreeSearchResult(hit, witness, c, tolerances[i])
+        # w falls with delta on the negative directions only, so the last
+        # pairing is the largest.
+        searching = searching[~found]
+    return results
 
 
 @dataclass
 class SuiteReport:
-    """Verdicts and margins of the four-way equivalence on one instance."""
+    """Verdicts and margins of the four-way equivalence on one instance.
+
+    ``tolerances`` holds the tolerance each margin's verdict was judged
+    against, under the margin's key."""
 
     dual_not_psef_oracle: bool
     positive_pairing_search: bool
@@ -114,6 +144,7 @@ class SuiteReport:
     passed: bool
     margins: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
 
     @property
     def verdicts(self) -> tuple[bool, bool, bool, bool]:
@@ -124,6 +155,15 @@ class SuiteReport:
             self.witness_q_positivity,
         )
 
+    @property
+    def near_boundary(self) -> bool:
+        """Does some route's margin lie within ``NEAR_BOUNDARY`` times its
+        tolerance of zero?"""
+        return any(
+            abs(self.margins[key]) <= NEAR_BOUNDARY * tol
+            for key, tol in self.tolerances.items()
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "dual_not_psef_oracle": self.dual_not_psef_oracle,
@@ -132,6 +172,7 @@ class SuiteReport:
             "witness_q_positivity": self.witness_q_positivity,
             "passed": self.passed,
             "margins": {k: float(v) for k, v in sorted(self.margins.items())},
+            "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
             "details": self.details,
         }
 
@@ -154,44 +195,93 @@ def equivalence_suite(
     direction: uniformly true or uniformly false). The fourth item runs
     on the certificate's witness pair when one exists, otherwise on the
     unmodified bundle against the identity metric, where theory predicts
-    a negative verdict whenever the first three are negative.
+    a negative verdict whenever the first three are negative. The count-1
+    case of the stacked suite (``_suites``).
     """
-    n = L.geometry.complex_dim
-    item1 = not _semidefinite(-class_spectrum(L)[0])
-    search = dual_not_pseudo_effective(L, eps=eps)
-    cert = certify_n_minus_1_positive(L, delta=delta, eps=eps)
+    return _suites([L], delta, eps)[0]
 
-    if cert.verdict and cert.witness_metric is not None:
-        modified = L.with_weight(
-            _difference(L.phi, cert.witness_weight)
+
+def _suites(
+    bundles: list[LineBundleMetric],
+    delta: float = DEFAULT_DELTA,
+    eps: float | None = None,
+) -> list[SuiteReport]:
+    """``equivalence_suite`` of each bundle (all on one geometry), every
+    route on one stack of the instances:
+
+    1. the oracle on the ``(count, n)`` class spectra;
+    2. the search, on them too (``_searches``);
+    3. the certificates (``normalizer._certificates``), whose witness
+       metrics are built, gated, factored and inverted as one stack;
+    4. the witness check (``_witness_floors``) on the instances' joined
+       cores.
+    """
+    if not bundles:
+        return []
+    geom = bundles[0].geometry
+    n = geom.complex_dim
+    mu = np.stack([class_spectrum(L)[0] for L in bundles])
+    oracle = ~_semidefinite(-mu)
+    searches = _searches(bundles, eps)
+    certs, witnesses, inverses = _certificates(bundles, delta, eps)
+    floors = _witness_floors(bundles, certs, inverses, eps)
+    reports = []
+    for L, item1, search, cert, witness, qpos in zip(
+        bundles, oracle.tolist(), searches, certs, witnesses, floors
+    ):
+        verdicts = (item1, search.found, cert.verdict, qpos.verdict)
+        reports.append(
+            SuiteReport(
+                dual_not_psef_oracle=item1,
+                positive_pairing_search=search.found,
+                constant_scalar_certificate=cert.verdict,
+                witness_q_positivity=qpos.verdict,
+                passed=len(set(verdicts)) == 1,
+                margins={
+                    "pairing_constant": search.constant,
+                    "certificate_constant": cert.margin,
+                    "witness_eigenvalue_floor": qpos.margin,
+                },
+                tolerances={
+                    "pairing_constant": search.tolerance,
+                    "certificate_constant": cert.tolerance,
+                    "witness_eigenvalue_floor": qpos.tolerance,
+                },
+                details={
+                    "grid": list(geom.grid_shape),
+                    "phi": L.phi_expression,
+                    "witness_metric": (
+                        None if witness is None else complex_matrix_to_json(witness)
+                    ),
+                },
+            )
         )
-        qpos = check_q_positive(modified, cert.witness_metric, n - 1, eps=eps)
-    else:
-        qpos = check_q_positive(L, identity_metric(L.geometry), n - 1, eps=eps)
+    return reports
 
-    verdicts = (item1, search.found, cert.verdict, qpos.verdict)
-    passed = len(set(verdicts)) == 1
-    return SuiteReport(
-        dual_not_psef_oracle=item1,
-        positive_pairing_search=search.found,
-        constant_scalar_certificate=cert.verdict,
-        witness_q_positivity=qpos.verdict,
-        passed=passed,
-        margins={
-            "pairing_constant": search.constant,
-            "certificate_constant": cert.margin,
-            "witness_eigenvalue_floor": qpos.margin,
-        },
-        details={
-            "grid": list(L.geometry.grid_shape),
-            "phi": L.phi_expression,
-            "witness_metric": (
-                None
-                if cert.witness_metric is None
-                else complex_matrix_to_json(cert.witness_metric.matrix)
-            ),
-        },
-    )
+
+def _witness_floors(bundles, certs, inverses, eps) -> list:
+    """Route 4 of each instance (``check_q_positive`` at q = n - 1): on a
+    certified instance, the bundle with the weight phi - f against the
+    witness metric, else the bundle itself against the identity. The
+    curvatures are built on one stack (``curvature._chern_planes``) and
+    whitened by each instance's factor, repeated over its points."""
+    geom = bundles[0].geometry
+    identity = identity_metric(geom)._factor[1]
+    weights, factors = [], []
+    for L, cert, inverse in zip(bundles, certs, inverses):
+        if cert.verdict:
+            weights.append(_difference(L.phi, cert.witness_weight))
+            factors.append(inverse)
+        else:
+            weights.append(L.phi)
+            factors.append(identity)
+    stack, planes = _chern_planes(geom, weights, [L.r_const for L in bundles])
+    if isinstance(identity, tuple):
+        inverse = tuple(stack.repeat(np.array(plane)) for plane in zip(*factors))
+    else:
+        inverse = stack.repeat(np.stack(factors))
+    ev = _whitened_eigenvalues(planes, inverse)
+    return _floors(stack, ev, geom.complex_dim - 1, eps)
 
 
 def random_hermitian_class(
@@ -288,19 +378,30 @@ def run_equivalence_corpus(
     """Run the suite on ``count`` seeded random instances, each with
     ``delta`` and ``eps`` (``equivalence_suite``).
 
-    Returns the reports plus an aggregate summary; ``fails`` should always
-    be zero, anything else indicates a bug in one of the four routes.
+    The instances are drawn and run a chunk at a time
+    (``stacks.chunk_size``), from the one generator in stream order, so a
+    corpus holds one chunk's bundles at a time and its rows are those of
+    lone draws and lone suites. Returns the reports plus an aggregate
+    summary; ``fails`` should always be zero, anything else indicates a
+    bug in one of the four routes. ``near_boundary`` counts the instances
+    where some route's margin lies within ``NEAR_BOUNDARY`` times its
+    tolerance.
     """
-    bundles = random_bundles(np.random.default_rng(seed), geometry, count)
-    _class_spectra(bundles)
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    rng = np.random.default_rng(seed)
+    size = chunk_size(geometry)
     reports = []
-    for index in range(count):
-        # Dropped as it is done with, so a corpus holds one curvature at a time.
-        bundle, bundles[index] = bundles[index], None
-        report = equivalence_suite(bundle, delta=delta, eps=eps)
-        report.details["index"] = index
-        report.details["mu"] = class_spectrum(bundle)[0].tolist()
-        reports.append(report)
+    for start in range(0, count, size):
+        bundles = random_bundles(rng, geometry, min(size, count - start))
+        _class_spectra(bundles)
+        for index, (bundle, report) in enumerate(
+            zip(bundles, _suites(bundles, delta=delta, eps=eps)), start
+        ):
+            report.details["index"] = index
+            report.details["mu"] = class_spectrum(bundle)[0].tolist()
+            reports.append(report)
+        del bundles
     fails = sum(1 for r in reports if not r.passed)
     positives = sum(1 for r in reports if r.passed and r.dual_not_psef_oracle)
     summary = {
@@ -309,6 +410,7 @@ def run_equivalence_corpus(
         "fails": fails,
         "positive": positives,
         "negative": count - fails - positives,
+        "near_boundary": sum(r.near_boundary for r in reports),
     }
     return reports, summary
 

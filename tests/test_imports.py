@@ -2,10 +2,13 @@
 dependency, numpy: scipy and other installed packages stay out. Grid
 transforms go through lattice.py's helpers, so numpy's FFT is called in
 that module only, and the form a spectrum takes (a mode table or a half
-spectrum) is known there alone: other modules read spectra through
+spectrum) is known there and in stacks.py alone, which joins the tables
+of a stack's instances row by row: other modules read spectra through
 ``lattice._Spectrum``. Two geometries are compared in one function,
 ``lattice._require_same_geometry``, which raises the typed
-GeometryMismatchError."""
+GeometryMismatchError. The ragged layout of a stack of instances (its
+offsets, and the ``reduceat`` reductions read at them) is known to
+stacks.py alone."""
 
 import ast
 import sys
@@ -129,6 +132,10 @@ def _defined(path: Path) -> set:
     return names
 
 
+#: Modules that read a spectrum's table rows (``_Spectrum.wavevectors``).
+ROW_MODULES = {"lattice.py", "stacks.py"}
+
+
 def test_spectrum_forms_are_known_only_in_lattice():
     sources = sorted(PACKAGE.glob("*.py"))
     outside = [
@@ -137,6 +144,7 @@ def test_spectrum_forms_are_known_only_in_lattice():
         for line, name in _names(path)
         if (name in LATTICE_ONLY and path.name != "lattice.py")
         or (name == "_Modes" and path.name not in TABLE_MODULES)
+        or (name == "wavevectors" and path.name not in ROW_MODULES)
     ]
     assert outside == []
     # A listed name lattice.py no longer defines would guard nothing.
@@ -265,3 +273,38 @@ def test_geometry_comparisons_are_found(tmp_path):
         "same = b.phi.geometry is c.geometry\n"
     )
     assert list(_geometry_comparisons(module)) == [(2, "f"), (4, "g"), (7, None)]
+
+
+#: Names of the ragged layout: a stack's offsets and the per-instance
+#: reductions taken at them.
+RAGGED_NAMES = {"reduceat", "_offsets"}
+
+#: The one module that knows the ragged layout.
+STACK_MODULE = "stacks.py"
+
+
+def test_only_the_stack_module_knows_the_ragged_layout():
+    """Routes read per-instance values through ``stacks._Stack`` (``split``,
+    ``minima``, ``sums`` and kin), so no other module indexes the joined
+    points by hand."""
+    outside = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _names(path)
+        if name in RAGGED_NAMES and path.name != STACK_MODULE
+    ]
+    assert outside == []
+    # A listed name the stack module no longer uses would guard nothing.
+    assert RAGGED_NAMES <= {name for _, name in _names(PACKAGE / STACK_MODULE)}
+
+
+def test_ragged_layout_names_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "def f(x, stack):\n"
+        "    starts = stack._offsets[:-1]\n"
+        "    return np.minimum.reduceat(x, starts)\n"
+    )
+    found = sorted(name for _, name in _names(module) if name in RAGGED_NAMES)
+    assert found == ["_offsets", "reduceat"]

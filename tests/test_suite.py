@@ -1,6 +1,8 @@
 """Pseudo-effectivity oracle and the four-way equivalence suite."""
 
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from toruspos import (
     constant_metric,
     dual_not_pseudo_effective,
     equivalence_suite,
-    identity_metric,
     is_pseudo_effective,
     random_bundle,
     random_bundles,
@@ -30,7 +31,13 @@ from toruspos.curvature import (
 from toruspos.expressions import random_expression
 from toruspos.lattice import _compact
 from toruspos.normalizer import aligned_metric_matrix
-from toruspos.suite import SEARCH_DELTAS, corpus_csv_lines, random_hermitian_class
+from toruspos.suite import (
+    NEAR_BOUNDARY,
+    SEARCH_DELTAS,
+    _suites,
+    corpus_csv_lines,
+    random_hermitian_class,
+)
 
 #: Unit roundoff of float64.
 EPS64 = np.finfo(np.float64).eps / 2
@@ -138,8 +145,9 @@ def test_search_without_positive_direction_reads_the_trace():
 
 def test_class_routes_build_no_field(monkeypatch):
     """Routes 1 and 2 read the class matrix only: no metric field, no
-    bundle (the dual included) and no scalar curvature. Routes 3 and 4
-    are replaced by fixed outcomes so only routes 1 and 2 run."""
+    bundle (the dual included) and no scalar curvature. The stacked
+    routes 3 and 4 are replaced by fixed outcomes so only routes 1 and 2
+    run."""
     import toruspos.curvature as curvature_module
     import toruspos.lattice as lattice_module
     import toruspos.suite as suite_module
@@ -151,9 +159,6 @@ def test_class_routes_build_no_field(monkeypatch):
         )
         for eigs in ([2.0, -0.7], [-1.0, -0.2])
     ]
-    # The fixed certificate below has no witness, so route 4 takes the
-    # identity metric; it is built before counting starts.
-    identity = identity_metric(g)
     built = []
 
     def counting(name, original):
@@ -167,14 +172,19 @@ def test_class_routes_build_no_field(monkeypatch):
         monkeypatch.setattr(
             cls, "__post_init__", counting(cls.__name__, cls.__post_init__)
         )
-    for name in ("scalar_curvature", "_scalar_curvature"):
+    for name in ("scalar_curvature", "_traces"):
         monkeypatch.setattr(
             curvature_module, name, counting(name, getattr(curvature_module, name))
         )
     fixed = PositivityCertificate(verdict=True, margin=1.0, tolerance=0.0)
-    for name in ("certify_n_minus_1_positive", "check_q_positive"):
-        monkeypatch.setattr(suite_module, name, lambda *a, **k: fixed)
-    monkeypatch.setattr(suite_module, "identity_metric", lambda geometry: identity)
+    monkeypatch.setattr(
+        suite_module,
+        "_certificates",
+        lambda bundles, *a: ([fixed] * len(bundles), [None] * len(bundles), None),
+    )
+    monkeypatch.setattr(
+        suite_module, "_witness_floors", lambda bundles, *a: [fixed] * len(bundles)
+    )
     for L in bundles:
         report = equivalence_suite(L)
         assert report.dual_not_psef_oracle == report.positive_pairing_search
@@ -346,13 +356,13 @@ def test_suite_witness_weight_stays_constant_for_a_constant_weight(
     import toruspos.suite as suite_module
 
     weights = []
-    original = suite_module.check_q_positive
+    original = suite_module._chern_planes
 
-    def recording(L, omega, q, eps=None):
-        weights.append(L.phi)
-        return original(L, omega, q, eps=eps)
+    def recording(geometry, phis, r_consts):
+        weights.extend(phis)
+        return original(geometry, phis, r_consts)
 
-    monkeypatch.setattr(suite_module, "check_q_positive", recording)
+    monkeypatch.setattr(suite_module, "_chern_planes", recording)
     g = TorusGeometry.regular(2, 8)
     L = LineBundleMetric.from_expression(
         g, hermitian_with_eigs(np.random.default_rng(9), [2.0, -0.7]), phi_text
@@ -443,7 +453,14 @@ def test_corpus_count_is_non_negative():
         run_equivalence_corpus(g, -2, seed=3)
     reports, summary = run_equivalence_corpus(g, 0, seed=3)
     assert reports == []
-    assert summary == {"count": 0, "seed": 3, "fails": 0, "positive": 0, "negative": 0}
+    assert summary == {
+        "count": 0,
+        "seed": 3,
+        "fails": 0,
+        "positive": 0,
+        "negative": 0,
+        "near_boundary": 0,
+    }
 
 
 #: sha256 of the phi and verdict columns of the seed-42, 200-instance
@@ -461,6 +478,164 @@ def test_corpus_stream_is_pinned():
         cells = line.split(",")  # the phi text has no commas
         digest.update(",".join(cells[2:8]).encode() + b"\n")
     assert digest.hexdigest() == CORPUS_42_DIGEST
+
+
+#: sha256 of the whole CSV (every column, margins and mu included, one row
+#: per line, newline-terminated) of the seed-42, 200-instance corpus on 8^4.
+CORPUS_42_CSV_DIGEST = "3b977c02ceabc2f7fd146cd50a5104b93b15047e54b3131effb04b42ff548d65"
+
+
+def test_corpus_csv_is_pinned():
+    """The corpus's bits are pinned, not only its verdicts: a stacked or
+    otherwise cheaper pass must give every margin and class eigenvalue bit
+    for bit."""
+    reports, _ = run_equivalence_corpus(TorusGeometry.regular(2, 8), 200, seed=42)
+    text = "\n".join(corpus_csv_lines(reports)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_42_CSV_DIGEST
+
+
+def _edge_bundles(g: TorusGeometry) -> list:
+    """Bundles past the corpus draw: a zero class, a negative definite
+    class, a constant weight on a mixed class, strong weights that the
+    normalized weight must rescue, and one of them loaded as a grid field,
+    whose weight has no mode table."""
+    n, s = g.complex_dim, g.grid_shape[0]
+    rng = np.random.default_rng(40 + n)
+    out = [
+        LineBundleMetric.from_constant(g, np.zeros((n, n))),
+        LineBundleMetric.from_constant(g, -np.eye(n)),
+        LineBundleMetric.from_constant(g, np.diag([1.0] + [-5.0] * (n - 1))),
+    ]
+    for amplitude in (1.0, 10.0):
+        matrix, mu = random_hermitian_class(rng, n)
+        text = random_expression(
+            rng,
+            n,
+            amplitude=amplitude * float(np.max(np.abs(mu))),
+            zero_probability=0.0,
+            max_frequency=min(2, s // 2 - 1),
+        )
+        out.append(LineBundleMetric.from_expression(g, matrix, text))
+    grid_copy = out[-1].with_weight(ScalarField(g, out[-1].phi.values.copy()))
+    assert grid_copy.phi._modes is None
+    return out + [grid_copy]
+
+
+@pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
+def test_stacked_suites_equal_lone_suites(n, samples):
+    """Every report of one stacked pass equals ``equivalence_suite`` on the
+    same bundle, margins and tolerances bit for bit, for corpus draws and
+    the instances they never draw (``_edge_bundles``)."""
+    g = TorusGeometry.regular(n, samples)
+    bundles = random_bundles(np.random.default_rng(50 + n), g, 24) + _edge_bundles(g)
+    stacked = _suites(bundles)
+    assert all(r.passed for r in stacked)
+    for report, L in zip(stacked, bundles):
+        lone = equivalence_suite(L)
+        assert json.dumps(report.to_json_dict()) == json.dumps(lone.to_json_dict())
+
+
+@pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
+def test_corpus_rows_equal_lone_suites_at_chunk_edges(monkeypatch, n, samples):
+    """A corpus is drawn and run chunk by chunk; with a chunk of five
+    instances, corpora of 0, 1, 4, 5 and 6 instances give each row of
+    ``equivalence_suite`` on the bundle a lone draw gives, every CSV
+    column and report entry bit for bit."""
+    import toruspos.stacks as stacks_module
+
+    g = TorusGeometry.regular(n, samples)
+    monkeypatch.setattr(stacks_module, "CHUNK_POINTS", 5 * g.num_points)
+    assert stacks_module.chunk_size(g) == 5
+    for count in (0, 1, 4, 5, 6):
+        reports, summary = run_equivalence_corpus(g, count, seed=60 + count)
+        rng = np.random.default_rng(60 + count)
+        lone = []
+        for index in range(count):
+            bundle = random_bundle(rng, g)
+            lone.append(equivalence_suite(bundle))
+            lone[-1].details["index"] = index
+            lone[-1].details["mu"] = class_spectrum(bundle)[0].tolist()
+        assert corpus_csv_lines(reports) == corpus_csv_lines(lone)
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in lone]
+        assert summary["count"] == count and summary["fails"] == 0
+
+
+@pytest.mark.parametrize("count", [5, 12])
+def test_one_chunk_corpus_solves_route_4_and_gates_its_witnesses_once(
+    monkeypatch, count
+):
+    """Counters, no timing: a corpus of one chunk whitens and solves every
+    instance's route-4 pencil in one ``_descending_eigenvalues`` call and
+    gates all its witness metrics in one ``_gate_bounds`` call, whatever
+    its count."""
+    import toruspos.normalizer as normalizer_module
+    import toruspos.qpositivity as qpositivity_module
+
+    calls = {"_descending_eigenvalues": 0, "_gate_bounds": 0}
+    for module, name in (
+        (qpositivity_module, "_descending_eigenvalues"),
+        (normalizer_module, "_gate_bounds"),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    reports, summary = run_equivalence_corpus(TorusGeometry.regular(2, 8), count, seed=1)
+    assert summary["fails"] == 0 and summary["positive"] > 1
+    assert calls == {"_descending_eigenvalues": 1, "_gate_bounds": 1}
+
+
+def test_corpus_memory_is_bounded_by_its_chunk():
+    """A corpus draws and runs one chunk at a time, so on a grid whose
+    instances fill a chunk each (64^4, whose weights reach 64^3-point
+    cores), 400 instances peak at most 1.25 times what 50 do: only their
+    reports add up. Drawing every weight first peaked about six times as
+    high."""
+    g = TorusGeometry.regular(2, 64)
+    run_equivalence_corpus(g, 2, seed=5)  # caches and work buffers
+    peaks = []
+    for count in (50, 400):
+        tracemalloc.start()
+        try:
+            run_equivalence_corpus(g, count, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_reports_carry_each_routes_tolerance():
+    """Each margin comes with the tolerance its verdict was judged
+    against, and the corpus summary counts the instances where some
+    route's margin lies within ``NEAR_BOUNDARY`` times it; ``corpus.csv``
+    keeps its columns."""
+    g = TorusGeometry.regular(2, 4)
+    for eps, near in ((None, False), (0.3, True)):
+        reports, summary = run_equivalence_corpus(g, 30, seed=7, eps=eps)
+        counted = 0
+        for report in reports:
+            data = report.to_json_dict()
+            assert list(data["tolerances"]) == sorted(data["margins"])
+            if eps is not None:
+                assert set(data["tolerances"].values()) == {eps}
+            counted += any(
+                abs(data["margins"][k]) <= NEAR_BOUNDARY * t
+                for k, t in data["tolerances"].items()
+            )
+        assert summary["near_boundary"] == counted
+        assert (counted > 0) == near
+        assert corpus_csv_lines(reports)[0] == CORPUS_CSV_HEADER_TEXT
+
+
+#: The CSV header, as corpus.csv has always written it.
+CORPUS_CSV_HEADER_TEXT = (
+    "index,mu,phi,dual_not_psef_oracle,positive_pairing_search,"
+    "constant_scalar_certificate,witness_q_positivity,passed,"
+    "pairing_constant,witness_eigenvalue_floor"
+)
 
 
 def test_corpus_run_all_pass():
