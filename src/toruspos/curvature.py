@@ -183,7 +183,8 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
 
     Computed once per bundle and cached on it; the field is read-only. A
     constant weight has zero Hessian, so its curvature is ``r_const`` kept
-    as one matrix.
+    as one matrix. A varying weight's is the count-1 case of the stacked
+    curvatures (``_chern_planes``).
     """
     cached = L._curvature
     if cached is not None and cached[0] is L.r_const and cached[1] is L.phi:
@@ -191,22 +192,21 @@ def chern_curvature(L: LineBundleMetric) -> HermitianMatrixField:
     if _known_constant(L.phi):
         R = HermitianMatrixField.constant(L.geometry, L.r_const)
     else:
-        # The constant part goes into the Hessian's planes before they are
-        # handed over, so the grid is gated once: the Hessian is exactly
-        # Hermitian and finite, and r_const passed the same checks when the
-        # bundle was built.
-        planes = _hessian_planes(L.phi)
-        for plane, entry in zip(planes, _split(L.r_const)):
-            plane += entry
+        # The grid is gated once: the planes are exactly Hermitian and
+        # finite, and r_const passed the same checks when the bundle was
+        # built.
+        _, planes = _chern_planes(L.geometry, [L.phi], L.r_const[None])
         R = HermitianMatrixField._computed(L.geometry, planes)
     L._curvature = (L.r_const, L.phi, R)
     return R
 
 
-def _chern_planes(geometry: TorusGeometry, weights: list, r_consts: list) -> tuple:
+def _chern_planes(
+    geometry: TorusGeometry, weights: list, r_consts: np.ndarray
+) -> tuple:
     """``(stack, planes)``: the component planes of ``chern_curvature`` of
-    the bundles with ``weights`` and class matrices ``r_consts``, on one
-    stack (``stacks._weight_spectra``), bit for bit.
+    the bundles with ``weights`` and the stack of class matrices
+    ``r_consts``, on one stack (``stacks._weight_spectra``).
 
     Each plane is the weight's Hessian entry plus r_const's. The mode
     tables are joined, so each plane is synthesized once for all of them
@@ -214,9 +214,13 @@ def _chern_planes(geometry: TorusGeometry, weights: list, r_consts: list) -> tup
     no table takes ``_hessian_planes`` alone, and a ``_known_constant``
     weight's planes are r_const's entries themselves.
     """
-    stack, spectra, (table, _, waves) = _weight_spectra(geometry, weights)
-    entries = _split(np.stack(r_consts))
+    stack, spectra, (table, waves) = _weight_spectra(geometry, weights)
+    entries = _split(r_consts)
     halves = {i: _hessian_planes(weights[i]) for i, sp in enumerate(spectra) if _half(sp)}
+    if stack.lone and halves:  # a lone half spectrum's planes are its own
+        for plane, entry in zip(halves[0], entries):
+            plane += entry[0]
+        return stack, halves[0]
     planes = []
     for p, (j, k) in enumerate(_entries(geometry.complex_dim)):
         entry = entries[p]
@@ -319,7 +323,7 @@ def _traces(bundles: list[LineBundleMetric], W: np.ndarray, checked: bool = Fals
     stack, spectra, joined = _weight_spectra(
         bundles[0].geometry, [L.phi for L in bundles]
     )
-    table, owners, waves = joined
+    table, waves = joined
 
     def symbol(spectrum, w):
         if checked:
@@ -330,10 +334,9 @@ def _traces(bundles: list[LineBundleMetric], W: np.ndarray, checked: bool = Fals
     if stack.lone and symbols:  # a lone half spectrum gives its core as it is
         return stack, spectra[0].times(symbols[0]).grid(traces[0]), spectra, joined, symbols
     if table is not None:
-        # Each row's inverse metric; a lone table's is its one matrix.
-        symbols[None] = symbol(table, W[0] if stack.lone else W[owners])
+        symbols[None] = symbol(table, waves.on_rows(W))
         table.times(symbols[None])
-    s = waves.grid(stack.repeat(traces))
+    s = waves.grid(traces)
     parts = stack.split(s)
     for i, sp in enumerate(spectra):
         if _half(sp):
@@ -353,7 +356,7 @@ def volume_integral(omega: MetricField) -> float:
     """
     geom = omega.geometry
     if omega.matrix is not None:
-        return geom.cell_volume * (omega._determinant * geom.num_points)
+        return _volume(geom, omega._determinant)
     (dets,) = _tiled(lambda w: (np.linalg.det(_join(w)).real,), omega._planes)
     return geom.cell_volume * _sum(dets, geom.grid_shape)
 
@@ -369,7 +372,18 @@ def degree_integral(L: LineBundleMetric, omega: MetricField) -> float:
     det = omega._determinant  # NonConstantMetricError if it varies
     geom = L.geometry
     total = _sum(_compact(scalar_curvature(L, omega)), geom.grid_shape)
+    return _degree(geom, det, total)
+
+
+def _degree(geom: TorusGeometry, det: float, total: float) -> float:
+    """``degree_integral`` against a constant metric of determinant
+    ``det``, from the grid sum ``total`` of the scalar curvature."""
     return det / geom.complex_dim * geom.cell_volume * total
+
+
+def _volume(geom: TorusGeometry, det: float) -> float:
+    """``volume_integral`` of a constant metric of determinant ``det``."""
+    return geom.cell_volume * (det * geom.num_points)
 
 
 def complex_matrix_to_json(matrix: np.ndarray) -> list:

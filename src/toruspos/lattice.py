@@ -31,7 +31,14 @@ from .errors import (
     MeanNotZeroError,
     NonConstantMetricError,
 )
-from .planes import _cholesky, _entries, _gate_bounds, _join, _split, _tiles
+from .planes import (
+    _check_finite,
+    _cholesky,
+    _entries,
+    _join,
+    _positive_definite,
+    _split,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -852,20 +859,20 @@ class HermitianMatrixField:
 
     def __post_init__(self) -> None:
         if self._planes is not None:  # handed over, or owned past the gate
-            if not all(np.isfinite(plane).all() for plane in self._planes):
-                raise ValueError("matrix field contains non-finite values")
+            _check_finite(self._planes)
             return
         n = self.geometry.complex_dim
         vals = np.asarray(self.values)
         expected = (*self.geometry.grid_shape, n, n)
         if vals.shape != expected:
             raise ValueError(f"matrix field shape {vals.shape} != {expected}")
-        self._own(_caller_core(vals, np.complex128, trailing=2))
+        core = _caller_core(vals, np.complex128, trailing=2)
+        _check_hermitian(core)
+        self._own(core)
 
     def _own(self, core: np.ndarray) -> None:
         """Own ``core``, a new complex array of the grid's rank followed by
-        the n x n entries, once it passes the Hermitian gate."""
-        _check_hermitian(core)
+        the n x n entries, Hermitian (``_check_hermitian``)."""
         n = self.geometry.complex_dim
         self.values = np.broadcast_to(_owned(core), (*self.geometry.grid_shape, n, n))
         self._planes = _split(core)
@@ -881,7 +888,9 @@ class HermitianMatrixField:
             raise ValueError(f"matrix field shape {got} != {expected}")
         field = cls.__new__(cls)
         field.geometry = geometry
-        field._own(mat.reshape((1,) * len(grid) + mat.shape))
+        core = mat.reshape((1,) * len(grid) + mat.shape)
+        _check_hermitian(core)
+        field._own(core)
         field.__post_init__()
         return field
 
@@ -931,36 +940,23 @@ class MetricField(HermitianMatrixField):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        planes = self._planes
-        lows, highs = [], []
-        for _, (tile,) in _tiles(planes):
-            low, high = _gate_bounds(tile)
-            lows.append(float(low.min()))
-            highs.append(float(high.max()))
-        smallest, bound = min(lows), max(highs)
-        if not smallest > 0.0:
-            raise ValueError(
-                f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
-            )
-        # Cached for certificates; recomputing it is the expensive part above.
-        self.min_eigenvalue = smallest
-        # The pencil route whitens by the Cholesky factor. Its pivots stay
-        # positive once the smallest eigenvalue clears the factorization's
-        # rounding, well inside 64 n^2 u times the largest diagonal entry
-        # (u = 2.2e-16); a metric below that margin is factored here. The
-        # diagonal is read only when the smallest eigenvalue is within the
-        # margin of the bound on it.
-        n = self.geometry.complex_dim
-        margin = 64 * n * n * math.ulp(1.0)
-        if smallest <= margin * bound and smallest <= margin * max(
-            float(p.max()) for p in planes[:n]
-        ):
-            try:
-                for _, (tile,) in _tiles(planes):
-                    _cholesky(tile)
-            except np.linalg.LinAlgError as exc:
-                message = "metric field has no Cholesky factor in float64"
-                raise ValueError(message) from exc
+        # Cached for certificates; the gate is the expensive part.
+        self.min_eigenvalue = _positive_definite(self._planes)
+
+    @classmethod
+    def _gated(cls, geometry: TorusGeometry, matrix: np.ndarray):
+        """The constant metric of an exactly Hermitian matrix the package
+        built and gated as one of a stack: not gated again. Its
+        ``min_eigenvalue`` is read on first use."""
+        field = cls.__new__(cls)
+        field.geometry = geometry
+        field._own(np.array(matrix)[(None,) * len(geometry.grid_shape)])
+        return field
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        """The gate's bound: set by the gate, or read on first use."""
+        return _positive_definite(self._planes)
 
     # A constant metric's matrix (``constant_representative``, read off
     # its storage), its LAPACK inverse and determinant, and its Cholesky
@@ -1192,7 +1188,7 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     """
     geom = _require_same_geometry(g, omega)
     inverse_metric = omega._inverse  # NonConstantMetricError if it varies
-    _check_mean_zero(g)
+    _check_mean_zero(g.mean(), g.max_abs())
     spectrum = _Spectrum.of(g)
     sym = _checked_symbol(spectrum, inverse_metric)
     if _known_constant(g):  # zero, by the mean check
@@ -1200,17 +1196,14 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     return _solve(spectrum, sym)
 
 
-def _check_mean_zero(g: ScalarField) -> float:
-    """poisson_solve's solvability precondition on its right-hand side;
-    returns the ``|g|_inf`` it compared against."""
-    g_inf = g.max_abs()
-    g_mean = g.mean()
-    if abs(g_mean) > MEAN_ZERO_RTOL * g_inf:
+def _check_mean_zero(mean: float, g_inf: float) -> None:
+    """poisson_solve's solvability precondition on the mean and ``|g|_inf``
+    of its right-hand side."""
+    if abs(mean) > MEAN_ZERO_RTOL * g_inf:
         raise MeanNotZeroError(
-            f"right-hand side mean {g_mean:.3e} exceeds "
+            f"right-hand side mean {mean:.3e} exceeds "
             f"{MEAN_ZERO_RTOL:.0e} * |g|_inf = {MEAN_ZERO_RTOL * g_inf:.3e}"
         )
-    return g_inf
 
 
 def _checked_symbol(spectrum: _Spectrum, inverse_metric: np.ndarray) -> np.ndarray:
@@ -1227,15 +1220,19 @@ def _checked_symbol(spectrum: _Spectrum, inverse_metric: np.ndarray) -> np.ndarr
 def _solve(spectrum: _Spectrum, sym: np.ndarray) -> ScalarField:
     """The spectral core of poisson_solve: the mean-zero solution f for a
     right-hand side with ``spectrum`` (only its active bins are read).
-    ``spectrum`` is overwritten with the one f is the field of, before its
-    round-off mean is removed. The solution is read-only, and a table's
-    carries its own."""
+    ``spectrum`` is overwritten with the one f is the field of."""
+    return _solution(spectrum, spectrum.over(sym).grid())
+
+
+def _solution(spectrum: _Spectrum, f: np.ndarray, rows=slice(None)) -> ScalarField:
+    """The read-only field of the core ``f`` synthesized from ``spectrum``
+    (its ``rows`` of a joined table) less its round-off mean, in place; a
+    table's carries its own."""
     geom = spectrum.geometry
-    f = spectrum.over(sym).grid()
     mean = _sum(f, geom.grid_shape) / geom.num_points
     f -= mean
     field = _from_core(geom, f)
-    field._modes = spectrum.modes(-mean)
+    field._modes = spectrum.modes(-mean, rows)
     return field
 
 

@@ -27,26 +27,33 @@ import numpy as np
 from .curvature import (
     LineBundleMetric,
     PositivityCertificate,
+    _degree,
     _eigenpairs,
     _traces,
+    _volume,
     class_spectrum,
     degree_integral,
     volume_integral,
 )
 from .errors import MeanNotZeroError
 from .lattice import (
-    MEAN_ZERO_RTOL,
     MetricField,
     ScalarField,
-    _from_core,
+    _check_mean_zero,
     _hessian_multiplier,
     _require_same_geometry,
+    _solution,
     _solve,
     _Spectrum,
     _spectrum_shape,
-    constant_metric,
 )
-from .planes import _cholesky, _congruence, _descending_eigenvalues, _gate_bounds, _split
+from .planes import (
+    _check_finite,
+    _congruence,
+    _descending_eigenvalues,
+    _positive_definite,
+    _split,
+)
 from .qpositivity import _operand, _resolve_eps
 from .stacks import _half
 
@@ -151,16 +158,15 @@ def _normalized(
     nothing but round-off (constant scalar curvature already) is snapped
     to zero. The spectrum of the scalar curvature's varying part is the
     right-hand side's on every active mode, so it becomes f's in place:
-    one solve and one check serve the joined tables, and a half spectrum
-    is solved alone.
+    one solve serves the joined tables, and a half spectrum is solved
+    alone.
     """
     geom = bundles[0].geometry
     n, points = geom.complex_dim, geom.num_points
-    stack, s, spectra, (table, owners, waves), symbols = _traces(bundles, W, True)
-    halves = [i for i, sp in enumerate(spectra) if _half(sp)]
+    stack, s, spectra, (table, waves), symbols = _traces(bundles, W, True)
     # The expression target_constant evaluates, on the s at hand.
     c = [
-        n * (det / n * geom.cell_volume * total) / (geom.cell_volume * (det * points))
+        n * _degree(geom, det, total) / _volume(geom, det)
         for det, total in zip(determinants, stack.sums(s))
     ]
     c_on = stack.repeat(np.array(c))
@@ -172,49 +178,42 @@ def _normalized(
         r <= 1e-12 * (abs(ci) + m)
         for r, ci, m in zip(stack.max_abs(rhs), c, stack.max_abs(s))
     ]
-    means = [0.0 if snap else t / points for snap, t in zip(snapped, stack.sums(rhs))]
-    rhs = np.where(
-        stack.repeat(np.array(snapped)), 0.0, rhs - stack.repeat(np.array(means))
-    )
+    totals = stack.sums(rhs, [not snap for snap in snapped])
+    rhs -= stack.repeat(np.array(totals) / points)
+    for part, snap in zip(stack.split(rhs), snapped):
+        if snap:
+            part[...] = 0.0
     rhs_inf = stack.max_abs(rhs)
     for g_inf, total in zip(rhs_inf, stack.sums(rhs)):
-        if abs(total / points) > MEAN_ZERO_RTOL * g_inf:
-            raise MeanNotZeroError(
-                f"right-hand side mean {total / points:.3e} exceeds "
-                f"{MEAN_ZERO_RTOL:.0e} * |g|_inf = {MEAN_ZERO_RTOL * g_inf:.3e}"
-            )
+        _check_mean_zero(total / points, g_inf)
     # A right-hand side of one entry is zero by the mean check, as is one
     # of zeros: neither is solved, and f is the constant zero.
     solved = [g_inf > 0.0 and size > 1 for g_inf, size in zip(rhs_inf, stack.sizes)]
-    exponents = [ScalarField.constant(geom, 0.0) for _ in bundles]
+    exponents = [None if solve else ScalarField.constant(geom, 0.0) for solve in solved]
     achieved = np.float64(0.0)
     if any(solved):
-        if table is not None:
+        tables = [
+            solved[i] and sp is not None and not _half(sp) for i, sp in enumerate(spectra)
+        ]
+        if any(tables):
             table.over(symbols[None])
-        f = waves.grid(0.0)
-        f_means = [t / points for t in stack.sums(f)]
-        f -= stack.repeat(np.array(f_means))
-        stops = np.cumsum(np.bincount(owners, minlength=len(bundles))).tolist()
-        for i, part in enumerate(stack.split(f)):
-            if solved[i] and spectra[i] is not None and not _half(spectra[i]):
-                exponents[i] = _from_core(geom, part)
-                rows = slice(stops[i - 1] if i else 0, stops[i])
-                exponents[i]._modes = table.modes(-f_means[i], rows)
+            for i, part in enumerate(stack.split(waves.grid(0.0))):
+                if tables[i]:
+                    exponents[i] = _solution(table, part, waves.rows(i))
         if table is not None:
-            rows_W = W[0] if stack.lone else W[owners]
-            table.times(_trace_multiplier(table.symbols, rows_W))
+            table.times(_trace_multiplier(table.symbols, waves.on_rows(W)))
         achieved = waves.grid(0.0)
         done = stack.split(achieved)
-        for i in halves:
-            if solved[i]:
-                exponents[i] = _solve(spectra[i], symbols[i])
-                done[i][...] = _hessian_trace(spectra[i], W[i])
-        achieved = np.where(stack.repeat(np.array(solved)), achieved, 0.0)
+        for i, sp in enumerate(spectra):
+            if not solved[i]:
+                done[i][...] = 0.0
+            elif _half(sp):
+                exponents[i] = _solve(sp, symbols[i])
+                done[i][...] = _hessian_trace(sp, W[i])
 
-    poisson = [
-        d / g_inf if g_inf > 0.0 else 0.0
-        for d, g_inf in zip(stack.max_abs(achieved - rhs), rhs_inf)
-    ]
+    # Where nothing is solved, every right-hand side is zero.
+    misses = stack.max_abs(achieved - rhs) if any(solved) else rhs_inf
+    poisson = [d / g_inf if g_inf > 0.0 else 0.0 for d, g_inf in zip(misses, rhs_inf)]
     deviation = stack.max_abs(s - achieved - c_on)
     return [
         (f_i, c_i, {"poisson_rel": p, "scalar_deviation": d})
@@ -291,30 +290,30 @@ def certify_n_minus_1_positive(
     raises ValueError on every class. The count-1 case of the stacked
     certificates (``_certificates``).
     """
-    (cert,), (matrix,), _ = _certificates([L], delta, eps)
+    (cert,), (matrix,) = _certificates([L], delta, eps)
     if matrix is not None:
-        cert.witness_metric = constant_metric(L.geometry, matrix)
+        cert.witness_metric = MetricField._gated(L.geometry, matrix)
     return cert
 
 
 def _certificates(
     bundles: list[LineBundleMetric], delta: float, eps: float | None
-) -> tuple[list[PositivityCertificate], list, list]:
+) -> tuple[list[PositivityCertificate], list]:
     """``certify_n_minus_1_positive`` of each bundle, on one stack: the
     certificates (with no witness metric), and each bundle's witness
-    matrix and the inverse of its Cholesky factor (``planes._cholesky``),
-    or None for a class with no positive eigenvalue.
+    matrix, or None for a class with no positive eigenvalue.
 
-    The witness metrics are built, gated and factored as one stack of
-    planes, and inverted as one stack; the gate is ``MetricField``'s on
-    matrices Hermitian by construction: finite, positive definite, with a
-    Cholesky factor in float64. The normalization is ``_normalized``.
+    The witness metrics are built, gated and inverted as one stack; the
+    gate is ``MetricField``'s (``planes._positive_definite``) on matrices
+    Hermitian by construction. The normalization is ``_normalized``.
     """
     _check_delta(delta)
     geom = bundles[0].geometry
     spectra = [class_spectrum(L) for L in bundles]
     tolerances = [_resolve_eps(float(np.abs(mu).max()), eps) for mu, _ in spectra]
     details = {"delta": delta, "grid": list(geom.grid_shape)}
+    positive = [i for i, (mu, _) in enumerate(spectra) if (mu > 0.0).any()]
+    # The certificates of the others; the positive ones are filled below.
     certs = [
         PositivityCertificate(
             verdict=False,
@@ -322,16 +321,18 @@ def _certificates(
             tolerance=tol,
             details={"reason": "DualPseudoEffective", **details},
         )
+        if (mu <= 0.0).all() else None
         for (mu, _), tol in zip(spectra, tolerances)
     ]
-    matrices, inverses = [None] * len(bundles), [None] * len(bundles)
-    positive = [i for i, (mu, _) in enumerate(spectra) if (mu > 0.0).any()]
+    matrices = [None] * len(bundles)
     if not positive:
-        return certs, matrices, inverses
+        return certs, matrices
     mu = np.stack([spectra[i][0] for i in positive])
     U = np.stack([spectra[i][1] for i in positive])
     witnesses = _aligned_matrix(U, aligned_inverse_weights(mu, delta))
-    inverse = _gated_factor(witnesses)
+    planes = _split(witnesses)
+    _check_finite(planes)
+    _positive_definite(planes)
     W = np.linalg.inv(witnesses)
     determinants = np.linalg.det(witnesses).real.tolist()
     normalized = _normalized([bundles[i] for i in positive], W, determinants)
@@ -345,27 +346,4 @@ def _certificates(
             details={"constant": c, **details},
         )
         matrices[i] = witnesses[k]
-        inverses[i] = inverse[k] if isinstance(inverse, np.ndarray) else tuple(
-            p[k] for p in inverse
-        )
-    return certs, matrices, inverses
-
-
-def _gated_factor(matrices: np.ndarray):
-    """The inverse Cholesky factor (``planes._cholesky``) of a stack of
-    metric matrices that are exactly Hermitian by construction, once they
-    pass ``MetricField``'s gate: finite, positive definite and factored in
-    float64; ValueError, as the gate raises, if one does not."""
-    if not np.isfinite(matrices).all():
-        raise ValueError("matrix field contains non-finite values")
-    planes = _split(matrices)
-    low, _ = _gate_bounds(planes)
-    smallest = float(low.min())
-    if not smallest > 0.0:
-        raise ValueError(
-            f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
-        )
-    try:
-        return _cholesky(planes)[1]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("metric field has no Cholesky factor in float64") from exc
+    return certs, matrices

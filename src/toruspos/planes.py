@@ -307,3 +307,44 @@ def _gate_bounds(planes) -> tuple:
         return eigenvalues[-1], eigenvalues[0]
     n = (math.isqrt(8 * len(planes) + 1) - 1) // 2
     return np.linalg.eigvalsh(_join(planes))[..., 0], reduce(np.maximum, planes[:n])
+
+
+def _check_finite(planes) -> None:
+    """The finiteness gate of a matrix field's planes."""
+    if not all(np.isfinite(plane).all() for plane in planes):
+        raise ValueError("matrix field contains non-finite values")
+
+
+def _positive_definite(planes) -> float:
+    """The one positive-definite gate of the package (``MetricField``'s) on
+    finite Hermitian planes: their smallest eigenvalue, once it is positive
+    and each matrix has a Cholesky factor in float64; ValueError if not.
+    Read one tile (``_tiles``) at a time."""
+    lows, highs = [], []
+    for _, (tile,) in _tiles(planes):
+        low, high = _gate_bounds(tile)
+        lows.append(float(low.min()))
+        highs.append(float(high.max()))
+    smallest, bound = min(lows), max(highs)
+    if not smallest > 0.0:
+        raise ValueError(
+            f"metric field is not positive definite: min eigenvalue {smallest:.3e}"
+        )
+    # The pencil route whitens by the Cholesky factor. Its pivots stay
+    # positive once the smallest eigenvalue clears the factorization's
+    # rounding, well inside 64 n^2 u times the largest diagonal entry
+    # (u = 2.2e-16); a metric below that margin is factored here. The
+    # diagonal is read only when the smallest eigenvalue is within the
+    # margin of the bound on it.
+    n = (math.isqrt(8 * len(planes) + 1) - 1) // 2
+    margin = 64 * n * n * math.ulp(1.0)
+    if smallest <= margin * bound and smallest <= margin * max(
+        float(p.max()) for p in planes[:n]
+    ):
+        try:
+            for _, (tile,) in _tiles(planes):
+                _cholesky(tile)
+        except np.linalg.LinAlgError as exc:
+            message = "metric field has no Cholesky factor in float64"
+            raise ValueError(message) from exc
+    return smallest

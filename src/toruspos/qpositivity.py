@@ -215,43 +215,36 @@ def _pencil_eigenvalues(
 ) -> EigenvalueField:
     """Descending eigenvalues of the pencil of an operand (see
     ``_operand``) and a metric: those of ``L^{-1} R L^{-*}``, with ``L``
-    the metric's Cholesky factor, on their common core (one point for a
-    constant pencil). A constant metric whitens by the inverse factor it
-    keeps (``_whitened_eigenvalues``), a varying one is factored tile by
-    tile.
-
-    The pencil is whitened and solved one tile at a time, so no core-sized
-    L^{-1} or L^{-1} R L^{-*} is formed.
-    """
-    if all(p.size == 1 for p in omega._planes):
-        lam = _whitened_eigenvalues(field, omega._factor[1])
-        return EigenvalueField._descending(geom, lam)
-
-    def eigenvalues(f, w):
-        _, inverse = _cholesky(w)
-        return (_descending_eigenvalues(_congruence(inverse, f)),)
-
-    (lam,) = _tiled(eigenvalues, field, omega._planes)
+    the metric's Cholesky factor (``_base_factor``), on their common core
+    (one point for a constant pencil)."""
+    factor = _base_factor(omega)
+    lam = _whitened_eigenvalues(field, omega._planes, lambda w: factor(w)[1])
     return EigenvalueField._descending(geom, lam)
 
 
-def _whitened_eigenvalues(field, inverse) -> np.ndarray:
-    """Descending eigenvalues of ``T R T*`` for the operand ``field`` and a
-    lower triangular ``inverse`` (``planes._cholesky``'s planes at n <= 2,
-    a stack of n x n matrices at n >= 3) that broadcasts against it: one
-    factor, or one per point of a stack. Solved one tile of their common
-    core at a time; a stack's matrices enter ``_tiled`` entry by entry."""
-    n = None if isinstance(inverse, tuple) else inverse.shape[-1]
-    entries = inverse if n is None else tuple(
-        inverse[..., j, k] for j in range(n) for k in range(n)
-    )
+def _whitened_eigenvalues(field, operand, inverse=None) -> np.ndarray:
+    """Descending eigenvalues of ``T R T*`` for the operand ``field`` and
+    a lower triangular T, whitened and solved one tile of their common core
+    at a time, so no core-sized T or T R T* is formed.
+
+    ``inverse`` makes T of a tile of ``operand``: a metric's inverse
+    Cholesky factor (``_pencil_eigenvalues``). Without it ``operand`` is T,
+    one per point of a stack: ``planes._cholesky``'s planes at n <= 2, or
+    a stack of n x n matrices at n >= 3, which enters ``_tiled`` entry by
+    entry and is joined again on each tile.
+    """
+    n = None if inverse or isinstance(operand, tuple) else operand.shape[-1]
+    if n is not None:
+        operand = tuple(operand[..., j, k] for j in range(n) for k in range(n))
 
     def eigenvalues(f, t):
-        if n is not None:
+        if inverse is not None:
+            t = inverse(t)
+        elif n is not None:
             t = np.stack(t, axis=-1).reshape(*np.shape(t[0]), n, n)
         return (_descending_eigenvalues(_congruence(t, f)),)
 
-    (lam,) = _tiled(eigenvalues, field, entries)
+    (lam,) = _tiled(eigenvalues, field, operand)
     return lam
 
 
@@ -294,13 +287,16 @@ def _resolve_eps(ev_scale: float, eps: float | None) -> float:
     return DEFAULT_EPS_REL * ev_scale
 
 
-def _certificate_details(ev: EigenvalueField, q: int, mode: str) -> dict:
+def _certificate_details(
+    geom: TorusGeometry, q: int, mode: str, low: float, high: float
+) -> dict:
+    """A check's details, with the least and the greatest eigenvalue."""
     return {
         "q": q,
         "mode": mode,
-        "eigenvalue_min": float(ev._kept.min()),
-        "eigenvalue_max": float(ev._kept.max()),
-        "grid": list(ev.geometry.grid_shape),
+        "eigenvalue_min": low,
+        "eigenvalue_max": high,
+        "grid": list(geom.grid_shape),
     }
 
 
@@ -346,13 +342,7 @@ def _floors(stack: _Stack, ev: np.ndarray, q: int, eps: float | None) -> list:
                 verdict=margin > tolerance,
                 margin=margin,
                 tolerance=tolerance,
-                details={
-                    "q": q,
-                    "mode": "pointwise",
-                    "eigenvalue_min": low,
-                    "eigenvalue_max": high,
-                    "grid": list(stack.geometry.grid_shape),
-                },
+                details=_certificate_details(stack.geometry, q, "pointwise", low, high),
             )
         )
     return certs
@@ -380,7 +370,9 @@ def check_uniform_q_positive(
         verdict=margin > eps,
         margin=margin,
         tolerance=eps,
-        details=_certificate_details(ev, q, "uniform"),
+        details=_certificate_details(
+            L.geometry, q, "uniform", float(ev._kept.min()), float(ev._kept.max())
+        ),
     )
 
 

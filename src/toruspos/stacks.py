@@ -35,17 +35,12 @@ from .lattice import (
 
 #: Grid points per chunk of a corpus. A chunk of this many instances' grids
 #: is drawn and run at once (``chunk_size``), so a corpus's memory is one
-#: chunk's whatever its count: 2^17 points hold 32 instances of an 8^4 or
-#: 4^6 grid and one of any grid past 2^17 points.
+#: chunk's whatever its count: 2^20 points hold 256 instances of an 8^4 or
+#: 4^6 grid and one of any grid of 2^20 points or more. The budget counts
+#: grid points, while a chunk's memory follows its instances' cores; a grid
+#: of 32^4 or more thus runs one instance per chunk, about 7 % slower per
+#: instance than without chunks (CHANGES.md).
 CHUNK_POINTS = 1 << 20
-
-
-#: Largest core whose tables are written by gathering its points' axis
-#: waves; a larger one broadcasts its axis waves, table by table, as a
-#: lone table does. Per point, the gathers cost a few times the
-#: broadcast products; per table, the products cost a fixed few dozen
-#: microseconds.
-GATHER_POINTS = 256
 
 
 def chunk_size(geometry: TorusGeometry) -> int:
@@ -64,15 +59,21 @@ class _Stack:
     """
 
     def __init__(self, geometry: TorusGeometry, shapes) -> None:
-        self.geometry = geometry
-        self.shapes = [tuple(shape) for shape in shapes]
-        self.sizes = np.array([math.prod(s) for s in self.shapes], dtype=np.intp)
-        self.lone = len(self.shapes) == 1
-        self._offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.geometry, self.shapes = geometry, shapes
+        self.lone = len(shapes) == 1
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The points of each instance."""
+        return np.array([math.prod(s) for s in self.shapes], dtype=np.intp)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.sizes)))
 
     @property
     def points(self) -> int:
-        return int(self._offsets[-1])
+        return math.prod(self.shapes[0]) if self.lone else int(self._offsets[-1])
 
     def repeat(self, values) -> np.ndarray:
         """Per-instance ``values`` (leading axis the instances) on the
@@ -94,7 +95,7 @@ class _Stack:
 
     def _reduce(self, ufunc, x) -> list[float]:
         if self.lone:
-            return [float(ufunc.reduce(np.ravel(x)))]
+            return [float(ufunc.reduce(x, axis=None))]
         per = ufunc.reduceat(x, self._offsets[:-1], axis=0)
         return ufunc.reduce(per.reshape(len(per), -1), axis=1).tolist()
 
@@ -112,11 +113,15 @@ class _Stack:
         zeros."""
         return [max(0.0, hi, -lo) for hi, lo in zip(self.maxima(x), self.minima(x))]
 
-    def sums(self, x) -> list[float]:
+    def sums(self, x, among=None) -> list[float]:
         """Each instance's exactly rounded grid sum (``lattice._sum``) of
-        an array on the stack, whose part is a core of the grid."""
+        an array on the stack, whose part is a core of the grid; 0.0 for
+        an instance that ``among`` (a flag per instance) leaves out."""
         grid = self.geometry.grid_shape
-        return [_sum(np.asarray(part), grid) for part in self.split(x)]
+        parts = self.split(x)
+        if among is None:
+            return [_sum(np.asarray(part), grid) for part in parts]
+        return [_sum(np.asarray(p), grid) if a else 0.0 for p, a in zip(parts, among)]
 
     @cached_property
     def owners(self) -> np.ndarray:
@@ -155,22 +160,15 @@ class _Waves:
     """
 
     def __init__(self, stack: _Stack, table, owners: np.ndarray):
-        self.stack, self.table = stack, table
-        self._slots, self._alone = [], []
+        self.stack, self.table, self.owners = stack, table, owners
+        self._slots = []
         if stack.lone or table is None:
             return
         wavevectors = table.wavevectors
-        per = np.bincount(owners, minlength=len(stack.shapes))
-        first = np.cumsum(per) - per
+        first, per = self._first, self._per
         grid = stack.geometry.grid_shape
-        # A large core is written by broadcasting, one table at a time.
-        alone = (stack.sizes > GATHER_POINTS) & (per > 0)
-        for i in np.flatnonzero(alone).tolist():
-            rows = range(first[i], first[i] + per[i])
-            self._alone.append((i, [(r, self._axis_waves(wavevectors[r])) for r in rows]))
-        per = np.where(alone, 0, per)
         point_rows = per[stack.owners]
-        # Slot k holds the k-th row of every gathered table that has one.
+        # Slot k holds the k-th row of every table that has one.
         for k in range(int(per.max())):
             points = np.flatnonzero(point_rows > k)
             rows = first[stack.owners[points]] + k
@@ -181,31 +179,42 @@ class _Waves:
                 factors.append((_axis_wave(-1, grid[axis])[phase], m != 0))
             self._slots.append((points, rows, factors))
 
-    def _axis_waves(self, wavevector) -> list:
-        """The axis waves of a wavevector's nonzero modes, each along its
-        own axis of the grid's rank."""
-        grid = self.stack.geometry.grid_shape
-        waves = []
-        for axis, (mode, s) in enumerate(zip(wavevector.tolist(), grid)):
-            if mode:
-                shape = [1] * len(grid)
-                shape[axis] = s
-                waves.append(_axis_wave(mode, s).reshape(shape))
-        return waves
+    @cached_property
+    def _per(self) -> np.ndarray:
+        """The rows of each instance."""
+        return np.bincount(self.owners, minlength=len(self.stack.shapes))
 
-    def grid(self, constant, multiplier=None, dtype=np.float64) -> np.ndarray:
+    @cached_property
+    def _first(self) -> np.ndarray:
+        return np.cumsum(self._per) - self._per
+
+    def rows(self, i: int) -> slice:
+        """Instance i's rows of the joined table: all of a lone one's."""
+        if self.stack.lone:
+            return slice(None)
+        start = int(self._first[i])
+        return slice(start, start + int(self._per[i]))
+
+    def on_rows(self, values):
+        """Per-instance ``values`` (leading axis the instances) on the
+        table's rows: a lone instance's own value, else each row's
+        instance's."""
+        return values[0] if self.stack.lone else values[self.owners]
+
+    def grid(self, constants, multiplier=None, dtype=np.float64) -> np.ndarray:
         """The tables' fields with their spectra's values, plus
-        ``constant`` (on the stack), on the stack; with a per-row
-        ``multiplier``, the fields it maps them to, of its dtype. A row
-        whose multiplier is zero adds a signed zero to a sum that starts
-        at the constant: a sum that is not -0.0 keeps its bits, as when
-        ``_Spectrum.grid`` skips the row."""
+        ``constants`` (one per instance, or one for all), on the stack;
+        with a per-row ``multiplier``, the fields it maps them to, of its
+        dtype. A row whose multiplier is zero adds a signed zero to a sum
+        that starts at the constant: a sum that is not -0.0 keeps its bits,
+        as when ``_Spectrum.grid`` skips the row."""
+        each = np.ndim(constants) > 0
         if self.stack.lone and self.table is not None:
-            return self.table.grid(constant, multiplier)
+            return self.table.grid(constants[0] if each else constants, multiplier)
         if multiplier is not None:
             dtype = multiplier.dtype
         out = np.empty(self.stack.points, dtype=dtype)
-        out[...] = constant
+        out[...] = self.stack.repeat(constants) if each else constants
         values = None if self.table is None else self.table.values
         for points, rows, factors in self._slots:
             wave = values[rows]
@@ -216,17 +225,6 @@ class _Waves:
             if multiplier is not None:
                 wave = multiplier[rows] * wave
             out[points] += wave
-        parts = self.stack.split(out) if self._alone else ()
-        for i, rows in self._alone:
-            for r, axis_waves in rows:
-                wave = values[r]
-                for axis_wave in axis_waves:
-                    wave = wave * axis_wave
-                wave = wave.real
-                wave = wave + wave
-                if multiplier is not None:
-                    wave = multiplier[r] * wave
-                parts[i] += wave
         return out.reshape(self.stack.shapes[0]) if self.stack.lone else out
 
 
@@ -243,9 +241,9 @@ def _weight_spectra(geometry: TorusGeometry, weights: list[ScalarField]):
     the core its spectrum synthesizes (``_Spectrum.grid``): one point for
     a constant weight, the axes its table's modes vary along, or its core
     with the grid's last axis whole for a half spectrum. ``joined`` is
-    ``(table, owners, waves)``: the tables' rows joined as one table
-    spectrum (None if no weight has a table), the weight of each row, and
-    their ``_Waves`` on the stack. A lone table is joined without a copy.
+    ``(table, waves)``: the tables' rows joined as one table spectrum
+    (None if no weight has a table) and their ``_Waves`` on the stack. A
+    lone table is joined without a copy.
     """
     rank = len(geometry.grid_shape)
     spectra = [None if _known_constant(phi) else _Spectrum.of(phi) for phi in weights]
@@ -256,7 +254,7 @@ def _weight_spectra(geometry: TorusGeometry, weights: list[ScalarField]):
         elif sp.wavevectors is None:
             shapes.append((*_compact(phi).shape[:-1], geometry.grid_shape[-1]))
         else:
-            varies = sp.wavevectors.any(axis=0)
+            varies = sp.wavevectors.any(axis=0).tolist()
             shapes.append(tuple(s if v else 1 for s, v in zip(geometry.grid_shape, varies)))
     stack = _Stack(geometry, shapes)
     tables = [(i, sp) for i, sp in enumerate(spectra) if sp is not None and not _half(sp)]
@@ -269,4 +267,4 @@ def _weight_spectra(geometry: TorusGeometry, weights: list[ScalarField]):
         values = np.concatenate([sp.values for _, sp in tables])
         table = _Spectrum._rows(geometry, wavevectors, values)
         owners = np.repeat([i for i, _ in tables], [len(sp.values) for _, sp in tables])
-    return stack, spectra, (table, owners, _Waves(stack, table, owners))
+    return stack, spectra, (table, _Waves(stack, table, owners))

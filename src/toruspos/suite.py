@@ -35,13 +35,14 @@ from .curvature import (
     complex_matrix_to_json,
 )
 from .expressions import _draw_expression, _field_of_tree
-from .lattice import TorusGeometry, _difference, identity_metric
+from .lattice import TorusGeometry, _difference
 from .normalizer import (
     DEFAULT_DELTA,
     _aligned_matrix,
     _certificates,
     aligned_inverse_weights,
 )
+from .planes import _cholesky, _split
 from .qpositivity import _floors, _resolve_eps, _whitened_eigenvalues
 from .stacks import chunk_size
 
@@ -117,6 +118,8 @@ def _searches(bundles: list[LineBundleMetric], eps: float | None) -> list:
     ]
     searching = np.flatnonzero((mu > 0.0).any(axis=1))
     for delta in SEARCH_DELTAS:
+        if not searching.size:
+            break
         w = aligned_inverse_weights(mu[searching], delta)
         pairings = [math.fsum(row) for row in (w * mu[searching]).tolist()]
         found = np.array([c > tolerances[i] for c, i in zip(pairings, searching)], bool)
@@ -212,9 +215,9 @@ def _suites(
     1. the oracle on the ``(count, n)`` class spectra;
     2. the search, on them too (``_searches``);
     3. the certificates (``normalizer._certificates``), whose witness
-       metrics are built, gated, factored and inverted as one stack;
+       metrics are built, gated and inverted as one stack;
     4. the witness check (``_witness_floors``) on the instances' joined
-       cores.
+       cores, whose metrics are factored as one stack.
     """
     if not bundles:
         return []
@@ -223,8 +226,8 @@ def _suites(
     mu = np.stack([class_spectrum(L)[0] for L in bundles])
     oracle = ~_semidefinite(-mu)
     searches = _searches(bundles, eps)
-    certs, witnesses, inverses = _certificates(bundles, delta, eps)
-    floors = _witness_floors(bundles, certs, inverses, eps)
+    certs, witnesses = _certificates(bundles, delta, eps)
+    floors = _witness_floors(bundles, certs, witnesses, eps)
     reports = []
     for L, item1, search, cert, witness, qpos in zip(
         bundles, oracle.tolist(), searches, certs, witnesses, floors
@@ -259,27 +262,27 @@ def _suites(
     return reports
 
 
-def _witness_floors(bundles, certs, inverses, eps) -> list:
+def _witness_floors(bundles, certs, witnesses, eps) -> list:
     """Route 4 of each instance (``check_q_positive`` at q = n - 1): on a
     certified instance, the bundle with the weight phi - f against the
     witness metric, else the bundle itself against the identity. The
-    curvatures are built on one stack (``curvature._chern_planes``) and
-    whitened by each instance's factor, repeated over its points."""
+    curvatures are built on one stack (``curvature._chern_planes``), and
+    whitened by each instance's metric's inverse Cholesky factor
+    (``planes._cholesky``, as ``MetricField._factor`` takes it), factored
+    as one stack and repeated over its points."""
     geom = bundles[0].geometry
-    identity = identity_metric(geom)._factor[1]
-    weights, factors = [], []
-    for L, cert, inverse in zip(bundles, certs, inverses):
-        if cert.verdict:
-            weights.append(_difference(L.phi, cert.witness_weight))
-            factors.append(inverse)
-        else:
-            weights.append(L.phi)
-            factors.append(identity)
-    stack, planes = _chern_planes(geom, weights, [L.r_const for L in bundles])
-    if isinstance(identity, tuple):
-        inverse = tuple(stack.repeat(np.array(plane)) for plane in zip(*factors))
+    identity = np.eye(geom.complex_dim, dtype=np.complex128)  # identity_metric's
+    weights, metrics = [], []
+    for L, cert, witness in zip(bundles, certs, witnesses):
+        certified = cert.verdict
+        weights.append(_difference(L.phi, cert.witness_weight) if certified else L.phi)
+        metrics.append(witness if certified else identity)
+    stack, planes = _chern_planes(geom, weights, np.stack([L.r_const for L in bundles]))
+    _, inverse = _cholesky(_split(np.stack(metrics)))
+    if isinstance(inverse, tuple):
+        inverse = tuple(map(stack.repeat, inverse))
     else:
-        inverse = stack.repeat(np.stack(factors))
+        inverse = stack.repeat(inverse)
     ev = _whitened_eigenvalues(planes, inverse)
     return _floors(stack, ev, geom.complex_dim - 1, eps)
 

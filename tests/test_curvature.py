@@ -418,17 +418,18 @@ def test_a_geometry_mismatch_is_typed_on_every_route():
 
 
 def test_chern_curvature_is_computed_once_per_bundle(monkeypatch):
-    """A counter on the Hessian's planes, no timing: two calls, one Hessian."""
+    """A counter on the curvature's planes, no timing: two calls, one
+    Hessian."""
     import toruspos.curvature as curvature_module
 
     calls = []
-    original = curvature_module._hessian_planes
+    original = curvature_module._chern_planes
 
-    def counting(phi):
-        calls.append(phi)
-        return original(phi)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(curvature_module, "_hessian_planes", counting)
+    monkeypatch.setattr(curvature_module, "_chern_planes", counting)
     g = TorusGeometry.regular(2, 8)
     L = LineBundleMetric.from_expression(g, np.eye(2), "0.2*cos(x1)*sin(y2)")
     first = chern_curvature(L)

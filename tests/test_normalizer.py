@@ -315,7 +315,9 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
         return wrapper
 
     for module in (curvature_module, lattice_module, normalizer_module):
-        for name in ("chern_curvature", "complex_hessian", "_hessian_planes"):
+        for name in (
+            "chern_curvature", "complex_hessian", "_hessian_planes", "_chern_planes"
+        ):
             if hasattr(module, name):
                 monkeypatch.setattr(
                     module, name, counting(name, getattr(module, name))
@@ -333,7 +335,7 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
     assert calls == []
     # The counters are live: the field route does call them.
     curvature_module.chern_curvature(L)
-    assert calls == ["chern_curvature", "_hessian_planes"]
+    assert calls == ["chern_curvature", "_chern_planes"]
 
 
 def _grid_weight(L: LineBundleMetric) -> LineBundleMetric:

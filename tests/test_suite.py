@@ -12,10 +12,12 @@ from toruspos import (
     LineBundleMetric,
     ScalarField,
     TorusGeometry,
+    certify_n_minus_1_positive,
     check_q_positive,
     constant_metric,
     dual_not_pseudo_effective,
     equivalence_suite,
+    identity_metric,
     is_pseudo_effective,
     random_bundle,
     random_bundles,
@@ -29,7 +31,7 @@ from toruspos.curvature import (
     complex_matrix_from_json,
 )
 from toruspos.expressions import random_expression
-from toruspos.lattice import _compact
+from toruspos.lattice import _compact, _difference
 from toruspos.normalizer import aligned_metric_matrix
 from toruspos.suite import (
     NEAR_BOUNDARY,
@@ -180,7 +182,7 @@ def test_class_routes_build_no_field(monkeypatch):
     monkeypatch.setattr(
         suite_module,
         "_certificates",
-        lambda bundles, *a: ([fixed] * len(bundles), [None] * len(bundles), None),
+        lambda bundles, *a: ([fixed] * len(bundles), [None] * len(bundles)),
     )
     monkeypatch.setattr(
         suite_module, "_witness_floors", lambda bundles, *a: [fixed] * len(bundles)
@@ -536,6 +538,34 @@ def test_stacked_suites_equal_lone_suites(n, samples):
 
 
 @pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
+def test_stacked_route_4_is_check_q_positive(n, samples):
+    """Route 4 of a stacked pass is ``check_q_positive`` at q = n - 1 on the
+    witness pair: the bundle with the weight phi - f against the
+    certificate's witness metric, else the bundle against the identity.
+    Margin, tolerance and verdict agree bit for bit, for weights with a
+    mode table and for the same weights loaded as grid fields, which have
+    none."""
+    g = TorusGeometry.regular(n, samples)
+    drawn = random_bundles(np.random.default_rng(70 + n), g, 12) + _edge_bundles(g)
+    copies = [L.with_weight(ScalarField(g, L.phi.values.copy())) for L in drawn]
+    bundles = drawn + copies
+    assert any(L.phi.value is None and L.phi._modes is None for L in copies)
+    assert any(L.phi._modes is not None for L in drawn)
+    for report, L in zip(_suites(bundles), bundles):
+        cert = certify_n_minus_1_positive(L)
+        if cert.verdict:
+            weight = _difference(L.phi, cert.witness_weight)
+            witness = constant_metric(g, cert.witness_metric.matrix)
+            qpos = check_q_positive(L.with_weight(weight), witness, n - 1)
+        else:
+            qpos = check_q_positive(L, identity_metric(g), n - 1)
+        key = "witness_eigenvalue_floor"
+        assert report.margins[key] == qpos.margin
+        assert report.tolerances[key] == qpos.tolerance
+        assert report.witness_q_positivity == qpos.verdict
+
+
+@pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
 def test_corpus_rows_equal_lone_suites_at_chunk_edges(monkeypatch, n, samples):
     """A corpus is drawn and run chunk by chunk; with a chunk of five
     instances, corpora of 0, 1, 4, 5 and 6 instances give each row of
@@ -566,15 +596,15 @@ def test_one_chunk_corpus_solves_route_4_and_gates_its_witnesses_once(
 ):
     """Counters, no timing: a corpus of one chunk whitens and solves every
     instance's route-4 pencil in one ``_descending_eigenvalues`` call and
-    gates all its witness metrics in one ``_gate_bounds`` call, whatever
-    its count."""
-    import toruspos.normalizer as normalizer_module
+    gates all its witness metrics in one ``_gate_bounds`` call (the one
+    tile of ``planes._positive_definite``), whatever its count."""
+    import toruspos.planes as planes_module
     import toruspos.qpositivity as qpositivity_module
 
     calls = {"_descending_eigenvalues": 0, "_gate_bounds": 0}
     for module, name in (
         (qpositivity_module, "_descending_eigenvalues"),
-        (normalizer_module, "_gate_bounds"),
+        (planes_module, "_gate_bounds"),
     ):
         original = getattr(module, name)
 
