@@ -44,7 +44,7 @@ from .lattice import (
     _trace_symbol,
 )
 from .planes import _entries, _join, _split, _tiled
-from .stacks import _half, _weight_spectra
+from .stacks import _half, _Stack, _weight_spectra
 
 
 @dataclass
@@ -211,16 +211,20 @@ def _chern_planes(
     Each plane is the weight's Hessian entry plus r_const's. The mode
     tables are joined, so each plane is synthesized once for all of them
     (``stacks._Waves``, with the entry's Hessian multiplier); a weight with
-    no table takes ``_hessian_planes`` alone, and a ``_known_constant``
-    weight's planes are r_const's entries themselves.
+    no table, and a lone weight that is not ``_known_constant``, takes
+    ``_hessian_planes`` alone, and a ``_known_constant`` weight's planes
+    are r_const's entries themselves.
     """
-    stack, spectra, (table, waves) = _weight_spectra(geometry, weights)
     entries = _split(r_consts)
-    halves = {i: _hessian_planes(weights[i]) for i, sp in enumerate(spectra) if _half(sp)}
-    if stack.lone and halves:  # a lone half spectrum's planes are its own
-        for plane, entry in zip(halves[0], entries):
+    if len(weights) == 1 and not _known_constant(weights[0]):
+        # A lone weight's planes are its own, on their common core.
+        planes = _hessian_planes(weights[0])
+        for plane, entry in zip(planes, entries):
             plane += entry[0]
-        return stack, halves[0]
+        core = np.broadcast_shapes(*(p.shape for p in planes))
+        return _Stack(geometry, [core]), planes
+    stack, spectra, (table, waves) = _weight_spectra(geometry, weights)
+    halves = {i: _hessian_planes(weights[i]) for i, sp in enumerate(spectra) if _half(sp)}
     planes = []
     for p, (j, k) in enumerate(_entries(geometry.complex_dim)):
         entry = entries[p]

@@ -178,17 +178,19 @@ def _normalized(
         r <= 1e-12 * (abs(ci) + m)
         for r, ci, m in zip(stack.max_abs(rhs), c, stack.max_abs(s))
     ]
-    totals = stack.sums(rhs, [not snap for snap in snapped])
+    kept = [not snap for snap in snapped]
+    totals = stack.sums(rhs, kept)
     rhs -= stack.repeat(np.array(totals) / points)
     for part, snap in zip(stack.split(rhs), snapped):
         if snap:
             part[...] = 0.0
     rhs_inf = stack.max_abs(rhs)
-    for g_inf, total in zip(rhs_inf, stack.sums(rhs)):
+    # A snapped right-hand side is zeros, whose mean passes the check.
+    for g_inf, total in zip(rhs_inf, stack.sums(rhs, kept)):
         _check_mean_zero(total / points, g_inf)
     # A right-hand side of one entry is zero by the mean check, as is one
     # of zeros: neither is solved, and f is the constant zero.
-    solved = [g_inf > 0.0 and size > 1 for g_inf, size in zip(rhs_inf, stack.sizes)]
+    solved = [g_inf > 0.0 for g_inf in rhs_inf]
     exponents = [None if solve else ScalarField.constant(geom, 0.0) for solve in solved]
     achieved = np.float64(0.0)
     if any(solved):
@@ -312,17 +314,17 @@ def _certificates(
     spectra = [class_spectrum(L) for L in bundles]
     tolerances = [_resolve_eps(float(np.abs(mu).max()), eps) for mu, _ in spectra]
     details = {"delta": delta, "grid": list(geom.grid_shape)}
-    positive = [i for i, (mu, _) in enumerate(spectra) if (mu > 0.0).any()]
+    found = [bool((mu > 0.0).any()) for mu, _ in spectra]
+    positive = [i for i, has in enumerate(found) if has]
     # The certificates of the others; the positive ones are filled below.
     certs = [
-        PositivityCertificate(
+        None if has else PositivityCertificate(
             verdict=False,
             margin=float(mu.max()),
             tolerance=tol,
             details={"reason": "DualPseudoEffective", **details},
         )
-        if (mu <= 0.0).all() else None
-        for (mu, _), tol in zip(spectra, tolerances)
+        for (mu, _), tol, has in zip(spectra, tolerances, found)
     ]
     matrices = [None] * len(bundles)
     if not positive:

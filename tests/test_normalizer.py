@@ -335,7 +335,7 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
     assert calls == []
     # The counters are live: the field route does call them.
     curvature_module.chern_curvature(L)
-    assert calls == ["chern_curvature", "_chern_planes"]
+    assert calls == ["chern_curvature", "_chern_planes", "_hessian_planes"]
 
 
 def _grid_weight(L: LineBundleMetric) -> LineBundleMetric:
