@@ -35,16 +35,14 @@ from .lattice import (
     _compact,
     _from_core,
     _hessian_multiplier,
-    _hessian_planes,
     _known_constant,
     _negative,
     _owned,
     _require_same_geometry,
     _sum,
-    _trace_symbol,
 )
 from .planes import _entries, _join, _split, _tiled
-from .stacks import _half, _Stack, _weight_spectra
+from .stacks import _weight_spectra
 
 
 @dataclass
@@ -208,38 +206,18 @@ def _chern_planes(
     the bundles with ``weights`` and the stack of class matrices
     ``r_consts``, on one stack (``stacks._weight_spectra``).
 
-    Each plane is the weight's Hessian entry plus r_const's. The mode
-    tables are joined, so each plane is synthesized once for all of them
-    (``stacks._Waves``, with the entry's Hessian multiplier); a weight with
-    no table, and a lone weight that is not ``_known_constant``, takes
-    ``_hessian_planes`` alone, and a ``_known_constant`` weight's planes
-    are r_const's entries themselves.
+    Each plane is the weight's Hessian entry plus r_const's: the stack's
+    spectrum synthesized once with the entry's Hessian multiplier
+    (``stacks._Waves``), plus the entry repeated over each instance's
+    points. A ``_known_constant`` weight's table is empty, so its planes
+    are r_const's entries.
     """
-    entries = _split(r_consts)
-    if len(weights) == 1 and not _known_constant(weights[0]):
-        # A lone weight's planes are its own, on their common core.
-        planes = _hessian_planes(weights[0])
-        for plane, entry in zip(planes, entries):
-            plane += entry[0]
-        core = np.broadcast_shapes(*(p.shape for p in planes))
-        return _Stack(geometry, [core]), planes
-    stack, spectra, (table, waves) = _weight_spectra(geometry, weights)
-    halves = {i: _hessian_planes(weights[i]) for i, sp in enumerate(spectra) if _half(sp)}
+    table, waves = _weight_spectra(geometry, weights)
+    stack = waves.stack
     planes = []
-    for p, (j, k) in enumerate(_entries(geometry.complex_dim)):
-        entry = entries[p]
-        if table is None:
-            plane = waves.grid(0.0, dtype=entry.dtype)
-        else:
-            multiplier = np.conj(_hessian_multiplier(table.symbols, k, j))
-            plane = waves.grid(0.0, multiplier)
+    for (j, k), entry in zip(_entries(geometry.complex_dim), _split(r_consts)):
+        plane = waves.grid(multiplier=np.conj(_hessian_multiplier(table.symbols, k, j)))
         plane += stack.repeat(entry)
-        parts = stack.split(plane)
-        for i, sp in enumerate(spectra):
-            if sp is None:
-                parts[i][...] = entry[i]
-            elif i in halves:
-                parts[i][...] = halves[i][p] + entry[i]
         planes.append(plane)
     return stack, tuple(planes)
 
@@ -293,7 +271,7 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
     """
     geom = _require_same_geometry(L, omega)
     if omega.matrix is not None:
-        return _from_core(geom, _traces([L], omega._inverse[None])[1])
+        return _from_core(geom, _traces([L], omega._inverse[None])[0])
 
     def trace(f, w):
         # Both stacks on one shape, so that einsum sums every point in
@@ -306,46 +284,28 @@ def scalar_curvature(L: LineBundleMetric, omega: MetricField) -> ScalarField:
     return _from_core(geom, tr)
 
 
-def _traces(bundles: list[LineBundleMetric], W: np.ndarray, checked: bool = False):
+def _traces(bundles: list[LineBundleMetric], W: np.ndarray):
     """The scalar curvature of each bundle against the constant metric
-    with inverse ``W[i]``, on one stack of the weights' spectra
-    (``stacks._weight_spectra``): ``(stack, s, spectra, joined, symbols)``.
+    with inverse ``W[i]``, on one stack (``stacks._weight_spectra``):
+    ``(s, table, waves, symbol)``.
 
     Bundle i's is ``trace(W[i] r_const)`` plus its weight filtered by the
-    trace symbol of ``W[i]`` at the bins of its spectrum; the mode tables
-    are joined, so one symbol and one synthesis serve them all, and a
-    weight without a table takes its half spectrum alone. ``spectra`` and
-    ``joined`` are ``_weight_spectra``'s, left holding the filtered
-    spectra, and ``symbols`` maps each half spectrum's instance, and None
-    for the joined table, to its symbol. ``checked`` builds the symbols
-    guarded for a solve (``_checked_symbol``), so that a caller dividing by
-    them uses the ones this call used.
+    trace symbol of ``W[i]`` at the bins of its spectrum: one symbol and
+    one synthesis serve the stack. ``table`` and ``waves`` are
+    ``_weight_spectra``'s, the table left holding the filtered spectrum,
+    and ``symbol`` is guarded for a solve (``_checked_symbol``), so that
+    a caller dividing by it uses the one this call used. Constant weights
+    have nothing to filter, and their symbol is None.
     """
     traces = np.array(
         [np.einsum("ij,ji->", w, L.r_const).real for w, L in zip(W, bundles)]
     )
-    stack, spectra, joined = _weight_spectra(
-        bundles[0].geometry, [L.phi for L in bundles]
-    )
-    table, waves = joined
-
-    def symbol(spectrum, w):
-        if checked:
-            return _checked_symbol(spectrum, w)
-        return _trace_symbol(spectrum.symbols, w)
-
-    symbols = {i: symbol(sp, W[i]) for i, sp in enumerate(spectra) if _half(sp)}
-    if stack.lone and symbols:  # a lone half spectrum gives its core as it is
-        return stack, spectra[0].times(symbols[0]).grid(traces[0]), spectra, joined, symbols
-    if table is not None:
-        symbols[None] = symbol(table, waves.on_rows(W))
-        table.times(symbols[None])
-    s = waves.grid(traces)
-    parts = stack.split(s)
-    for i, sp in enumerate(spectra):
-        if _half(sp):
-            parts[i][...] = sp.times(symbols[i]).grid(traces[i])
-    return stack, s, spectra, joined, symbols
+    table, waves = _weight_spectra(bundles[0].geometry, [L.phi for L in bundles])
+    symbol = None
+    if not all(_known_constant(L.phi) for L in bundles):
+        symbol = _checked_symbol(table, waves.on_rows(W))
+        table.times(symbol)
+    return waves.grid(traces), table, waves, symbol
 
 
 def volume_integral(omega: MetricField) -> float:

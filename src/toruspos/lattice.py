@@ -474,9 +474,11 @@ def _synthesize(geom: TorusGeometry, constant, waves, dtype=np.float64) -> np.nd
 
 class _Spectrum:
     """The spectrum of a real field, in one of two forms; every spectral
-    operator reads its field through this type, and no other code knows
-    which form it holds but ``stacks``, which joins the tables of a stack
-    of fields row by row (``_rows``).
+    operator reads its field through this type. No module but this one
+    and ``stacks`` names it or knows its form (a tier-1 source rule):
+    ``stacks`` gives a stack of weights its one spectrum, a lone weight's
+    own or the tables of several joined row by row (``_rows``), and the
+    routes read it through ``symbols``, ``times``, ``over`` and ``grid``.
 
     * A mode table (the field's ``_modes``): ``values`` holds one
       coefficient per pair, and ``wavevectors`` are the table's.
@@ -1112,19 +1114,14 @@ def complex_hessian(phi: ScalarField) -> HermitianMatrixField:
     if _known_constant(phi):
         n = geom.complex_dim
         return HermitianMatrixField.constant(geom, np.zeros((n, n)))
-    return HermitianMatrixField._computed(geom, _hessian_planes(phi))
-
-
-def _hessian_planes(phi: ScalarField) -> tuple:
-    """The component planes of ``complex_hessian(phi)`` for a field that
-    is not ``_known_constant``: new arrays, not yet handed over."""
     spectrum = _Spectrum.of(phi)
     symbols = spectrum.symbols
     # Plane (j, k) from the conjugate multiplier of (k, j).
-    return tuple(
+    planes = tuple(
         spectrum.grid(multiplier=np.conj(_hessian_multiplier(symbols, k, j)))
-        for j, k in _entries(phi.geometry.complex_dim)
+        for j, k in _entries(geom.complex_dim)
     )
+    return HermitianMatrixField._computed(geom, planes)
 
 
 def _trace_symbol(symbols: tuple, inverse_metric: np.ndarray) -> np.ndarray:
@@ -1193,7 +1190,7 @@ def poisson_solve(g: ScalarField, omega: MetricField) -> ScalarField:
     sym = _checked_symbol(spectrum, inverse_metric)
     if _known_constant(g):  # zero, by the mean check
         return ScalarField.constant(geom, 0.0)
-    return _solve(spectrum, sym)
+    return _solution(spectrum, spectrum.over(sym).grid())
 
 
 def _check_mean_zero(mean: float, g_inf: float) -> None:
@@ -1215,13 +1212,6 @@ def _checked_symbol(spectrum: _Spectrum, inverse_metric: np.ndarray) -> np.ndarr
     if not (sym[~spectrum.dead] < 0.0).all():
         raise InternalInvariantError("singular trace symbol on an active mode")
     return sym
-
-
-def _solve(spectrum: _Spectrum, sym: np.ndarray) -> ScalarField:
-    """The spectral core of poisson_solve: the mean-zero solution f for a
-    right-hand side with ``spectrum`` (only its active bins are read).
-    ``spectrum`` is overwritten with the one f is the field of."""
-    return _solution(spectrum, spectrum.over(sym).grid())
 
 
 def _solution(spectrum: _Spectrum, f: np.ndarray, rows=slice(None)) -> ScalarField:

@@ -43,8 +43,6 @@ from .lattice import (
     _hessian_multiplier,
     _require_same_geometry,
     _solution,
-    _solve,
-    _Spectrum,
     _spectrum_shape,
 )
 from .planes import (
@@ -55,7 +53,6 @@ from .planes import (
     _split,
 )
 from .qpositivity import _operand, _resolve_eps
-from .stacks import _half
 
 #: Default relative weight put on non-positive eigendirections of r_const
 #: when assembling an aligned witness metric.
@@ -94,13 +91,6 @@ def _trace_multiplier(symbols: tuple[np.ndarray, ...], W: np.ndarray) -> np.ndar
             weight = W[..., j, j].real if j == k else 2.0 * W[..., k, j]
             multiplier += (weight * _hessian_multiplier(symbols, j, k)).real
     return multiplier
-
-
-def _hessian_trace(spectrum: _Spectrum, W: np.ndarray) -> np.ndarray:
-    """``trace(W . complex_hessian(f))`` of the field f with ``spectrum``,
-    from the Hessian's own entries (``_trace_multiplier``); the n x n
-    field is never assembled. ``spectrum`` is overwritten."""
-    return spectrum.times(_trace_multiplier(spectrum.symbols, W)).grid()
 
 
 def normalize_scalar_curvature(
@@ -152,18 +142,19 @@ def _normalized(
     and the residuals of each.
 
     The scalar curvatures come from ``curvature._traces``, with their
-    symbols guarded for the solve; c is the degree over the volume.
+    symbol guarded for the solve; c is the degree over the volume.
     Subtracting c and the right-hand side's round-off mean leaves the
     Poisson right-hand side, solved where it is not zero; one that is
     nothing but round-off (constant scalar curvature already) is snapped
     to zero. The spectrum of the scalar curvature's varying part is the
-    right-hand side's on every active mode, so it becomes f's in place:
-    one solve serves the joined tables, and a half spectrum is solved
-    alone.
+    right-hand side's on every active mode, so it becomes f's in place,
+    and then the spectrum of f's trace (``_trace_multiplier``), which the
+    residual reads: one solve and one check serve the stack.
     """
     geom = bundles[0].geometry
     n, points = geom.complex_dim, geom.num_points
-    stack, s, spectra, (table, waves), symbols = _traces(bundles, W, True)
+    s, table, waves, symbol = _traces(bundles, W)
+    stack = waves.stack
     # The expression target_constant evaluates, on the s at hand.
     c = [
         n * _degree(geom, det, total) / _volume(geom, det)
@@ -189,29 +180,21 @@ def _normalized(
     for g_inf, total in zip(rhs_inf, stack.sums(rhs, kept)):
         _check_mean_zero(total / points, g_inf)
     # A right-hand side of one entry is zero by the mean check, as is one
-    # of zeros: neither is solved, and f is the constant zero.
+    # of zeros: neither is solved, and f is the constant zero. A constant
+    # weight's is snapped, so a stack with one solved has a symbol.
     solved = [g_inf > 0.0 for g_inf in rhs_inf]
     exponents = [None if solve else ScalarField.constant(geom, 0.0) for solve in solved]
     achieved = np.float64(0.0)
     if any(solved):
-        tables = [
-            solved[i] and sp is not None and not _half(sp) for i, sp in enumerate(spectra)
-        ]
-        if any(tables):
-            table.over(symbols[None])
-            for i, part in enumerate(stack.split(waves.grid(0.0))):
-                if tables[i]:
-                    exponents[i] = _solution(table, part, waves.rows(i))
-        if table is not None:
-            table.times(_trace_multiplier(table.symbols, waves.on_rows(W)))
-        achieved = waves.grid(0.0)
-        done = stack.split(achieved)
-        for i, sp in enumerate(spectra):
-            if not solved[i]:
-                done[i][...] = 0.0
-            elif _half(sp):
-                exponents[i] = _solve(sp, symbols[i])
-                done[i][...] = _hessian_trace(sp, W[i])
+        table.over(symbol)
+        for i, part in enumerate(stack.split(waves.grid())):
+            if solved[i]:
+                exponents[i] = _solution(table, part, waves.rows(i))
+        table.times(_trace_multiplier(table.symbols, waves.on_rows(W)))
+        achieved = waves.grid()
+        for part, solve in zip(stack.split(achieved), solved):
+            if not solve:
+                part[...] = 0.0
 
     # Where nothing is solved, every right-hand side is zero.
     misses = stack.max_abs(achieved - rhs) if any(solved) else rhs_inf

@@ -9,11 +9,13 @@ then run once on the joined arrays, per-instance minima and maxima come
 from ``ufunc.reduceat`` at the offsets, and exactly rounded sums are taken
 instance by instance (``lattice._sum`` is exact under any grouping). So
 every point holds the value its instance gives alone, bit for bit, and
-every reduction reads the same values. A joined mode table (``_Waves``)
-gives each table row its instance's index.
+every reduction reads the same values. A stack carries one spectrum
+(``_weight_spectra``): the instances' mode tables joined row by row, each
+row carrying its instance's index (``_Waves``).
 
 One instance is a stack of its own: its arrays stay on its core, with no
-copy, and its constants are not repeated. See CONVENTIONS.md, "Stacks".
+copy, its constants are not repeated, and its spectrum is its weight's
+own, in either form. See CONVENTIONS.md, "Stacks".
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InternalInvariantError
 from .lattice import (
     ScalarField,
     TorusGeometry,
@@ -73,7 +76,7 @@ class _Stack:
 
     @property
     def points(self) -> int:
-        return math.prod(self.shapes[0]) if self.lone else int(self._offsets[-1])
+        return int(self._offsets[-1])
 
     def repeat(self, values) -> np.ndarray:
         """Per-instance ``values`` (leading axis the instances) on the
@@ -145,24 +148,25 @@ class _Stack:
 
 
 class _Waves:
-    """The fields of a joined mode table on a stack's points: row r of
-    ``table`` (a ``_Spectrum`` of rows grouped by instance, in each
-    table's own order) belongs to instance ``owners[r]``.
+    """The fields of a stack's one spectrum ``table`` on its points.
 
-    ``grid`` writes what ``lattice._Spectrum.grid`` gives each table on its
-    core, bit for bit. A lone instance's table is its own spectrum, which
-    writes its core itself. Joined, row by row in each table's order,
-    ``2 Re(c e_m)`` is the coefficient times the exact axis waves
-    (``lattice._axis_wave``) of the axes where m is nonzero, multiplied in
-    axis order, each axis wave read at the point's index on that axis;
-    each row's wave, times its multiplier when one is given, is added to
-    the constant over its instance's points.
+    A lone instance's spectrum is its weight's own, in either form, and
+    ``grid`` has it synthesize its core itself (``_Spectrum.grid``).
+    Several instances' spectrum is their mode tables joined row by row,
+    grouped by instance in each table's own order: row r belongs to
+    instance ``owners[r]``, and ``grid`` writes what ``_Spectrum.grid``
+    gives each table on its core, bit for bit. There ``2 Re(c e_m)`` is
+    the coefficient times the exact axis waves (``lattice._axis_wave``)
+    of the axes where m is nonzero, multiplied in axis order, each axis
+    wave read at the point's index on that axis; each row's wave, times
+    its multiplier when one is given, is added to the constant over its
+    instance's points.
     """
 
-    def __init__(self, stack: _Stack, table, owners: np.ndarray):
+    def __init__(self, stack: _Stack, table: _Spectrum, owners):
         self.stack, self.table, self.owners = stack, table, owners
         self._slots = []
-        if stack.lone or table is None:
+        if stack.lone:
             return
         wavevectors = table.wavevectors
         first, per = self._first, self._per
@@ -201,21 +205,19 @@ class _Waves:
         instance's."""
         return values[0] if self.stack.lone else values[self.owners]
 
-    def grid(self, constants, multiplier=None, dtype=np.float64) -> np.ndarray:
-        """The tables' fields with their spectra's values, plus
-        ``constants`` (one per instance, or one for all), on the stack;
-        with a per-row ``multiplier``, the fields it maps them to, of its
-        dtype. A row whose multiplier is zero adds a signed zero to a sum
-        that starts at the constant: a sum that is not -0.0 keeps its bits,
-        as when ``_Spectrum.grid`` skips the row."""
-        each = np.ndim(constants) > 0
-        if self.stack.lone and self.table is not None:
-            return self.table.grid(constants[0] if each else constants, multiplier)
-        if multiplier is not None:
-            dtype = multiplier.dtype
+    def grid(self, constants=None, multiplier=None) -> np.ndarray:
+        """The fields of the spectrum's values, plus ``constants`` (one per
+        instance) when given, on the stack; with a per-row ``multiplier``,
+        the fields it maps them to, of its dtype. Joined, a row whose
+        multiplier is zero adds a signed zero to a sum that starts at the
+        constant or at +0.0: it keeps its bits, as when ``_Spectrum.grid``
+        skips the row."""
+        if self.stack.lone:
+            return self.table.grid(None if constants is None else constants[0], multiplier)
+        dtype = np.float64 if multiplier is None else multiplier.dtype
         out = np.empty(self.stack.points, dtype=dtype)
-        out[...] = self.stack.repeat(constants) if each else constants
-        values = None if self.table is None else self.table.values
+        out[...] = 0.0 if constants is None else self.stack.repeat(constants)
+        values = self.table.values
         for points, rows, factors in self._slots:
             wave = values[rows]
             for factor, varies in factors:
@@ -225,46 +227,50 @@ class _Waves:
             if multiplier is not None:
                 wave = multiplier[rows] * wave
             out[points] += wave
-        return out.reshape(self.stack.shapes[0]) if self.stack.lone else out
+        return out
 
 
-def _half(spectrum) -> bool:
-    """Is ``spectrum`` a half spectrum, a field's with no mode table?"""
-    return spectrum is not None and spectrum.wavevectors is None
+def _joins(phi: ScalarField) -> bool:
+    """May ``phi`` join a stack of several weights: has it a mode table,
+    or is it ``_known_constant`` (whose table is empty)?"""
+    return phi._modes is not None or _known_constant(phi)
 
 
 def _weight_spectra(geometry: TorusGeometry, weights: list[ScalarField]):
-    """The spectra of a stack's weights: ``(stack, spectra, joined)``.
+    """The one spectrum of a stack's weights and its ``_Waves`` on the
+    stack (``waves.stack``): ``(table, waves)``.
 
-    ``spectra`` holds each weight's ``_Spectrum``, None for a
-    ``_known_constant`` weight. The stack holds each weight's fields on
-    the core its spectrum synthesizes (``_Spectrum.grid``): one point for
-    a constant weight, the axes its table's modes vary along, or its core
-    with the grid's last axis whole for a half spectrum. ``joined`` is
-    ``(table, waves)``: the tables' rows joined as one table spectrum
-    (None if no weight has a table) and their ``_Waves`` on the stack. A
-    lone table is joined without a copy.
+    A lone weight's spectrum is its own ``_Spectrum``, a mode table or a
+    half spectrum. Several weights must each ``_joins``, or
+    InternalInvariantError is raised: their spectrum is their tables'
+    rows joined as one table. A ``_known_constant`` weight's table is
+    empty. The stack holds each weight's fields on the core its spectrum
+    synthesizes (``_Spectrum.grid``): the axes its table's modes vary
+    along (one point for a constant weight), or its core with the grid's
+    last axis whole for a half spectrum.
     """
+    if len(weights) > 1 and not all(map(_joins, weights)):
+        raise InternalInvariantError("only weights with mode tables are joined")
     rank = len(geometry.grid_shape)
-    spectra = [None if _known_constant(phi) else _Spectrum.of(phi) for phi in weights]
+    empty = (np.zeros((0, rank), dtype=np.int64), np.zeros(0, dtype=np.complex128))
+    spectra = [
+        _Spectrum._rows(geometry, *empty) if _known_constant(phi) else _Spectrum.of(phi)
+        for phi in weights
+    ]
     shapes = []
     for phi, sp in zip(weights, spectra):
-        if sp is None:
-            shapes.append((1,) * rank)
-        elif sp.wavevectors is None:
+        if sp.wavevectors is None:
             shapes.append((*_compact(phi).shape[:-1], geometry.grid_shape[-1]))
         else:
             varies = sp.wavevectors.any(axis=0).tolist()
             shapes.append(tuple(s if v else 1 for s, v in zip(geometry.grid_shape, varies)))
     stack = _Stack(geometry, shapes)
-    tables = [(i, sp) for i, sp in enumerate(spectra) if sp is not None and not _half(sp)]
-    table, owners = None, np.zeros(0, dtype=np.intp)
-    if len(tables) == 1:
-        table = tables[0][1]
-        owners = np.full(len(table.values), tables[0][0])
-    elif tables:
-        wavevectors = np.concatenate([sp.wavevectors for _, sp in tables])
-        values = np.concatenate([sp.values for _, sp in tables])
-        table = _Spectrum._rows(geometry, wavevectors, values)
-        owners = np.repeat([i for i, _ in tables], [len(sp.values) for _, sp in tables])
-    return stack, spectra, (table, _Waves(stack, table, owners))
+    if stack.lone:
+        return spectra[0], _Waves(stack, spectra[0], None)
+    table = _Spectrum._rows(
+        geometry,
+        np.concatenate([sp.wavevectors for sp in spectra]),
+        np.concatenate([sp.values for sp in spectra]),
+    )
+    owners = np.repeat(np.arange(len(spectra)), [len(sp.values) for sp in spectra])
+    return table, _Waves(stack, table, owners)

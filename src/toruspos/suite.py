@@ -44,7 +44,7 @@ from .normalizer import (
 )
 from .planes import _cholesky, _split
 from .qpositivity import _floors, _resolve_eps, _whitened_eigenvalues
-from .stacks import chunk_size
+from .stacks import _joins, chunk_size
 
 #: Oracle slack: eigenvalues this far below zero (relative) still count as
 #: semidefinite, absorbing round-off in the eigensolve.
@@ -218,9 +218,19 @@ def _suites(
        metrics are built, gated and inverted as one stack;
     4. the witness check (``_witness_floors``) on the instances' joined
        cores, whose metrics are factored as one stack.
+
+    Only weights that ``stacks._joins`` share a stack; any other instance
+    runs as a stack of its own.
     """
     if not bundles:
         return []
+    alone = [not _joins(L.phi) for L in bundles]
+    if len(bundles) > 1 and any(alone):
+        joined = iter(_suites([L for L, a in zip(bundles, alone) if not a], delta, eps))
+        return [
+            _suites([L], delta, eps)[0] if a else next(joined)
+            for L, a in zip(bundles, alone)
+        ]
     geom = bundles[0].geometry
     n = geom.complex_dim
     mu = np.stack([class_spectrum(L)[0] for L in bundles])

@@ -23,7 +23,7 @@ from toruspos import (
     scalar_curvature,
 )
 from toruspos.lattice import _Spectrum
-from toruspos.normalizer import _hessian_trace
+from toruspos.normalizer import _trace_multiplier
 
 RTOL = 1e-13
 
@@ -91,7 +91,8 @@ def test_hessian_trace_matches_full_transform(n, samples, kind):
     geom = TorusGeometry.regular(n, samples)
     W = np.linalg.inv(random_pd_metric(np.random.default_rng(5), geom).matrix)
     f = _weights(geom)[kind]
-    got = _hessian_trace(_Spectrum.of(f), W)
+    spectrum = _Spectrum.of(f)
+    got = spectrum.times(_trace_multiplier(spectrum.symbols, W)).grid()
     _assert_close(got, _reference_trace(f.values, W, geom))
 
 

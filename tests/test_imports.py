@@ -2,9 +2,11 @@
 dependency, numpy: scipy and other installed packages stay out. Grid
 transforms go through lattice.py's helpers, so numpy's FFT is called in
 that module only, and the form a spectrum takes (a mode table or a half
-spectrum) is known there and in stacks.py alone, which joins the tables
-of a stack's instances row by row: other modules read spectra through
-``lattice._Spectrum``. Two geometries are compared in one function,
+spectrum) is known there and in stacks.py alone, which gives a stack of
+weights its one spectrum (a lone weight's own, or several weights' tables
+joined row by row): other modules neither name ``lattice._Spectrum`` nor
+read a field's table, and use the spectrum ``stacks._weight_spectra``
+hands them through its methods. Two geometries are compared in one function,
 ``lattice._require_same_geometry``, which raises the typed
 GeometryMismatchError. The ragged layout of a stack of instances (its
 offsets, and the ``reduceat`` reductions read at them) is known to
@@ -132,8 +134,13 @@ def _defined(path: Path) -> set:
     return names
 
 
-#: Modules that read a spectrum's table rows (``_Spectrum.wavevectors``).
+#: Modules that know a spectrum's form: they name the spectrum type
+#: (``_Spectrum``) or read its table rows (``_Spectrum.wavevectors``).
 ROW_MODULES = {"lattice.py", "stacks.py"}
+
+#: Modules that read a field's mode table (``ScalarField._modes``): where
+#: tables are built, and where a stack's weights are joined.
+FIELD_TABLE_MODULES = TABLE_MODULES | {"stacks.py"}
 
 
 def test_spectrum_forms_are_known_only_in_lattice():
@@ -144,7 +151,8 @@ def test_spectrum_forms_are_known_only_in_lattice():
         for line, name in _names(path)
         if (name in LATTICE_ONLY and path.name != "lattice.py")
         or (name == "_Modes" and path.name not in TABLE_MODULES)
-        or (name == "wavevectors" and path.name not in ROW_MODULES)
+        or (name in ("_Spectrum", "wavevectors") and path.name not in ROW_MODULES)
+        or (name == "_modes" and path.name not in FIELD_TABLE_MODULES)
     ]
     assert outside == []
     # A listed name lattice.py no longer defines would guard nothing.
@@ -154,12 +162,14 @@ def test_spectrum_forms_are_known_only_in_lattice():
 def test_names_are_found(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
-        "from .lattice import _rfftn as forward, _Modes\n"
+        "from .lattice import _rfftn as forward, _Modes, _Spectrum\n"
         "import toruspos.lattice as lattice\n"
         "def f(field):\n    return lattice._irfftn(field), _waves\n"
+        "def g(field):\n    return field._modes, lattice._Spectrum.of(field)\n"
     )
-    names = {name for _, name in _names(module)}
-    assert {"_rfftn", "_Modes", "_irfftn", "_waves"} <= names
+    names = [name for _, name in _names(module)]
+    assert {"_rfftn", "_Modes", "_irfftn", "_waves", "_modes"} <= set(names)
+    assert names.count("_Spectrum") == 2
 
 
 def test_definitions_are_found(tmp_path):

@@ -25,6 +25,7 @@ from toruspos import (
     target_constant,
 )
 from toruspos.normalizer import (
+    _normalized,
     aligned_inverse_weights,
     aligned_metric_matrix,
     normalize_scalar_curvature,
@@ -270,7 +271,9 @@ def test_poisson_residual_does_not_trust_the_trace_symbol(monkeypatch):
 
     original = lattice_module._trace_symbol
     monkeypatch.setattr(
-        lattice_module, "_trace_symbol", lambda geom, W: original(geom, W.T)
+        lattice_module,
+        "_trace_symbol",
+        lambda symbols, W: original(symbols, np.swapaxes(W, -1, -2)),
     )
     g = TorusGeometry.regular(2, 8)
     omega = constant_metric(g, np.array([[1.0, 0.4 + 0.3j], [0.4 - 0.3j, 1.5]]))
@@ -288,7 +291,9 @@ def test_poisson_residual_does_not_trust_the_trace_symbol_on_the_grid(monkeypatc
 
     original = lattice_module._trace_symbol
     monkeypatch.setattr(
-        lattice_module, "_trace_symbol", lambda geom, W: original(geom, W.T)
+        lattice_module,
+        "_trace_symbol",
+        lambda symbols, W: original(symbols, np.swapaxes(W, -1, -2)),
     )
     g = TorusGeometry.regular(2, 8)
     omega = constant_metric(g, np.array([[1.0, 0.4 + 0.3j], [0.4 - 0.3j, 1.5]]))
@@ -297,6 +302,38 @@ def test_poisson_residual_does_not_trust_the_trace_symbol_on_the_grid(monkeypatc
     )
     _, cert = normalize_scalar_curvature(_grid_weight(L), omega)
     assert cert.residuals["poisson_rel"] > 1e-8
+
+
+def test_poisson_residual_does_not_trust_the_trace_symbol_on_a_stack(monkeypatch):
+    """The stacked twin: two weights with mode tables normalized on one
+    stack against two metrics, whose joined rows each carry their
+    instance's inverse metric; each residual sees the transposed W."""
+    import toruspos.lattice as lattice_module
+
+    original = lattice_module._trace_symbol
+    monkeypatch.setattr(
+        lattice_module,
+        "_trace_symbol",
+        lambda symbols, W: original(symbols, np.swapaxes(W, -1, -2)),
+    )
+    g = TorusGeometry.regular(2, 8)
+    metrics = [
+        np.array([[1.0, 0.4 + 0.3j], [0.4 - 0.3j, 1.5]]),
+        np.array([[2.0, -0.3 + 0.5j], [-0.3 - 0.5j, 1.0]]),
+    ]
+    bundles = [
+        LineBundleMetric.from_expression(
+            g, np.diag([1.0, -0.5]), "0.3*sin(x1)*cos(y2) + 0.2*cos(x2)"
+        ),
+        LineBundleMetric.from_expression(
+            g, np.diag([0.5, 2.0]), "0.25*cos(y1)*sin(x2) - 0.1*sin(y2)"
+        ),
+    ]
+    assert all(L.phi._modes is not None for L in bundles)
+    W = np.linalg.inv(np.stack(metrics))
+    determinants = [np.linalg.det(m).real for m in metrics]
+    for _, _, residuals in _normalized(bundles, W, determinants):
+        assert residuals["poisson_rel"] > 1e-8
 
 
 def test_trace_routes_build_no_curvature_field(monkeypatch):
@@ -316,7 +353,7 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
 
     for module in (curvature_module, lattice_module, normalizer_module):
         for name in (
-            "chern_curvature", "complex_hessian", "_hessian_planes", "_chern_planes"
+            "chern_curvature", "complex_hessian", "_chern_planes"
         ):
             if hasattr(module, name):
                 monkeypatch.setattr(
@@ -335,7 +372,7 @@ def test_trace_routes_build_no_curvature_field(monkeypatch):
     assert calls == []
     # The counters are live: the field route does call them.
     curvature_module.chern_curvature(L)
-    assert calls == ["chern_curvature", "_chern_planes", "_hessian_planes"]
+    assert calls == ["chern_curvature", "_chern_planes"]
 
 
 def _grid_weight(L: LineBundleMetric) -> LineBundleMetric:
@@ -386,8 +423,8 @@ def test_normalize_builds_the_trace_symbol_only_where_used(
     """A counter, no timing: a weighted normalize builds one trace symbol,
     which filters the weight and divides its spectrum (also against a
     caller's grid copy of the metric, stored as its one matrix); a zero
-    weight neither filters nor solves, so it builds none."""
-    import toruspos.curvature as curvature_module
+    weight neither filters nor solves, so it builds none. Every symbol is
+    built in lattice (``_checked_symbol``), so one patch counts them all."""
     import toruspos.lattice as lattice_module
 
     calls = []
@@ -398,7 +435,6 @@ def test_normalize_builds_the_trace_symbol_only_where_used(
         return original(*args)
 
     monkeypatch.setattr(lattice_module, "_trace_symbol", counting)
-    monkeypatch.setattr(curvature_module, "_trace_symbol", counting)
     g = TorusGeometry.regular(3, 4)
     rng = np.random.default_rng(32)
     omega = random_pd_metric(rng, g)

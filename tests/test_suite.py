@@ -30,9 +30,11 @@ from toruspos.curvature import (
     class_spectrum,
     complex_matrix_from_json,
 )
+from toruspos.errors import InternalInvariantError
 from toruspos.expressions import random_expression
 from toruspos.lattice import _compact, _difference
 from toruspos.normalizer import aligned_metric_matrix
+from toruspos.stacks import _joins, _weight_spectra
 from toruspos.suite import (
     NEAR_BOUNDARY,
     SEARCH_DELTAS,
@@ -563,6 +565,24 @@ def test_stacked_route_4_is_check_q_positive(n, samples):
         assert report.margins[key] == qpos.margin
         assert report.tolerances[key] == qpos.tolerance
         assert report.witness_q_positivity == qpos.verdict
+
+
+def test_only_weights_with_mode_tables_are_joined():
+    """A stack of several weights carries their mode tables joined, so a
+    weight with none (a grid copy) joins no stack: ``_suites`` runs it as
+    a stack of its own, and ``_weight_spectra`` refuses it among others.
+    Alone it keeps its half spectrum."""
+    g = TorusGeometry.regular(2, 8)
+    phi = scalar_field_from_expression(g, "0.3*sin(x1)*cos(y2) + 0.2*cos(x2)")
+    copy = ScalarField(g, phi.values.copy())
+    assert _joins(phi) and _joins(ScalarField.constant(g, 1.5))
+    assert not _joins(copy)
+    with pytest.raises(InternalInvariantError):
+        _weight_spectra(g, [phi, copy])
+    table, waves = _weight_spectra(g, [copy])
+    assert waves.stack.lone and table.wavevectors is None
+    table, waves = _weight_spectra(g, [phi, ScalarField.constant(g, 1.5)])
+    assert list(waves.owners) == [0] * len(phi._modes.coefficients)
 
 
 @pytest.mark.parametrize("n,samples", [(1, 16), (2, 8), (3, 4)])
