@@ -105,7 +105,8 @@ class LineBundleMetric:
         expression: str | None,
     ) -> "LineBundleMetric":
         """A bundle on a class matrix handed over by the package: another
-        bundle's read-only, already gated ``r_const``, or its negation,
+        bundle's read-only, already gated ``r_const``, its negation, or a
+        row of a stack of classes gated as one (``suite.random_bundles``),
         kept without a copy or a second gate."""
         bundle = cls.__new__(cls)
         bundle.geometry, bundle.r_const = geometry, _owned(r_const)

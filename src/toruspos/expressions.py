@@ -263,6 +263,10 @@ def _grid_values(tree, used, geometry: TorusGeometry) -> np.ndarray:
     return _eval(tree, coords)
 
 
+#: The coefficients of ``e(+d)`` and ``e(-d)`` in ``cos`` and ``sin``.
+_HALVES = {"cos": (0.5, 0.5), "sin": (-0.5j, 0.5j)}
+
+
 def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
     """The exact Fourier modes of a resolved tree, or None.
 
@@ -284,25 +288,24 @@ def _modes(tree, geometry: TorusGeometry) -> _Modes | None:
         product = {zero: complex(sign)}
         for factor in term[1]:
             if factor[0] == "num":
-                expansion = {zero: factor[1]}
-            else:
-                _, fn, freq, letter, index = factor
-                axis = 2 * (index - 1) + (letter == "y")
-                doubled = 2.0 * freq * (geometry.periods[axis] / TWO_PI)
-                if not doubled.is_integer():
-                    return None
-                up = [0] * axes
-                up[axis] = int(doubled)
-                up, down = tuple(up), tuple(-m for m in up)
-                half = (0.5, 0.5) if fn == "cos" else (-0.5j, 0.5j)
-                expansion = {}
-                for mode, c in zip((up, down), half):
-                    expansion[mode] = expansion.get(mode, 0.0) + c
+                # A number scales each mode; 0.0 + keeps the bits of a sum
+                # that starts at 0.0.
+                product = {m: 0.0 + c * factor[1] for m, c in product.items()}
+                continue
+            _, fn, freq, letter, index = factor
+            axis = 2 * (index - 1) + (letter == "y")
+            doubled = 2.0 * freq * (geometry.periods[axis] / TWO_PI)
+            if not doubled.is_integer():
+                return None
+            # The factor shifts each mode along its axis by +d and -d.
+            d = int(doubled)
+            up, down = _HALVES[fn]
+            shifts = ((d, 0.0 + up), (-d, 0.0 + down)) if d else ((0, 0.0 + up + down),)
             grown: dict[tuple, complex] = {}
             for m, c in product.items():
-                for k, d in expansion.items():
-                    key = tuple(a + b for a, b in zip(m, k))
-                    grown[key] = grown.get(key, 0.0) + c * d
+                for shift, half in shifts:
+                    key = (*m[:axis], m[axis] + shift, *m[axis + 1 :])
+                    grown[key] = grown.get(key, 0.0) + c * half
             if len(grown) > 2 * _Modes.MAX_PAIRS + 1:
                 return None
             product = grown

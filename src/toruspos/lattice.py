@@ -826,6 +826,20 @@ def _check_hermitian(vals: np.ndarray) -> None:
         )
 
 
+def _check_each_hermitian(matrices: np.ndarray) -> None:
+    """``_check_hermitian`` of each matrix of a stack ``(count, n, n)`` at
+    its own scale, in one pass: the first that fails is gated alone, which
+    raises its ValueError."""
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    # A non-finite matrix fails whatever its deviation; zeros stand in.
+    safe = matrices if finite.all() else np.where(finite[:, None, None], matrices, 0)
+    scale = np.abs(safe).max(axis=(-2, -1))
+    dev = np.abs(safe - np.conj(np.swapaxes(safe, -1, -2))).max(axis=(-2, -1))
+    failing = ~finite | (dev > HERMITIAN_RTOL * scale)
+    if failing.any():
+        _check_hermitian(matrices[np.argmax(failing)])
+
+
 @dataclass
 class HermitianMatrixField:
     """Field of n x n complex Hermitian matrices, one per grid point.
@@ -1052,7 +1066,7 @@ def _sum(core: np.ndarray, shape: tuple) -> float:
     field's core and the grid shape it stands for, with no grid view."""
     size = math.prod(shape)
     top = max(float(core.max()), -float(core.min()), 0.0) if size else 0.0
-    if not top < math.ldexp(1.0, 1023 - (size + 1).bit_length()):
+    if not top < _sum_bound(size):
         # Overflow depends on the order of the entries: take the grid's.
         return math.fsum(np.broadcast_to(core, shape).ravel())
     if top == 0.0:
@@ -1060,11 +1074,23 @@ def _sum(core: np.ndarray, shape: tuple) -> float:
         return math.fsum([-0.0] if size and np.signbit(core).all() else [])
     core = core.ravel(order="C")
     partials = core.tolist() if core.size <= _SUM_DIRECT else _partials(core, top)
+    return _rounded(partials, size // core.size)
+
+
+def _sum_bound(size: int) -> float:
+    """The bound below which every entry's magnitude must lie for ``_sum``
+    of ``size`` grid entries to extract: ``sigma`` stays finite."""
+    return math.ldexp(1.0, 1023 - (size + 1).bit_length())
+
+
+def _rounded(partials, m: int) -> float:
+    """``m`` times the exact sum of the exact float ``partials``, formed in
+    units of 2^-1074 and rounded once (``compensated_sum``)."""
     units = 0
     for p in partials:
         numerator, denominator = p.as_integer_ratio()  # denominator 2^j, j <= 1074
         units += numerator << (1075 - denominator.bit_length())
-    return units * (size // core.size) / (1 << 1074)
+    return units * m / (1 << 1074)
 
 
 def _partials(x: np.ndarray, top: float) -> list:
@@ -1214,12 +1240,17 @@ def _checked_symbol(spectrum: _Spectrum, inverse_metric: np.ndarray) -> np.ndarr
     return sym
 
 
-def _solution(spectrum: _Spectrum, f: np.ndarray, rows=slice(None)) -> ScalarField:
+def _solution(
+    spectrum: _Spectrum, f: np.ndarray, rows=slice(None), total: float | None = None
+) -> ScalarField:
     """The read-only field of the core ``f`` synthesized from ``spectrum``
     (its ``rows`` of a joined table) less its round-off mean, in place; a
-    table's carries its own."""
+    table's carries its own. ``total`` is f's grid sum (``_sum``) when the
+    caller took it already, as a stack takes its instances' at once."""
     geom = spectrum.geometry
-    mean = _sum(f, geom.grid_shape) / geom.num_points
+    if total is None:
+        total = _sum(f, geom.grid_shape)
+    mean = total / geom.num_points
     f -= mean
     field = _from_core(geom, f)
     field._modes = spectrum.modes(-mean, rows)

@@ -35,7 +35,6 @@ from .curvature import (
     degree_integral,
     volume_integral,
 )
-from .errors import MeanNotZeroError
 from .lattice import (
     MetricField,
     ScalarField,
@@ -187,9 +186,10 @@ def _normalized(
     achieved = np.float64(0.0)
     if any(solved):
         table.over(symbol)
-        for i, part in enumerate(stack.split(waves.grid())):
+        f = waves.grid()
+        for i, (part, total) in enumerate(zip(stack.split(f), stack.sums(f, solved))):
             if solved[i]:
-                exponents[i] = _solution(table, part, waves.rows(i))
+                exponents[i] = _solution(table, part, waves.rows(i), total)
         table.times(_trace_multiplier(table.symbols, waves.on_rows(W)))
         achieved = waves.grid()
         for part, solve in zip(stack.split(achieved), solved):

@@ -6,10 +6,12 @@ leading axis. A ``_Stack`` ravels each instance's core and joins the cores
 end to end: instance i owns the points ``offsets[i]:offsets[i + 1]``. Each
 instance's constants are repeated over its points, the elementwise kernels
 then run once on the joined arrays, per-instance minima and maxima come
-from ``ufunc.reduceat`` at the offsets, and exactly rounded sums are taken
-instance by instance (``lattice._sum`` is exact under any grouping). So
-every point holds the value its instance gives alone, bit for bit, and
-every reduction reads the same values. A stack carries one spectrum
+from ``ufunc.reduceat`` at the offsets, and the exactly rounded sums of
+all instances come from one error-free extraction over the joined array,
+each instance with its own ``sigma`` (``_Stack.sums``): the exact sum of
+an instance's part does not depend on how it is grouped. So every point
+holds the value its instance gives alone, bit for bit, and every
+reduction reads the same values. A stack carries one spectrum
 (``_weight_spectra``): the instances' mode tables joined row by row, each
 row carrying its instance's index (``_Waves``).
 
@@ -21,7 +23,7 @@ own, in either form. See CONVENTIONS.md, "Stacks".
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,8 +34,10 @@ from .lattice import (
     _axis_wave,
     _compact,
     _known_constant,
+    _rounded,
     _Spectrum,
     _sum,
+    _sum_bound,
 )
 
 #: Grid points per chunk of a corpus. A chunk of this many instances' grids
@@ -118,13 +122,59 @@ class _Stack:
 
     def sums(self, x, among=None) -> list[float]:
         """Each instance's exactly rounded grid sum (``lattice._sum``) of
-        an array on the stack, whose part is a core of the grid; 0.0 for
-        an instance that ``among`` (a flag per instance) leaves out."""
-        grid = self.geometry.grid_shape
-        parts = self.split(x)
-        if among is None:
-            return [_sum(np.asarray(part), grid) for part in parts]
-        return [_sum(np.asarray(p), grid) if a else 0.0 for p, a in zip(parts, among)]
+        a flat array on the stack, whose part is a core of the grid; 0.0
+        for an instance that ``among`` (a flag per instance) leaves out.
+
+        The instances are extracted together (``_partials``). One whose
+        values are not finite, reach ``lattice._sum_bound`` or are all
+        zero is summed alone by ``lattice._sum``, which takes its
+        ``math.fsum`` fallback and its sign of zero."""
+        grid, num_points = self.geometry.grid_shape, self.geometry.num_points
+        count = len(self.shapes)
+        among = np.ones(count, bool) if among is None else np.asarray(among, bool)
+        if self.lone:
+            return [_sum(np.asarray(x), grid) if among[0] else 0.0]
+        top = self._tops(x)
+        extracted = among & (top > 0.0) & (top < _sum_bound(num_points))
+        partials = self._partials(x, np.where(extracted, top, 0.0), extracted)
+        parts = self.split(x) if (among & ~extracted).any() else None
+        totals = [0.0] * count
+        for i in np.flatnonzero(among).tolist():
+            if extracted[i]:
+                totals[i] = _rounded(partials[i], num_points // int(self.sizes[i]))
+            else:
+                totals[i] = _sum(parts[i], grid)
+        return totals
+
+    def _tops(self, x) -> np.ndarray:
+        """Each instance's ``max(|x|)`` of a flat array on the stack (NaN
+        where its part holds one)."""
+        starts = self._offsets[:-1]
+        return np.maximum(np.maximum.reduceat(x, starts), -np.minimum.reduceat(x, starts))
+
+    def _partials(self, x, top, extracted) -> list:
+        """The exact partial sums of each instance's part of flat ``x``
+        whose max-abs is ``top`` (zeros for one not ``extracted``), one per
+        round: ``lattice._partials`` on every part at once. Each instance
+        has its own ``sigma``, from what is left of it, and all share the
+        ``k`` of the largest core, so each part's high parts sum exactly
+        and one ``np.add.reduceat`` takes them all; the rounds repeat
+        until every rest is zero."""
+        starts = self._offsets[:-1]
+        rest = x if extracted.all() else np.where(self.repeat(extracted), x, 0.0)
+        k = int(self.sizes.max() + 1).bit_length()
+        q = np.empty(self.points)
+        rounds = []
+        while (top > 0.0).any():  # False on NaN: a rest never spins
+            sigma = self.repeat(np.ldexp(1.0, np.frexp(top)[1] + k))
+            np.add(rest, sigma, out=q)
+            q -= sigma
+            # The first round reads x where it lies; later rounds work on
+            # the rest in place.
+            rest = rest - q if rest is x else np.subtract(rest, q, out=rest)
+            rounds.append(np.add.reduceat(q, starts))
+            top = self._tops(rest)
+        return np.array(rounds).reshape(-1, len(self.shapes)).T.tolist()
 
     @cached_property
     def owners(self) -> np.ndarray:
@@ -132,19 +182,30 @@ class _Stack:
         return np.repeat(np.arange(len(self.shapes)), self.sizes)
 
     @cached_property
-    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(count, axes)`` tables of each core's lengths and C-order
-        steps."""
-        shapes = np.array(self.shapes, dtype=np.intp).reshape(len(self.shapes), -1)
-        return shapes, np.cumprod(shapes[:, ::-1], axis=1)[:, ::-1] // shapes
+    def indices(self) -> np.ndarray:
+        """``(points, rank)``: each point's index on each grid axis of its
+        instance's core, the cores' ``_indices`` joined."""
+        return np.concatenate([_indices(shape) for shape in self.shapes])
 
-    def coordinate(self, points: np.ndarray, axis: int) -> np.ndarray:
-        """Each of ``points``' index on grid axis ``axis`` of its
-        instance's core."""
-        owners = self.owners[points]
-        shapes, steps = self._steps
-        local = points - self._offsets[owners]
-        return (local // steps[owners, axis]) % shapes[owners, axis]
+
+@lru_cache(maxsize=256)
+def _indices(shape: tuple) -> np.ndarray:
+    """``(points, rank)``: each point's index on each axis of a core of
+    ``shape``, in C order (read-only)."""
+    table = np.indices(shape).reshape(len(shape), -1).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=64)
+def _phases(s: int) -> np.ndarray:
+    """``(s, s)``: entry ``(m mod s, j)`` is the exact axis wave of mode m
+    at point j of an axis of ``s`` points (``lattice._axis_wave``), for
+    every m (read-only)."""
+    m, j = np.ogrid[:s, :s]
+    table = _axis_wave(-1, s)[(-m * j) % s]
+    table.setflags(write=False)
+    return table
 
 
 class _Waves:
@@ -168,20 +229,25 @@ class _Waves:
         self._slots = []
         if stack.lone:
             return
-        wavevectors = table.wavevectors
-        first, per = self._first, self._per
-        grid = stack.geometry.grid_shape
-        point_rows = per[stack.owners]
-        # Slot k holds the k-th row of every table that has one.
-        for k in range(int(per.max())):
-            points = np.flatnonzero(point_rows > k)
-            rows = first[stack.owners[points]] + k
+        per, first, grid = self._per, self._first, stack.geometry.grid_shape
+        # A mode's residue on an axis of s points is zero exactly where the
+        # mode is, as |m| < s / 2.
+        residues = table.wavevectors % np.array(grid)
+        # Slot k holds the k-th row of every table that has one, on its
+        # instance's points; every slot's points, rows and residues are
+        # gathered at once, and each slot is a slice of them.
+        slots, points = np.nonzero(np.arange(per.max())[:, None] < per[stack.owners])
+        rows = first[stack.owners[points]] + slots
+        on_points = np.take(residues, rows, axis=0)
+        at = np.take(stack.indices, points, axis=0)
+        bounds = np.searchsorted(slots, np.arange(per.max() + 1)).tolist()
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            axes = np.take(residues, first[per > k] + k, axis=0).any(axis=0)
             factors = []
-            for axis in np.flatnonzero(wavevectors[first[per > k] + k].any(axis=0)):
-                m = wavevectors[rows, axis]
-                phase = (-m * stack.coordinate(points, axis)) % grid[axis]
-                factors.append((_axis_wave(-1, grid[axis])[phase], m != 0))
-            self._slots.append((points, rows, factors))
+            for a in np.flatnonzero(axes).tolist():
+                m = on_points[lo:hi, a]
+                factors.append((_phases(grid[a])[m, at[lo:hi, a]], m != 0))
+            self._slots.append((points[lo:hi], rows[lo:hi], factors))
 
     @cached_property
     def _per(self) -> np.ndarray:
@@ -249,28 +315,29 @@ def _weight_spectra(geometry: TorusGeometry, weights: list[ScalarField]):
     along (one point for a constant weight), or its core with the grid's
     last axis whole for a half spectrum.
     """
-    if len(weights) > 1 and not all(map(_joins, weights)):
-        raise InternalInvariantError("only weights with mode tables are joined")
-    rank = len(geometry.grid_shape)
-    empty = (np.zeros((0, rank), dtype=np.int64), np.zeros(0, dtype=np.complex128))
-    spectra = [
-        _Spectrum._rows(geometry, *empty) if _known_constant(phi) else _Spectrum.of(phi)
-        for phi in weights
-    ]
-    shapes = []
-    for phi, sp in zip(weights, spectra):
-        if sp.wavevectors is None:
-            shapes.append((*_compact(phi).shape[:-1], geometry.grid_shape[-1]))
+    grid = geometry.grid_shape
+    empty = (np.zeros((0, len(grid)), dtype=np.int64), np.zeros(0, dtype=np.complex128))
+    tables = []  # each weight's (wavevectors, coefficients), None for a half spectrum
+    for phi in weights:
+        if _known_constant(phi):
+            tables.append(empty)
+        elif phi._modes is not None:
+            tables.append((phi._modes.wavevectors, phi._modes.coefficients))
+        elif len(weights) > 1:
+            raise InternalInvariantError("only weights with mode tables are joined")
         else:
-            varies = sp.wavevectors.any(axis=0).tolist()
-            shapes.append(tuple(s if v else 1 for s, v in zip(geometry.grid_shape, varies)))
+            tables.append(None)
+    shapes = [
+        (*_compact(phi).shape[:-1], grid[-1]) if table is None
+        else tuple(np.where(table[0].any(axis=0), grid, 1).tolist())
+        for phi, table in zip(weights, tables)
+    ]
     stack = _Stack(geometry, shapes)
     if stack.lone:
-        return spectra[0], _Waves(stack, spectra[0], None)
-    table = _Spectrum._rows(
-        geometry,
-        np.concatenate([sp.wavevectors for sp in spectra]),
-        np.concatenate([sp.values for sp in spectra]),
-    )
-    owners = np.repeat(np.arange(len(spectra)), [len(sp.values) for sp in spectra])
+        constant = tables[0] is empty
+        spectrum = _Spectrum._rows(geometry, *empty) if constant else _Spectrum.of(weights[0])
+        return spectrum, _Waves(stack, spectrum, None)
+    wavevectors, values = (np.concatenate(column) for column in zip(*tables))
+    owners = np.repeat(np.arange(len(tables)), [len(t[1]) for t in tables])
+    table = _Spectrum._rows(geometry, wavevectors, values)
     return table, _Waves(stack, table, owners)

@@ -35,7 +35,7 @@ from .curvature import (
     complex_matrix_to_json,
 )
 from .expressions import _draw_expression, _field_of_tree
-from .lattice import TorusGeometry, _difference
+from .lattice import TorusGeometry, _check_each_hermitian, _difference
 from .normalizer import (
     DEFAULT_DELTA,
     _aligned_matrix,
@@ -353,7 +353,9 @@ def random_bundles(
     Each instance's draws come from ``rng`` in stream order (its class,
     then its weight), so the first k of ``count`` instances are the k
     instances of a shorter draw. The class matrices are then made in one
-    stacked pass (``_hermitian_classes``).
+    stacked pass (``_hermitian_classes``) and pass the constructor's
+    Hermitian gate as one stack (``lattice._check_each_hermitian``), each
+    at its own scale; each bundle keeps its row of the read-only stack.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -368,9 +370,14 @@ def random_bundles(
         drawn.append(
             _draw_expression(rng, n, amplitude=amplitude, max_frequency=max_frequency)
         )
+    classes = _hermitian_classes(mu, z)
+    _check_each_hermitian(classes)
+    classes.setflags(write=False)
     return [
-        LineBundleMetric(geometry, matrix, _field_of_tree(geometry, tree), phi_text)
-        for matrix, (tree, phi_text) in zip(_hermitian_classes(mu, z), drawn)
+        LineBundleMetric._derived(
+            geometry, matrix, _field_of_tree(geometry, tree), phi_text
+        )
+        for matrix, (tree, phi_text) in zip(classes, drawn)
     ]
 
 

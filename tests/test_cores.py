@@ -41,8 +41,15 @@ from toruspos import (
     scalar_field_from_expression,
     uniformize_metric,
 )
-from toruspos.lattice import _core, scalar_field_from_csv, scalar_field_to_csv
+from toruspos.lattice import (
+    _core,
+    _sum,
+    _sum_bound,
+    scalar_field_from_csv,
+    scalar_field_to_csv,
+)
 from toruspos.planes import _TILE, _tiles
+from toruspos.stacks import _Stack
 
 # n: samples per axis (16^2, 8^4 and 4^6 points).
 _SAMPLES = {1: 16, 2: 8, 3: 4}
@@ -269,6 +276,58 @@ def test_compensated_sum_rounds_the_core_product_once(grid):
     core[:3, 0] = [1.0, 2.0**-53, 2.0**-80]
     view = np.broadcast_to(core, grid)
     assert compensated_sum(view) == math.fsum(view.ravel().tolist())
+
+
+def _ragged_cores(rng, geom: TorusGeometry) -> list:
+    """Two to eight random cores of ``geom``'s grid, each on a random set
+    of one to all axes, each of its own scale between 1e-300 and 1e300,
+    with one instance spanning that range, one of +0.0 only, one of -0.0
+    only, one holding a NaN and an infinity, and one past ``sigma``'s
+    overflow bound, each put at a random place."""
+    grid = geom.grid_shape
+
+    def core():
+        axes = rng.permutation(len(grid))[: rng.integers(1, len(grid) + 1)]
+        return rng.standard_normal(tuple(s if a in axes else 1 for a, s in enumerate(grid)))
+
+    cores = [core() * 10.0 ** rng.uniform(-300, 300) for _ in range(rng.integers(2, 9))]
+    spanning = core()
+    spanning *= 10.0 ** rng.uniform(-300, 300, spanning.shape)
+    non_finite = core()
+    non_finite.flat[[0, -1]] = np.nan, np.inf
+    # Twice the bound at one entry: handed to math.fsum whole, which still
+    # sums it without overflow.
+    overflow = core()
+    overflow.flat[0] = 2.0 * _sum_bound(geom.num_points)
+    special = [spanning, np.zeros_like(core()), -np.zeros_like(core()), non_finite, overflow]
+    for values in special:
+        cores.insert(rng.integers(0, len(cores) + 1), values)
+    return cores
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_sums_equal_lone_sums(n):
+    """A stack's sums (``stacks._Stack.sums``) extract all its instances at
+    once, each with its own ``sigma`` and the ``k`` of the largest core,
+    and hand an instance that is not finite, past the overflow bound or
+    all zeros to ``lattice._sum`` alone: each must be ``_sum`` of its
+    part, bit for bit, with and without ``among``, on random ragged
+    stacks (``_ragged_cores``) and on a lone instance."""
+    g = TorusGeometry.regular(n, _SAMPLES[n])
+    grid = g.grid_shape
+    rng = np.random.default_rng(40 + n)
+    for _ in range(40):
+        cores = _ragged_cores(rng, g)
+        among = rng.random(len(cores)) < 0.6
+        for stacked in (cores, cores[:1]):
+            stack = _Stack(g, [c.shape for c in stacked])
+            # A lone instance's array stays on its core.
+            x = stacked[0] if stack.lone else np.concatenate([c.ravel() for c in stacked])
+            lone = [_sum(c, grid) for c in stacked]
+            assert list(map(float.hex, stack.sums(x))) == list(map(float.hex, lone))
+            got = stack.sums(x, among[: len(stacked)])
+            expected = [total if a else 0.0 for total, a in zip(lone, among)]
+            assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
 
 def _peak(fn) -> int:

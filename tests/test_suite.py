@@ -638,6 +638,112 @@ def test_one_chunk_corpus_solves_route_4_and_gates_its_witnesses_once(
     assert calls == {"_descending_eigenvalues": 1, "_gate_bounds": 1}
 
 
+@pytest.mark.parametrize("count", [5, 20])
+def test_one_chunk_corpus_sums_and_gates_its_classes_once(monkeypatch, count):
+    """Counters, no timing: a corpus of one chunk gates all its classes in
+    one stacked pass (``lattice._check_each_hermitian``), with no lone
+    Hermitian gate, and takes every exactly rounded sum of its
+    normalization, its solutions' means included, in four stacked
+    extractions (``stacks._Stack._partials``), with no lone ``_sum``,
+    whatever its count."""
+    import toruspos.curvature as curvature_module
+    import toruspos.lattice as lattice_module
+    import toruspos.stacks as stacks_module
+    import toruspos.suite as suite_module
+
+    calls = dict.fromkeys(
+        ["_check_each_hermitian", "_check_hermitian", "_partials", "_sum"], 0
+    )
+    for owner, name in (
+        (suite_module, "_check_each_hermitian"),
+        (lattice_module, "_check_hermitian"),
+        (curvature_module, "_check_hermitian"),
+        (stacks_module._Stack, "_partials"),
+        (lattice_module, "_sum"),
+        (stacks_module, "_sum"),
+    ):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    reports, summary = run_equivalence_corpus(TorusGeometry.regular(2, 8), count, seed=1)
+    assert summary["fails"] == 0 and summary["positive"] > 1
+    assert calls == {
+        "_check_each_hermitian": 1, "_check_hermitian": 0, "_partials": 4, "_sum": 0
+    }
+
+
+def _recording_classes(monkeypatch, change):
+    """Patch ``suite._hermitian_classes`` to hand ``change`` of its stack
+    to the gate; returns the list the changed stacks are recorded in."""
+    import toruspos.suite as suite_module
+
+    original, recorded = suite_module._hermitian_classes, []
+
+    def classes(mu, z):
+        recorded.append(change(original(mu, z)))
+        return recorded[-1]
+
+    monkeypatch.setattr(suite_module, "_hermitian_classes", classes)
+    return recorded
+
+
+def _off_hermitian(index, relative):
+    def change(stack):
+        stack[index, 0, 1] += relative * np.abs(stack[index]).max()
+        return stack
+
+    return change
+
+
+def _spread(stack):
+    """A 1e-2-scale class off Hermitian by 1e-11 of its own scale, after
+    a 1e2-scale class whose scale would pass it."""
+    small = np.diag([1e-2, -2e-2]).astype(np.complex128)
+    small[0, 1] = 2e-13
+    return np.stack([np.diag([1e2, -1e2]).astype(np.complex128), small, *stack[2:]])
+
+
+def _non_finite(stack):
+    stack[3, 1, 1] = np.nan
+    return stack
+
+
+@pytest.mark.parametrize(
+    "change,failing",
+    [(_off_hermitian(2, 1e-9), 2), (_spread, 1), (_non_finite, 3)],
+    ids=["off-hermitian", "own-scale", "non-finite"],
+)
+def test_corpus_classes_are_gated_each_at_its_own_scale(monkeypatch, change, failing):
+    """``random_bundles`` gates its stack of classes once: the first class
+    that fails, at its own scale, raises the ValueError the constructor
+    raises on it alone."""
+    g = TorusGeometry.regular(2, 4)
+    recorded = _recording_classes(monkeypatch, change)
+    with pytest.raises(ValueError) as stacked:
+        random_bundles(np.random.default_rng(8), g, 5)
+    with pytest.raises(ValueError) as lone:
+        LineBundleMetric.from_constant(g, recorded[0][failing])
+    assert str(stacked.value) == str(lone.value)
+
+
+def test_corpus_bundles_keep_rows_of_their_gated_stack():
+    """Each bundle of a draw keeps its row of the read-only class stack,
+    which the lone constructor accepts as it is."""
+    g = TorusGeometry.regular(2, 4)
+    bundles = random_bundles(np.random.default_rng(8), g, 5)
+    stack = bundles[0].r_const.base
+    assert stack is not None and stack.shape == (5, 2, 2)
+    for L in bundles:
+        assert not L.r_const.flags.writeable
+        assert L.r_const.base is stack
+        copy = LineBundleMetric(g, L.r_const, L.phi, L.phi_expression)
+        assert copy.r_const.tobytes() == L.r_const.tobytes()
+
+
 def test_corpus_memory_is_bounded_by_its_chunk():
     """A corpus draws and runs one chunk at a time, so on a grid whose
     instances fill a chunk each (64^4, whose weights reach 64^3-point
